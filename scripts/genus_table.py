@@ -18,8 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quadgenus.constructions import (embed_cube, embed_cube_cycle,
-                                     embed_cube_path)
+from quadgenus.constructions import embed_family
 from quadgenus.formulas import (cube_cycle_genus, cube_genus,
                                 cube_path_genus)
 from quadgenus.graphs import build_family
@@ -30,21 +29,19 @@ def family_rows(kind: str, max_i: int, max_r: int, max_s: int):
         for i in range(1, max_i + 1):
             for r in range(1, max_r + 1):
                 expr = f"Q({i},{2 * r})"
-                yield expr, cube_genus(i, 2 * r).value, (embed_cube, (i, r))
+                yield expr, cube_genus(i, 2 * r).value
     elif kind == "cycle":
         for i in range(1, max_i + 1):
             for r in range(1, max_r + 1):
                 for s in range(2, max_s + 1):
                     expr = f"Q({i},{2 * r}) x C({2 * s})"
-                    yield (expr, cube_cycle_genus(i, r, s).value,
-                           (embed_cube_cycle, (i, r, s)))
+                    yield expr, cube_cycle_genus(i, r, s).value
     elif kind == "path":
         for i in range(1, max_i + 1):
             for r in range(1, max_r + 1):
                 for s in range(1, max_s + 1):
                     expr = f"Q({i},{2 * r}) x P({2 * s})"
-                    yield (expr, cube_path_genus(i, r, s).value,
-                           (embed_cube_path, (i, r, s)))
+                    yield expr, cube_path_genus(i, r, s).value
     else:
         raise SystemExit(f"unknown family kind: {kind}")
 
@@ -64,12 +61,12 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     for kind in args.families.split(","):
-        for expr, value, (builder, params) in family_rows(
+        for expr, value in family_rows(
                 kind.strip(), args.max_i, args.max_r, args.max_s):
             g = build_family(expr)
             if g.n <= args.build_limit:
                 t0 = time.perf_counter()
-                result = builder(*params)
+                result, _ = embed_family(expr, route="removal")
                 dt = time.perf_counter() - t0
                 built = result.certificate.genus
                 mark = "" if built == value else "  <-- MISMATCH"

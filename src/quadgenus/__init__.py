@@ -11,9 +11,7 @@ CLI with reproducible JSON artifacts round out the toolkit.
 __version__ = "0.1.0"
 
 from .constructions import (ConstructionResult, classify_family, embed_cube,
-                            embed_cube_cycle, embed_cube_cycles,
-                            embed_cube_path, embed_cube_paths, embed_family,
-                            embed_K2r2r)
+                            embed_family, embed_K2r2r)
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          components_certificate, euler_genus,
                          genus_lower_bound, is_quadrilateral, mirror,

@@ -14,7 +14,10 @@ bound and is therefore minimal.  Finally, harvest a fresh reservoir from
 the handles of alternate links (their opposite-face pairs tile
 everything), which is what makes the process repeatable.
 
-Three step shapes cover the families:
+Every step runs that blueprint through one link-step body; a step only
+chooses which copies are mirrored, their coordinates, and the schedule of
+(left copy, right copy, family) links, and then harvests its own
+reservoir.  Three step shapes cover the families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
     "a" side, mirrored copies the "b" side; copy a_j links to copy
@@ -29,6 +32,15 @@ remove the closing link's handles, which lowers the genus by one per
 handle and reinstates the consumed faces.  Both routes must and do agree
 on every certificate.
 
+One driver, embed_family(expr, route="direct"), builds every supported
+family Q(i,2r) x C(2m)* x P(2m)*: embed_cube(i, r), then one ring step
+per cycle or path factor in the expression's order; route="removal"
+takes the subtractive route for every path factor with m >= 2.  At every
+level the certificate's n, m and genus are checked against the Euler
+count 1 + m/4 - n/2 of the shape prefix, with n and m computed from the
+parameters alone, and against the closed form wherever the prefix is all
+cube, all cycles or all paths.
+
 Handle records collect into a flat replayable trace; vertex numbers in
 each record refer to the phase in which the handle was added (copies are
 renumbered between phases, labels never lie).
@@ -37,22 +49,22 @@ renumbered between phases, labels never lie).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
 from .embeddings import (Dart, Embedding, EmbeddingCertificate,
-                         canonical_face, euler_genus, genus_lower_bound,
-                         is_quadrilateral, trace_faces)
-from .formulas import (cube_cycle_genus, cube_genus, cube_path_genus,
-                       main_cycles_genus, main_paths_genus, ringel_genus)
+                         canonical_face, euler_genus, is_quadrilateral,
+                         trace_faces)
+from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
+                       ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
-                     build_family, format_family_expr, iter_atoms,
-                     make_complete_bipartite, parse_family_expr)
-from .oracle import SearchBudget, stochastic_search
+                     build_family, iter_atoms, make_complete_bipartite,
+                     parse_family_expr)
 from .surgery import (FaceFamily, FaceReservoir, HandleRecord, QuadFace,
                       check_reservoir, handle_record_to_json_dict,
-                      link_copies, partition_faces_K2r2r, quad_faces,
-                      remove_handle, reservoir_from_links)
+                      link_copies, partition_faces_K2r2r, remove_handle,
+                      reservoir_from_links)
 
 
 @dataclass(frozen=True)
@@ -90,16 +102,8 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     emb = Embedding(graph, _scheme_rotation(r))
     faces = trace_faces(emb)
     if not (is_quadrilateral(faces) and len(faces) == 2 * r * r):
-        # Defensive fallback; the scheme above is exercised well past the
-        # supported grid, so this path only runs on a regression.
-        target = int(ringel_genus(r))
-        found = stochastic_search(graph, SearchBudget(
-            max_rotation_systems=500_000, seed=7, target_genus=target))
-        emb = found.witness
-        faces = trace_faces(emb)
-        if not (is_quadrilateral(faces) and len(faces) == 2 * r * r):
-            raise ConstructionError(
-                f"no quadrilateral embedding of K({2*r},{2*r}) found")
+        raise ConstructionError(
+            f"rotation scheme for K({2*r},{2*r}) is not quadrilateral")
     reservoir = partition_faces_K2r2r(emb)
     cert = euler_genus(emb, construction_tag=f"K({2*r},{2*r})")
     expected = int(ringel_genus(r))
@@ -142,12 +146,11 @@ def _transfer_family(family: FaceFamily, offset: int, mirrored: bool,
         shifted = tuple(x + offset for x in verts)
         key = canonical_face(
             [(shifted[k], shifted[(k + 1) % 4]) for k in range(4)])
-        idx = face_index.get(key)
-        if idx is None:
+        if key not in face_index:
             raise ConstructionError(
                 f"face {face.vertices} did not transfer into the copy at "
                 f"offset {offset} (mirrored={mirrored})")
-        out.append(QuadFace(tuple(u for (u, _) in key), face_id=idx))
+        out.append(QuadFace(tuple(u for (u, _) in key)))
     return FaceFamily(tuple(out))
 
 
@@ -176,46 +179,56 @@ def _certify_step(emb: Embedding, tag: str) -> EmbeddingCertificate:
     return cert
 
 
-def _ring_step(base: ConstructionResult, m: int, closed: bool,
-               tag: str) -> tuple[ConstructionResult, list[list[HandleRecord]]]:
-    """One cycle factor C(2m) (closed) or path factor P(2m) (open)."""
-    if closed and m < 2:
-        raise InvalidParameterError(f"cycle factor needs m >= 2, got {m}")
-    if not closed and m < 1:
-        raise InvalidParameterError(f"path factor needs m >= 1, got {m}")
-    if len(base.reservoir.families) < 2:
-        raise ConstructionError("base reservoir must offer two families")
-    count = 2 * m
+def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
+               schedule: list[tuple[int, int, int]], tag: str
+               ) -> tuple[Embedding, list[list[HandleRecord]],
+                          EmbeddingCertificate]:
+    """The body every step shares: one copy of the base per entry of
+    `mirrored`, the reservoir families the schedule uses transferred into
+    each copy, one link per (left, right, family) schedule entry in
+    order, then the certificate and the face ledger (each handle adds two
+    faces).  Returns the linked embedding, each link's handle records,
+    and the certificate."""
+    count = len(mirrored)
     nb = base.embedding.graph.n
-    handles_per_link = nb // 4
-    union = _assemble_copies(
-        base.embedding, count,
-        mirrored=[t % 2 == 1 for t in range(count)],
-        coords=list(range(count)))
+    n_fams = 1 + max(k for _, _, k in schedule)
+    if len(base.reservoir.families) < n_fams:
+        raise ConstructionError(
+            f"{tag}: step needs {n_fams} families, reservoir has "
+            f"{len(base.reservoir.families)}")
+    union = _assemble_copies(base.embedding, count, mirrored, coords)
     face_index = trace_faces(union).index_by_cycle()
     fams = [
-        [_transfer_family(base.reservoir.families[p], t * nb, t % 2 == 1,
-                          face_index) for p in (0, 1)]
+        [_transfer_family(base.reservoir.families[k], t * nb, mirrored[t],
+                          face_index) for k in range(n_fams)]
         for t in range(count)
     ]
     emb = union
     links: list[list[HandleRecord]] = []
-    link_count = count if closed else count - 1
-    for t in range(link_count):
-        right = (t + 1) % count
-        p = t % 2
-        emb, recs = link_copies(emb, fams[t][p], fams[right][p],
-                                _offset_map(nb, t, right))
+    for left, right, k in schedule:
+        emb, recs = link_copies(emb, fams[left][k], fams[right][k],
+                                _offset_map(nb, left, right))
         links.append(recs)
 
-    f_base = base.certificate.f
-    f_expected = count * f_base + 2 * link_count * handles_per_link
+    f_expected = count * base.certificate.f + 2 * len(schedule) * (nb // 4)
     cert = _certify_step(emb, tag)
     if cert.f != f_expected:
-        raise ConstructionError(
-            f"{tag}: face ledger off: {cert.f} != {count}*{f_base} + "
-            f"2*{link_count}*{handles_per_link}")
-    reservoir = reservoir_from_links(links, emb, closed=closed, copy_tag=tag)
+        raise ConstructionError(f"{tag}: face ledger off: {cert.f} != "
+                                f"{f_expected}")
+    return emb, links, cert
+
+
+def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
+               ) -> tuple[ConstructionResult, list[list[HandleRecord]]]:
+    """One cycle factor C(2m) (closed) or path factor P(2m) (open)."""
+    count = 2 * m
+    link_count = count if closed else count - 1
+    emb, links, cert = _link_step(
+        base, mirrored=[t % 2 == 1 for t in range(count)],
+        coords=list(range(count)),
+        schedule=[(t, (t + 1) % count, t % 2) for t in range(link_count)],
+        tag=tag)
+    reservoir = reservoir_from_links(links, emb, closed=closed)
     trace = base.trace + tuple(_trace_entries(tag, links))
     return ConstructionResult(emb, reservoir, cert, trace), links
 
@@ -225,51 +238,24 @@ def _k_step(base: ConstructionResult, r: int,
     """One K(2r,2r) factor: 4r copies, 4r^2 links, family k at both ends
     of the link from a_j to b_(j+k mod 2r)."""
     two_r = 2 * r
-    if len(base.reservoir.families) < two_r:
-        raise ConstructionError(
-            f"K step needs {two_r} families, reservoir has "
-            f"{len(base.reservoir.families)}")
     count = 4 * r
-    nb = base.embedding.graph.n
-    union = _assemble_copies(
-        base.embedding, count,
-        mirrored=[t >= two_r for t in range(count)],
+    schedule = [(j, two_r + (j + k) % two_r, k)
+                for j in range(two_r) for k in range(two_r)]
+    emb, links, cert = _link_step(
+        base, mirrored=[t >= two_r for t in range(count)],
         coords=[f"a{t}" if t < two_r else f"b{t - two_r}"
-                for t in range(count)])
-    face_index = trace_faces(union).index_by_cycle()
-    fams = [
-        [_transfer_family(base.reservoir.families[k], t * nb, t >= two_r,
-                          face_index) for k in range(two_r)]
-        for t in range(count)
-    ]
-    emb = union
-    by_family: list[list[list[HandleRecord]]] = [[] for _ in range(two_r)]
-    flat_links: list[list[HandleRecord]] = []
-    for j in range(two_r):
-        for k in range(two_r):
-            right = two_r + ((j + k) % two_r)
-            emb, recs = link_copies(emb, fams[j][k], fams[right][k],
-                                    _offset_map(nb, j, right))
-            by_family[k].append(recs)
-            flat_links.append(recs)
-
-    f_expected = count * base.certificate.f + 2 * (4 * r * r) * (nb // 4)
-    cert = _certify_step(emb, tag)
-    if cert.f != f_expected:
-        raise ConstructionError(f"{tag}: face ledger off: {cert.f} != "
-                                f"{f_expected}")
+                for t in range(count)],
+        schedule=schedule, tag=tag)
     # Links sharing a family index form a perfect matching on the copies,
     # so each family's opposite handle faces tile the new vertex set.
-    families = []
-    for k in range(two_r):
-        members: list[QuadFace] = []
-        for recs in by_family[k]:
-            for rec in recs:
-                members.extend((rec.created[0], rec.created[2]))
-        families.append(FaceFamily(tuple(members)))
-    reservoir = FaceReservoir(tuple(families), copy_tag=tag)
+    members: list[list[QuadFace]] = [[] for _ in range(two_r)]
+    for (_, _, k), recs in zip(schedule, links):
+        for rec in recs:
+            members[k].extend((rec.created[0], rec.created[2]))
+    reservoir = FaceReservoir(tuple(FaceFamily(tuple(fam))
+                                    for fam in members))
     check_reservoir(emb, reservoir)
-    trace = base.trace + tuple(_trace_entries(tag, flat_links))
+    trace = base.trace + tuple(_trace_entries(tag, links))
     return ConstructionResult(emb, reservoir, cert, trace)
 
 
@@ -289,39 +275,6 @@ def embed_cube(i: int, r: int) -> ConstructionResult:
     return result
 
 
-def embed_cube_cycle(i: int, r: int, s: int) -> ConstructionResult:
-    """Q(i,2r) x C(2s) via one closed ring step over 2s copies."""
-    if s < 2:
-        raise InvalidParameterError(f"cycle factor needs s >= 2, got {s}")
-    result, _ = _ring_step(embed_cube(i, r), s, closed=True,
-                           tag=f"cube_cycle(i={i},r={r},s={s})")
-    expected = int(cube_cycle_genus(i, r, s))
-    if result.certificate.genus != expected:
-        raise ConstructionError(
-            f"cube_cycle({i},{r},{s}): genus {result.certificate.genus} != "
-            f"{expected}")
-    return result
-
-
-def embed_cube_cycles(i: int, r: int, m_list) -> ConstructionResult:
-    """Q(i,2r) x C(2m_1) x ... x C(2m_j), one closed ring step per cycle,
-    checked against the closed form after every level."""
-    m_list = list(m_list)
-    if not m_list:
-        raise InvalidParameterError("need at least one cycle factor")
-    result = embed_cube(i, r)
-    for level, m in enumerate(m_list, start=1):
-        result, _ = _ring_step(
-            result, m, closed=True,
-            tag=f"cube_cycles(i={i},r={r},m={m_list[:level]})")
-        expected = int(main_cycles_genus(i, r, m_list[:level]))
-        if result.certificate.genus != expected:
-            raise ConstructionError(
-                f"cycle level {level}: genus {result.certificate.genus} != "
-                f"{expected}")
-    return result
-
-
 def _path_removal_step(base: ConstructionResult, m: int,
                        tag: str) -> ConstructionResult:
     """Path factor P(2m), m >= 2, the subtractive way: run the closed ring
@@ -329,10 +282,7 @@ def _path_removal_step(base: ConstructionResult, m: int,
     lowers the genus by one and reinstates two quadrilateral faces,
     landing exactly on the path product.  The harvested reservoir
     survives because it came from even links and the closing link is odd;
-    only its face ids need re-anchoring in the new trace."""
-    if m < 2:
-        raise InvalidParameterError(
-            f"removal route needs m >= 2, got {m}")
+    each of its faces is checked against the new trace."""
     cycle_result, links = _ring_step(base, m, closed=True, tag=tag)
     emb = cycle_result.embedding
     for rec in links[-1]:
@@ -346,77 +296,18 @@ def _path_removal_step(base: ConstructionResult, m: int,
             f"{cycle_result.certificate.genus - removed}")
     if cert.f != cycle_result.certificate.f - 2 * removed:
         raise ConstructionError(f"{tag}: face ledger off after removal")
-    face_index = trace_faces(emb).index_by_cycle()
-    families = []
+    faces = set(trace_faces(emb).faces)
     for fam in cycle_result.reservoir.families:
-        members = []
         for face in fam.faces:
-            key = canonical_face(face.darts())
-            idx = face_index.get(key)
-            if idx is None:
+            if canonical_face(face.darts()) not in faces:
                 raise ConstructionError(
                     f"{tag}: reservoir face {face.vertices} lost in removal")
-            members.append(QuadFace(face.vertices, face_id=idx))
-        families.append(FaceFamily(tuple(members)))
-    reservoir = FaceReservoir(tuple(families), copy_tag=tag)
-    check_reservoir(emb, reservoir)
+    check_reservoir(emb, cycle_result.reservoir)
     trace = cycle_result.trace + tuple(
         {"phase": tag, "removed_link": len(links) - 1, "handle": hi,
          **handle_record_to_json_dict(rec)}
         for hi, rec in enumerate(links[-1]))
-    return ConstructionResult(emb, reservoir, cert, trace)
-
-
-def embed_cube_path(i: int, r: int, s: int,
-                    route: str = "removal") -> ConstructionResult:
-    """Q(i,2r) x P(2s).
-
-    route="removal" (the default) opens up the cycle of length 2s; s = 1
-    has no cycle to open and is built directly as two mirrored copies
-    joined by a single link.  route="direct" runs the open ring step for
-    any s.  Both routes must produce identical certificates.
-    """
-    if route not in ("removal", "direct"):
-        raise InvalidParameterError(f"unknown route {route!r}")
-    if s < 1:
-        raise InvalidParameterError(f"path factor needs s >= 1, got {s}")
-    tag = f"cube_path(i={i},r={r},s={s})"
-    base = embed_cube(i, r)
-    if route == "direct" or s == 1:
-        result, _ = _ring_step(base, s, closed=False, tag=tag)
-    else:
-        result = _path_removal_step(base, s, tag)
-    expected = int(cube_path_genus(i, r, s))
-    if result.certificate.genus != expected:
-        raise ConstructionError(
-            f"{tag}: genus {result.certificate.genus} != {expected}")
-    return result
-
-
-def embed_cube_paths(i: int, r: int, m_list,
-                     route: str = "direct") -> ConstructionResult:
-    """Q(i,2r) x P(2m_1) x ... x P(2m_j), checked against the closed form
-    after every level.  route="direct" uses open ring steps throughout;
-    route="removal" opens up a cycle at every level with m >= 2 (single
-    links, m = 1, are always direct)."""
-    if route not in ("removal", "direct"):
-        raise InvalidParameterError(f"unknown route {route!r}")
-    m_list = list(m_list)
-    if not m_list:
-        raise InvalidParameterError("need at least one path factor")
-    result = embed_cube(i, r)
-    for level, m in enumerate(m_list, start=1):
-        tag = f"cube_paths(i={i},r={r},m={m_list[:level]})"
-        if route == "removal" and m >= 2:
-            result = _path_removal_step(result, m, tag)
-        else:
-            result, _ = _ring_step(result, m, closed=False, tag=tag)
-        expected = int(main_paths_genus(i, r, m_list[:level]))
-        if result.certificate.genus != expected:
-            raise ConstructionError(
-                f"path level {level}: genus {result.certificate.genus} != "
-                f"{expected}")
-    return result
+    return ConstructionResult(emb, cycle_result.reservoir, cert, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +398,70 @@ def same_labeled_graph(a: Graph, b: Graph) -> bool:
     return edges_a == set(b.edges())
 
 
-def embed_family(expr: FamilyExpr | str) -> tuple[ConstructionResult, FamilyShape]:
+
+
+def _prefix_counts(shape: FamilyShape, level: int) -> tuple[int, int]:
+    """Vertex and edge counts of Q(i,2r) times the first `level` cycle or
+    path factors, from the parameters alone: a product of graphs with
+    (n1, m1) and (n2, m2) has n1*n2 vertices and m1*n2 + m2*n1 edges."""
+    t = 4 * shape.r  # K(2r,2r) has 4r vertices and 4r^2 edges
+    n = t ** shape.i
+    m = shape.i * shape.r * t ** shape.i
+    for kind, s in shape.steps[:level]:
+        n, m = 2 * s * n, 2 * s * m + (2 * s if kind == "C" else 2 * s - 1) * n
+    return n, m
+
+
+def _check_level(shape: FamilyShape, level: int,
+                 cert: EmbeddingCertificate) -> None:
+    """The certificate after `level` factor steps must match the Euler
+    count 1 + m/4 - n/2 of the shape prefix and, where the prefix is all
+    cube, all cycles or all paths, the closed form."""
+    n, m = _prefix_counts(shape, level)
+    euler = 1 + Fraction(m, 4) - Fraction(n, 2)
+    prefix = shape.steps[:level]
+    kinds = {kind for kind, _ in prefix}
+    ms = [s for _, s in prefix]
+    if not prefix:
+        closed = int(cube_genus(shape.i, 2 * shape.r))
+    elif kinds == {"C"}:
+        closed = int(main_cycles_genus(shape.i, shape.r, ms))
+    elif kinds == {"P"}:
+        closed = int(main_paths_genus(shape.i, shape.r, ms))
+    else:
+        closed = None  # mixed cycles and paths: no closed form
+    if (cert.n, cert.m, cert.genus) != (n, m, euler) or \
+            closed not in (None, euler):
+        raise ConstructionError(
+            f"{shape.normalized_expr} level {level}: certificate n={cert.n} "
+            f"m={cert.m} genus={cert.genus}, expected n={n} m={m} "
+            f"genus={euler}, closed form {closed}")
+
+
+def embed_family(expr: FamilyExpr | str,
+                 route: str = "direct") -> tuple[ConstructionResult,
+                                                 FamilyShape]:
     """Construct a certified minimum-genus embedding for a supported
     expression.  The result graph is label-identical to
     build_family(shape.normalized_expr); shape.factor_order records how
-    the factors were permuted."""
+    the factors were permuted.
+
+    route="direct" runs an open ring step for every path factor;
+    route="removal" opens up the cycle for every path factor P(2m) with
+    m >= 2 (P(2), a single link, has no cycle to open and is always
+    direct).  Both routes give identical certificates."""
+    if route not in ("removal", "direct"):
+        raise InvalidParameterError(f"unknown route {route!r}")
     shape = classify_family(expr)
     result = embed_cube(shape.i, shape.r)
+    _check_level(shape, 0, result.certificate)
     for level, (kind, m) in enumerate(shape.steps, start=1):
         tag = f"family({shape.normalized_expr})#step{level}"
-        result, _ = _ring_step(result, m, closed=(kind == "C"), tag=tag)
-    kinds = {kind for kind, _ in shape.steps}
-    ms = [m for _, m in shape.steps]
-    if kinds == {"C"}:
-        expected = int(main_cycles_genus(shape.i, shape.r, ms))
-        if result.certificate.genus != expected:
-            raise ConstructionError(
-                f"family genus {result.certificate.genus} != {expected}")
-    elif kinds == {"P"}:
-        expected = int(main_paths_genus(shape.i, shape.r, ms))
-        if result.certificate.genus != expected:
-            raise ConstructionError(
-                f"family genus {result.certificate.genus} != {expected}")
+        if kind == "P" and route == "removal" and m >= 2:
+            result = _path_removal_step(result, m, tag)
+        else:
+            result, _ = _ring_step(result, m, closed=(kind == "C"), tag=tag)
+        _check_level(shape, level, result.certificate)
     reference = build_family(shape.normalized_expr)
     if not same_labeled_graph(result.embedding.graph, reference):
         raise ConstructionError(

@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
 from .graphs import (Graph, connected_components, graph_from_json_dict,
-                     graph_to_json_dict, is_bipartite)
+                     graph_to_json_dict, is_bipartite, is_json_int)
 
 Dart = tuple[int, int]
 
@@ -237,7 +236,13 @@ def embedding_from_json_dict(data: dict) -> Embedding:
     if not isinstance(data, dict) or "graph" not in data or "rotation" not in data:
         raise InvalidParameterError("embedding JSON needs 'graph' and 'rotation'")
     g = graph_from_json_dict(data["graph"])
-    rotation = tuple(tuple(r) for r in data["rotation"])
+    rows = data["rotation"]
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(row, (list, tuple))
+            and all(is_json_int(x) for x in row) for row in rows)):
+        raise InvalidParameterError(
+            "'rotation' must be a list of lists of integers")
+    rotation = tuple(tuple(r) for r in rows)
     e = Embedding(g, rotation)
     _require_valid(e)
     return e

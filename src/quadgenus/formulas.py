@@ -2,8 +2,8 @@
 
 Everything is computed over exact integers and rationals and asserted to
 land on a non-negative integer; nothing here ever touches a float.  Each
-function returns a GenusValue tagging the number with its source so
-certificates can say where a reference value came from.
+function returns a GenusValue; a value that fails those checks raises an
+error naming the formula it came from.
 
 Notation used throughout:
 
@@ -34,7 +34,6 @@ from .errors import InvalidParameterError, NotApplicableError
 @dataclass(frozen=True)
 class GenusValue:
     value: int
-    source: str
 
     def __int__(self) -> int:
         return self.value
@@ -48,7 +47,7 @@ def _as_genus(x: Fraction | int, source: str) -> GenusValue:
     if frac < 0:
         raise InvalidParameterError(
             f"{source}: genus value {frac} is negative")
-    return GenusValue(int(frac), source)
+    return GenusValue(int(frac))
 
 
 def _check_m_list(m_list: Sequence[int], minimum: int, what: str) -> None:

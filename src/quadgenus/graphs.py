@@ -16,7 +16,6 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ExprSyntaxError, InvalidParameterError
@@ -355,30 +354,6 @@ def build_family(expr: Union[str, FamilyExpr]) -> Graph:
     return result
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters of a supported product family.
-
-    i: number of K(2r,2r) factors, r >= 1; m_list: the half-orders of the
-    cycle or path factors in application order.
-    """
-
-    i: int
-    r: int
-    m_list: tuple[int, ...] = ()
-
-    @property
-    def big_m(self) -> int:
-        prod = 1
-        for m in self.m_list:
-            prod *= m
-        return prod
-
-    @property
-    def m_inv_sum(self) -> Fraction:
-        return sum((Fraction(1, m) for m in self.m_list), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Serialization.  Graph files are JSON objects:
 #   {"n": int, "edges": [[u, v], ...], "labels": [[...], ...]?}
@@ -393,19 +368,33 @@ def graph_to_json_dict(g: Graph) -> dict:
     return data
 
 
+def is_json_int(x) -> bool:
+    """An integer as JSON decodes it: JSON true/false decode to bools,
+    which Python counts as ints, so they are excluded."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidParameterError("graph JSON needs 'n' and 'edges'")
     n = data["n"]
-    if not isinstance(n, int):
+    if not is_json_int(n):
         raise InvalidParameterError("'n' must be an integer")
+    if not isinstance(data["edges"], (list, tuple)):
+        raise InvalidParameterError("'edges' must be a list")
     edges = []
     for e in data["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(is_json_int(x) for x in e)):
             raise InvalidParameterError(f"malformed edge entry {e!r}")
         edges.append((e[0], e[1]))
-    labels = None
-    if data.get("labels") is not None:
-        labels = [tuple(lab) for lab in data["labels"]]
+    labels = data.get("labels")
+    if labels is not None:
+        if not (isinstance(labels, (list, tuple)) and all(
+                isinstance(lab, (list, tuple))
+                and all(isinstance(x, str) or is_json_int(x) for x in lab)
+                for lab in labels)):
+            raise InvalidParameterError(
+                "'labels' must be a list of lists of strings and integers")
+        labels = [tuple(lab) for lab in labels]
     return from_edges(n, edges, labels=labels)

@@ -26,7 +26,7 @@ from typing import Optional
 from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
 from .embeddings import (Embedding, EmbeddingCertificate, euler_genus,
-                         genus_lower_bound, trace_faces, validate_embedding)
+                         trace_faces, validate_embedding)
 from .graphs import Graph, is_bipartite, is_connected
 
 

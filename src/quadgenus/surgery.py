@@ -28,8 +28,8 @@ add_handle calls as long as each face is consumed at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .errors import (ConstructionError, InvalidParameterError, LinkError,
                      PartitionError, SurgeryError)
@@ -41,11 +41,9 @@ from .graphs import Graph
 @dataclass(frozen=True)
 class QuadFace:
     """A quadrilateral face, vertices in trace order starting at the least
-    dart.  face_id indexes the FaceSet the face was taken from, -1 if the
-    face is not anchored to a trace."""
+    dart."""
 
     vertices: tuple[int, int, int, int]
-    face_id: int = -1
 
     def __post_init__(self):
         if len(set(self.vertices)) != 4:
@@ -76,7 +74,6 @@ class FaceReservoir:
     family covers every vertex of its host exactly once."""
 
     families: tuple[FaceFamily, ...]
-    copy_tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -84,15 +81,14 @@ class HandleRecord:
     consumed: tuple[QuadFace, QuadFace]
     added_edges: tuple[Dart, Dart, Dart, Dart]
     created: tuple[QuadFace, QuadFace, QuadFace, QuadFace]
-    all_quadrilateral: bool
 
 
 def quad_faces(faces: FaceSet) -> list[QuadFace]:
-    """All quadrilateral faces of a trace, anchored by index."""
+    """All quadrilateral faces of a trace, in trace order."""
     out = []
-    for i, f in enumerate(faces.faces):
+    for f in faces.faces:
         if len(f) == 4:
-            out.append(QuadFace(tuple(u for (u, _) in f), face_id=i))
+            out.append(QuadFace(tuple(u for (u, _) in f)))
     return out
 
 
@@ -179,17 +175,15 @@ def add_handle(e: Embedding, f1: QuadFace, f2: QuadFace,
             (w[(k + 1) % 4], w[k]),
             (w[k], v[k]),
         ])
-        idx = index_after.get(expected)
-        if idx is None:
+        if expected not in index_after:
             raise SurgeryError(
                 f"created face {k} is not the expected quadrilateral")
-        created.append(QuadFace(tuple(u for (u, _) in expected), face_id=idx))
+        created.append(QuadFace(tuple(u for (u, _) in expected)))
 
     record = HandleRecord(
         consumed=(f1, f2),
         added_edges=tuple((v[k], w[k]) for k in range(4)),
         created=tuple(created),
-        all_quadrilateral=True,  # asserted by the created-face check above
     )
     return result, record
 
@@ -318,14 +312,13 @@ def partition_faces_K2r2r(e: Embedding) -> FaceReservoir:
     for fam in range(2 * r):
         members = tuple(q for i, q in enumerate(quads) if assignment[i] == fam)
         families.append(FaceFamily(members))
-    reservoir = FaceReservoir(tuple(families), copy_tag=f"K({2*r},{2*r})")
+    reservoir = FaceReservoir(tuple(families))
     check_reservoir(e, reservoir)
     return reservoir
 
 
 def reservoir_from_links(link_records: Sequence[Sequence[HandleRecord]],
-                         e: Embedding, closed: bool,
-                         copy_tag: str = "") -> FaceReservoir:
+                         e: Embedding, closed: bool) -> FaceReservoir:
     """Two fresh face families from the handles of alternate links.
 
     Links are taken in ring (or path) order; those with even index form a
@@ -344,8 +337,7 @@ def reservoir_from_links(link_records: Sequence[Sequence[HandleRecord]],
             fam1.extend((rec.created[0], rec.created[2]))
             fam2.extend((rec.created[1], rec.created[3]))
     reservoir = FaceReservoir(
-        (FaceFamily(tuple(fam1)), FaceFamily(tuple(fam2))),
-        copy_tag=copy_tag)
+        (FaceFamily(tuple(fam1)), FaceFamily(tuple(fam2))))
     check_reservoir(e, reservoir)
     return reservoir
 
@@ -380,5 +372,4 @@ def handle_record_to_json_dict(rec: HandleRecord) -> dict:
         "consumed": [list(f.vertices) for f in rec.consumed],
         "added_edges": [list(d) for d in rec.added_edges],
         "created": [list(f.vertices) for f in rec.created],
-        "all_quadrilateral": rec.all_quadrilateral,
     }

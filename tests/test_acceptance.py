@@ -13,12 +13,9 @@ slack factor.
 """
 
 import time
-from pathlib import Path
-
-import pytest
 
 from quadgenus.cli import main
-from quadgenus.selftest import run_criterion, run_selftest
+from quadgenus.selftest import run_criterion
 
 SEED = 0
 

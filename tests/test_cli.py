@@ -100,6 +100,37 @@ def test_verify_rejects_broken_rotation(capsys, tmp_path):
     assert code == 3
 
 
+def _tampered_k22_embedding(capsys, tmp_path, tamper):
+    out_dir = tmp_path / "e"
+    run(capsys, "embed", "K(2,2)", "--out", str(out_dir))
+    path = out_dir / "embedding.json"
+    data = json.loads(path.read_text())
+    tamper(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_verify_rejects_non_list_rotation_row(capsys, tmp_path):
+    path = _tampered_k22_embedding(
+        capsys, tmp_path, lambda d: d["rotation"].__setitem__(0, 1))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "'rotation'" in err
+
+
+def test_verify_rejects_non_list_label(capsys, tmp_path):
+    path = _tampered_k22_embedding(
+        capsys, tmp_path, lambda d: d["graph"]["labels"].__setitem__(0, 1))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "'labels'" in err
+
+
+def test_oracle_rejects_boolean_vertex_count(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": True, "edges": []}))
+    code, _, err = run(capsys, "oracle", str(path))
+    assert code == 3 and "'n' must be an integer" in err
+
+
 def test_faces_summary_and_json(capsys, tmp_path):
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(4,4)", "--out", str(out_dir))

@@ -1,16 +1,18 @@
+import dataclasses
 import json
 
 import pytest
 
-from quadgenus.constructions import (classify_family, embed_cube,
-                                     embed_cube_cycle, embed_cube_cycles,
-                                     embed_cube_path, embed_cube_paths,
+from quadgenus.constructions import (_check_level, _scheme_rotation,
+                                     classify_family, embed_cube,
                                      embed_family, embed_K2r2r,
                                      same_labeled_graph)
-from quadgenus.embeddings import (genus_lower_bound, is_quadrilateral,
-                                  trace_faces, validate_embedding)
-from quadgenus.errors import (InvalidParameterError, UnsupportedFamilyError)
-from quadgenus.graphs import build_family
+from quadgenus.embeddings import (Embedding, genus_lower_bound,
+                                  is_quadrilateral, trace_faces,
+                                  validate_embedding)
+from quadgenus.errors import (ConstructionError, InvalidParameterError,
+                              UnsupportedFamilyError)
+from quadgenus.graphs import build_family, make_complete_bipartite
 from quadgenus.oracle import certify_minimum
 from quadgenus.surgery import check_reservoir
 
@@ -32,6 +34,16 @@ def test_base_scheme_is_quadrilateral_up_to_r6(r):
     assert len(faces) == 2 * r * r
     assert len(res.reservoir.families) == 2 * r
     check_reservoir(res.embedding, res.reservoir)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
+    # embed_K2r2r has no fallback: the scheme itself must trace to 2r^2
+    # quadrilaterals (the face partition is too slow to run this far)
+    emb = Embedding(make_complete_bipartite(2 * r, 2 * r), _scheme_rotation(r))
+    faces = trace_faces(emb)
+    assert is_quadrilateral(faces)
+    assert len(faces) == 2 * r * r
 
 
 def test_cube_two_levels_frozen():
@@ -56,7 +68,7 @@ def test_cube_labels_match_family():
 @pytest.mark.parametrize("i,r,s,want", [(1, 2, 3, 13), (1, 1, 2, 1),
                                         (2, 1, 2, 17)])
 def test_cycle_products_frozen(i, r, s, want):
-    res = embed_cube_cycle(i, r, s)
+    res, _ = embed_family(f"Q({i},{2 * r}) x C({2 * s})")
     assert res.certificate.genus == want
     assert res.certificate.quadrilateral and res.certificate.minimal
     assert same_labeled_graph(
@@ -65,47 +77,67 @@ def test_cycle_products_frozen(i, r, s, want):
 
 def test_cycle_product_rejects_short_cycle():
     with pytest.raises(InvalidParameterError):
-        embed_cube_cycle(1, 2, 1)
+        embed_family("K(4,4) x C(2)")
 
 
 def test_repeated_cycles_frozen():
-    assert embed_cube_cycles(1, 1, [2, 2]).certificate.genus == 17
-    assert embed_cube_cycles(1, 2, [2, 2]).certificate.genus == 65
+    assert embed_family("Q(1,2) x C(4) x C(4)")[0].certificate.genus == 17
+    assert embed_family("Q(1,4) x C(4) x C(4)")[0].certificate.genus == 65
 
 
 def test_repeated_paths_frozen():
-    res = embed_cube_paths(1, 2, [1])
+    res, _ = embed_family("Q(1,4) x P(2)")
     assert (res.certificate.n, res.certificate.m, res.certificate.genus) \
         == (16, 40, 3)
-    assert embed_cube_paths(1, 2, [2, 2]).certificate.genus == 49
-    assert embed_cube_paths(1, 1, [2]).certificate.genus == 0
+    assert embed_family("Q(1,4) x P(4) x P(4)")[0].certificate.genus == 49
+    assert embed_family("Q(1,2) x P(4)")[0].certificate.genus == 0
 
 
 def test_path_routes_agree():
-    for i, r, s in ((1, 1, 2), (1, 2, 2), (1, 2, 3)):
-        direct = embed_cube_path(i, r, s, route="direct").certificate
-        removal = embed_cube_path(i, r, s, route="removal").certificate
-        assert (direct.n, direct.m, direct.f, direct.genus) \
-            == (removal.n, removal.m, removal.f, removal.genus)
+    for expr, genus in (("Q(1,2) x P(4)", 0), ("Q(1,4) x P(4)", 7),
+                        ("Q(1,4) x P(6)", 11),
+                        ("Q(1,4) x C(4) x P(4)", 57),
+                        ("Q(1,4) x P(4) x C(4)", 57)):
+        direct = embed_family(expr, route="direct")[0].certificate
+        removal = embed_family(expr, route="removal")[0].certificate
+        assert direct == removal
+        assert direct.genus == genus
 
 
 def test_removal_route_multi_level_agrees():
-    direct = embed_cube_paths(1, 1, [2, 2], route="direct").certificate
-    removal = embed_cube_paths(1, 1, [2, 2], route="removal").certificate
-    assert (direct.n, direct.m, direct.genus) \
-        == (removal.n, removal.m, removal.genus)
+    direct = embed_family("Q(1,2) x P(4) x P(4)", route="direct")[0]
+    removal = embed_family("Q(1,2) x P(4) x P(4)", route="removal")[0]
+    assert direct.certificate == removal.certificate
+    assert any("removed_link" in entry for entry in removal.trace)
 
 
 def test_removal_route_rejects_single_link():
-    res = embed_cube_path(1, 2, 1, route="removal")
-    # s = 1 silently builds directly: there is no cycle to open
+    res, _ = embed_family("Q(1,4) x P(2)", route="removal")
+    # P(2) silently builds directly: there is no cycle to open
     assert res.certificate.genus == 3
+    assert not any("removed_link" in entry for entry in res.trace)
+
+
+def test_embed_family_rejects_unknown_route():
+    with pytest.raises(InvalidParameterError):
+        embed_family("Q(1,4) x P(4)", route="subtractive")
+
+
+def test_level_check_covers_mixed_products():
+    shape = classify_family("Q(1,4) x C(4) x P(4)")
+    cert = embed_family(shape.normalized_expr)[0].certificate
+    _check_level(shape, 2, cert)
+    with pytest.raises(ConstructionError):
+        _check_level(shape, 2, dataclasses.replace(cert, genus=cert.genus + 1))
+    with pytest.raises(ConstructionError):
+        _check_level(shape, 1, cert)
 
 
 def test_reservoirs_survive_every_route():
-    for res in (embed_cube_cycle(1, 2, 2),
-                embed_cube_path(1, 2, 2, route="removal"),
-                embed_cube_path(1, 2, 2, route="direct")):
+    for expr, route in (("Q(1,4) x C(4)", "direct"),
+                        ("Q(1,4) x P(4)", "removal"),
+                        ("Q(1,4) x P(4)", "direct")):
+        res, _ = embed_family(expr, route=route)
         check_reservoir(res.embedding, res.reservoir)
         assert len(res.reservoir.families) == 2
 
@@ -117,12 +149,12 @@ def test_certificates_certify_via_oracle_helper():
 
 
 def test_trace_is_json_serializable_and_replayable():
-    res = embed_cube_cycle(1, 1, 2)
+    res, _ = embed_family("Q(1,2) x C(4)")
     blob = json.dumps(list(res.trace))
     entries = json.loads(blob)
     assert entries, "expected at least one handle record"
     assert all(len(e["added_edges"]) == 4 for e in entries)
-    assert all(e["all_quadrilateral"] for e in entries)
+    assert all(len(e["created"]) == 4 for e in entries)
     # handles per link equal a quarter of the base vertex count
     phase0 = [e for e in entries if e["link"] == 0]
     assert len(phase0) == 1  # K(2,2) has 4 vertices, one handle per link

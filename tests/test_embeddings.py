@@ -15,7 +15,7 @@ from quadgenus.embeddings import (Embedding, canonical_face,
                                   validate_embedding)
 from quadgenus.errors import (EmbeddingError, InvalidParameterError,
                               NotApplicableError)
-from quadgenus.graphs import (Graph, from_edges, make_complete_bipartite,
+from quadgenus.graphs import (from_edges, make_complete_bipartite,
                               make_cycle, make_path)
 
 K22_ROT = ((2, 3), (3, 2), (0, 1), (1, 0))

@@ -1,18 +1,16 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quadgenus.errors import ExprSyntaxError, InvalidParameterError
-from quadgenus.graphs import (CubeAtom, CycleAtom, FamilyParams, Graph, KAtom,
-                              PathAtom, Product, build_family,
-                              cartesian_product, connected_components,
-                              format_family_expr, from_edges,
-                              graph_from_json_dict, graph_to_json_dict,
-                              is_bipartite, is_connected, iter_atoms,
-                              make_complete_bipartite, make_cycle, make_path,
-                              parse_family_expr)
+from quadgenus.graphs import (CubeAtom, CycleAtom, KAtom, PathAtom,
+                              build_family, cartesian_product,
+                              connected_components, format_family_expr,
+                              from_edges, graph_from_json_dict,
+                              graph_to_json_dict, is_bipartite, is_connected,
+                              iter_atoms, make_complete_bipartite, make_cycle,
+                              make_path, parse_family_expr)
 
 
 def test_path_basic():
@@ -149,12 +147,6 @@ def test_build_family_allows_shapes_constructions_refuse():
     # graphs even though no construction embeds them
     assert build_family("K(2,3)").m == 6
     assert build_family("P(3) x P(3)").n == 9
-
-
-def test_family_params_aggregates():
-    p = FamilyParams(i=1, r=2, m_list=(2, 3))
-    assert p.big_m == 6
-    assert p.m_inv_sum == Fraction(5, 6)
 
 
 def test_graph_json_round_trip():

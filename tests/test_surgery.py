@@ -42,7 +42,7 @@ def test_add_handle_deltas_and_created_faces():
     assert after.m == before.m + 4
     assert after.f == before.f + 2
     assert after.genus == before.genus + 1
-    assert rec.all_quadrilateral and len(rec.created) == 4
+    assert len(rec.created) == 4
     v, w = f1.vertices, [f2.vertices[(0 - k) % 4] for k in range(4)]
     for k, face in enumerate(rec.created):
         assert set(face.vertices) == {v[k], v[(k + 1) % 4],
@@ -98,7 +98,7 @@ def test_add_handle_rejects_stale_face():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     stale = QuadFace((f1.vertices[0], f1.vertices[2],
-                      f1.vertices[1], f1.vertices[3]), face_id=99)
+                      f1.vertices[1], f1.vertices[3]))
     with pytest.raises(SurgeryError):
         add_handle(e, stale, f2, 0)
 
@@ -148,8 +148,8 @@ def test_link_copies_requires_mirroring():
             verts = tuple(x + offset for x in verts)
             darts = [(verts[k], verts[(k + 1) % 4]) for k in range(4)]
             key = min(tuple(darts[i:] + darts[:i]) for i in range(4))
-            out.append(QuadFace(tuple(u for u, _ in key),
-                                face_id=faces[key]))
+            assert key in faces
+            out.append(QuadFace(tuple(u for u, _ in key)))
         return FaceFamily(tuple(out))
 
     fam_a = transfer(0, False)
@@ -171,8 +171,8 @@ def test_link_copies_requires_mirroring():
             verts = tuple(x + offset for x in face.vertices)
             darts = [(verts[k], verts[(k + 1) % 4]) for k in range(4)]
             key = min(tuple(darts[i:] + darts[:i]) for i in range(4))
-            out.append(QuadFace(tuple(u for u, _ in key),
-                                face_id=faces2[key]))
+            assert key in faces2
+            out.append(QuadFace(tuple(u for u, _ in key)))
         return FaceFamily(tuple(out))
 
     with pytest.raises(LinkError):
@@ -206,8 +206,7 @@ def test_partition_rejects_non_conforming_input():
 
 def test_check_reservoir_flags_overlap():
     reservoir = partition_faces_K2r2r(k44())
-    doubled = FaceReservoir((reservoir.families[0], reservoir.families[0]),
-                            copy_tag="dup")
+    doubled = FaceReservoir((reservoir.families[0], reservoir.families[0]))
     with pytest.raises(ConstructionError):
         check_reservoir(k44(), doubled)
 
@@ -215,7 +214,7 @@ def test_check_reservoir_flags_overlap():
 def test_check_reservoir_flags_partial_cover():
     reservoir = partition_faces_K2r2r(k44())
     half = FaceReservoir(
-        (FaceFamily(reservoir.families[0].faces[:1]),), copy_tag="half")
+        (FaceFamily(reservoir.families[0].faces[:1]),))
     with pytest.raises(ConstructionError):
         check_reservoir(k44(), half)
     check_reservoir(k44(), half, full_cover=False)
@@ -224,8 +223,7 @@ def test_check_reservoir_flags_partial_cover():
 def test_reservoir_from_links_needs_even_count_when_closed():
     base = embed_K2r2r(2)
     with pytest.raises(InvalidParameterError):
-        reservoir_from_links([[], [], []], base.embedding, closed=True,
-                             copy_tag="odd ring")
+        reservoir_from_links([[], [], []], base.embedding, closed=True)
 
 
 @settings(deadline=None)
