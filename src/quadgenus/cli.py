@@ -202,6 +202,8 @@ def cmd_genus(args) -> int:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ExprSyntaxError(f"--params is not valid JSON: {exc}")
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InvalidParameterError(f"--params: {exc}")
     if not isinstance(params, dict):
         raise InvalidParameterError("--params must be a JSON object")
     try:
@@ -209,8 +211,14 @@ def cmd_genus(args) -> int:
     except TypeError as exc:
         raise InvalidParameterError(f"bad parameters for "
                                     f"{args.formula}: {exc}")
-    print(json.dumps({"formula": args.formula, "params": params,
-                      "genus": int(value)}))
+    try:
+        text = json.dumps({"formula": args.formula, "params": params,
+                           "genus": int(value)})
+    except ValueError as exc:  # the genus is past the int -> str digit limit
+        raise InvalidParameterError(
+            f"genus of {args.formula} for these parameters is too large to "
+            f"print: {exc}")
+    print(text)
     return 0
 
 

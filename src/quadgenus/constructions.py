@@ -17,7 +17,12 @@ everything), which is what makes the process repeatable.
 Every step runs that blueprint through one link-step body; a step only
 chooses which copies are mirrored, their coordinates, and the schedule of
 (left copy, right copy, family) links, and then harvests its own
-reservoir.  Three step shapes cover the families:
+reservoir.  The body lays the copies out as one surgery working state,
+checks each transferred face and runs every link on it in place (each
+handle proved locally, see surgery), freezes it once, and then runs the
+step's one full retrace: the certificate, which must be quadrilateral,
+meet the lower bound and match the face ledger.  Three step shapes
+cover the families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
     "a" side, mirrored copies the "b" side; copy a_j links to copy
@@ -28,9 +33,10 @@ reservoir.  Three step shapes cover the families:
     end copies make one link each.
 
 Paths are also built by the subtractive route: build the cycle, then
-remove the closing link's handles, which lowers the genus by one per
-handle and reinstates the consumed faces.  Both routes must and do agree
-on every certificate.
+remove the closing link's handles on a working state of the cycle,
+which lowers the genus by one per handle and reinstates the consumed
+faces, and certify the result with one more full retrace.  Both routes
+must and do agree on every certificate.
 
 One driver, embed_family(expr, route="direct"), builds every supported
 family Q(i,2r) x C(2m)* x P(2m)*: embed_cube(i, r), then one ring step
@@ -53,18 +59,16 @@ from fractions import Fraction
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
-from .embeddings import (Dart, Embedding, EmbeddingCertificate,
-                         canonical_face, euler_genus, is_quadrilateral,
-                         trace_faces)
+from .embeddings import (Embedding, EmbeddingCertificate, canonical_face,
+                         euler_genus, is_quadrilateral, trace_faces)
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      build_family, iter_atoms, make_complete_bipartite,
                      parse_family_expr)
 from .surgery import (FaceFamily, FaceReservoir, HandleRecord, QuadFace,
-                      check_reservoir, handle_record_to_json_dict,
-                      link_copies, partition_faces_K2r2r, remove_handle,
-                      reservoir_from_links)
+                      Surgery, check_reservoir, handle_record_to_json_dict,
+                      partition_faces_K2r2r, reservoir_from_links)
 
 
 @dataclass(frozen=True)
@@ -134,23 +138,24 @@ def _assemble_copies(base: Embedding, count: int, mirrored: list[bool],
 
 
 def _transfer_family(family: FaceFamily, offset: int, mirrored: bool,
-                     face_index: dict[tuple[Dart, ...], int]) -> FaceFamily:
+                     work: Surgery) -> FaceFamily:
     """Re-anchor a base-reservoir family inside one copy of the union.
 
     A mirrored copy traces every face backwards; the expected boundary is
-    looked up in the union's trace, so a wrong orientation is caught here
-    rather than surfacing later as a failed link."""
+    checked against the union's rotations, so a wrong orientation is
+    caught here rather than surfacing later as a failed link."""
     out = []
     for face in family.faces:
         verts = face.vertices if not mirrored else tuple(reversed(face.vertices))
         shifted = tuple(x + offset for x in verts)
         key = canonical_face(
             [(shifted[k], shifted[(k + 1) % 4]) for k in range(4)])
-        if key not in face_index:
+        moved = QuadFace(tuple(u for (u, _) in key))
+        if not work.is_face(moved):
             raise ConstructionError(
                 f"face {face.vertices} did not transfer into the copy at "
                 f"offset {offset} (mirrored={mirrored})")
-        out.append(QuadFace(tuple(u for (u, _) in key)))
+        out.append(moved)
     return FaceFamily(tuple(out))
 
 
@@ -186,9 +191,9 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
     """The body every step shares: one copy of the base per entry of
     `mirrored`, the reservoir families the schedule uses transferred into
     each copy, one link per (left, right, family) schedule entry in
-    order, then the certificate and the face ledger (each handle adds two
-    faces).  Returns the linked embedding, each link's handle records,
-    and the certificate."""
+    order, all on one working state, then one freeze, the certificate
+    and the face ledger (each handle adds two faces).  Returns the linked
+    embedding, each link's handle records, and the certificate."""
     count = len(mirrored)
     nb = base.embedding.graph.n
     n_fams = 1 + max(k for _, _, k in schedule)
@@ -196,19 +201,16 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
         raise ConstructionError(
             f"{tag}: step needs {n_fams} families, reservoir has "
             f"{len(base.reservoir.families)}")
-    union = _assemble_copies(base.embedding, count, mirrored, coords)
-    face_index = trace_faces(union).index_by_cycle()
+    work = Surgery(_assemble_copies(base.embedding, count, mirrored, coords))
     fams = [
         [_transfer_family(base.reservoir.families[k], t * nb, mirrored[t],
-                          face_index) for k in range(n_fams)]
+                          work) for k in range(n_fams)]
         for t in range(count)
     ]
-    emb = union
-    links: list[list[HandleRecord]] = []
-    for left, right, k in schedule:
-        emb, recs = link_copies(emb, fams[left][k], fams[right][k],
-                                _offset_map(nb, left, right))
-        links.append(recs)
+    links = [work.link(fams[left][k], fams[right][k],
+                       _offset_map(nb, left, right))
+             for left, right, k in schedule]
+    emb = work.freeze()
 
     f_expected = count * base.certificate.f + 2 * len(schedule) * (nb // 4)
     cert = _certify_step(emb, tag)
@@ -280,13 +282,16 @@ def _path_removal_step(base: ConstructionResult, m: int,
     """Path factor P(2m), m >= 2, the subtractive way: run the closed ring
     step, then undo the closing link handle by handle.  Every removal
     lowers the genus by one and reinstates two quadrilateral faces,
-    landing exactly on the path product.  The harvested reservoir
-    survives because it came from even links and the closing link is odd;
-    each of its faces is checked against the new trace."""
+    landing exactly on the path product.  The removals run on one working
+    state, each proved locally, and the result is certified once.  The
+    harvested reservoir survives because it came from even links and the
+    closing link is odd; each of its faces is checked against the
+    working state."""
     cycle_result, links = _ring_step(base, m, closed=True, tag=tag)
-    emb = cycle_result.embedding
+    work = Surgery(cycle_result.embedding)
     for rec in links[-1]:
-        emb = remove_handle(emb, rec)
+        work.remove(rec)
+    emb = work.freeze()
     cert = _certify_step(emb, tag)
     removed = len(links[-1])
     if cert.genus != cycle_result.certificate.genus - removed:
@@ -296,10 +301,9 @@ def _path_removal_step(base: ConstructionResult, m: int,
             f"{cycle_result.certificate.genus - removed}")
     if cert.f != cycle_result.certificate.f - 2 * removed:
         raise ConstructionError(f"{tag}: face ledger off after removal")
-    faces = set(trace_faces(emb).faces)
     for fam in cycle_result.reservoir.families:
         for face in fam.faces:
-            if canonical_face(face.darts()) not in faces:
+            if not work.is_face(face):
                 raise ConstructionError(
                     f"{tag}: reservoir face {face.vertices} lost in removal")
     check_reservoir(emb, cycle_result.reservoir)

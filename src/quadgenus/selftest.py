@@ -254,6 +254,8 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             rejected += 1
             continue
         applications += 1
+        # A full retrace, not Surgery's local proof: this is the
+        # independent check of the handle deltas.
         fs2 = trace_faces(e2)
         chi1 = e2.graph.n - e2.graph.m + len(fs2.faces)
         quads1 = sum(1 for fc in fs2.faces if len(fc) == 4)

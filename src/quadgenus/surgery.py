@@ -20,10 +20,19 @@ with F2 walked backwards; this reversal is what the construction's
 mirrored copies guarantee can be made consistent with the product edges.
 
 The rotation splice is local: each new edge enters the rotation at its
-endpoint between the two boundary darts of the consumed face there.  No
-other face's corners are touched, so faces not involved in the surgery
-stay traced orbits; callers may keep face handles across many
-add_handle calls as long as each face is consumed at most once.
+endpoint between the two boundary darts of the consumed face there, so
+only the sixteen darts of the four created faces change their successor
+(the eight consumed darts and the eight new ones).  Surgery is the working
+state that exploits this: it edits the rotations of the eight touched
+vertices in place and proves each handle locally instead of retracing.
+It walks the four created faces, requires each to close as the expected
+quadrilateral and all four together to cover exactly the changed darts,
+which pins the deltas at m +4, f +2, chi -2; removal proves the two
+reinstated faces the same way.  Faces not involved stay faces, so callers
+may keep face handles across many operations as long as each face is
+consumed at most once, and freeze the state into an Embedding only when
+they need one.  add_handle, remove_handle and link_copies run one
+operation on a fresh working state and freeze it.
 """
 
 from __future__ import annotations
@@ -92,177 +101,227 @@ def quad_faces(faces: FaceSet) -> list[QuadFace]:
     return out
 
 
-def _face_is_current(e: Embedding, face: QuadFace,
-                     pos: list[dict[int, int]]) -> bool:
-    """Check the 4 corners of `face` against the successor rule, without a
-    full retrace."""
-    v = face.vertices
-    for k in range(4):
-        a, b, c = v[(k - 1) % 4], v[k], v[(k + 1) % 4]
-        rot = e.rotation[b]
-        if a not in pos[b]:
-            return False
-        if rot[(pos[b][a] + 1) % len(rot)] != c:
-            return False
-    return True
+def _tiles(faces: Sequence[QuadFace], darts: set[Dart]) -> bool:
+    """The faces are dart-disjoint and their darts are exactly `darts`."""
+    listed = [d for f in faces for d in f.darts()]
+    return len(listed) == len(darts) and set(listed) == darts
 
 
-def _positions(e: Embedding) -> list[dict[int, int]]:
-    return [{u: i for i, u in enumerate(rot)} for rot in e.rotation]
+class Surgery:
+    """A mutable embedding for a run of handle operations.
+
+    Holds one rotation list and one neighbour -> position dict per
+    vertex, plus the edge count; add and remove change only the rows of
+    the eight vertices they touch, and freeze() returns the Embedding.
+    add and remove check their preconditions before changing anything,
+    so a refused handle leaves the state as it was.  A failed local proof
+    raises SurgeryError with the state half changed; discard it then.
+    """
+
+    def __init__(self, e: Embedding):
+        self.n = e.graph.n
+        self.labels = e.graph.labels
+        self.rotation = [list(rot) for rot in e.rotation]
+        self.pos = [{u: i for i, u in enumerate(rot)} for rot in e.rotation]
+        self.m = e.graph.m
+
+    def is_face(self, face: QuadFace) -> bool:
+        """Check the 4 corners of `face` against the successor rule."""
+        v = face.vertices
+        for k in range(4):
+            a, b, c = v[k - 1], v[k], v[(k + 1) % 4]
+            i = self.pos[b].get(a)
+            if i is None:
+                return False
+            rot = self.rotation[b]
+            if rot[(i + 1) % len(rot)] != c:
+                return False
+        return True
+
+    def _insert(self, x: int, after: int, u: int) -> Dart:
+        """Put u right after `after` in the rotation at x; returns the
+        dart into x whose successor this changes."""
+        rot, pos = self.rotation[x], self.pos[x]
+        i = pos[after] + 1
+        rot.insert(i, u)
+        for j in range(i, len(rot)):
+            pos[rot[j]] = j
+        return (rot[i - 1], x)
+
+    def _delete(self, x: int, u: int) -> Dart:
+        """Take u out of the rotation at x; returns the dart into x whose
+        successor this changes."""
+        rot, pos = self.rotation[x], self.pos[x]
+        i = pos.pop(u)
+        del rot[i]
+        for j in range(i, len(rot)):
+            pos[rot[j]] = j
+        return (rot[i - 1], x)
+
+    def _prove(self, gone: Sequence[QuadFace], made: Sequence[QuadFace],
+               before: set[Dart], after: set[Dart]) -> None:
+        """Local proof of a splice.  `before` and `after` are the darts
+        whose successor the splice changed, with the removed darts added to
+        `before` and the new ones to `after`; every other dart keeps its
+        face.  The `gone` faces were current before the splice; if their
+        darts are exactly `before`, they are the only faces it destroyed.
+        If every `made` face is current now and their darts are exactly
+        `after`, they are the only faces it created.  The face count then
+        changed by len(made) - len(gone)."""
+        if not _tiles(gone, before):
+            raise SurgeryError("splice touched darts outside the faces it "
+                               "consumed")
+        for face in made:
+            if not self.is_face(face):
+                raise SurgeryError(
+                    f"face {face.vertices} did not close after the splice")
+        if not _tiles(made, after):
+            raise SurgeryError("faces closed by the splice do not cover the "
+                               "darts it changed")
+
+    def add(self, f1: QuadFace, f2: QuadFace, pairing: int) -> HandleRecord:
+        """Join two vertex-disjoint quadrilateral faces by a handle carrying
+        four edges.  See the module docstring for the pairing convention
+        and the resulting faces.
+
+        Checks, on every call: both faces are current and share no vertex,
+        none of the four edges exists, and, after the splice, the local
+        proof that the four created faces are the expected quadrilaterals
+        and the only faces changed: edge count +4, face count +2, Euler
+        characteristic -2.  If the two faces lie in different components
+        the components merge and total genus adds; within one component
+        the genus rises by one.
+        """
+        if pairing not in (0, 1, 2, 3):
+            raise InvalidParameterError(
+                f"pairing must be 0..3, got {pairing}")
+        if f1.vertex_set & f2.vertex_set:
+            raise SurgeryError(
+                f"faces share vertices "
+                f"{sorted(f1.vertex_set & f2.vertex_set)}")
+        for face in (f1, f2):
+            if not self.is_face(face):
+                raise SurgeryError(f"face {face.vertices} is not a face of "
+                                   f"the current embedding")
+        v = f1.vertices
+        w = tuple(f2.vertices[(pairing - k) % 4] for k in range(4))
+        for k in range(4):
+            if w[k] in self.pos[v[k]]:
+                raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
+
+        # New edge vk - wk sits between the consumed faces' boundary darts:
+        # after v(k-1) at vk, and after w(k+1) at wk.
+        changed = set()
+        for k in range(4):
+            changed.add(self._insert(v[k], v[k - 1], w[k]))
+            changed.add(self._insert(w[k], w[(k + 1) % 4], v[k]))
+        added = {d for k in range(4) for d in ((v[k], w[k]), (w[k], v[k]))}
+        created = tuple(
+            QuadFace(tuple(u for (u, _) in canonical_face([
+                (v[k], v[(k + 1) % 4]),
+                (v[(k + 1) % 4], w[(k + 1) % 4]),
+                (w[(k + 1) % 4], w[k]),
+                (w[k], v[k]),
+            ])))
+            for k in range(4))
+        self._prove((f1, f2), created, changed, changed | added)
+        self.m += 4
+        return HandleRecord(
+            consumed=(f1, f2),
+            added_edges=tuple((v[k], w[k]) for k in range(4)),
+            created=created,
+        )
+
+    def remove(self, record: HandleRecord) -> None:
+        """Inverse of add: delete the handle's four edges and reinstate the
+        two consumed faces, with the same local proof (face count -2).
+        Only records whose created faces are still current can be
+        removed."""
+        for face in record.created:
+            if not self.is_face(face):
+                raise SurgeryError(
+                    f"created face {face.vertices} no longer current; "
+                    f"handle cannot be removed")
+        removed: set[Dart] = set()
+        for (a, b) in record.added_edges:
+            if b not in self.pos[a] or (a, b) in removed:
+                raise SurgeryError(f"edge ({a},{b}) not present")
+            removed.update(((a, b), (b, a)))
+        changed = set()
+        for (a, b) in record.added_edges:
+            changed.add(self._delete(a, b))
+            changed.add(self._delete(b, a))
+        self._prove(record.created, record.consumed, changed | removed,
+                    changed)
+        self.m -= len(record.added_edges)
+
+    def link(self, fam_a: FaceFamily, fam_b: FaceFamily,
+             correspondence: Mapping[int, int]) -> list[HandleRecord]:
+        """One link: a handle per face of fam_a, joining it to the fam_b
+        face on the corresponding vertices.
+
+        The correspondence maps every vertex covered by fam_a to its
+        partner; for faces taken from two copies of one embedding it is
+        the index offset between the copies.  The correspondence must send
+        each fam_a boundary onto a fam_b boundary traced the opposite way
+        round, which holds exactly when one copy is mirrored; otherwise no
+        pairing yields the product edges and the link is refused.
+        """
+        if len(fam_a) != len(fam_b):
+            raise LinkError(
+                f"family sizes differ: {len(fam_a)} vs {len(fam_b)}")
+        by_vertex_set = {f.vertex_set: f for f in fam_b.faces}
+        if len(by_vertex_set) != len(fam_b):
+            raise LinkError("fam_b faces are not vertex-disjoint")
+        records: list[HandleRecord] = []
+        for fa in fam_a.faces:
+            image = [correspondence[x] for x in fa.vertices]
+            fb = by_vertex_set.get(frozenset(image))
+            if fb is None:
+                raise LinkError(
+                    f"image {sorted(image)} of face {fa.vertices} is not a "
+                    f"fam_b face")
+            pairing = None
+            for a in range(4):
+                if all(fb.vertices[(a - k) % 4] == image[k]
+                       for k in range(4)):
+                    pairing = a
+                    break
+            if pairing is None:
+                raise LinkError(
+                    f"face {fa.vertices}: correspondence does not reverse "
+                    f"the boundary of {fb.vertices}; copies must be mirrored")
+            records.append(self.add(fa, fb, pairing))
+        return records
+
+    def freeze(self) -> Embedding:
+        adj = tuple(tuple(sorted(rot)) for rot in self.rotation)
+        return Embedding(Graph(self.n, adj, self.labels),
+                         tuple(tuple(rot) for rot in self.rotation))
 
 
 def add_handle(e: Embedding, f1: QuadFace, f2: QuadFace,
                pairing: int) -> tuple[Embedding, HandleRecord]:
-    """Join two vertex-disjoint quadrilateral faces by a handle carrying
-    four edges.  See the module docstring for the pairing convention and
-    the resulting faces.
-
-    Asserts, on every call: edge count +4, face count +2, Euler
-    characteristic -2, and that the four created faces are the expected
-    quadrilaterals.  If the two faces lie in different components the
-    components merge and total genus adds; within one component the genus
-    rises by one.
-    """
-    if pairing not in (0, 1, 2, 3):
-        raise InvalidParameterError(f"pairing must be 0..3, got {pairing}")
-    if f1.vertex_set & f2.vertex_set:
-        raise SurgeryError(
-            f"faces share vertices {sorted(f1.vertex_set & f2.vertex_set)}")
-    pos = _positions(e)
-    for face in (f1, f2):
-        if not _face_is_current(e, face, pos):
-            raise SurgeryError(f"face {face.vertices} is not a face of the "
-                               f"current embedding")
-    v = f1.vertices
-    w = tuple(f2.vertices[(pairing - k) % 4] for k in range(4))
-    for k in range(4):
-        if e.graph.has_edge(v[k], w[k]):
-            raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
-
-    rotation = [list(r) for r in e.rotation]
-    # New edge vk - wk sits between the consumed faces' boundary darts:
-    # after v(k-1) at vk, and after w(k+1) at wk.
-    for k in range(4):
-        rotation[v[k]].insert(pos[v[k]][v[(k - 1) % 4]] + 1, w[k])
-    pos2 = {x: {u: i for i, u in enumerate(rotation[x])} for x in set(w)}
-    for k in range(4):
-        rotation[w[k]].insert(pos2[w[k]][w[(k + 1) % 4]] + 1, v[k])
-
-    adj = [list(a) for a in e.graph.adj]
-    for k in range(4):
-        adj[v[k]].append(w[k])
-        adj[w[k]].append(v[k])
-    graph = Graph(e.graph.n, tuple(tuple(sorted(a)) for a in adj),
-                  e.graph.labels)
-    result = Embedding(graph, tuple(tuple(r) for r in rotation))
-
-    faces_before = trace_faces(e)
-    faces_after = trace_faces(result)
-    index_after = faces_after.index_by_cycle()
-    if graph.m != e.graph.m + 4:
-        raise SurgeryError("edge count did not grow by 4")
-    delta_f = len(faces_after) - len(faces_before)
-    chi_delta = -4 + delta_f
-    if chi_delta != -2 or delta_f != 2:
-        raise SurgeryError(
-            f"handle changed face count by {delta_f}, expected +2")
-
-    created = []
-    for k in range(4):
-        expected = canonical_face([
-            (v[k], v[(k + 1) % 4]),
-            (v[(k + 1) % 4], w[(k + 1) % 4]),
-            (w[(k + 1) % 4], w[k]),
-            (w[k], v[k]),
-        ])
-        if expected not in index_after:
-            raise SurgeryError(
-                f"created face {k} is not the expected quadrilateral")
-        created.append(QuadFace(tuple(u for (u, _) in expected)))
-
-    record = HandleRecord(
-        consumed=(f1, f2),
-        added_edges=tuple((v[k], w[k]) for k in range(4)),
-        created=tuple(created),
-    )
-    return result, record
+    """Surgery.add on a copy of `e`."""
+    work = Surgery(e)
+    record = work.add(f1, f2, pairing)
+    return work.freeze(), record
 
 
 def remove_handle(e: Embedding, record: HandleRecord) -> Embedding:
-    """Inverse of add_handle: delete the handle's four edges and restore
-    the two consumed faces.  Only records whose created faces are still
-    current can be removed."""
-    pos = _positions(e)
-    for face in record.created:
-        if not _face_is_current(e, face, pos):
-            raise SurgeryError(
-                f"created face {face.vertices} no longer current; handle "
-                f"cannot be removed")
-    drop = set()
-    for (a, b) in record.added_edges:
-        if not e.graph.has_edge(a, b):
-            raise SurgeryError(f"edge ({a},{b}) not present")
-        drop.add((a, b))
-        drop.add((b, a))
-    rotation = tuple(
-        tuple(u for u in rot if (x, u) not in drop)
-        for x, rot in enumerate(e.rotation)
-    )
-    adj = tuple(
-        tuple(sorted(u for u in nbrs if (x, u) not in drop))
-        for x, nbrs in enumerate(e.graph.adj)
-    )
-    result = Embedding(Graph(e.graph.n, adj, e.graph.labels), rotation)
-
-    faces_after = trace_faces(result).index_by_cycle()
-    for face in record.consumed:
-        if canonical_face(face.darts()) not in faces_after:
-            raise SurgeryError(
-                f"face {face.vertices} did not reappear after removal")
-    if len(faces_after) - len(trace_faces(e)) != -2:
-        raise SurgeryError("handle removal did not drop the face count by 2")
-    return result
+    """Surgery.remove on a copy of `e`."""
+    work = Surgery(e)
+    work.remove(record)
+    return work.freeze()
 
 
 def link_copies(e: Embedding, fam_a: FaceFamily, fam_b: FaceFamily,
                 correspondence: Mapping[int, int]
                 ) -> tuple[Embedding, list[HandleRecord]]:
-    """One link: a handle per face of fam_a, joining it to the fam_b face
-    on the corresponding vertices.
-
-    The correspondence maps every vertex covered by fam_a to its partner;
-    for faces taken from two copies of one embedding it is the index
-    offset between the copies.  The correspondence must send each fam_a
-    boundary onto a fam_b boundary traced the opposite way round, which
-    holds exactly when one copy is mirrored; otherwise no pairing yields
-    the product edges and the link is refused.
-    """
-    if len(fam_a) != len(fam_b):
-        raise LinkError(f"family sizes differ: {len(fam_a)} vs {len(fam_b)}")
-    by_vertex_set = {f.vertex_set: f for f in fam_b.faces}
-    if len(by_vertex_set) != len(fam_b):
-        raise LinkError("fam_b faces are not vertex-disjoint")
-    records: list[HandleRecord] = []
-    current = e
-    for fa in fam_a.faces:
-        image = [correspondence[x] for x in fa.vertices]
-        fb = by_vertex_set.get(frozenset(image))
-        if fb is None:
-            raise LinkError(
-                f"image {sorted(image)} of face {fa.vertices} is not a "
-                f"fam_b face")
-        pairing = None
-        for a in range(4):
-            if all(fb.vertices[(a - k) % 4] == image[k] for k in range(4)):
-                pairing = a
-                break
-        if pairing is None:
-            raise LinkError(
-                f"face {fa.vertices}: correspondence does not reverse the "
-                f"boundary of {fb.vertices}; copies must be mirrored")
-        current, rec = add_handle(current, fa, fb, pairing)
-        records.append(rec)
-    return current, records
+    """Surgery.link on a copy of `e`."""
+    work = Surgery(e)
+    records = work.link(fam_a, fam_b, correspondence)
+    return work.freeze(), records
 
 
 def partition_faces_K2r2r(e: Embedding) -> FaceReservoir:

@@ -168,6 +168,23 @@ def test_genus_wrong_arity(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("formula,params", [
+    ("hypercube", '{"n":1000000}'),
+    ("cube", '{"j":100000,"t":2}'),
+])
+def test_genus_past_digit_limit_is_refused(capsys, formula, params):
+    # the genus has more decimal digits than int -> str allows
+    code, out, err = run(capsys, "genus", "--formula", formula, "--params",
+                         params)
+    assert code == 3 and out == "" and "too large" in err
+
+
+def test_genus_params_past_digit_limit_is_refused(capsys):
+    code, _, err = run(capsys, "genus", "--formula", "hypercube", "--params",
+                       '{"n": 1' + "0" * 5000 + "}")
+    assert code == 3 and "--params" in err
+
+
 def test_oracle_exhaustive_and_artifacts(capsys, tmp_path):
     gdir = tmp_path / "g"
     run(capsys, "build", "K(3,3)", "--out", str(gdir))

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
+from quadgenus import embeddings
 from quadgenus.constructions import (_check_level, _scheme_rotation,
                                      classify_family, embed_cube,
                                      embed_family, embed_K2r2r,
@@ -158,6 +160,28 @@ def test_trace_is_json_serializable_and_replayable():
     # handles per link equal a quarter of the base vertex count
     phase0 = [e for e in entries if e["link"] == 0]
     assert len(phase0) == 1  # K(2,2) has 4 vertices, one handle per link
+
+
+def test_full_traces_per_build_stay_a_few(monkeypatch):
+    # Counts every full face trace, wherever a quadgenus module binds
+    # trace_faces: one per construction step plus the base block's few,
+    # not two per handle.
+    real = embeddings.trace_faces
+    calls = []
+
+    def counting(e):
+        calls.append(e.graph.n)
+        return real(e)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "quadgenus" or name.startswith("quadgenus."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    for route in ("direct", "removal"):
+        calls.clear()
+        embed_family("Q(2,4) x C(4) x P(4)", route=route)
+        assert 0 < len(calls) <= 12, (route, len(calls))
 
 
 def test_classify_family_normalizes_order():

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadgenus.constructions import embed_K2r2r
-from quadgenus.embeddings import Embedding, euler_genus, trace_faces
+from quadgenus.constructions import embed_cube, embed_K2r2r
+from quadgenus.embeddings import (Embedding, canonical_face, euler_genus,
+                                  trace_faces)
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               LinkError, SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
-from quadgenus.surgery import (FaceFamily, FaceReservoir, QuadFace,
+from quadgenus.surgery import (FaceFamily, FaceReservoir, QuadFace, Surgery,
                                add_handle, check_reservoir, link_copies,
                                partition_faces_K2r2r, quad_faces,
                                remove_handle, reservoir_from_links)
@@ -240,3 +241,80 @@ def test_handle_deltas_random(pairing, rnd):
         return  # alignment collided with an existing edge
     b, a = euler_genus(e), euler_genus(e2)
     assert (a.m - b.m, a.f - b.f, a.genus - b.genus) == (4, 2, 1)
+
+
+WORK_BASES = {
+    "K(4,4)": Embedding(make_complete_bipartite(4, 4), K44_ROT),
+    "K(6,6)": embed_K2r2r(3).embedding,
+    "Q(2,2)": embed_cube(2, 1).embedding,
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(WORK_BASES)), st.data())
+def test_working_state_matches_retrace_and_wrappers(name, data):
+    """Random handles on one working state, with removals of the newest
+    handle mixed in: after every operation a full retrace of the frozen
+    state holds the faces the operation recorded, the face count moved by
+    exactly 2, and the state equals the add_handle/remove_handle chain."""
+    chain = WORK_BASES[name]
+    work = Surgery(chain)
+    f = len(trace_faces(chain))
+    newest = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        if newest and data.draw(st.booleans()):
+            record = newest.pop()
+            work.remove(record)
+            chain = remove_handle(chain, record)
+            recorded, delta = record.consumed, -2
+        else:
+            faces = quad_faces(trace_faces(chain))
+            f1 = data.draw(st.sampled_from(faces))
+            f2 = data.draw(st.sampled_from(faces))
+            pairing = data.draw(st.integers(0, 3))
+            try:
+                record = work.add(f1, f2, pairing)
+            except SurgeryError:
+                with pytest.raises(SurgeryError):
+                    add_handle(chain, f1, f2, pairing)
+                assert work.freeze() == chain  # refused: nothing changed
+                continue
+            chain, chained = add_handle(chain, f1, f2, pairing)
+            assert chained == record
+            newest.append(record)
+            recorded, delta = record.created, 2
+        frozen = work.freeze()
+        assert frozen == chain
+        assert work.m == frozen.graph.m
+        faces = trace_faces(frozen)
+        traced = set(faces.faces)
+        assert all(canonical_face(face.darts()) in traced
+                   for face in recorded)
+        assert len(faces) - f == delta
+        f = len(faces)
+
+
+def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
+    # The checks before the splice pass; the splice then puts the new
+    # edge one slot too far round at a consumed face's vertex, and only
+    # the local proof can notice.
+    e = k44()
+    f1, f2 = disjoint_quad_pair(e)
+    work = Surgery(e)
+    insert = Surgery._insert
+
+    def misplaced(self, x, after, u):
+        changed = insert(self, x, after, u)
+        if x == f1.vertices[0]:
+            rot, pos = self.rotation[x], self.pos[x]
+            i = pos[u]
+            j = (i + 1) % len(rot)
+            rot[i], rot[j] = rot[j], rot[i]
+            pos[rot[i]], pos[rot[j]] = i, j
+        return changed
+
+    monkeypatch.setattr(Surgery, "_insert", misplaced)
+    with pytest.raises(SurgeryError):
+        work.add(f1, f2, 0)
+    monkeypatch.undo()
+    assert Surgery(e).add(f1, f2, 0).consumed == (f1, f2)
