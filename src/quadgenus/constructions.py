@@ -64,8 +64,8 @@ from .embeddings import (Embedding, EmbeddingCertificate, canonical_face,
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
-                     build_family, iter_atoms, make_complete_bipartite,
-                     parse_family_expr)
+                     build_family, family_factors, iter_atoms,
+                     make_complete_bipartite, parse_family_expr)
 from .surgery import (FaceFamily, FaceReservoir, HandleRecord, QuadFace,
                       Surgery, check_reservoir, handle_record_to_json_dict,
                       partition_faces_K2r2r, reservoir_from_links)
@@ -345,7 +345,7 @@ def classify_family(expr: FamilyExpr | str) -> FamilyShape:
     unsupported shape."""
     if isinstance(expr, str):
         expr = parse_family_expr(expr)
-    build_family(expr)  # parameter validation, result discarded
+    family_factors(expr)  # validates every atom; builds no product
     cube_positions: list[int] = []
     step_positions: list[int] = []
     steps: list[tuple[str, int]] = []

@@ -14,6 +14,14 @@ Rotations are cyclic: two rotations equal up to rotation (not reflection)
 describe the same embedding.  Faces are canonicalized to start at their
 lexicographically least dart, and trace_faces emits them sorted by that
 dart, so face indices are reproducible for a given Embedding.
+
+Face tracing runs on integer dart ids (DartIndex): dart (v, u) gets the
+next id in the order v = 0..n-1, u in graph.adj[v].  Adjacency is sorted,
+so id order is sorted dart order.  A rotation becomes a flat successor
+list succ[id(u, v)] = id(v, w), w the neighbour after u at v, and faces
+are the orbits of that list.  trace_faces and the search oracle share
+this core; the oracle rewrites only the entries a rotation change
+touches and counts orbits with count_orbits.
 """
 
 from __future__ import annotations
@@ -98,33 +106,87 @@ def canonical_face(darts) -> tuple[Dart, ...]:
     return tuple(darts[k:] + darts[:k])
 
 
+class DartIndex:
+    """Integer ids for the darts of a graph: ``darts[k]`` is the dart with
+    id k and ``out[v][u]`` the id of (v, u)."""
+
+    __slots__ = ("darts", "out")
+
+    def __init__(self, graph: Graph):
+        out: list[dict[int, int]] = []
+        first = 0
+        for nbrs in graph.adj:
+            out.append(dict(zip(nbrs, range(first, first + len(nbrs)))))
+            first += len(nbrs)
+        self.out = out
+        self.darts = [(v, u) for v, nbrs in enumerate(graph.adj)
+                      for u in nbrs]
+
+    def patch(self, v: int, rot) -> list[tuple[int, int]]:
+        """(dart, successor) pairs for the darts entering v when v's
+        neighbours are in the cyclic order ``rot``."""
+        if not rot:
+            return []
+        out = self.out
+        ov = out[v]
+        prev = rot[-1]
+        pairs = []
+        for w in rot:
+            pairs.append((out[prev][v], ov[w]))
+            prev = w
+        return pairs
+
+    def successors(self, rotation) -> list[int]:
+        """Flat face-successor list of a rotation system."""
+        succ = [0] * len(self.darts)
+        for v, rot in enumerate(rotation):
+            for dart, nxt in self.patch(v, rot):
+                succ[dart] = nxt
+        return succ
+
+
+def count_orbits(succ: list[int], starts, seen: list[int], stamp: int) -> int:
+    """Number of distinct successor orbits through the darts ``starts``.
+
+    Visited darts are marked ``seen[d] = stamp``; pass a stamp not used
+    before on ``seen`` so no reset is needed between calls.  With
+    ``starts`` every dart, this is the face count.
+    """
+    orbits = 0
+    for start in starts:
+        if seen[start] == stamp:
+            continue
+        orbits += 1
+        dart = start
+        while seen[dart] != stamp:
+            seen[dart] = stamp
+            dart = succ[dart]
+    return orbits
+
+
 def trace_faces(e: Embedding) -> FaceSet:
     """Orbit decomposition of the dart set under the face successor map."""
     _require_valid(e)
-    succ_pos = [
-        {u: i for i, u in enumerate(rot)} for rot in e.rotation
-    ]
-    rotation = e.rotation
-    visited: set[Dart] = set()
+    index = DartIndex(e.graph)
+    succ = index.successors(e.rotation)
+    darts = index.darts
+    visited = bytearray(len(succ))
     faces: list[tuple[Dart, ...]] = []
-    all_darts = sorted((u, v) for u in range(e.graph.n) for v in rotation[u])
-    for start in all_darts:
-        if start in visited:
+    # Orbits start at each unvisited id in increasing (= sorted dart)
+    # order, so each face already begins at its least dart.
+    for start in range(len(succ)):
+        if visited[start]:
             continue
-        face: list[Dart] = []
+        face: list[int] = []
         dart = start
-        while dart not in visited:
-            visited.add(dart)
+        while not visited[dart]:
+            visited[dart] = 1
             face.append(dart)
-            u, v = dart
-            rot = rotation[v]
-            dart = (v, rot[(succ_pos[v][u] + 1) % len(rot)])
+            dart = succ[dart]
         if dart != start:
             raise EmbeddingError("face tracing did not close; successor map "
                                  "is not a permutation")
-        faces.append(tuple(face))
-    # Starting darts are scanned in sorted order, so each face already
-    # begins at its least dart.
+        faces.append(tuple([darts[d] for d in face]))
     return FaceSet(tuple(faces))
 
 

@@ -186,8 +186,8 @@ def is_bipartite(g: Graph) -> Optional[list[int]]:
 #       | Q '(' int ',' int ')'
 #
 # Q(i, t) abbreviates the i-fold product of K(t,t).  Whitespace is free.
-# Parameter validation happens in build_family, not in the parser, so that
-# syntax errors and semantic errors stay distinguishable.
+# Parameter validation happens in family_factors, not in the parser, so
+# that syntax errors and semantic errors stay distinguishable.
 # ---------------------------------------------------------------------------
 
 
@@ -329,25 +329,34 @@ def _atom_graph(atom: Atom) -> Graph:
     raise InvalidParameterError(f"cannot build atom {atom}")
 
 
-def build_family(expr: Union[str, FamilyExpr]) -> Graph:
-    """Left-fold of cartesian_product over the expression's atoms.
+def family_factors(expr: Union[str, FamilyExpr]) -> list[tuple[Graph, int]]:
+    """The factors of an expression, left to right, as (graph, repeats).
 
-    ``Q(i, t)`` expands in place to i factors of K(t,t) with i >= 1.
-    Atom parameters are validated by the underlying builders, so e.g.
-    ``C(5)`` parses but is rejected here.
+    ``Q(i, t)`` is K(t,t) repeated i >= 1 times; every other atom appears
+    once.  This is where parameters are validated: the atom builders
+    reject e.g. ``C(5)``, which parses.  No product is taken, so checking
+    an expression costs only its atoms.
     """
     if isinstance(expr, str):
         expr = parse_family_expr(expr)
-    graphs: list[Graph] = []
+    factors: list[tuple[Graph, int]] = []
     for atom in iter_atoms(expr):
         if isinstance(atom, CubeAtom):
             if atom.i < 1:
                 raise InvalidParameterError(
                     f"Q needs at least one factor, got i={atom.i}")
-            graphs.extend(make_complete_bipartite(atom.t, atom.t)
-                          for _ in range(atom.i))
+            factors.append((make_complete_bipartite(atom.t, atom.t), atom.i))
         else:
-            graphs.append(_atom_graph(atom))
+            factors.append((_atom_graph(atom), 1))
+    return factors
+
+
+def build_family(expr: Union[str, FamilyExpr]) -> Graph:
+    """Left-fold of cartesian_product over the expression's factors
+    (see family_factors, which validates them all before the first
+    product)."""
+    graphs = [factor for factor, repeats in family_factors(expr)
+              for _ in range(repeats)]
     result = graphs[0]
     for g in graphs[1:]:
         result = cartesian_product(result, g)

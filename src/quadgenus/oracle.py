@@ -8,7 +8,18 @@ to reversal: reversing all rotations at once preserves the face
 structure, so each orientation class is visited exactly once and the
 minimum is still exact.  The stochastic search does seeded random
 restarts plus face-count hill climbing with sideways moves, which is
-enough to pin down small torus graphs in a few thousand traces.
+enough to pin down small torus graphs in a few thousand evaluations.
+
+Faces are counted on the flat dart successor list of
+:class:`~quadgenus.embeddings.DartIndex`, never on Embedding objects.
+Exhaustive enumeration precomputes each cyclic order's successor patch;
+each step of the odometer writes the patches of the vertices whose order
+changed (a suffix of the product) and recounts all orbits.  A stochastic
+swap of two neighbours at v changes the successors of at most four darts
+entering v, so the face count moves by the number of distinct orbits
+through those darts after the swap minus the number before; a rejected
+swap writes the old successors back.  Each restart counts all orbits
+once.
 
 Both searchers are deterministic for a fixed seed.  Restarts draw their
 generators from per-chunk seeds, so chunks could run in any order (or in
@@ -25,8 +36,9 @@ from typing import Optional
 
 from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
-from .embeddings import (Embedding, EmbeddingCertificate, euler_genus,
-                         trace_faces, validate_embedding)
+from .embeddings import (DartIndex, Embedding, EmbeddingCertificate,
+                         count_orbits, euler_genus, trace_faces,
+                         validate_embedding)
 from .graphs import Graph, is_bipartite, is_connected
 
 
@@ -36,6 +48,13 @@ class SearchBudget:
     seed: int = 0
     target_genus: Optional[int] = None
     restart_stall: int = 400  # hill-climb evaluations without improvement
+
+    def __post_init__(self):
+        for name in ("max_rotation_systems", "restart_stall"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise InvalidParameterError(
+                    f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,25 +67,6 @@ class OracleResult:
     @property
     def best_faces(self) -> int:
         return len(trace_faces(self.witness))
-
-
-def _face_count(graph: Graph, rotation: list[tuple[int, ...]]) -> int:
-    """Count successor orbits without building Embedding objects."""
-    pos = [{u: i for i, u in enumerate(rot)} for rot in rotation]
-    visited: set[tuple[int, int]] = set()
-    faces = 0
-    for u in range(graph.n):
-        for v in rotation[u]:
-            if (u, v) in visited:
-                continue
-            faces += 1
-            dart = (u, v)
-            while dart not in visited:
-                visited.add(dart)
-                a, b = dart
-                rot = rotation[b]
-                dart = (b, rot[(pos[b][a] + 1) % len(rot)])
-    return faces
 
 
 def _genus_from_faces(graph: Graph, f: int) -> int:
@@ -119,18 +119,36 @@ def exhaustive_min_genus(graph: Graph,
                 continue
             yield (first,) + perm
 
+    index = DartIndex(graph)
+    # One (rotation, successor patch) entry per cyclic order.  The
+    # vertices with more than one order form the odometer, whose steps
+    # change exactly a suffix of its positions.
+    entries = [[(rot, index.patch(v, rot)) for rot in cyclic_orders(v)]
+               for v in range(graph.n)]
+    rotation = [orders[0][0] for orders in entries]
+    succ = index.successors(rotation)
+    wheels = [v for v in range(graph.n) if len(entries[v]) > 1]
+    current = tuple(entries[v][0] for v in wheels)
+    darts = range(len(succ))
+    seen = [0] * len(succ)
     best_f = -1
-    best_rot: Optional[tuple[tuple[int, ...], ...]] = None
+    best: tuple = ()
     explored = 0
-    for rotation in itertools.product(*(cyclic_orders(v)
-                                        for v in range(graph.n))):
-        f = _face_count(graph, list(rotation))
+    for combo in itertools.product(*(entries[v] for v in wheels)):
+        k = len(combo) - 1
+        while k >= 0 and combo[k] is not current[k]:
+            for dart, nxt in combo[k][1]:
+                succ[dart] = nxt
+            k -= 1
+        current = combo
         explored += 1
+        f = count_orbits(succ, darts, seen, explored)
         if f > best_f:
             best_f = f
-            best_rot = rotation
-    assert best_rot is not None
-    witness = Embedding(graph, tuple(best_rot))
+            best = combo
+    for v, (rot, _) in zip(wheels, best):
+        rotation[v] = rot
+    witness = Embedding(graph, tuple(rotation))
     return OracleResult(
         best_genus=_genus_from_faces(graph, best_f),
         witness=witness,
@@ -141,6 +159,30 @@ def exhaustive_min_genus(graph: Graph,
 
 def _chunk_rng(seed: int, chunk: int) -> random.Random:
     return random.Random((seed * 1_000_003 + chunk) & 0xFFFFFFFF)
+
+
+def _swap(out: list[dict[int, int]], succ: list[int], seen: list[int],
+          stamp: int, v: int, rot: list[int], i: int,
+          j: int) -> tuple[int, list[tuple[int, int]]]:
+    """Swap positions i and j of ``rot``, v's rotation (changed in place),
+    and rewrite the successors this changes in ``succ``.
+
+    Only the darts entering v from the neighbours at positions i-1, i,
+    j-1 and j change successor, so the face count changes by the number
+    of distinct orbits through them after the swap minus the number
+    before.  Returns that change and the (dart, successor) pairs that
+    undo the rewrite.  Marks ``seen`` with stamps ``stamp - 1`` and
+    ``stamp``.
+    """
+    positions = (i - 1, i, j - 1, j)
+    changed = {out[rot[p]][v] for p in positions}
+    undo = [(dart, succ[dart]) for dart in changed]
+    before = count_orbits(succ, changed, seen, stamp - 1)
+    rot[i], rot[j] = rot[j], rot[i]
+    ov, d = out[v], len(rot)
+    for p in positions:
+        succ[out[rot[p]][v]] = ov[rot[(p + 1) % d]]
+    return count_orbits(succ, changed, seen, stamp) - before, undo
 
 
 def stochastic_search(graph: Graph,
@@ -160,6 +202,11 @@ def stochastic_search(graph: Graph,
     if budget.target_genus is not None:
         target_f = 2 - 2 * budget.target_genus - graph.n + graph.m
     movable = [v for v in range(graph.n) if graph.degree(v) >= 3]
+    index = DartIndex(graph)
+    out = index.out
+    darts = range(len(index.darts))
+    seen = [0] * len(index.darts)
+    stamp = 0
     best_f = -1
     best_rot: Optional[list[tuple[int, ...]]] = None
     explored = 0
@@ -172,7 +219,9 @@ def stochastic_search(graph: Graph,
             nbrs = list(graph.adj[v])
             rng.shuffle(nbrs)
             rotation.append(tuple(nbrs))
-        current_f = _face_count(graph, rotation)
+        succ = index.successors(rotation)
+        stamp += 1
+        current_f = count_orbits(succ, darts, seen, stamp)
         explored += 1
         stall = 0
         local_best = current_f
@@ -183,12 +232,12 @@ def stochastic_search(graph: Graph,
             v = rng.choice(movable)
             rot = list(rotation[v])
             i, j = rng.sample(range(len(rot)), 2)
-            rot[i], rot[j] = rot[j], rot[i]
-            candidate = rotation[v]
-            rotation[v] = tuple(rot)
-            f = _face_count(graph, rotation)
+            stamp += 2
+            delta, undo = _swap(out, succ, seen, stamp, v, rot, i, j)
+            f = current_f + delta
             explored += 1
             if f >= current_f:
+                rotation[v] = tuple(rot)
                 current_f = f
                 if f > local_best:
                     local_best = f
@@ -196,18 +245,22 @@ def stochastic_search(graph: Graph,
                 else:
                     stall += 1
             else:
-                rotation[v] = candidate
+                for dart, nxt in undo:
+                    succ[dart] = nxt
                 stall += 1
             if current_f > best_f:
                 best_f = current_f
                 best_rot = [r for r in rotation]
                 if target_f is not None and best_f >= target_f:
                     break
+        if best_rot is None:
+            # The budget or the graph allowed no move: the restart's
+            # first system is the only one scored.
+            best_f, best_rot = current_f, rotation
         if target_f is not None and best_f >= target_f:
             break
         if not movable:
             break
-    assert best_rot is not None
     witness = Embedding(graph, tuple(best_rot))
     return OracleResult(
         best_genus=_genus_from_faces(graph, best_f),

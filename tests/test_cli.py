@@ -209,6 +209,26 @@ def test_oracle_budget_fallback_is_stochastic(capsys, tmp_path):
     assert code == 0 and "stochastic" in out and "best_genus=1" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_oracle_refuses_non_positive_budget(capsys, tmp_path, budget):
+    gdir = tmp_path / "g"
+    run(capsys, "build", "K(3,3)", "--out", str(gdir))
+    code, _, err = run(capsys, "oracle", str(gdir / "graph.json"),
+                       "--budget", budget)
+    assert code == 3 and "max_rotation_systems" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_budget_of_one_scores_one_system(capsys, tmp_path):
+    gdir = tmp_path / "g"
+    run(capsys, "build", "K(3,3)", "--out", str(gdir))
+    code, out, _ = run(capsys, "oracle", str(gdir / "graph.json"),
+                       "--budget", "1", "--json")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["explored"] == 1 and not summary["exhaustive"]
+
+
 def test_oracle_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "oracle", str(tmp_path / "absent.json"))
     assert code == 3

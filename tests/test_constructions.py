@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quadgenus import embeddings
+from quadgenus import embeddings, graphs
 from quadgenus.constructions import (_check_level, _scheme_rotation,
                                      classify_family, embed_cube,
                                      embed_family, embed_K2r2r,
@@ -162,26 +162,41 @@ def test_trace_is_json_serializable_and_replayable():
     assert len(phase0) == 1  # K(2,2) has 4 vertices, one handle per link
 
 
-def test_full_traces_per_build_stay_a_few(monkeypatch):
-    # Counts every full face trace, wherever a quadgenus module binds
-    # trace_faces: one per construction step plus the base block's few,
-    # not two per handle.
-    real = embeddings.trace_faces
+def count_calls(monkeypatch, real) -> list:
+    """Replace every quadgenus module's binding of ``real`` with a wrapper
+    that records each call's arguments; return the record."""
     calls = []
 
-    def counting(e):
-        calls.append(e.graph.n)
-        return real(e)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == "quadgenus" or name.startswith("quadgenus."):
             for attr, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_full_traces_per_build_stay_a_few(monkeypatch):
+    # Counts every full face trace: one per construction step plus the
+    # base block's few, not two per handle.
+    calls = count_calls(monkeypatch, embeddings.trace_faces)
     for route in ("direct", "removal"):
         calls.clear()
         embed_family("Q(2,4) x C(4) x P(4)", route=route)
         assert 0 < len(calls) <= 12, (route, len(calls))
+
+
+def test_embed_family_builds_the_product_once(monkeypatch):
+    # classify_family validates the atoms without building the product;
+    # the one build is the reference the result is compared with
+    calls = count_calls(monkeypatch, graphs.build_family)
+    for route in ("direct", "removal"):
+        calls.clear()
+        embed_family("Q(2,4) x C(4) x P(4)", route=route)
+        assert len(calls) <= 1, (route, len(calls))
 
 
 def test_classify_family_normalizes_order():
@@ -207,6 +222,12 @@ def test_classify_family_rejects_unsupported(expr):
 def test_classify_family_flags_invalid_before_shape():
     with pytest.raises(InvalidParameterError):
         classify_family("K(4,4) x C(5)")
+
+
+@pytest.mark.parametrize("expr", ["K(4,4) x P(1)", "Q(0,4)"])
+def test_classify_family_rejects_invalid_parameters(expr):
+    with pytest.raises(InvalidParameterError):
+        classify_family(expr)
 
 
 def test_embed_family_mixed_interleaving():

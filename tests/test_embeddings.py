@@ -193,3 +193,41 @@ def test_random_rotations_trace_consistently(e):
 @given(rotations_of_k33())
 def test_mirror_preserves_face_count(e):
     assert len(trace_faces(e)) == len(trace_faces(mirror(e)))
+
+
+def tuple_trace(e: Embedding) -> tuple:
+    """Reference tracer on (u, v) tuples: scan darts in sorted order and
+    walk each unvisited one's orbit under (u, v) -> (v, next of u at v)."""
+    pos = [{u: i for i, u in enumerate(rot)} for rot in e.rotation]
+    visited = set()
+    faces = []
+    for start in sorted((u, v) for u in range(e.graph.n)
+                        for v in e.rotation[u]):
+        if start in visited:
+            continue
+        face = []
+        dart = start
+        while dart not in visited:
+            visited.add(dart)
+            face.append(dart)
+            u, v = dart
+            rot = e.rotation[v]
+            dart = (v, rot[(pos[v][u] + 1) % len(rot)])
+        faces.append(tuple(face))
+    return tuple(faces)
+
+
+@st.composite
+def rotations_of_small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = from_edges(n, edges)
+    rot = tuple(tuple(draw(st.permutations(g.adj[v]))) for v in range(n))
+    return Embedding(g, rot)
+
+
+@given(rotations_of_small_graphs())
+def test_trace_faces_matches_tuple_tracer(e):
+    # faces, their order and their start darts all agree
+    assert trace_faces(e).faces == tuple_trace(e)

@@ -1,12 +1,18 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from quadgenus.constructions import embed_K2r2r
-from quadgenus.embeddings import (Embedding, euler_genus, genus_lower_bound,
+from quadgenus.embeddings import (DartIndex, Embedding, euler_genus,
+                                  genus_lower_bound, trace_faces,
                                   validate_embedding)
-from quadgenus.errors import BudgetExceededError, NotApplicableError
+from quadgenus.errors import (BudgetExceededError, InvalidParameterError,
+                              NotApplicableError)
 from quadgenus.graphs import (build_family, from_edges,
-                              make_complete_bipartite, make_cycle)
-from quadgenus.oracle import (SearchBudget, certify_minimum,
+                              make_complete_bipartite, make_cycle, make_path)
+from quadgenus.oracle import (SearchBudget, _swap, certify_minimum,
                               exhaustive_min_genus, rotation_space_size,
                               stochastic_search)
 
@@ -126,3 +132,108 @@ def test_oracle_agrees_with_formula_on_tiny_family():
     g = make_complete_bipartite(2, 2)
     res = exhaustive_min_genus(g, SearchBudget())
     assert res.best_genus == 0  # matches the closed form at r = 1
+
+
+def test_search_budget_refuses_non_positive_caps():
+    for field in ("max_rotation_systems", "restart_stall"):
+        for value in (0, -5):
+            with pytest.raises(InvalidParameterError):
+                SearchBudget(**{field: value})
+
+
+def test_stochastic_scores_the_first_system_when_no_move_is_possible():
+    # a budget of one leaves no room for a move, and a path has no
+    # vertex of degree 3 to perturb: the restart's system is the answer
+    res = stochastic_search(make_complete_bipartite(3, 3),
+                            SearchBudget(max_rotation_systems=1))
+    assert res.explored == 1 and res.best_genus in (1, 2)
+    assert euler_genus(res.witness).genus == res.best_genus
+    res = stochastic_search(make_path(3), SearchBudget(max_rotation_systems=9))
+    assert (res.best_genus, res.explored) == (0, 1)
+
+
+# frozen: (best_genus, explored, sha256 of the witness rotation as JSON)
+# for each search, captured from the tuple-based face counter that the
+# dart-indexed one replaced; both searchers must reproduce them exactly
+WHEEL = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4),
+                       (1, 3), (3, 2), (2, 4), (4, 1)])
+PINNED = [
+    ("K4", exhaustive_min_genus, complete(4), SearchBudget(), 0, 8,
+     "520500ac88248251a51f25ab0631135ee7862da499d9ebb6c4c31ed088527c65"),
+    ("K(3,3)", exhaustive_min_genus, make_complete_bipartite(3, 3),
+     SearchBudget(), 1, 32,
+     "af9f95647803d140def96d475007e395a0c19787355d9faf980df35187b5aafd"),
+    ("K5", exhaustive_min_genus, complete(5), SearchBudget(), 1, 3888,
+     "fbd94b7785761795905aac9c824e50a0034a0c93523949ec338d9e96d85d8faa"),
+    ("K(3,4)", exhaustive_min_genus, make_complete_bipartite(3, 4),
+     SearchBudget(), 1, 1728,
+     "40fb836b8345364537e02e3bc7f800c4e5c7ad0f5506279b8cf7e795a70d7c0e"),
+    ("wheel", exhaustive_min_genus, WHEEL, SearchBudget(), 0, 48,
+     "c4c79ad723e7dc6f60e6b1606daf71abeb6d0a0c6b93496632ba828258629439"),
+    ("C4xC4 seed 0", stochastic_search, build_family("C(4) x C(4)"),
+     SearchBudget(seed=0, target_genus=1), 1, 23391,
+     "350b2134af1e0ee09d5ff2ce479dae5b263f485d3d567efa47fe496cab99142b"),
+    ("C4xC4 seed 1", stochastic_search, build_family("C(4) x C(4)"),
+     SearchBudget(seed=1, target_genus=1), 1, 8703,
+     "08a5604fb69c25ae9acfff68d3c287837ea34d66df0e764c91e716a40b9591c4"),
+    ("C4xC4 seed 42", stochastic_search, build_family("C(4) x C(4)"),
+     SearchBudget(seed=42, target_genus=1), 1, 11742,
+     "c2d07c34b3fee0706b436f86fc7c5227181c8bd36b2f5b817a9daba5afcf3bd9"),
+    ("K(4,4) seed 0", stochastic_search, make_complete_bipartite(4, 4),
+     SearchBudget(seed=0, target_genus=1), 1, 529,
+     "ca6afe59a84cd9e8a55450faaab5a11403efd95a0d3a48a8e8df26aa3b1865c1"),
+    ("K(4,4) seed 1", stochastic_search, make_complete_bipartite(4, 4),
+     SearchBudget(seed=1, target_genus=1), 1, 892,
+     "2c7af76aa53fb105454d5ed2159bf765cadb8e9a6c6c0a7351295d775df72723"),
+    ("K(4,4) seed 42", stochastic_search, make_complete_bipartite(4, 4),
+     SearchBudget(seed=42, target_genus=1), 1, 286,
+     "ae6d56f6bfb5391c99ea2f89de207916cdab6deb1919f011fe10e1d76ca2c161"),
+    ("K(4,4) x C(4) budget 2000", stochastic_search,
+     build_family("K(4,4) x C(4)"),
+     SearchBudget(seed=0, max_rotation_systems=2000), 22, 2000,
+     "86c8c874a8d94cea7b579d9ace666dd78cfb6418a5147e49b367d635f082f481"),
+]
+
+
+@pytest.mark.parametrize("label,search,graph,budget,genus,explored,digest",
+                         PINNED, ids=[case[0] for case in PINNED])
+def test_search_results_are_pinned(label, search, graph, budget, genus,
+                                   explored, digest):
+    res = search(graph, budget)
+    rotation = json.dumps([list(rot) for rot in res.witness.rotation])
+    assert (res.best_genus, res.explored,
+            hashlib.sha256(rotation.encode()).hexdigest()) == (
+                genus, explored, digest)
+
+
+@st.composite
+def swaps_on_connected_graphs(draw):
+    """A random connected graph on 3..9 vertices, a rotation system of
+    it, and a swap of two positions at a vertex of degree >= 2."""
+    n = draw(st.integers(3, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    g = from_edges(n, sorted(edges))
+    rotation = [list(draw(st.permutations(g.adj[v]))) for v in range(n)]
+    v = draw(st.sampled_from([v for v in range(n) if g.degree(v) >= 2]))
+    i, j = draw(st.lists(st.integers(0, g.degree(v) - 1), min_size=2,
+                         max_size=2, unique=True))
+    return g, rotation, v, i, j
+
+
+@given(swaps_on_connected_graphs())
+def test_swap_delta_matches_a_full_retrace(case):
+    g, rotation, v, i, j = case
+    index = DartIndex(g)
+    succ = index.successors(rotation)
+    before = list(succ)
+    f_old = len(trace_faces(Embedding(g, tuple(map(tuple, rotation)))))
+    seen = [0] * len(succ)
+    delta, undo = _swap(index.out, succ, seen, 2, v, rotation[v], i, j)
+    assert succ == index.successors(rotation)
+    f_new = len(trace_faces(Embedding(g, tuple(map(tuple, rotation)))))
+    assert delta == f_new - f_old
+    for dart, nxt in undo:
+        succ[dart] = nxt
+    assert succ == before
