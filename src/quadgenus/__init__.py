@@ -30,7 +30,5 @@ from .graphs import (Graph, build_family, cartesian_product, from_edges,
 from .oracle import (OracleResult, SearchBudget, certify_minimum,
                      exhaustive_min_genus, rotation_space_size,
                      stochastic_search)
-from .surgery import (FaceFamily, FaceReservoir, HandleRecord, QuadFace,
-                      add_handle, check_reservoir, link_copies,
-                      partition_faces_K2r2r, quad_faces, remove_handle,
-                      reservoir_from_links)
+from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
+                      partition_faces_K2r2r, quad_faces)

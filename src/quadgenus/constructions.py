@@ -11,8 +11,9 @@ whole copy, a link adds exactly the edges of one product adjacency, and
 because every handle face is again a quadrilateral, the result is a
 quadrilateral embedding of the product, which meets the bipartite lower
 bound and is therefore minimal.  Finally, harvest a fresh reservoir from
-the handles of alternate links (their opposite-face pairs tile
-everything), which is what makes the process repeatable.
+the handles of links that form a perfect matching on the copies (their
+opposite-face pairs tile everything), which is what makes the process
+repeatable.
 
 Every step runs that blueprint through one link-step body; a step only
 chooses which copies are mirrored, their coordinates, and the schedule of
@@ -21,8 +22,11 @@ reservoir.  The body lays the copies out as one surgery working state,
 checks each transferred face and runs every link on it in place (each
 handle proved locally, see surgery), freezes it once, and then runs the
 step's one full retrace: the certificate, which must be quadrilateral,
-meet the lower bound and match the face ledger.  Three step shapes
-cover the families:
+meet the lower bound and match the face ledger.  The base block's
+reservoir comes from surgery.partition_faces_K2r2r; each step's harvest
+lives in the step itself, _k_step and _ring_step, and every reservoir is
+checked by surgery.check_reservoir.  Three step shapes cover the
+families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
     "a" side, mirrored copies the "b" side; copy a_j links to copy
@@ -60,24 +64,29 @@ from fractions import Fraction
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
 from .embeddings import (Embedding, EmbeddingCertificate, canonical_face,
-                         euler_genus, is_quadrilateral, trace_faces)
+                         euler_genus)
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      build_family, family_factors, iter_atoms,
                      make_complete_bipartite, parse_family_expr)
-from .surgery import (FaceFamily, FaceReservoir, HandleRecord, QuadFace,
-                      Surgery, check_reservoir, handle_record_to_json_dict,
-                      partition_faces_K2r2r, reservoir_from_links)
+from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
+                      handle_record_to_json_dict, partition_faces_K2r2r)
 
 
 @dataclass(frozen=True)
 class ConstructionResult:
     """An embedding, the reservoir that makes it extendable, its
-    certificate, and the flat handle trace that built it."""
+    certificate, and the flat handle trace that built it.
+
+    The reservoir is a tuple of face families, each a tuple of
+    quadrilateral faces of the embedding.  No face lies in two families,
+    and the faces of one family are vertex-disjoint and cover every
+    vertex exactly once; check_reservoir enforces this wherever a
+    reservoir is made."""
 
     embedding: Embedding
-    reservoir: FaceReservoir
+    reservoir: tuple[tuple[QuadFace, ...], ...]
     certificate: EmbeddingCertificate
     trace: tuple[dict, ...]
 
@@ -104,14 +113,11 @@ def embed_K2r2r(r: int) -> ConstructionResult:
         raise InvalidParameterError(f"need r >= 1, got {r}")
     graph = make_complete_bipartite(2 * r, 2 * r)
     emb = Embedding(graph, _scheme_rotation(r))
-    faces = trace_faces(emb)
-    if not (is_quadrilateral(faces) and len(faces) == 2 * r * r):
-        raise ConstructionError(
-            f"rotation scheme for K({2*r},{2*r}) is not quadrilateral")
+    # refuses anything but a quadrilateral embedding with 2r^2 faces
     reservoir = partition_faces_K2r2r(emb)
-    cert = euler_genus(emb, construction_tag=f"K({2*r},{2*r})")
+    cert = _certify_step(emb, f"K({2*r},{2*r})")
     expected = int(ringel_genus(r))
-    if cert.genus != expected or not cert.minimal:
+    if cert.genus != expected:
         raise ConstructionError(
             f"K({2*r},{2*r}) certificate genus {cert.genus} != {expected}")
     return ConstructionResult(emb, reservoir, cert, trace=())
@@ -137,15 +143,15 @@ def _assemble_copies(base: Embedding, count: int, mirrored: list[bool],
     return Embedding(graph, tuple(rotation))
 
 
-def _transfer_family(family: FaceFamily, offset: int, mirrored: bool,
-                     work: Surgery) -> FaceFamily:
+def _transfer_family(family: tuple[QuadFace, ...], offset: int,
+                     mirrored: bool, work: Surgery) -> tuple[QuadFace, ...]:
     """Re-anchor a base-reservoir family inside one copy of the union.
 
     A mirrored copy traces every face backwards; the expected boundary is
     checked against the union's rotations, so a wrong orientation is
     caught here rather than surfacing later as a failed link."""
     out = []
-    for face in family.faces:
+    for face in family:
         verts = face.vertices if not mirrored else tuple(reversed(face.vertices))
         shifted = tuple(x + offset for x in verts)
         key = canonical_face(
@@ -156,11 +162,7 @@ def _transfer_family(family: FaceFamily, offset: int, mirrored: bool,
                 f"face {face.vertices} did not transfer into the copy at "
                 f"offset {offset} (mirrored={mirrored})")
         out.append(moved)
-    return FaceFamily(tuple(out))
-
-
-def _offset_map(nb: int, src: int, dst: int) -> dict[int, int]:
-    return {src * nb + v: dst * nb + v for v in range(nb)}
+    return tuple(out)
 
 
 def _trace_entries(phase: str, links: list[list[HandleRecord]]) -> list[dict]:
@@ -197,18 +199,17 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
     count = len(mirrored)
     nb = base.embedding.graph.n
     n_fams = 1 + max(k for _, _, k in schedule)
-    if len(base.reservoir.families) < n_fams:
+    if len(base.reservoir) < n_fams:
         raise ConstructionError(
             f"{tag}: step needs {n_fams} families, reservoir has "
-            f"{len(base.reservoir.families)}")
+            f"{len(base.reservoir)}")
     work = Surgery(_assemble_copies(base.embedding, count, mirrored, coords))
     fams = [
-        [_transfer_family(base.reservoir.families[k], t * nb, mirrored[t],
-                          work) for k in range(n_fams)]
+        [_transfer_family(base.reservoir[k], t * nb, mirrored[t], work)
+         for k in range(n_fams)]
         for t in range(count)
     ]
-    links = [work.link(fams[left][k], fams[right][k],
-                       _offset_map(nb, left, right))
+    links = [work.link(fams[left][k], fams[right][k], (right - left) * nb)
              for left, right, k in schedule]
     emb = work.freeze()
 
@@ -222,7 +223,13 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
 
 def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
                ) -> tuple[ConstructionResult, list[list[HandleRecord]]]:
-    """One cycle factor C(2m) (closed) or path factor P(2m) (open)."""
+    """One cycle factor C(2m) (closed) or path factor P(2m) (open).
+
+    The even-numbered links form a perfect matching on the copies (there
+    are 2m links round the cycle, 2m - 1 along the path), so collecting
+    their handles' opposite-face pairs gives two disjoint families that
+    cover every vertex: the first takes handle faces {0, 2}, the second
+    {1, 3}."""
     count = 2 * m
     link_count = count if closed else count - 1
     emb, links, cert = _link_step(
@@ -230,7 +237,14 @@ def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
         coords=list(range(count)),
         schedule=[(t, (t + 1) % count, t % 2) for t in range(link_count)],
         tag=tag)
-    reservoir = reservoir_from_links(links, emb, closed=closed)
+    fam1: list[QuadFace] = []
+    fam2: list[QuadFace] = []
+    for recs in links[::2]:
+        for rec in recs:
+            fam1.extend((rec.created[0], rec.created[2]))
+            fam2.extend((rec.created[1], rec.created[3]))
+    reservoir = (tuple(fam1), tuple(fam2))
+    check_reservoir(emb, reservoir)
     trace = base.trace + tuple(_trace_entries(tag, links))
     return ConstructionResult(emb, reservoir, cert, trace), links
 
@@ -254,8 +268,7 @@ def _k_step(base: ConstructionResult, r: int,
     for (_, _, k), recs in zip(schedule, links):
         for rec in recs:
             members[k].extend((rec.created[0], rec.created[2]))
-    reservoir = FaceReservoir(tuple(FaceFamily(tuple(fam))
-                                    for fam in members))
+    reservoir = tuple(tuple(fam) for fam in members)
     check_reservoir(emb, reservoir)
     trace = base.trace + tuple(_trace_entries(tag, links))
     return ConstructionResult(emb, reservoir, cert, trace)
@@ -301,8 +314,8 @@ def _path_removal_step(base: ConstructionResult, m: int,
             f"{cycle_result.certificate.genus - removed}")
     if cert.f != cycle_result.certificate.f - 2 * removed:
         raise ConstructionError(f"{tag}: face ledger off after removal")
-    for fam in cycle_result.reservoir.families:
-        for face in fam.faces:
+    for fam in cycle_result.reservoir:
+        for face in fam:
             if not work.is_face(face):
                 raise ConstructionError(
                     f"{tag}: reservoir face {face.vertices} lost in removal")

@@ -52,15 +52,6 @@ class FaceSet:
     def __len__(self) -> int:
         return len(self.faces)
 
-    def lengths(self) -> list[int]:
-        return [len(f) for f in self.faces]
-
-    def face_vertices(self, idx: int) -> tuple[int, ...]:
-        return tuple(u for (u, _) in self.faces[idx])
-
-    def index_by_cycle(self) -> dict[tuple[Dart, ...], int]:
-        return {f: i for i, f in enumerate(self.faces)}
-
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
@@ -323,13 +314,3 @@ def certificate_from_json_dict(data: dict) -> EmbeddingCertificate:
 
 def canonical_json_bytes(data) -> bytes:
     return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
-
-
-def save_json(path: str, data) -> None:
-    with open(path, "wb") as fh:
-        fh.write(canonical_json_bytes(data))
-
-
-def load_json(path: str):
-    with open(path, "rb") as fh:
-        return json.loads(fh.read().decode())

@@ -306,10 +306,6 @@ def parse_family_expr(text: str) -> FamilyExpr:
     return _ExprParser(text).expr()
 
 
-def format_family_expr(expr: FamilyExpr) -> str:
-    return str(expr)
-
-
 def iter_atoms(expr: FamilyExpr) -> Iterator[Atom]:
     """Atoms of the product chain, left to right."""
     if isinstance(expr, Product):

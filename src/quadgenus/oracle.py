@@ -37,8 +37,7 @@ from typing import Optional
 from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
 from .embeddings import (DartIndex, Embedding, EmbeddingCertificate,
-                         count_orbits, euler_genus, trace_faces,
-                         validate_embedding)
+                         count_orbits, euler_genus, validate_embedding)
 from .graphs import Graph, is_bipartite, is_connected
 
 
@@ -55,6 +54,11 @@ class SearchBudget:
             if not isinstance(value, int) or value < 1:
                 raise InvalidParameterError(
                     f"{name} must be a positive integer, got {value!r}")
+        target = self.target_genus
+        if target is not None and (not isinstance(target, int) or target < 0):
+            raise InvalidParameterError(
+                f"target_genus must be a non-negative integer, got "
+                f"{target!r}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,6 @@ class OracleResult:
     witness: Embedding
     exhaustive: bool
     explored: int
-
-    @property
-    def best_faces(self) -> int:
-        return len(trace_faces(self.witness))
 
 
 def _genus_from_faces(graph: Graph, f: int) -> int:

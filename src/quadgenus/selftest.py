@@ -32,7 +32,7 @@ from .graphs import (Graph, build_family, cartesian_product, from_edges,
                      is_bipartite, make_complete_bipartite, make_cycle,
                      make_path)
 from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
-from .surgery import add_handle, quad_faces
+from .surgery import Surgery, quad_faces
 
 
 @dataclass
@@ -135,16 +135,16 @@ def criterion_2(seed: int) -> tuple[bool, dict]:
     checks.add("genus=33", c.genus == 33)
     checks.add("quadrilateral", c.quadrilateral)
     checks.add("minimal", c.minimal)
-    fams = res.reservoir.families
+    fams = res.reservoir
     checks.add("4 families", len(fams) == 4)
     for k, fam in enumerate(fams):
-        verts = [v for face in fam.faces for v in face.vertices]
-        checks.add(f"family {k}: 16 faces", len(fam.faces) == 16)
+        verts = [v for face in fam for v in face.vertices]
+        checks.add(f"family {k}: 16 faces", len(fam) == 16)
         checks.add(f"family {k}: vertex-disjoint cover of all 64",
                    len(verts) == 64 and set(verts) == set(range(64)))
     return checks.passed, {
         "certificate": {"n": c.n, "m": c.m, "f": c.f, "genus": c.genus},
-        "families": [len(f.faces) for f in fams],
+        "families": [len(f) for f in fams],
         "failure": checks.failure}
 
 
@@ -248,12 +248,14 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         if set(faces[f1].vertices) & set(faces[f2].vertices):
             rejected += 1
             continue
+        work = Surgery(e)
         try:
-            e2, record = add_handle(e, faces[f1], faces[f2], pairing)
+            record = work.add(faces[f1], faces[f2], pairing)
         except SurgeryError:
             rejected += 1
             continue
         applications += 1
+        e2 = work.freeze()
         # A full retrace, not Surgery's local proof: this is the
         # independent check of the handle deltas.
         fs2 = trace_faces(e2)

@@ -31,14 +31,13 @@ which pins the deltas at m +4, f +2, chi -2; removal proves the two
 reinstated faces the same way.  Faces not involved stay faces, so callers
 may keep face handles across many operations as long as each face is
 consumed at most once, and freeze the state into an Embedding only when
-they need one.  add_handle, remove_handle and link_copies run one
-operation on a fresh working state and freeze it.
+they need one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (ConstructionError, InvalidParameterError, LinkError,
                      PartitionError, SurgeryError)
@@ -67,22 +66,6 @@ class QuadFace:
     def darts(self) -> tuple[Dart, ...]:
         v = self.vertices
         return tuple((v[k], v[(k + 1) % 4]) for k in range(4))
-
-
-@dataclass(frozen=True)
-class FaceFamily:
-    faces: tuple[QuadFace, ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
-@dataclass(frozen=True)
-class FaceReservoir:
-    """Disjoint families of vertex-disjoint quadrilateral faces; each
-    family covers every vertex of its host exactly once."""
-
-    families: tuple[FaceFamily, ...]
 
 
 @dataclass(frozen=True)
@@ -255,27 +238,27 @@ class Surgery:
                     changed)
         self.m -= len(record.added_edges)
 
-    def link(self, fam_a: FaceFamily, fam_b: FaceFamily,
-             correspondence: Mapping[int, int]) -> list[HandleRecord]:
+    def link(self, fam_a: tuple[QuadFace, ...], fam_b: tuple[QuadFace, ...],
+             offset: int) -> list[HandleRecord]:
         """One link: a handle per face of fam_a, joining it to the fam_b
-        face on the corresponding vertices.
+        face on the vertices `offset` indices further on.
 
-        The correspondence maps every vertex covered by fam_a to its
-        partner; for faces taken from two copies of one embedding it is
-        the index offset between the copies.  The correspondence must send
-        each fam_a boundary onto a fam_b boundary traced the opposite way
-        round, which holds exactly when one copy is mirrored; otherwise no
-        pairing yields the product edges and the link is refused.
+        For faces taken from two copies of one embedding laid out in
+        contiguous index blocks, `offset` is the distance between the
+        copies' blocks.  The shift must send each fam_a boundary onto a
+        fam_b boundary traced the opposite way round, which holds exactly
+        when one copy is mirrored; otherwise no pairing yields the product
+        edges and the link is refused.
         """
         if len(fam_a) != len(fam_b):
             raise LinkError(
                 f"family sizes differ: {len(fam_a)} vs {len(fam_b)}")
-        by_vertex_set = {f.vertex_set: f for f in fam_b.faces}
+        by_vertex_set = {f.vertex_set: f for f in fam_b}
         if len(by_vertex_set) != len(fam_b):
             raise LinkError("fam_b faces are not vertex-disjoint")
         records: list[HandleRecord] = []
-        for fa in fam_a.faces:
-            image = [correspondence[x] for x in fa.vertices]
+        for fa in fam_a:
+            image = [x + offset for x in fa.vertices]
             fb = by_vertex_set.get(frozenset(image))
             if fb is None:
                 raise LinkError(
@@ -289,7 +272,7 @@ class Surgery:
                     break
             if pairing is None:
                 raise LinkError(
-                    f"face {fa.vertices}: correspondence does not reverse "
+                    f"face {fa.vertices}: offset {offset} does not reverse "
                     f"the boundary of {fb.vertices}; copies must be mirrored")
             records.append(self.add(fa, fb, pairing))
         return records
@@ -300,31 +283,7 @@ class Surgery:
                          tuple(tuple(rot) for rot in self.rotation))
 
 
-def add_handle(e: Embedding, f1: QuadFace, f2: QuadFace,
-               pairing: int) -> tuple[Embedding, HandleRecord]:
-    """Surgery.add on a copy of `e`."""
-    work = Surgery(e)
-    record = work.add(f1, f2, pairing)
-    return work.freeze(), record
-
-
-def remove_handle(e: Embedding, record: HandleRecord) -> Embedding:
-    """Surgery.remove on a copy of `e`."""
-    work = Surgery(e)
-    work.remove(record)
-    return work.freeze()
-
-
-def link_copies(e: Embedding, fam_a: FaceFamily, fam_b: FaceFamily,
-                correspondence: Mapping[int, int]
-                ) -> tuple[Embedding, list[HandleRecord]]:
-    """Surgery.link on a copy of `e`."""
-    work = Surgery(e)
-    records = work.link(fam_a, fam_b, correspondence)
-    return work.freeze(), records
-
-
-def partition_faces_K2r2r(e: Embedding) -> FaceReservoir:
+def partition_faces_K2r2r(e: Embedding) -> tuple[tuple[QuadFace, ...], ...]:
     """Partition the 2r^2 faces of a quadrilateral embedding of K(2r,2r)
     into 2r families of r faces, each family covering all 4r vertices.
 
@@ -367,48 +326,21 @@ def partition_faces_K2r2r(e: Embedding) -> FaceReservoir:
     if not place(0, 0):
         raise PartitionError(
             "no partition of the faces into vertex-covering families")
-    families = []
-    for fam in range(2 * r):
-        members = tuple(q for i, q in enumerate(quads) if assignment[i] == fam)
-        families.append(FaceFamily(members))
-    reservoir = FaceReservoir(tuple(families))
+    reservoir = tuple(
+        tuple(q for i, q in enumerate(quads) if assignment[i] == fam)
+        for fam in range(2 * r))
     check_reservoir(e, reservoir)
     return reservoir
 
 
-def reservoir_from_links(link_records: Sequence[Sequence[HandleRecord]],
-                         e: Embedding, closed: bool) -> FaceReservoir:
-    """Two fresh face families from the handles of alternate links.
-
-    Links are taken in ring (or path) order; those with even index form a
-    perfect matching on the copies, so collecting each of their handles'
-    opposite-face pairs gives two disjoint families that cover every
-    vertex: family 1 takes handle faces {0, 2}, family 2 takes {1, 3}.
-    """
-    if closed and len(link_records) % 2 != 0:
-        raise InvalidParameterError(
-            "a closed ring of links must have even length")
-    chosen = range(0, len(link_records), 2)
-    fam1: list[QuadFace] = []
-    fam2: list[QuadFace] = []
-    for li in chosen:
-        for rec in link_records[li]:
-            fam1.extend((rec.created[0], rec.created[2]))
-            fam2.extend((rec.created[1], rec.created[3]))
-    reservoir = FaceReservoir(
-        (FaceFamily(tuple(fam1)), FaceFamily(tuple(fam2))))
-    check_reservoir(e, reservoir)
-    return reservoir
-
-
-def check_reservoir(e: Embedding, reservoir: FaceReservoir,
-                    full_cover: bool = True) -> None:
+def check_reservoir(e: Embedding,
+                    reservoir: Sequence[tuple[QuadFace, ...]]) -> None:
     """Families must be pairwise face-disjoint; within a family, faces are
-    vertex-disjoint and (when full_cover) tile the whole vertex set."""
+    vertex-disjoint and tile the whole vertex set."""
     seen_faces: set[tuple[int, ...]] = set()
-    for fam in reservoir.families:
+    for fam in reservoir:
         covered: set[int] = set()
-        for face in fam.faces:
+        for face in fam:
             key = canonical_face(face.darts())
             if key in seen_faces:
                 raise ConstructionError(
@@ -419,7 +351,7 @@ def check_reservoir(e: Embedding, reservoir: FaceReservoir,
                     f"family faces overlap at "
                     f"{sorted(covered & face.vertex_set)}")
             covered |= face.vertex_set
-        if full_cover and covered != set(range(e.graph.n)):
+        if covered != set(range(e.graph.n)):
             missing = sorted(set(range(e.graph.n)) - covered)[:8]
             raise ConstructionError(
                 f"family covers {len(covered)} of {e.graph.n} vertices "

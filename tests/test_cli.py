@@ -209,13 +209,18 @@ def test_oracle_budget_fallback_is_stochastic(capsys, tmp_path):
     assert code == 0 and "stochastic" in out and "best_genus=1" in out
 
 
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_oracle_refuses_non_positive_budget(capsys, tmp_path, budget):
+@pytest.mark.parametrize("flag, value, field", [
+    pytest.param("--budget", "0", "max_rotation_systems", id="0"),
+    pytest.param("--budget", "-5", "max_rotation_systems", id="-5"),
+    pytest.param("--target", "-1", "target_genus", id="target-1"),
+])
+def test_oracle_refuses_non_positive_budget(capsys, tmp_path, flag, value,
+                                            field):
     gdir = tmp_path / "g"
     run(capsys, "build", "K(3,3)", "--out", str(gdir))
     code, _, err = run(capsys, "oracle", str(gdir / "graph.json"),
-                       "--budget", budget)
-    assert code == 3 and "max_rotation_systems" in err
+                       flag, value)
+    assert code == 3 and field in err
     assert "Traceback" not in err
 
 

@@ -34,7 +34,7 @@ def test_base_scheme_is_quadrilateral_up_to_r6(r):
     faces = trace_faces(res.embedding)
     assert is_quadrilateral(faces)
     assert len(faces) == 2 * r * r
-    assert len(res.reservoir.families) == 2 * r
+    assert len(res.reservoir) == 2 * r
     check_reservoir(res.embedding, res.reservoir)
 
 
@@ -52,8 +52,8 @@ def test_cube_two_levels_frozen():
     res = embed_cube(2, 2)
     cert = res.certificate
     assert (cert.n, cert.m, cert.f, cert.genus) == (64, 256, 128, 33)
-    assert len(res.reservoir.families) == 4
-    assert all(len(f.faces) == 16 for f in res.reservoir.families)
+    assert len(res.reservoir) == 4
+    assert all(len(f) == 16 for f in res.reservoir)
 
 
 def test_cube_matches_hypercube_specialization():
@@ -141,7 +141,7 @@ def test_reservoirs_survive_every_route():
                         ("Q(1,4) x P(4)", "direct")):
         res, _ = embed_family(expr, route=route)
         check_reservoir(res.embedding, res.reservoir)
-        assert len(res.reservoir.families) == 2
+        assert len(res.reservoir) == 2
 
 
 def test_certificates_certify_via_oracle_helper():
@@ -187,6 +187,13 @@ def test_full_traces_per_build_stay_a_few(monkeypatch):
         calls.clear()
         embed_family("Q(2,4) x C(4) x P(4)", route=route)
         assert 0 < len(calls) <= 12, (route, len(calls))
+
+
+def test_base_block_is_traced_twice(monkeypatch):
+    # partition_faces_K2r2r and the certificate; no third check of its own
+    calls = count_calls(monkeypatch, embeddings.trace_faces)
+    embed_K2r2r(2)
+    assert len(calls) <= 2, len(calls)
 
 
 def test_embed_family_builds_the_product_once(monkeypatch):

@@ -30,16 +30,16 @@ def test_k22_faces_hand_traced():
     fs = trace_faces(k22_embedding())
     assert [tuple(u for u, _ in fc) for fc in fs.faces] == [
         (0, 2, 1, 3), (0, 3, 1, 2)]
-    assert fs.lengths() == [4, 4]
+    assert [len(f) for f in fs.faces] == [4, 4]
 
 
 def test_faces_are_canonical_and_indexable():
     fs = trace_faces(k22_embedding())
     for fc in fs.faces:
         assert min(fc) == fc[0]
-    idx = fs.index_by_cycle()
+    idx = {f: i for i, f in enumerate(fs.faces)}
     assert idx[fs.faces[1]] == 1
-    assert fs.face_vertices(0) == (0, 2, 1, 3)
+    assert tuple(u for (u, _) in fs.faces[0]) == (0, 2, 1, 3)
 
 
 def test_canonical_face_rotates_to_least_dart():
@@ -140,7 +140,7 @@ def test_quadrilateral_predicate():
     assert is_quadrilateral(trace_faces(k22_embedding()))
     g = make_cycle(4)
     ring = Embedding(g, tuple(tuple(sorted(g.adj[v])) for v in range(4)))
-    assert trace_faces(ring).lengths() == [4, 4]
+    assert [len(f) for f in trace_faces(ring).faces] == [4, 4]
     assert is_quadrilateral(trace_faces(ring))
     edge = make_path(2)
     single = Embedding(edge, ((1,), (0,)))

@@ -139,6 +139,8 @@ def test_search_budget_refuses_non_positive_caps():
         for value in (0, -5):
             with pytest.raises(InvalidParameterError):
                 SearchBudget(**{field: value})
+    with pytest.raises(InvalidParameterError):
+        SearchBudget(target_genus=-1)
 
 
 def test_stochastic_scores_the_first_system_when_no_move_is_possible():

@@ -7,10 +7,8 @@ from quadgenus.embeddings import (Embedding, canonical_face, euler_genus,
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               LinkError, SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
-from quadgenus.surgery import (FaceFamily, FaceReservoir, QuadFace, Surgery,
-                               add_handle, check_reservoir, link_copies,
-                               partition_faces_K2r2r, quad_faces,
-                               remove_handle, reservoir_from_links)
+from quadgenus.surgery import (QuadFace, Surgery, check_reservoir,
+                               partition_faces_K2r2r, quad_faces)
 
 K44_ROT = ((4, 5, 6, 7), (7, 6, 5, 4), (4, 5, 6, 7), (7, 6, 5, 4),
            (0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3), (3, 2, 1, 0))
@@ -29,6 +27,20 @@ def disjoint_quad_pair(e: Embedding):
     raise AssertionError("no disjoint pair")
 
 
+def added(e: Embedding, f1: QuadFace, f2: QuadFace, pairing: int):
+    """One handle on a fresh working state of `e`, frozen."""
+    work = Surgery(e)
+    record = work.add(f1, f2, pairing)
+    return work.freeze(), record
+
+
+def removed(e: Embedding, record) -> Embedding:
+    """One handle removal on a fresh working state of `e`, frozen."""
+    work = Surgery(e)
+    work.remove(record)
+    return work.freeze()
+
+
 def test_quad_face_requires_four_distinct():
     with pytest.raises(InvalidParameterError):
         QuadFace((0, 1, 0, 2))
@@ -38,7 +50,7 @@ def test_add_handle_deltas_and_created_faces():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     before = euler_genus(e)
-    e2, rec = add_handle(e, f1, f2, 0)
+    e2, rec = added(e, f1, f2, 0)
     after = euler_genus(e2)
     assert after.m == before.m + 4
     assert after.f == before.f + 2
@@ -55,7 +67,7 @@ def test_add_handle_all_pairings_work():
     f1, f2 = disjoint_quad_pair(e)
     for a in range(4):
         try:
-            e2, rec = add_handle(e, f1, f2, a)
+            e2, rec = added(e, f1, f2, a)
         except SurgeryError:
             # some alignments ask for edges K(4,4) already has
             continue
@@ -66,7 +78,7 @@ def test_add_handle_rejects_bad_pairing_index():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     with pytest.raises(InvalidParameterError):
-        add_handle(e, f1, f2, 4)
+        Surgery(e).add(f1, f2, 4)
 
 
 def test_add_handle_rejects_shared_vertices():
@@ -75,7 +87,7 @@ def test_add_handle_rejects_shared_vertices():
     f1 = faces[0]
     f2 = next(f for f in faces[1:] if set(f.vertices) & set(f1.vertices))
     with pytest.raises(SurgeryError):
-        add_handle(e, f1, f2, 0)
+        Surgery(e).add(f1, f2, 0)
 
 
 def test_add_handle_rejects_existing_edge():
@@ -90,7 +102,7 @@ def test_add_handle_rejects_existing_edge():
                 if any(e.graph.has_edge(f1.vertices[k], w[k])
                        for k in range(4)):
                     with pytest.raises(SurgeryError):
-                        add_handle(e, f1, f2, a)
+                        Surgery(e).add(f1, f2, a)
                     return
     raise AssertionError("expected at least one colliding alignment")
 
@@ -101,29 +113,29 @@ def test_add_handle_rejects_stale_face():
     stale = QuadFace((f1.vertices[0], f1.vertices[2],
                       f1.vertices[1], f1.vertices[3]))
     with pytest.raises(SurgeryError):
-        add_handle(e, stale, f2, 0)
+        Surgery(e).add(stale, f2, 0)
 
 
 def test_remove_handle_round_trips_exactly():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    e2, rec = add_handle(e, f1, f2, 0)
-    back = remove_handle(e2, rec)
+    e2, rec = added(e, f1, f2, 0)
+    back = removed(e2, rec)
     assert back == e
 
 
 def test_remove_handle_rejects_missing_created_faces():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    e2, rec = add_handle(e, f1, f2, 0)
-    back = remove_handle(e2, rec)
+    e2, rec = added(e, f1, f2, 0)
+    back = removed(e2, rec)
     with pytest.raises(SurgeryError):
-        remove_handle(back, rec)
+        Surgery(back).remove(rec)
 
 
 def test_link_copies_requires_mirroring():
     base = embed_K2r2r(2)
-    e, fam = base.embedding, base.reservoir.families[0]
+    e, fam = base.embedding, base.reservoir[0]
     n = e.graph.n
     plain, mirrored = [], []
     labels = []
@@ -139,53 +151,53 @@ def test_link_copies_requires_mirroring():
     adj = tuple(tuple(sorted(r)) for r in rotation)
     union = Embedding(
         type(e.graph)(2 * n, adj, tuple(labels)), rotation)
-    correspondence = {v: v + n for v in range(n)}
-    faces = trace_faces(union).index_by_cycle()
+    faces = set(trace_faces(union).faces)
 
     def transfer(offset, flip):
         out = []
-        for face in fam.faces:
+        for face in fam:
             verts = tuple(reversed(face.vertices)) if flip else face.vertices
             verts = tuple(x + offset for x in verts)
             darts = [(verts[k], verts[(k + 1) % 4]) for k in range(4)]
             key = min(tuple(darts[i:] + darts[:i]) for i in range(4))
             assert key in faces
             out.append(QuadFace(tuple(u for u, _ in key)))
-        return FaceFamily(tuple(out))
+        return tuple(out)
 
     fam_a = transfer(0, False)
     fam_b = transfer(n, True)
-    linked, records = link_copies(union, fam_a, fam_b, correspondence)
+    work = Surgery(union)
+    records = work.link(fam_a, fam_b, n)
     # one handle per face of the family: n/4 = 2 for K(4,4)
-    assert len(records) == len(fam.faces) == 2
-    assert euler_genus(linked).quadrilateral
+    assert len(records) == len(fam) == 2
+    assert euler_genus(work.freeze()).quadrilateral
 
     # same-orientation copies admit no valid alignment: the mutation test
     plain2 = tuple(tuple(x + n for x in e.rotation[v]) for v in range(n))
     rotation2 = tuple(plain + list(plain2))
     union2 = Embedding(type(e.graph)(2 * n, adj, tuple(labels)), rotation2)
-    faces2 = trace_faces(union2).index_by_cycle()
+    faces2 = set(trace_faces(union2).faces)
 
     def transfer2(offset):
         out = []
-        for face in fam.faces:
+        for face in fam:
             verts = tuple(x + offset for x in face.vertices)
             darts = [(verts[k], verts[(k + 1) % 4]) for k in range(4)]
             key = min(tuple(darts[i:] + darts[:i]) for i in range(4))
             assert key in faces2
             out.append(QuadFace(tuple(u for u, _ in key)))
-        return FaceFamily(tuple(out))
+        return tuple(out)
 
     with pytest.raises(LinkError):
-        link_copies(union2, transfer2(0), transfer2(n), correspondence)
+        Surgery(union2).link(transfer2(0), transfer2(n), n)
 
 
 def test_partition_faces_k44():
     reservoir = partition_faces_K2r2r(k44())
-    assert len(reservoir.families) == 4
-    for fam in reservoir.families:
-        assert len(fam.faces) == 2
-        verts = [v for f in fam.faces for v in f.vertices]
+    assert len(reservoir) == 4
+    for fam in reservoir:
+        assert len(fam) == 2
+        verts = [v for f in fam for v in f.vertices]
         assert len(set(verts)) == 8
     check_reservoir(k44(), reservoir)
 
@@ -207,24 +219,16 @@ def test_partition_rejects_non_conforming_input():
 
 def test_check_reservoir_flags_overlap():
     reservoir = partition_faces_K2r2r(k44())
-    doubled = FaceReservoir((reservoir.families[0], reservoir.families[0]))
+    doubled = (reservoir[0], reservoir[0])
     with pytest.raises(ConstructionError):
         check_reservoir(k44(), doubled)
 
 
 def test_check_reservoir_flags_partial_cover():
     reservoir = partition_faces_K2r2r(k44())
-    half = FaceReservoir(
-        (FaceFamily(reservoir.families[0].faces[:1]),))
+    half = (reservoir[0][:1],)
     with pytest.raises(ConstructionError):
         check_reservoir(k44(), half)
-    check_reservoir(k44(), half, full_cover=False)
-
-
-def test_reservoir_from_links_needs_even_count_when_closed():
-    base = embed_K2r2r(2)
-    with pytest.raises(InvalidParameterError):
-        reservoir_from_links([[], [], []], base.embedding, closed=True)
 
 
 @settings(deadline=None)
@@ -236,7 +240,7 @@ def test_handle_deltas_random(pairing, rnd):
              if not set(f1.vertices) & set(f2.vertices)]
     f1, f2 = pairs[rnd.randrange(len(pairs))]
     try:
-        e2, rec = add_handle(e, f1, f2, pairing)
+        e2, rec = added(e, f1, f2, pairing)
     except SurgeryError:
         return  # alignment collided with an existing edge
     b, a = euler_genus(e), euler_genus(e2)
@@ -256,7 +260,8 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
     """Random handles on one working state, with removals of the newest
     handle mixed in: after every operation a full retrace of the frozen
     state holds the faces the operation recorded, the face count moved by
-    exactly 2, and the state equals the add_handle/remove_handle chain."""
+    exactly 2, and the state equals the chain that runs each operation on
+    a fresh working state."""
     chain = WORK_BASES[name]
     work = Surgery(chain)
     f = len(trace_faces(chain))
@@ -265,7 +270,7 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
         if newest and data.draw(st.booleans()):
             record = newest.pop()
             work.remove(record)
-            chain = remove_handle(chain, record)
+            chain = removed(chain, record)
             recorded, delta = record.consumed, -2
         else:
             faces = quad_faces(trace_faces(chain))
@@ -276,10 +281,10 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
                 record = work.add(f1, f2, pairing)
             except SurgeryError:
                 with pytest.raises(SurgeryError):
-                    add_handle(chain, f1, f2, pairing)
+                    Surgery(chain).add(f1, f2, pairing)
                 assert work.freeze() == chain  # refused: nothing changed
                 continue
-            chain, chained = add_handle(chain, f1, f2, pairing)
+            chain, chained = added(chain, f1, f2, pairing)
             assert chained == record
             newest.append(record)
             recorded, delta = record.created, 2
