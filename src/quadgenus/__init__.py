@@ -18,8 +18,8 @@ from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          trace_faces, validate_embedding)
 from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,
                      ExprSyntaxError, InvalidParameterError, LinkError,
-                     NotApplicableError, PartitionError, SurgeryError,
-                     ToolError, UnsupportedFamilyError, VerificationError)
+                     NotApplicableError, SurgeryError, ToolError,
+                     UnsupportedFamilyError, VerificationError)
 from .formulas import (FORMULAS, GenusValue, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,
                        hypercube_genus, main_cycles_genus, main_paths_genus,
@@ -31,4 +31,4 @@ from .oracle import (OracleResult, SearchBudget, certify_minimum,
                      exhaustive_min_genus, rotation_space_size,
                      stochastic_search)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      partition_faces_K2r2r, quad_faces)
+                      quad_faces)

@@ -22,11 +22,13 @@ reservoir.  The body lays the copies out as one surgery working state,
 checks each transferred face and runs every link on it in place (each
 handle proved locally, see surgery), freezes it once, and then runs the
 step's one full retrace: the certificate, which must be quadrilateral,
-meet the lower bound and match the face ledger.  The base block's
-reservoir comes from surgery.partition_faces_K2r2r; each step's harvest
-lives in the step itself, _k_step and _ring_step, and every reservoir is
-checked by surgery.check_reservoir.  Three step shapes cover the
-families:
+meet the lower bound and match the face ledger.  The base block is
+K(2r,2r) under one fixed rotation scheme (_scheme_rotation), certified
+like any step; its 2r face families are read off its traced faces by the
+scheme's own family rule (_scheme_reservoir), with no search.  Each
+step's harvest lives in the step itself, _k_step and _ring_step, and
+every reservoir is checked by surgery.check_reservoir.  Three step
+shapes cover the families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
     "a" side, mirrored copies the "b" side; copy a_j links to copy
@@ -60,18 +62,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
 from .embeddings import (Embedding, EmbeddingCertificate, canonical_face,
-                         euler_genus)
+                         euler_genus, trace_faces)
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      build_family, family_factors, iter_atoms,
-                     make_complete_bipartite, parse_family_expr)
+                     make_complete_bipartite, parse_family_expr,
+                     product_sizes)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      handle_record_to_json_dict, partition_faces_K2r2r)
+                      handle_record_to_json_dict, quad_faces)
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,31 @@ def _scheme_rotation(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rot)
 
 
+def _scheme_reservoir(emb: Embedding) -> tuple[tuple[QuadFace, ...], ...]:
+    """The 2r face families of K(2r,2r) under _scheme_rotation, by rule.
+
+    With a_s = vertex s, b_s = vertex 2r+s and indices mod 2r, each face
+    {a_p, a_(p+1), b_q, b_(q+1)} joins family (p + q + 1 + p % 2) mod 2r:
+    family 2t holds {a_2s, a_2s+1, b_(2t-2s-1), b_(2t-2s)} and family
+    2t+1 holds {a_2s+1, a_2s+2, b_(2t-2s-2), b_(2t-2s-1)}, s = 0..r-1.
+    For r = 1 both faces share one vertex set; each is its own family.
+    Faces join in trace order.  check_reservoir proves the result."""
+    two_r = emb.graph.n // 2
+    faces = quad_faces(trace_faces(emb))
+    if two_r == 2:
+        reservoir = tuple((face,) for face in faces)
+    else:
+        members: list[list[QuadFace]] = [[] for _ in range(two_r)]
+        for face in faces:
+            a = [v for v in face.vertices if v < two_r]
+            b = [v - two_r for v in face.vertices if v >= two_r]
+            p, q = (x if (x + 1) % two_r == y else y for x, y in (a, b))
+            members[(p + q + 1 + p % 2) % two_r].append(face)
+        reservoir = tuple(tuple(fam) for fam in members)
+    check_reservoir(emb, reservoir)
+    return reservoir
+
+
 def embed_K2r2r(r: int) -> ConstructionResult:
     """Quadrilateral embedding of K(2r,2r) on its genus-(r-1)^2 surface,
     with the full 2r-family face reservoir."""
@@ -113,14 +142,13 @@ def embed_K2r2r(r: int) -> ConstructionResult:
         raise InvalidParameterError(f"need r >= 1, got {r}")
     graph = make_complete_bipartite(2 * r, 2 * r)
     emb = Embedding(graph, _scheme_rotation(r))
-    # refuses anything but a quadrilateral embedding with 2r^2 faces
-    reservoir = partition_faces_K2r2r(emb)
+    # refuses anything but a quadrilateral, minimal embedding (2r^2 faces)
     cert = _certify_step(emb, f"K({2*r},{2*r})")
     expected = int(ringel_genus(r))
     if cert.genus != expected:
         raise ConstructionError(
             f"K({2*r},{2*r}) certificate genus {cert.genus} != {expected}")
-    return ConstructionResult(emb, reservoir, cert, trace=())
+    return ConstructionResult(emb, _scheme_reservoir(emb), cert, trace=())
 
 
 def _assemble_copies(base: Embedding, count: int, mirrored: list[bool],
@@ -415,26 +443,14 @@ def same_labeled_graph(a: Graph, b: Graph) -> bool:
     return edges_a == set(b.edges())
 
 
-
-
-def _prefix_counts(shape: FamilyShape, level: int) -> tuple[int, int]:
-    """Vertex and edge counts of Q(i,2r) times the first `level` cycle or
-    path factors, from the parameters alone: a product of graphs with
-    (n1, m1) and (n2, m2) has n1*n2 vertices and m1*n2 + m2*n1 edges."""
-    t = 4 * shape.r  # K(2r,2r) has 4r vertices and 4r^2 edges
-    n = t ** shape.i
-    m = shape.i * shape.r * t ** shape.i
-    for kind, s in shape.steps[:level]:
-        n, m = 2 * s * n, 2 * s * m + (2 * s if kind == "C" else 2 * s - 1) * n
-    return n, m
-
-
 def _check_level(shape: FamilyShape, level: int,
                  cert: EmbeddingCertificate) -> None:
     """The certificate after `level` factor steps must match the Euler
-    count 1 + m/4 - n/2 of the shape prefix and, where the prefix is all
-    cube, all cycles or all paths, the closed form."""
-    n, m = _prefix_counts(shape, level)
+    count 1 + m/4 - n/2 of the shape prefix (n and m from the parameters
+    alone) and, where the prefix is all cube, all cycles or all paths,
+    the closed form."""
+    atoms = iter_atoms(parse_family_expr(shape.normalized_expr))
+    *_, (n, m) = product_sizes(islice(atoms, level + 1))
     euler = 1 + Fraction(m, 4) - Fraction(n, 2)
     prefix = shape.steps[:level]
     kinds = {kind for kind, _ in prefix}

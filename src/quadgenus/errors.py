@@ -56,12 +56,6 @@ class LinkError(SurgeryError):
     """Copy-to-copy linking failed (family mismatch or bad correspondence)."""
 
 
-class PartitionError(ToolError):
-    """No face partition with the requested structure exists."""
-
-    exit_code = 3
-
-
 class ConstructionError(ToolError):
     """A construction invariant failed mid-build.  Always a bug or a
     misuse severe enough that continuing would certify garbage."""

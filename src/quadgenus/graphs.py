@@ -264,11 +264,14 @@ class _ExprParser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # past Python's int <- str digit limit
+            raise InvalidParameterError(f"integer too large: {exc}")
 
     def term(self) -> Atom:
         self.skip_ws()
@@ -316,13 +319,46 @@ def iter_atoms(expr: FamilyExpr) -> Iterator[Atom]:
 
 
 def _atom_graph(atom: Atom) -> Graph:
+    """The graph of one atom; for Q(i,t), its factor K(t,t)."""
+    if isinstance(atom, CubeAtom):
+        if atom.i < 1:
+            raise InvalidParameterError(
+                f"Q needs at least one factor, got i={atom.i}")
+        return make_complete_bipartite(atom.t, atom.t)
     if isinstance(atom, KAtom):
         return make_complete_bipartite(atom.s, atom.t)
     if isinstance(atom, CycleAtom):
         return make_cycle(atom.n)
-    if isinstance(atom, PathAtom):
-        return make_path(atom.n)
-    raise InvalidParameterError(f"cannot build atom {atom}")
+    return make_path(atom.n)
+
+
+# Largest product, in darts (twice the edges), that family_factors admits:
+# Q(6,4) has 6,291,456 darts; Q(3,64) has 402,653,184.
+MAX_DARTS = 1 << 23
+
+
+def _atom_size(atom: Atom) -> tuple[int, int]:
+    """Vertex and edge counts of one atom (one fold of a Q)."""
+    if isinstance(atom, KAtom):
+        return atom.s + atom.t, atom.s * atom.t
+    if isinstance(atom, CubeAtom):
+        return 2 * atom.t, atom.t * atom.t
+    if isinstance(atom, CycleAtom):
+        return atom.n, atom.n
+    return atom.n, atom.n - 1
+
+
+def product_sizes(atoms: Iterable[Atom]) -> Iterator[tuple[int, int]]:
+    """Vertex and edge counts of the product so far, after each factor
+    (Q(i,t) is i factors K(t,t)), from the parameters alone: a product
+    has n1*n2 vertices and m1*n2 + m2*n1 edges.  Lazy, so a caller may
+    stop at any factor."""
+    n, m = 1, 0
+    for atom in atoms:
+        an, am = _atom_size(atom)
+        for _ in range(atom.i if isinstance(atom, CubeAtom) else 1):
+            n, m = n * an, m * an + am * n
+            yield n, m
 
 
 def family_factors(expr: Union[str, FamilyExpr]) -> list[tuple[Graph, int]]:
@@ -330,21 +366,22 @@ def family_factors(expr: Union[str, FamilyExpr]) -> list[tuple[Graph, int]]:
 
     ``Q(i, t)`` is K(t,t) repeated i >= 1 times; every other atom appears
     once.  This is where parameters are validated: the atom builders
-    reject e.g. ``C(5)``, which parses.  No product is taken, so checking
-    an expression costs only its atoms.
+    reject e.g. ``C(5)``, which parses.  No product is taken, and before
+    any atom is built a product of more than MAX_DARTS darts is refused
+    (product_sizes stops there, so a huge i costs nothing).
     """
     if isinstance(expr, str):
         expr = parse_family_expr(expr)
-    factors: list[tuple[Graph, int]] = []
-    for atom in iter_atoms(expr):
-        if isinstance(atom, CubeAtom):
-            if atom.i < 1:
-                raise InvalidParameterError(
-                    f"Q needs at least one factor, got i={atom.i}")
-            factors.append((make_complete_bipartite(atom.t, atom.t), atom.i))
-        else:
-            factors.append((_atom_graph(atom), 1))
-    return factors
+    atoms = list(iter_atoms(expr))
+    for n, m in product_sizes(atoms):
+        if 2 * m > MAX_DARTS:
+            raise InvalidParameterError(
+                f"{expr} has more than {MAX_DARTS} darts (2 x edges); "
+                f"refused before building it")
+        if n == 0:
+            break  # an empty factor, which its builder refuses below
+    return [(_atom_graph(atom), atom.i if isinstance(atom, CubeAtom) else 1)
+            for atom in atoms]
 
 
 def build_family(expr: Union[str, FamilyExpr]) -> Graph:

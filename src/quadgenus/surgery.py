@@ -40,9 +40,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (ConstructionError, InvalidParameterError, LinkError,
-                     PartitionError, SurgeryError)
-from .embeddings import (Dart, Embedding, FaceSet, canonical_face,
-                         trace_faces)
+                     SurgeryError)
+from .embeddings import Dart, Embedding, FaceSet, canonical_face
 from .graphs import Graph
 
 
@@ -281,56 +280,6 @@ class Surgery:
         adj = tuple(tuple(sorted(rot)) for rot in self.rotation)
         return Embedding(Graph(self.n, adj, self.labels),
                          tuple(tuple(rot) for rot in self.rotation))
-
-
-def partition_faces_K2r2r(e: Embedding) -> tuple[tuple[QuadFace, ...], ...]:
-    """Partition the 2r^2 faces of a quadrilateral embedding of K(2r,2r)
-    into 2r families of r faces, each family covering all 4r vertices.
-
-    Deterministic backtracking over the canonical face order; the first
-    face pins the first family, and a new family may open only when all
-    earlier ones are in use.
-    """
-    faces = trace_faces(e)
-    n = e.graph.n
-    if n % 4 != 0:
-        raise InvalidParameterError("expected |V| = 4r")
-    r = n // 4
-    if not all(len(f) == 4 for f in faces.faces) or len(faces) != 2 * r * r:
-        raise InvalidParameterError(
-            f"expected a quadrilateral embedding with {2 * r * r} faces, "
-            f"got {len(faces)}")
-    quads = quad_faces(faces)
-    assignment: list[int] = [-1] * len(quads)
-    used: list[set[int]] = [set() for _ in range(2 * r)]
-    sizes = [0] * (2 * r)
-
-    def place(idx: int, opened: int) -> bool:
-        if idx == len(quads):
-            return True
-        vset = quads[idx].vertex_set
-        limit = min(opened + 1, 2 * r)
-        for fam in range(limit):
-            if sizes[fam] == r or used[fam] & vset:
-                continue
-            assignment[idx] = fam
-            used[fam] |= vset
-            sizes[fam] += 1
-            if place(idx + 1, max(opened, fam + 1)):
-                return True
-            assignment[idx] = -1
-            used[fam] -= vset
-            sizes[fam] -= 1
-        return False
-
-    if not place(0, 0):
-        raise PartitionError(
-            "no partition of the faces into vertex-covering families")
-    reservoir = tuple(
-        tuple(q for i, q in enumerate(quads) if assignment[i] == fam)
-        for fam in range(2 * r))
-    check_reservoir(e, reservoir)
-    return reservoir
 
 
 def check_reservoir(e: Embedding,

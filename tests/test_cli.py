@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadgenus import constructions, graphs
 from quadgenus.cli import main
 
 
@@ -36,6 +37,45 @@ def test_build_invalid_parameter_exit_code(capsys):
 def test_build_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "build", "K(4,4) %% C(6)")
     assert code == 2 and "offset" in err
+
+
+def refuse_to_build(monkeypatch):
+    """Make every graph builder fail, so a size guard that lets an
+    expression through fails the test instead of allocating it."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph was built past the size guard")
+
+    for name in ("make_complete_bipartite", "make_cycle", "make_path",
+                 "cartesian_product"):
+        monkeypatch.setattr(graphs, name, fail)
+    monkeypatch.setattr(constructions, "make_complete_bipartite", fail)
+
+
+@pytest.mark.parametrize("command", ["embed", "build"])
+@pytest.mark.parametrize("expr", ["Q(3,64)", "K(10000000,10000000)",
+                                  "Q(1000000000,4)",
+                                  "C(4) x Q(3,64) x P(0)"])
+def test_over_cap_expression_is_refused_before_building(capsys, monkeypatch,
+                                                        command, expr):
+    refuse_to_build(monkeypatch)
+    code, out, err = run(capsys, command, expr)
+    assert code == 3 and out == ""
+    assert "darts" in err and "Traceback" not in err
+
+
+def test_integer_past_digit_limit_is_refused(capsys):
+    code, _, err = run(capsys, "build", "K(1" + "0" * 5000 + ",2)")
+    assert code == 3 and "too large" in err
+
+
+def test_embed_k28_28(capsys, tmp_path):
+    # the base block alone; its face families come from the scheme's rule
+    out_dir = tmp_path / "e"
+    code, _, _ = run(capsys, "embed", "K(28,28)", "--out", str(out_dir))
+    assert code == 0
+    cert = json.loads((out_dir / "certificate.json").read_text())
+    assert cert["genus"] == 169 == (14 - 1) ** 2
+    assert cert["minimal"] is True
 
 
 def test_embed_writes_verifiable_artifacts(capsys, tmp_path):

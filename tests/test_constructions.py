@@ -5,9 +5,9 @@ import sys
 import pytest
 
 from quadgenus import embeddings, graphs
-from quadgenus.constructions import (_check_level, _scheme_rotation,
-                                     classify_family, embed_cube,
-                                     embed_family, embed_K2r2r,
+from quadgenus.constructions import (_check_level, _scheme_reservoir,
+                                     _scheme_rotation, classify_family,
+                                     embed_cube, embed_family, embed_K2r2r,
                                      same_labeled_graph)
 from quadgenus.embeddings import (Embedding, genus_lower_bound,
                                   is_quadrilateral, trace_faces,
@@ -16,7 +16,7 @@ from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               UnsupportedFamilyError)
 from quadgenus.graphs import build_family, make_complete_bipartite
 from quadgenus.oracle import certify_minimum
-from quadgenus.surgery import check_reservoir
+from quadgenus.surgery import check_reservoir, quad_faces
 
 
 @pytest.mark.parametrize("r,genus,f", [(1, 0, 2), (2, 1, 8), (3, 4, 18)])
@@ -40,12 +40,69 @@ def test_base_scheme_is_quadrilateral_up_to_r6(r):
 
 @pytest.mark.parametrize("r", range(1, 17))
 def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
-    # embed_K2r2r has no fallback: the scheme itself must trace to 2r^2
-    # quadrilaterals (the face partition is too slow to run this far)
-    emb = Embedding(make_complete_bipartite(2 * r, 2 * r), _scheme_rotation(r))
-    faces = trace_faces(emb)
+    # embed_K2r2r has no fallback: the scheme must trace to 2r^2
+    # quadrilaterals and the family rule must give a valid reservoir
+    res = embed_K2r2r(r)
+    faces = trace_faces(res.embedding)
     assert is_quadrilateral(faces)
     assert len(faces) == 2 * r * r
+    assert len(res.reservoir) == 2 * r
+    assert all(len(fam) == r for fam in res.reservoir)
+    check_reservoir(res.embedding, res.reservoir)
+
+
+def reference_partition(e: Embedding) -> tuple:
+    """Face families of a quadrilateral K(2r,2r) embedding by search:
+    deterministic backtracking over the trace order, where the first face
+    opens the first family and a new family may open only when all
+    earlier ones are in use.  Exponential; a reference for small r."""
+    quads = quad_faces(trace_faces(e))
+    r = e.graph.n // 4
+    assignment = [-1] * len(quads)
+    used = [set() for _ in range(2 * r)]
+    sizes = [0] * (2 * r)
+
+    def place(idx, opened):
+        if idx == len(quads):
+            return True
+        vset = quads[idx].vertex_set
+        for fam in range(min(opened + 1, 2 * r)):
+            if sizes[fam] == r or used[fam] & vset:
+                continue
+            assignment[idx] = fam
+            used[fam] |= vset
+            sizes[fam] += 1
+            if place(idx + 1, max(opened, fam + 1)):
+                return True
+            assignment[idx] = -1
+            used[fam] -= vset
+            sizes[fam] -= 1
+        return False
+
+    assert place(0, 0)
+    return tuple(tuple(q for i, q in enumerate(quads) if assignment[i] == fam)
+                 for fam in range(2 * r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_scheme_reservoir_equals_the_search_for_small_r(r):
+    # families and face order as the old backtracking gave them, which
+    # keeps the artifacts of every r <= 3 family unchanged
+    res = embed_K2r2r(r)
+    assert res.reservoir == reference_partition(res.embedding)
+
+
+def test_scheme_reservoir_refuses_a_relabelled_scheme():
+    # swapping a_0 and a_2 keeps the embedding quadrilateral, but the
+    # family rule no longer fits its faces; check_reservoir must say so
+    swap = {0: 2, 2: 0}
+    rot = [None] * 12
+    for v, row in enumerate(_scheme_rotation(3)):
+        rot[swap.get(v, v)] = tuple(swap.get(u, u) for u in row)
+    emb = Embedding(make_complete_bipartite(6, 6), tuple(rot))
+    assert is_quadrilateral(trace_faces(emb))
+    with pytest.raises(ConstructionError):
+        _scheme_reservoir(emb)
 
 
 def test_cube_two_levels_frozen():
@@ -190,10 +247,12 @@ def test_full_traces_per_build_stay_a_few(monkeypatch):
 
 
 def test_base_block_is_traced_twice(monkeypatch):
-    # partition_faces_K2r2r and the certificate; no third check of its own
+    # the certificate and _scheme_reservoir; no third check of its own
     calls = count_calls(monkeypatch, embeddings.trace_faces)
-    embed_K2r2r(2)
-    assert len(calls) <= 2, len(calls)
+    for r in (2, 14):
+        calls.clear()
+        embed_K2r2r(r)
+        assert len(calls) <= 2, (r, len(calls))
 
 
 def test_embed_family_builds_the_product_once(monkeypatch):

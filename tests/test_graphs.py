@@ -3,14 +3,15 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from quadgenus import graphs
 from quadgenus.errors import ExprSyntaxError, InvalidParameterError
-from quadgenus.graphs import (CubeAtom, CycleAtom, KAtom, PathAtom,
+from quadgenus.graphs import (MAX_DARTS, CubeAtom, CycleAtom, KAtom, PathAtom,
                               build_family, cartesian_product,
-                              connected_components, from_edges,
-                              graph_from_json_dict, graph_to_json_dict,
-                              is_bipartite, is_connected, iter_atoms,
-                              make_complete_bipartite, make_cycle, make_path,
-                              parse_family_expr)
+                              connected_components, family_factors,
+                              from_edges, graph_from_json_dict,
+                              graph_to_json_dict, is_bipartite, is_connected,
+                              iter_atoms, make_complete_bipartite, make_cycle,
+                              make_path, parse_family_expr)
 
 
 def test_path_basic():
@@ -118,7 +119,8 @@ def test_format_round_trips():
 
 
 @pytest.mark.parametrize("bad", ["", "K(4,4) x", "K(4)", "C()", "x C(4)",
-                                 "K(4,4) y C(4)", "Q(2,4))", "K(a,4)"])
+                                 "K(4,4) y C(4)", "Q(2,4))", "K(a,4)",
+                                 "C(\u00b2)"])
 def test_parse_errors(bad):
     with pytest.raises(ExprSyntaxError):
         parse_family_expr(bad)
@@ -190,3 +192,36 @@ def test_bipartite_parts_sizes(s, t):
     color = is_bipartite(make_complete_bipartite(s, t))
     assert color is not None
     assert sorted([color.count(0), color.count(1)]) == sorted([s, t])
+
+
+def test_size_guard_is_arithmetic_only(monkeypatch):
+    # Q(6,4) (6,291,456 darts) passes; K(2048,2048) sits exactly on the
+    # cap and one more vertex passes it.  No product is taken, and no
+    # atom of a refused expression is built.
+    built = []
+
+    def fake_k(s, t):
+        built.append((s, t))
+        return (s, t)
+
+    def fail(*args):
+        raise AssertionError("no product may be taken")
+
+    monkeypatch.setattr(graphs, "make_complete_bipartite", fake_k)
+    monkeypatch.setattr(graphs, "cartesian_product", fail)
+    assert family_factors("Q(6,4)") == [((4, 4), 6)]
+    assert family_factors("K(2048,2048)") == [((2048, 2048), 1)]
+    assert 2 * 2048 * 2048 == MAX_DARTS
+    built.clear()
+    with pytest.raises(InvalidParameterError):
+        family_factors("K(2048,2048) x P(2)")
+    with pytest.raises(InvalidParameterError):
+        family_factors("K(2048,2049)")
+    assert built == []
+
+
+def test_empty_factor_with_huge_repeat_is_refused_at_once():
+    # the size fold stops at the empty factor instead of folding it 10^9
+    # times; the K(0,0) builder then refuses it
+    with pytest.raises(InvalidParameterError, match="at least one vertex"):
+        family_factors("Q(1000000000,0)")

@@ -1,14 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadgenus import constructions
 from quadgenus.constructions import embed_cube, embed_K2r2r
 from quadgenus.embeddings import (Embedding, canonical_face, euler_genus,
                                   trace_faces)
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               LinkError, SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
-from quadgenus.surgery import (QuadFace, Surgery, check_reservoir,
-                               partition_faces_K2r2r, quad_faces)
+from quadgenus.surgery import QuadFace, Surgery, check_reservoir, quad_faces
 
 K44_ROT = ((4, 5, 6, 7), (7, 6, 5, 4), (4, 5, 6, 7), (7, 6, 5, 4),
            (0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3), (3, 2, 1, 0))
@@ -193,39 +193,36 @@ def test_link_copies_requires_mirroring():
 
 
 def test_partition_faces_k44():
-    reservoir = partition_faces_K2r2r(k44())
-    assert len(reservoir) == 4
-    for fam in reservoir:
+    res = embed_K2r2r(2)
+    assert res.embedding == k44()
+    assert len(res.reservoir) == 4
+    for fam in res.reservoir:
         assert len(fam) == 2
         verts = [v for f in fam for v in f.vertices]
         assert len(set(verts)) == 8
-    check_reservoir(k44(), reservoir)
+    check_reservoir(k44(), res.reservoir)
 
 
-def test_partition_rejects_non_conforming_input():
-    # wrong vertex count: K(3,3) has 6 vertices, not a multiple of 4
-    g = make_complete_bipartite(3, 3)
-    rot = tuple(tuple(sorted(g.adj[v])) for v in range(6))
-    with pytest.raises(InvalidParameterError):
-        partition_faces_K2r2r(Embedding(g, rot))
-    # right vertex count but not a quadrilateral embedding
+def test_partition_rejects_non_conforming_input(monkeypatch):
+    # a rotation scheme that is not quadrilateral never reaches the
+    # family rule: embed_K2r2r certifies the base block first
     h = make_complete_bipartite(4, 4)
-    rot2 = tuple(tuple(sorted(h.adj[v])) for v in range(8))
-    e2 = Embedding(h, rot2)
-    if not euler_genus(e2).quadrilateral:
-        with pytest.raises(InvalidParameterError):
-            partition_faces_K2r2r(e2)
+    rot = tuple(tuple(sorted(h.adj[v])) for v in range(8))
+    assert not euler_genus(Embedding(h, rot)).quadrilateral
+    monkeypatch.setattr(constructions, "_scheme_rotation", lambda r: rot)
+    with pytest.raises(ConstructionError):
+        embed_K2r2r(2)
 
 
 def test_check_reservoir_flags_overlap():
-    reservoir = partition_faces_K2r2r(k44())
+    reservoir = embed_K2r2r(2).reservoir
     doubled = (reservoir[0], reservoir[0])
     with pytest.raises(ConstructionError):
         check_reservoir(k44(), doubled)
 
 
 def test_check_reservoir_flags_partial_cover():
-    reservoir = partition_faces_K2r2r(k44())
+    reservoir = embed_K2r2r(2).reservoir
     half = (reservoir[0][:1],)
     with pytest.raises(ConstructionError):
         check_reservoir(k44(), half)
