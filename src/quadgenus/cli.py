@@ -24,13 +24,13 @@ from .constructions import embed_family
 from .embeddings import (canonical_json_bytes, certificate_from_json_dict,
                          certificate_to_json_dict, components_certificate,
                          embedding_from_json_dict, embedding_to_json_dict,
-                         euler_genus, genus_lower_bound, trace_faces,
-                         validate_embedding)
-from .errors import (BudgetExceededError, EmbeddingError, ExprSyntaxError,
+                         euler_genus, genus_lower_bound, trace_faces)
+from .errors import (BudgetExceededError, ExprSyntaxError,
                      InvalidParameterError, ToolError, VerificationError)
 from .formulas import FORMULAS
 from .graphs import (build_family, graph_from_json_dict, graph_to_json_dict,
-                     is_bipartite, is_connected, parse_family_expr)
+                     is_bipartite, is_connected, is_json_int,
+                     parse_family_expr)
 from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
 from .selftest import run_selftest
 
@@ -67,8 +67,12 @@ def _load_json(path: str) -> dict:
         raise InvalidParameterError(f"no such file: {path}")
     except OSError as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ExprSyntaxError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ExprSyntaxError(f"{path} nests too deeply to read")
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InvalidParameterError(f"{path}: {exc}")
 
 
 def cmd_build(args) -> int:
@@ -133,9 +137,6 @@ def _locate_verify_inputs(path: str, cert_flag: str | None):
 def cmd_verify(args) -> int:
     emb_path, cert_path = _locate_verify_inputs(args.path, args.certificate)
     emb = embedding_from_json_dict(_load_json(str(emb_path)))
-    violations = validate_embedding(emb)
-    if violations:
-        raise EmbeddingError("; ".join(violations))
     stored = None
     if cert_path is not None:
         stored = certificate_from_json_dict(_load_json(str(cert_path)))
@@ -144,9 +145,8 @@ def cmd_verify(args) -> int:
             emb, construction_tag=stored.construction_tag if stored else "")
         genus = cert.genus
     else:
-        parts = components_certificate(emb)
         cert = None
-        genus = sum(c.genus for c in parts)
+        genus = sum(c.genus for c in components_certificate(emb))
     if stored is not None:
         if cert is None:
             raise VerificationError(
@@ -175,9 +175,6 @@ def cmd_verify(args) -> int:
 
 def cmd_faces(args) -> int:
     emb = embedding_from_json_dict(_load_json(args.path))
-    violations = validate_embedding(emb)
-    if violations:
-        raise EmbeddingError("; ".join(violations))
     faces = trace_faces(emb)
     hist: dict[int, int] = {}
     for fc in faces.faces:
@@ -206,6 +203,11 @@ def cmd_genus(args) -> int:
         raise InvalidParameterError(f"--params: {exc}")
     if not isinstance(params, dict):
         raise InvalidParameterError("--params must be a JSON object")
+    for key, value in params.items():
+        if not all(map(is_json_int,
+                       value if isinstance(value, list) else [value])):
+            raise InvalidParameterError(
+                f"--params: {key!r} must be an integer or a list of integers")
     try:
         value = FORMULAS[args.formula](**params)
     except TypeError as exc:

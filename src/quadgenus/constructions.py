@@ -24,8 +24,8 @@ handle proved locally, see surgery), freezes it once, and then runs the
 step's one full retrace: the certificate, which must be quadrilateral,
 meet the lower bound and match the face ledger.  The base block is
 K(2r,2r) under one fixed rotation scheme (_scheme_rotation), certified
-like any step; its 2r face families are read off its traced faces by the
-scheme's own family rule (_scheme_reservoir), with no search.  Each
+like any step; its 2r face families are read off the certificate's trace
+by the scheme's own family rule (_scheme_reservoir), with no search.  Each
 step's harvest lives in the step itself, _k_step and _ring_step, and
 every reservoir is checked by surgery.check_reservoir.  Three step
 shapes cover the families:
@@ -66,8 +66,8 @@ from itertools import islice
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
-from .embeddings import (Embedding, EmbeddingCertificate, canonical_face,
-                         euler_genus, trace_faces)
+from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
+                         canonical_face, certify_faces, trace_faces)
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
@@ -110,8 +110,9 @@ def _scheme_rotation(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rot)
 
 
-def _scheme_reservoir(emb: Embedding) -> tuple[tuple[QuadFace, ...], ...]:
-    """The 2r face families of K(2r,2r) under _scheme_rotation, by rule.
+def _scheme_reservoir(emb: Embedding, faces: FaceSet
+                      ) -> tuple[tuple[QuadFace, ...], ...]:
+    """The 2r face families in the traced faces of K(2r,2r), by rule.
 
     With a_s = vertex s, b_s = vertex 2r+s and indices mod 2r, each face
     {a_p, a_(p+1), b_q, b_(q+1)} joins family (p + q + 1 + p % 2) mod 2r:
@@ -120,12 +121,12 @@ def _scheme_reservoir(emb: Embedding) -> tuple[tuple[QuadFace, ...], ...]:
     For r = 1 both faces share one vertex set; each is its own family.
     Faces join in trace order.  check_reservoir proves the result."""
     two_r = emb.graph.n // 2
-    faces = quad_faces(trace_faces(emb))
+    quads = quad_faces(faces)
     if two_r == 2:
-        reservoir = tuple((face,) for face in faces)
+        reservoir = tuple((face,) for face in quads)
     else:
         members: list[list[QuadFace]] = [[] for _ in range(two_r)]
-        for face in faces:
+        for face in quads:
             a = [v for v in face.vertices if v < two_r]
             b = [v - two_r for v in face.vertices if v >= two_r]
             p, q = (x if (x + 1) % two_r == y else y for x, y in (a, b))
@@ -143,12 +144,12 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     graph = make_complete_bipartite(2 * r, 2 * r)
     emb = Embedding(graph, _scheme_rotation(r))
     # refuses anything but a quadrilateral, minimal embedding (2r^2 faces)
-    cert = _certify_step(emb, f"K({2*r},{2*r})")
+    cert, faces = _certify_step(emb, f"K({2*r},{2*r})")
     expected = int(ringel_genus(r))
     if cert.genus != expected:
         raise ConstructionError(
             f"K({2*r},{2*r}) certificate genus {cert.genus} != {expected}")
-    return ConstructionResult(emb, _scheme_reservoir(emb), cert, trace=())
+    return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
 
 
 def _assemble_copies(base: Embedding, count: int, mirrored: list[bool],
@@ -203,15 +204,18 @@ def _trace_entries(phase: str, links: list[list[HandleRecord]]) -> list[dict]:
     return entries
 
 
-def _certify_step(emb: Embedding, tag: str) -> EmbeddingCertificate:
-    cert = euler_genus(emb, construction_tag=tag)
+def _certify_step(emb: Embedding, tag: str
+                  ) -> tuple[EmbeddingCertificate, FaceSet]:
+    """One full trace; its certificate must be quadrilateral and minimal."""
+    faces = trace_faces(emb)
+    cert = certify_faces(emb.graph, faces, construction_tag=tag)
     if not cert.quadrilateral:
         raise ConstructionError(f"{tag}: embedding has a non-quad face")
     if not cert.minimal:
         raise ConstructionError(
             f"{tag}: genus {cert.genus} misses lower bound "
             f"{cert.lower_bound}")
-    return cert
+    return cert, faces
 
 
 def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
@@ -242,7 +246,7 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
     emb = work.freeze()
 
     f_expected = count * base.certificate.f + 2 * len(schedule) * (nb // 4)
-    cert = _certify_step(emb, tag)
+    cert = _certify_step(emb, tag)[0]  # the faces are not kept
     if cert.f != f_expected:
         raise ConstructionError(f"{tag}: face ledger off: {cert.f} != "
                                 f"{f_expected}")
@@ -333,7 +337,7 @@ def _path_removal_step(base: ConstructionResult, m: int,
     for rec in links[-1]:
         work.remove(rec)
     emb = work.freeze()
-    cert = _certify_step(emb, tag)
+    cert = _certify_step(emb, tag)[0]  # the faces are not kept
     removed = len(links[-1])
     if cert.genus != cycle_result.certificate.genus - removed:
         raise ConstructionError(

@@ -8,7 +8,10 @@ rotation system).  Faces are recovered by the standard tracing rule
 
 so each directed edge (dart) lies on exactly one face and the face count
 plugs into Euler's formula n + f - m = 2 - 2g to give the genus of the
-surface the rotation system describes.
+surface the rotation system describes.  A certificate is one trace_faces,
+the one place a rotation system is validated, and certify_faces on its
+faces (one connectivity check, one 2-colouring, the quadrilateral bound);
+euler_genus runs the pair, construction steps run it and keep the faces.
 
 Rotations are cyclic: two rotations equal up to rotation (not reflection)
 describe the same embedding.  Faces are canonicalized to start at their
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
 from .graphs import (Graph, connected_components, graph_from_json_dict,
@@ -191,9 +193,14 @@ def mirror(e: Embedding) -> Embedding:
     return replace(e, rotation=tuple(tuple(reversed(r)) for r in e.rotation))
 
 
+def _quad_bound(n: int, m: int) -> int:
+    """ceil(1 + m/4 - n/2) floored at zero; a tree (m < n) gets 0."""
+    return 0 if m < n else max(0, -((2 * n - m - 4) // 4))
+
+
 def genus_lower_bound(g: Graph) -> int:
     """Quadrilateral lower bound ceil(1 + m/4 - n/2) for connected
-    bipartite graphs, exact over the rationals and floored at zero.
+    bipartite graphs, exact in integers and floored at zero.
 
     Any embedding of a simple bipartite graph has every face of length at
     least 4, so f <= m/2, and Euler's formula turns that into the bound.
@@ -207,23 +214,18 @@ def genus_lower_bound(g: Graph) -> int:
     if is_bipartite(g) is None:
         raise NotApplicableError(
             "quadrilateral lower bound needs a bipartite graph")
-    if g.m < g.n:  # connected with m <= n-1: a tree
-        return 0
-    bound = Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
-    ceiling = -((-bound.numerator) // bound.denominator)
-    return max(0, ceiling)
+    return _quad_bound(g.n, g.m)
 
 
-def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate for a connected embedding via n + f - m = 2 - 2g."""
-    _require_valid(e)
-    g = e.graph
+def certify_faces(g: Graph, faces: FaceSet,
+                  construction_tag: str = "") -> EmbeddingCertificate:
+    """Certificate of a connected embedding of g from its faces as
+    trace_faces gave them (having validated it), via n + f - m = 2 - 2g."""
     if g.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
     if len(connected_components(g)) != 1:
         raise InvalidParameterError(
             "euler_genus needs a connected graph; use components_certificate")
-    faces = trace_faces(e)
     f = len(faces)
     chi = g.n - g.m + f
     if chi % 2 != 0:
@@ -233,7 +235,7 @@ def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificat
     if genus < 0:
         raise EmbeddingError(f"negative genus {genus}; rotation system corrupt")
     bip = is_bipartite(g) is not None
-    lb = genus_lower_bound(g) if bip else 0
+    lb = _quad_bound(g.n, g.m) if bip else 0
     return EmbeddingCertificate(
         n=g.n, m=g.m, f=f, genus=genus,
         quadrilateral=is_quadrilateral(faces),
@@ -242,6 +244,11 @@ def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificat
         minimal=bip and genus == lb,
         construction_tag=construction_tag,
     )
+
+
+def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
+    """Certificate for a connected embedding: trace, then certify_faces."""
+    return certify_faces(e.graph, trace_faces(e), construction_tag)
 
 
 def subembedding(e: Embedding, vertices: list[int]) -> Embedding:

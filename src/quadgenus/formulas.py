@@ -3,7 +3,8 @@
 Everything is computed over exact integers and rationals and asserted to
 land on a non-negative integer; nothing here ever touches a float.  Each
 function returns a GenusValue; a value that fails those checks raises an
-error naming the formula it came from.
+error naming the formula it came from.  Every power goes through _power,
+which refuses one past MAX_POWER_BITS bits before taking it.
 
 Notation used throughout:
 
@@ -50,6 +51,23 @@ def _as_genus(x: Fraction | int, source: str) -> GenusValue:
     return GenusValue(int(frac))
 
 
+# Largest power a formula takes, in bits.  Python prints at most 4300
+# digits of an int (about 14,300 bits), so every printable genus is still
+# computed, and an exponent like 10**11 is refused before it costs memory.
+MAX_POWER_BITS = 1 << 15
+
+
+def _power(base: int, exponent: int) -> int | Fraction:
+    """base ** exponent, exact (an int unless exponent < 0); refused,
+    before it is taken, when it has more than MAX_POWER_BITS bits (at
+    least exponent * (bits(base) - 1))."""
+    if abs(exponent) * (abs(base).bit_length() - 1) > MAX_POWER_BITS:
+        raise InvalidParameterError(
+            f"a power with a {abs(exponent).bit_length()}-bit exponent is "
+            f"too large: more than {MAX_POWER_BITS} bits")
+    return base ** exponent if exponent >= 0 else Fraction(base) ** exponent
+
+
 def _check_m_list(m_list: Sequence[int], minimum: int, what: str) -> None:
     if len(m_list) == 0:
         raise InvalidParameterError(f"{what}: need at least one factor")
@@ -70,14 +88,14 @@ def ringel_genus(r: int) -> GenusValue:
     """Genus of K(2r,2r): (r-1)^2."""
     if r < 1:
         raise InvalidParameterError(f"need r >= 1, got {r}")
-    return _as_genus((r - 1) ** 2, "ringel")
+    return _as_genus(_power(r - 1, 2), "ringel")
 
 
 def hypercube_genus(n: int) -> GenusValue:
     """Genus of the n-cube, n >= 2: 1 + 2^(n-3) (n-4)."""
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
-    return _as_genus(1 + Fraction(2) ** (n - 3) * (n - 4), "hypercube")
+    return _as_genus(1 + _power(2, n - 3) * (n - 4), "hypercube")
 
 
 def cube_genus(j: int, t: int) -> GenusValue:
@@ -96,14 +114,14 @@ def cube_genus(j: int, t: int) -> GenusValue:
     else:
         raise NotApplicableError(
             f"no closed form for odd t={t} outside {{1, 3}}")
-    return _as_genus(1 + Fraction(2) ** (j - 3) * t ** j * (j * t - 4),
+    return _as_genus(1 + _power(2, j - 3) * _power(t, j) * (j * t - 4),
                      "cube")
 
 
 def _cube_genus_as_printed(j: int, t: int) -> Fraction:
     """Negative control: the (j - 4) variant of cube_genus.  Wrong for
     t > 1; exists only so the identity suite can demonstrate that."""
-    return 1 + Fraction(2) ** (j - 3) * t ** j * (j - 4)
+    return 1 + _power(2, j - 3) * _power(t, j) * (j - 4)
 
 
 def cube_cycle_genus(i: int, r: int, s: int) -> GenusValue:
@@ -111,7 +129,7 @@ def cube_cycle_genus(i: int, r: int, s: int) -> GenusValue:
     if i < 1 or r < 1 or s < 2:
         raise InvalidParameterError(
             f"need i >= 1, r >= 1, s >= 2, got ({i}, {r}, {s})")
-    return _as_genus(1 + 2 ** (2 * i - 1) * s * r ** i * (i * r - 1),
+    return _as_genus(1 + _power(2, 2 * i - 1) * s * _power(r, i) * (i * r - 1),
                      "cube_cycle")
 
 
@@ -124,7 +142,7 @@ def main_cycles_genus(i: int, r: int, m_list: Sequence[int]) -> GenusValue:
     j = len(m_list)
     big_m = _product(m_list)
     return _as_genus(
-        1 + big_m * Fraction(2) ** (2 * i + j - 2) * r ** i * (j + i * r - 2),
+        1 + big_m * _power(2, 2 * i + j - 2) * _power(r, i) * (j + i * r - 2),
         "main_cycles")
 
 
@@ -136,7 +154,7 @@ def corollary_genus(r: int, m_list: Sequence[int]) -> GenusValue:
     _check_m_list(m_list, 2, "corollary")
     j = len(m_list)
     big_m = _product(m_list)
-    return _as_genus(1 + r * 2 ** j * big_m * (j + r - 2), "corollary")
+    return _as_genus(1 + r * _power(2, j) * big_m * (j + r - 2), "corollary")
 
 
 def cube_path_genus(i: int, r: int, s: int) -> GenusValue:
@@ -145,7 +163,7 @@ def cube_path_genus(i: int, r: int, s: int) -> GenusValue:
         raise InvalidParameterError(
             f"need i >= 1, r >= 1, s >= 1, got ({i}, {r}, {s})")
     return _as_genus(
-        1 + Fraction(2) ** (2 * i - 2) * r ** i * (2 * s * (i * r - 1) - 1),
+        1 + _power(2, 2 * i - 2) * _power(r, i) * (2 * s * (i * r - 1) - 1),
         "cube_path")
 
 
@@ -159,7 +177,7 @@ def main_paths_genus(i: int, r: int, m_list: Sequence[int]) -> GenusValue:
     big_m = _product(m_list)
     inv = sum((Fraction(1, m) for m in m_list), Fraction(0))
     return _as_genus(
-        1 + Fraction(2) ** (2 * i + j - 3) * r ** i * big_m
+        1 + _power(2, 2 * i + j - 3) * _power(r, i) * big_m
         * (2 * i * r + 2 * j - inv - 4),
         "main_paths")
 
@@ -171,7 +189,7 @@ def white_cycle_genus(m_list: Sequence[int]) -> GenusValue:
     if j < 2:
         raise InvalidParameterError(f"need at least 2 cycles, got {j}")
     big_m = _product(m_list)
-    return _as_genus(1 + Fraction(2) ** (j - 2) * (j - 2) * big_m,
+    return _as_genus(1 + _power(2, j - 2) * (j - 2) * big_m,
                      "white_cycle")
 
 

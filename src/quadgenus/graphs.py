@@ -234,7 +234,7 @@ class Product:
     right: "FamilyExpr"
 
     def __str__(self) -> str:
-        return f"{self.left} x {self.right}"
+        return " x ".join(map(str, iter_atoms(self)))
 
 
 FamilyExpr = Union[Atom, Product]
@@ -310,12 +310,15 @@ def parse_family_expr(text: str) -> FamilyExpr:
 
 
 def iter_atoms(expr: FamilyExpr) -> Iterator[Atom]:
-    """Atoms of the product chain, left to right."""
-    if isinstance(expr, Product):
-        yield from iter_atoms(expr.left)
-        yield from iter_atoms(expr.right)
-    else:
-        yield expr
+    """Atoms of the product chain, left to right.  Iterative: a parsed
+    chain nests one level per factor, past Python's recursion limit."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Product):
+            stack += (node.right, node.left)
+        else:
+            yield node
 
 
 def _atom_graph(atom: Atom) -> Graph:
@@ -424,6 +427,12 @@ def graph_from_json_dict(data: dict) -> Graph:
         raise InvalidParameterError("'n' must be an integer")
     if not isinstance(data["edges"], (list, tuple)):
         raise InvalidParameterError("'edges' must be a list")
+    # from_edges allocates per vertex: refuse what no admitted family has
+    # (n <= 2m <= MAX_DARTS) before it runs
+    if n > MAX_DARTS or 2 * len(data["edges"]) > MAX_DARTS:
+        raise InvalidParameterError(
+            f"graph has n={n} vertices and {len(data['edges'])} edges; "
+            f"more than {MAX_DARTS} vertices or darts is refused")
     edges = []
     for e in data["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2

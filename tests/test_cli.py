@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
-from quadgenus import constructions, graphs
+from quadgenus import constructions, embeddings, formulas, graphs
 from quadgenus.cli import main
+from quadgenus.errors import InvalidParameterError
 
 
 def run(capsys, *argv):
@@ -68,6 +70,13 @@ def test_integer_past_digit_limit_is_refused(capsys):
     assert code == 3 and "too large" in err
 
 
+@pytest.mark.parametrize("command", ["embed", "build"])
+def test_long_product_chain_is_refused_without_recursion(capsys, command):
+    # the parsed chain nests once per factor, past the recursion limit
+    code, _, err = run(capsys, command, " x ".join(["C(4)"] * 3000))
+    assert code == 3 and "darts" in err and "Traceback" not in err
+
+
 def test_embed_k28_28(capsys, tmp_path):
     # the base block alone; its face families come from the scheme's rule
     out_dir = tmp_path / "e"
@@ -121,6 +130,18 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert code == 5 and "mismatch" in err
 
 
+def test_verify_traces_and_colours_once(capsys, tmp_path, count_calls):
+    out_dir = tmp_path / "e"
+    run(capsys, "embed", "K(4,4) x C(6)", "--out", str(out_dir))
+    traces = count_calls(embeddings.trace_faces)
+    colourings = count_calls(graphs.is_bipartite)
+    validations = count_calls(embeddings.validate_embedding)
+    code, out, _ = run(capsys, "verify", str(out_dir))
+    assert code == 0 and "certificate-match" in out
+    assert (len(traces), len(colourings)) == (1, 1)
+    assert len(validations) <= 2  # the loader's and the trace's
+
+
 def test_verify_standalone_embedding_file(capsys, tmp_path):
     # hand-written square on the sphere
     path = tmp_path / "c4.json"
@@ -171,6 +192,76 @@ def test_oracle_rejects_boolean_vertex_count(capsys, tmp_path):
     assert code == 3 and "'n' must be an integer" in err
 
 
+def graph_file(tmp_path, command, graph):
+    """A graph as the command reads it: a graph file for oracle, an
+    embedding file (empty rotation) for verify and faces."""
+    path = tmp_path / "input.json"
+    doc = graph if command == "oracle" else {"graph": graph, "rotation": []}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def fake_from_edges(monkeypatch):
+    """Replace the graph builder the JSON loader calls; the record lists
+    the vertex count of each call that got past the size guard."""
+    calls = []
+
+    def fake(n, edges, labels=None):
+        calls.append(n)
+        raise InvalidParameterError("faked builder")
+
+    monkeypatch.setattr(graphs, "from_edges", fake)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
+@pytest.mark.parametrize("cap, graph", [
+    pytest.param(None, {"n": 10_000_000_000, "edges": []}, id="n"),
+    pytest.param(8, {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3],
+                                       [0, 2]]}, id="edges"),
+])
+def test_over_cap_graph_file_is_refused_before_building(
+        capsys, tmp_path, monkeypatch, command, cap, graph):
+    if cap is not None:
+        monkeypatch.setattr(graphs, "MAX_DARTS", cap)
+    built = fake_from_edges(monkeypatch)
+    code, out, err = run(capsys, command, graph_file(tmp_path, command,
+                                                     graph))
+    assert code == 3 and out == "" and built == []
+    assert "refused" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
+@pytest.mark.parametrize("cap, graph", [
+    pytest.param(None, {"n": graphs.MAX_DARTS, "edges": []}, id="n"),
+    pytest.param(8, {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+                 id="edges"),
+])
+def test_graph_file_at_the_cap_passes_the_guard(capsys, tmp_path, monkeypatch,
+                                                command, cap, graph):
+    if cap is not None:
+        monkeypatch.setattr(graphs, "MAX_DARTS", cap)
+    built = fake_from_edges(monkeypatch)
+    code, _, err = run(capsys, command, graph_file(tmp_path, command, graph))
+    assert code == 3 and "faked builder" in err
+    assert built == [graph["n"]]
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
+@pytest.mark.parametrize("content, want", [
+    pytest.param(b"\xff\xfe garbage", 2, id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, 2, id="deep"),
+    pytest.param(b'{"n": 1' + b"0" * 5000 + b', "edges": []}', 3,
+                 id="past-digit-limit"),
+])
+def test_unreadable_json_file_is_refused(capsys, tmp_path, command, content,
+                                         want):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == want and out == "" and "Traceback" not in err
+
+
 def test_faces_summary_and_json(capsys, tmp_path):
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(4,4)", "--out", str(out_dir))
@@ -217,6 +308,62 @@ def test_genus_past_digit_limit_is_refused(capsys, formula, params):
     code, out, err = run(capsys, "genus", "--formula", formula, "--params",
                          params)
     assert code == 3 and out == "" and "too large" in err
+
+
+@pytest.mark.parametrize("formula,params", [
+    ("hypercube", '{"n": 20000}'),
+    ("ringel", '{"r": 1' + "0" * 4000 + "}"),
+])
+def test_genus_past_digit_limit_within_the_power_budget(capsys, formula,
+                                                        params):
+    # every power is within MAX_POWER_BITS, so the genus is computed and
+    # the print limit refuses it
+    code, out, err = run(capsys, "genus", "--formula", formula, "--params",
+                         params)
+    assert code == 3 and out == "" and "too large to print" in err
+
+
+@pytest.mark.parametrize("formula,params", [
+    ("hypercube", {"n": 10**11}),
+    ("cube", {"j": 10**11, "t": 2}),
+    ("cube", {"j": 10**11, "t": 1}),
+    ("cube_cycle", {"i": 10**11, "r": 1, "s": 2}),
+    ("cube_path", {"i": 10**11, "r": 1, "s": 1}),
+    ("main_cycles", {"i": 10**11, "r": 1, "m_list": [2]}),
+    ("main_paths", {"i": 10**11, "r": 1, "m_list": [1]}),
+])
+def test_genus_huge_exponent_is_refused_before_the_power(capsys, formula,
+                                                         params):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "genus", "--formula", formula, "--params",
+                         json.dumps(params))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "bits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("formula,params", [
+    ("ringel", {"r": 10**11}),
+    ("corollary", {"r": 1, "m_list": [2] * 12}),
+    ("white_cycle", {"m_list": [2] * 12}),
+])
+def test_genus_power_budget_bounds_every_formula(capsys, monkeypatch,
+                                                 formula, params):
+    # these exponents are 2 or a list length, far from any real budget,
+    # so a small budget shows the same guard covers them
+    monkeypatch.setattr(formulas, "MAX_POWER_BITS", 8)
+    code, out, err = run(capsys, "genus", "--formula", formula, "--params",
+                         json.dumps(params))
+    assert code == 3 and out == "" and "bits" in err
+
+
+@pytest.mark.parametrize("params", ['{"r": 2.5}', '{"r": NaN}',
+                                    '{"r": Infinity}', '{"r": true}',
+                                    '{"r": [2, "x"]}'])
+def test_genus_refuses_non_integer_parameters(capsys, params):
+    code, out, err = run(capsys, "genus", "--formula", "ringel", "--params",
+                         params)
+    assert code == 3 and out == "" and "integer" in err
 
 
 def test_genus_params_past_digit_limit_is_refused(capsys):

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -100,9 +99,10 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
     for v, row in enumerate(_scheme_rotation(3)):
         rot[swap.get(v, v)] = tuple(swap.get(u, u) for u in row)
     emb = Embedding(make_complete_bipartite(6, 6), tuple(rot))
-    assert is_quadrilateral(trace_faces(emb))
+    faces = trace_faces(emb)
+    assert is_quadrilateral(faces)
     with pytest.raises(ConstructionError):
-        _scheme_reservoir(emb)
+        _scheme_reservoir(emb, faces)
 
 
 def test_cube_two_levels_frozen():
@@ -219,46 +219,37 @@ def test_trace_is_json_serializable_and_replayable():
     assert len(phase0) == 1  # K(2,2) has 4 vertices, one handle per link
 
 
-def count_calls(monkeypatch, real) -> list:
-    """Replace every quadgenus module's binding of ``real`` with a wrapper
-    that records each call's arguments; return the record."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "quadgenus" or name.startswith("quadgenus."):
-            for attr, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, attr, counting)
-    return calls
-
-
-def test_full_traces_per_build_stay_a_few(monkeypatch):
-    # Counts every full face trace: one per construction step plus the
-    # base block's few, not two per handle.
-    calls = count_calls(monkeypatch, embeddings.trace_faces)
-    for route in ("direct", "removal"):
-        calls.clear()
+def test_full_traces_per_build_stay_a_few(count_calls):
+    # One certificate per construction step: the base block, the cube
+    # step, the cycle step and the path step, plus the closed cycle the
+    # removal route opens up.  Each certificate traces once, validates
+    # the rotation system once, and searches components and 2-colours
+    # the graph once each.
+    counted = {real.__name__: count_calls(real)
+               for real in (embeddings.trace_faces,
+                            embeddings.validate_embedding,
+                            graphs.connected_components, graphs.is_bipartite)}
+    for route, certificates in (("direct", 4), ("removal", 5)):
+        for calls in counted.values():
+            calls.clear()
         embed_family("Q(2,4) x C(4) x P(4)", route=route)
-        assert 0 < len(calls) <= 12, (route, len(calls))
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            name: certificates for name in counted}, route
 
 
-def test_base_block_is_traced_twice(monkeypatch):
-    # the certificate and _scheme_reservoir; no third check of its own
-    calls = count_calls(monkeypatch, embeddings.trace_faces)
+def test_base_block_is_traced_once(count_calls):
+    # _scheme_reservoir reads the families off the certificate's trace
+    calls = count_calls(embeddings.trace_faces)
     for r in (2, 14):
         calls.clear()
         embed_K2r2r(r)
-        assert len(calls) <= 2, (r, len(calls))
+        assert len(calls) == 1, (r, len(calls))
 
 
-def test_embed_family_builds_the_product_once(monkeypatch):
+def test_embed_family_builds_the_product_once(count_calls):
     # classify_family validates the atoms without building the product;
     # the one build is the reference the result is compared with
-    calls = count_calls(monkeypatch, graphs.build_family)
+    calls = count_calls(graphs.build_family)
     for route in ("direct", "removal"):
         calls.clear()
         embed_family("Q(2,4) x C(4) x P(4)", route=route)
