@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: build, embed, verify, faces, genus, oracle, selftest.  Every
-file written is canonical JSON (sorted keys, two-space indent, trailing
+file written is canonical JSON (sorted keys, no whitespace, one trailing
 newline), and every run that writes files also writes a manifest.json
 naming them, so reruns with the same inputs and seed produce
 bit-identical artifacts apart from the manifest's wall clock.
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -24,13 +24,13 @@ from .constructions import embed_family
 from .embeddings import (canonical_json_bytes, certificate_from_json_dict,
                          certificate_to_json_dict, components_certificate,
                          embedding_from_json_dict, embedding_to_json_dict,
-                         euler_genus, genus_lower_bound, trace_faces)
+                         genus_lower_bound, trace_faces)
 from .errors import (BudgetExceededError, ExprSyntaxError,
-                     InvalidParameterError, ToolError, VerificationError)
+                     InvalidParameterError, NotApplicableError, ToolError,
+                     VerificationError)
 from .formulas import FORMULAS
 from .graphs import (build_family, graph_from_json_dict, graph_to_json_dict,
-                     is_bipartite, is_connected, is_json_int,
-                     parse_family_expr)
+                     is_bipartite, is_json_int, parse_family_expr)
 from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
 from .selftest import run_selftest
 
@@ -140,13 +140,14 @@ def cmd_verify(args) -> int:
     stored = None
     if cert_path is not None:
         stored = certificate_from_json_dict(_load_json(str(cert_path)))
-    if is_connected(emb.graph):
-        cert = euler_genus(
-            emb, construction_tag=stored.construction_tag if stored else "")
+    certs = components_certificate(emb)
+    if len(certs) == 1:
+        cert = replace(certs[0], construction_tag=(
+            stored.construction_tag if stored else ""))
         genus = cert.genus
     else:
         cert = None
-        genus = sum(c.genus for c in components_certificate(emb))
+        genus = sum(c.genus for c in certs)
     if stored is not None:
         if cert is None:
             raise VerificationError(
@@ -233,9 +234,12 @@ def cmd_oracle(args) -> int:
         result = exhaustive_min_genus(graph, budget)
     except BudgetExceededError:
         result = stochastic_search(graph, budget)
-    bound = (genus_lower_bound(graph)
-             if is_connected(graph) and is_bipartite(graph) is not None
-             else None)
+    # the search refused a disconnected or empty graph, so the bound
+    # applies unless the graph is not bipartite
+    try:
+        bound = genus_lower_bound(graph)
+    except NotApplicableError:
+        bound = None
     summary = {"best_genus": result.best_genus,
                "exhaustive": result.exhaustive,
                "explored": result.explored,

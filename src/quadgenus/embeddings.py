@@ -30,11 +30,11 @@ touches and counts orbits with count_orbits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
 from .graphs import (Graph, connected_components, graph_from_json_dict,
-                     graph_to_json_dict, is_bipartite, is_json_int)
+                     graph_to_json_dict, is_bipartite)
 
 Dart = tuple[int, int]
 
@@ -226,7 +226,14 @@ def certify_faces(g: Graph, faces: FaceSet,
     if len(connected_components(g)) != 1:
         raise InvalidParameterError(
             "euler_genus needs a connected graph; use components_certificate")
-    f = len(faces)
+    return _certify_connected(g, faces, construction_tag)
+
+
+def _certify_connected(g: Graph, faces: FaceSet,
+                       construction_tag: str = "") -> EmbeddingCertificate:
+    """certify_faces for a g already known to be connected and non-empty.
+    A lone vertex traces no dart but lies on one face, the sphere."""
+    f = len(faces) if g.m else 1
     chi = g.n - g.m + f
     if chi % 2 != 0:
         raise EmbeddingError(
@@ -238,7 +245,7 @@ def certify_faces(g: Graph, faces: FaceSet,
     lb = _quad_bound(g.n, g.m) if bip else 0
     return EmbeddingCertificate(
         n=g.n, m=g.m, f=f, genus=genus,
-        quadrilateral=is_quadrilateral(faces),
+        quadrilateral=bool(g.m) and is_quadrilateral(faces),
         bipartite=bip,
         lower_bound=lb,
         minimal=bip and genus == lb,
@@ -271,17 +278,25 @@ def subembedding(e: Embedding, vertices: list[int]) -> Embedding:
 
 
 def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
-    """Per-component certificates.  The total genus of a disconnected
-    embedding is the sum over components."""
-    _require_valid(e)
+    """Per-component certificates, from one component search.  The total
+    genus of a disconnected embedding is the sum over components; a
+    connected one gets the single certificate euler_genus would give."""
+    if e.graph.n == 0:
+        raise InvalidParameterError("empty graph has no certificate")
     comps = connected_components(e.graph)
-    return [euler_genus(subembedding(e, comp)) for comp in comps]
+    if len(comps) == 1:
+        return [_certify_connected(e.graph, trace_faces(e))]
+    _require_valid(e)
+    subs = (subembedding(e, comp) for comp in comps)
+    return [_certify_connected(sub.graph, trace_faces(sub)) for sub in subs]
 
 
 # ---------------------------------------------------------------------------
 # Serialization.  Embedding files wrap the graph together with the rotation
 # table; certificates are flat JSON objects.  Writers emit canonical bytes
-# (sorted keys, fixed indentation) so identical runs produce identical files.
+# (sorted keys, no whitespace, one trailing newline) so identical runs
+# produce identical files.  Readers ignore whitespace, so files written
+# with indentation load the same.
 # ---------------------------------------------------------------------------
 
 
@@ -293,31 +308,45 @@ def embedding_to_json_dict(e: Embedding) -> dict:
 
 
 def embedding_from_json_dict(data: dict) -> Embedding:
+    """Embedding of the JSON form, checked for shape and integer entries
+    only: trace_faces validates the rotation system wherever it is used."""
     if not isinstance(data, dict) or "graph" not in data or "rotation" not in data:
         raise InvalidParameterError("embedding JSON needs 'graph' and 'rotation'")
     g = graph_from_json_dict(data["graph"])
     rows = data["rotation"]
     if not (isinstance(rows, (list, tuple)) and all(
-            isinstance(row, (list, tuple))
-            and all(is_json_int(x) for x in row) for row in rows)):
+            isinstance(row, (list, tuple)) and set(map(type, row)) <= {int}
+            for row in rows)):
         raise InvalidParameterError(
             "'rotation' must be a list of lists of integers")
-    rotation = tuple(tuple(r) for r in rows)
-    e = Embedding(g, rotation)
-    _require_valid(e)
-    return e
+    return Embedding(g, tuple(tuple(r) for r in rows))
 
 
 def certificate_to_json_dict(c: EmbeddingCertificate) -> dict:
     return asdict(c)
 
 
+_FIELD_TYPES = {"int": int, "bool": bool, "str": str}
+
+
 def certificate_from_json_dict(data: dict) -> EmbeddingCertificate:
+    """Certificate of the JSON form; every field must have its declared
+    type exactly (JSON true/false are not integers, 0/1 not booleans)."""
     try:
-        return EmbeddingCertificate(**data)
+        cert = EmbeddingCertificate(**data)
     except TypeError as exc:
         raise InvalidParameterError(f"malformed certificate: {exc}") from exc
+    for field in fields(cert):
+        value = getattr(cert, field.name)
+        if type(value) is not _FIELD_TYPES[field.type]:
+            raise InvalidParameterError(
+                f"malformed certificate: {field.name!r} must be of type "
+                f"{field.type}, got {value!r}")
+    return cert
 
 
 def canonical_json_bytes(data) -> bytes:
-    return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
+    """Sorted keys, no whitespace, one trailing newline.  Without indent
+    json.dumps runs its C encoder."""
+    return (json.dumps(data, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()

@@ -433,18 +433,20 @@ def graph_from_json_dict(data: dict) -> Graph:
         raise InvalidParameterError(
             f"graph has n={n} vertices and {len(data['edges'])} edges; "
             f"more than {MAX_DARTS} vertices or darts is refused")
+    # Exact type tests, cheaper than is_json_int per entry: JSON decodes
+    # integers only to int and true/false only to bool, so decoded JSON
+    # meets the same refusals.
     edges = []
     for e in data["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and all(is_json_int(x) for x in e)):
+                and type(e[0]) is int and type(e[1]) is int):
             raise InvalidParameterError(f"malformed edge entry {e!r}")
         edges.append((e[0], e[1]))
     labels = data.get("labels")
     if labels is not None:
         if not (isinstance(labels, (list, tuple)) and all(
                 isinstance(lab, (list, tuple))
-                and all(isinstance(x, str) or is_json_int(x) for x in lab)
-                for lab in labels)):
+                and set(map(type, lab)) <= {int, str} for lab in labels)):
             raise InvalidParameterError(
                 "'labels' must be a list of lists of strings and integers")
         labels = [tuple(lab) for lab in labels]

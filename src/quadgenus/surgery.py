@@ -28,10 +28,11 @@ vertices in place and proves each handle locally instead of retracing.
 It walks the four created faces, requires each to close as the expected
 quadrilateral and all four together to cover exactly the changed darts,
 which pins the deltas at m +4, f +2, chi -2; removal proves the two
-reinstated faces the same way.  Faces not involved stay faces, so callers
-may keep face handles across many operations as long as each face is
-consumed at most once, and freeze the state into an Embedding only when
-they need one.
+reinstated faces the same way.  The proof compares sets of integer dart
+keys, u * n + v for the dart (u, v), read straight off the faces' vertex
+tuples.  Faces not involved stay faces, so callers may keep face handles
+across many operations as long as each face is consumed at most once, and
+freeze the state into an Embedding only when they need one.
 """
 
 from __future__ import annotations
@@ -83,10 +84,14 @@ def quad_faces(faces: FaceSet) -> list[QuadFace]:
     return out
 
 
-def _tiles(faces: Sequence[QuadFace], darts: set[Dart]) -> bool:
-    """The faces are dart-disjoint and their darts are exactly `darts`."""
-    listed = [d for f in faces for d in f.darts()]
-    return len(listed) == len(darts) and set(listed) == darts
+def _tiles(faces: Sequence[QuadFace], keys: set[int], n: int) -> bool:
+    """The faces are dart-disjoint and their darts, keyed u * n + v, are
+    exactly `keys`."""
+    listed: list[int] = []
+    for face in faces:
+        a, b, c, d = face.vertices
+        listed += (a * n + b, b * n + c, c * n + d, d * n + a)
+    return len(listed) == len(keys) and set(listed) == keys
 
 
 class Surgery:
@@ -120,28 +125,28 @@ class Surgery:
                 return False
         return True
 
-    def _insert(self, x: int, after: int, u: int) -> Dart:
-        """Put u right after `after` in the rotation at x; returns the
-        dart into x whose successor this changes."""
+    def _insert(self, x: int, after: int, u: int) -> int:
+        """Put u right after `after` in the rotation at x; returns the key
+        of the dart into x whose successor this changes."""
         rot, pos = self.rotation[x], self.pos[x]
         i = pos[after] + 1
         rot.insert(i, u)
         for j in range(i, len(rot)):
             pos[rot[j]] = j
-        return (rot[i - 1], x)
+        return rot[i - 1] * self.n + x
 
-    def _delete(self, x: int, u: int) -> Dart:
-        """Take u out of the rotation at x; returns the dart into x whose
-        successor this changes."""
+    def _delete(self, x: int, u: int) -> int:
+        """Take u out of the rotation at x; returns the key of the dart
+        into x whose successor this changes."""
         rot, pos = self.rotation[x], self.pos[x]
         i = pos.pop(u)
         del rot[i]
         for j in range(i, len(rot)):
             pos[rot[j]] = j
-        return (rot[i - 1], x)
+        return rot[i - 1] * self.n + x
 
     def _prove(self, gone: Sequence[QuadFace], made: Sequence[QuadFace],
-               before: set[Dart], after: set[Dart]) -> None:
+               before: set[int], after: set[int]) -> None:
         """Local proof of a splice.  `before` and `after` are the darts
         whose successor the splice changed, with the removed darts added to
         `before` and the new ones to `after`; every other dart keeps its
@@ -149,15 +154,15 @@ class Surgery:
         darts are exactly `before`, they are the only faces it destroyed.
         If every `made` face is current now and their darts are exactly
         `after`, they are the only faces it created.  The face count then
-        changed by len(made) - len(gone)."""
-        if not _tiles(gone, before):
+        changed by len(made) - len(gone).  Darts are keyed u * n + v."""
+        if not _tiles(gone, before, self.n):
             raise SurgeryError("splice touched darts outside the faces it "
                                "consumed")
         for face in made:
             if not self.is_face(face):
                 raise SurgeryError(
                     f"face {face.vertices} did not close after the splice")
-        if not _tiles(made, after):
+        if not _tiles(made, after, self.n):
             raise SurgeryError("faces closed by the splice do not cover the "
                                "darts it changed")
 
@@ -177,7 +182,7 @@ class Surgery:
         if pairing not in (0, 1, 2, 3):
             raise InvalidParameterError(
                 f"pairing must be 0..3, got {pairing}")
-        if f1.vertex_set & f2.vertex_set:
+        if not set(f1.vertices).isdisjoint(f2.vertices):
             raise SurgeryError(
                 f"faces share vertices "
                 f"{sorted(f1.vertex_set & f2.vertex_set)}")
@@ -193,25 +198,26 @@ class Surgery:
 
         # New edge vk - wk sits between the consumed faces' boundary darts:
         # after v(k-1) at vk, and after w(k+1) at wk.
+        n = self.n
         changed = set()
         for k in range(4):
             changed.add(self._insert(v[k], v[k - 1], w[k]))
             changed.add(self._insert(w[k], w[(k + 1) % 4], v[k]))
-        added = {d for k in range(4) for d in ((v[k], w[k]), (w[k], v[k]))}
-        created = tuple(
-            QuadFace(tuple(u for (u, _) in canonical_face([
-                (v[k], v[(k + 1) % 4]),
-                (v[(k + 1) % 4], w[(k + 1) % 4]),
-                (w[(k + 1) % 4], w[k]),
-                (w[k], v[k]),
-            ])))
-            for k in range(4))
+        added = {key for k in range(4)
+                 for key in (v[k] * n + w[k], w[k] * n + v[k])}
+        created = []
+        for k in range(4):
+            # face k rotated to its least vertex: with four distinct
+            # vertices that is its least dart, as canonical_face picks
+            quad = (v[k], v[(k + 1) % 4], w[(k + 1) % 4], w[k])
+            i = quad.index(min(quad))
+            created.append(QuadFace(quad[i:] + quad[:i]))
         self._prove((f1, f2), created, changed, changed | added)
         self.m += 4
         return HandleRecord(
             consumed=(f1, f2),
             added_edges=tuple((v[k], w[k]) for k in range(4)),
-            created=created,
+            created=tuple(created),
         )
 
     def remove(self, record: HandleRecord) -> None:
@@ -224,11 +230,12 @@ class Surgery:
                 raise SurgeryError(
                     f"created face {face.vertices} no longer current; "
                     f"handle cannot be removed")
-        removed: set[Dart] = set()
+        n = self.n
+        removed: set[int] = set()
         for (a, b) in record.added_edges:
-            if b not in self.pos[a] or (a, b) in removed:
+            if b not in self.pos[a] or a * n + b in removed:
                 raise SurgeryError(f"edge ({a},{b}) not present")
-            removed.update(((a, b), (b, a)))
+            removed.update((a * n + b, b * n + a))
         changed = set()
         for (a, b) in record.added_edges:
             changed.add(self._delete(a, b))

@@ -136,10 +136,72 @@ def test_verify_traces_and_colours_once(capsys, tmp_path, count_calls):
     traces = count_calls(embeddings.trace_faces)
     colourings = count_calls(graphs.is_bipartite)
     validations = count_calls(embeddings.validate_embedding)
+    searches = count_calls(graphs.connected_components)
     code, out, _ = run(capsys, "verify", str(out_dir))
     assert code == 0 and "certificate-match" in out
     assert (len(traces), len(colourings)) == (1, 1)
-    assert len(validations) <= 2  # the loader's and the trace's
+    assert len(validations) == 1  # the trace's; the loader checks types only
+    assert len(searches) == 1
+
+
+def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
+    gdir = tmp_path / "g"
+    run(capsys, "build", "K(3,3)", "--out", str(gdir))
+    searches = count_calls(graphs.connected_components)
+    colourings = count_calls(graphs.is_bipartite)
+    code, _, _ = run(capsys, "oracle", str(gdir / "graph.json"))
+    assert code == 0
+    # one component search in the exhaustive search's own refusal of
+    # disconnected graphs, one in the lower bound; one colouring, the bound's
+    assert (len(searches), len(colourings)) == (2, 1)
+
+
+def test_embed_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out_dir in (a, b):
+        code, _, _ = run(capsys, "embed", "Q(2,4) x C(4)", "--out",
+                         str(out_dir))
+        assert code == 0
+    for name in ("embedding.json", "certificate.json", "handles.json"):
+        data = (a / name).read_bytes()
+        assert data == (b / name).read_bytes()
+        assert data == embeddings.canonical_json_bytes(json.loads(data))
+
+
+def test_indented_artifacts_still_verify(capsys, tmp_path):
+    out_dir = tmp_path / "e"
+    run(capsys, "embed", "K(4,4) x C(4)", "--out", str(out_dir))
+    for name in ("embedding.json", "certificate.json", "handles.json"):
+        path = out_dir / name
+        path.write_text(json.dumps(json.loads(path.read_text()),
+                                   sort_keys=True, indent=2) + "\n")
+    code, out, _ = run(capsys, "verify", str(out_dir))
+    assert code == 0 and "certificate-match" in out
+
+
+@pytest.mark.parametrize("rotation", [[[]], [[], []]],
+                         ids=["one-vertex", "two-vertices"])
+def test_verify_edgeless_graph_has_genus_zero(capsys, tmp_path, rotation):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"graph": {"n": len(rotation), "edges": []},
+                                "rotation": rotation}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "genus=0" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("construction_tag", [1, 2]), ("genus", "zero"), ("n", True),
+    ("lower_bound", 1.0), ("minimal", 1), ("quadrilateral", None)])
+def test_verify_refuses_mistyped_certificate_field(capsys, tmp_path, field,
+                                                   value):
+    out_dir = tmp_path / "e"
+    run(capsys, "embed", "K(2,2)", "--out", str(out_dir))
+    path = out_dir / "certificate.json"
+    cert = json.loads(path.read_text())
+    cert[field] = value
+    path.write_text(json.dumps(cert))
+    code, _, err = run(capsys, "verify", str(out_dir))
+    assert code == 3 and repr(field) in err
 
 
 def test_verify_standalone_embedding_file(capsys, tmp_path):
@@ -183,6 +245,22 @@ def test_verify_rejects_non_list_label(capsys, tmp_path):
         capsys, tmp_path, lambda d: d["graph"]["labels"].__setitem__(0, 1))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 3 and "'labels'" in err
+
+
+@pytest.mark.parametrize("entry", [[True, 1], [1.5, 2]],
+                         ids=["bool", "float"])
+def test_verify_rejects_non_integer_edge_entry(capsys, tmp_path, entry):
+    path = _tampered_k22_embedding(
+        capsys, tmp_path, lambda d: d["graph"]["edges"].__setitem__(0, entry))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "malformed edge entry" in err
+
+
+def test_verify_rejects_boolean_in_rotation_row(capsys, tmp_path):
+    path = _tampered_k22_embedding(
+        capsys, tmp_path, lambda d: d["rotation"][0].__setitem__(0, True))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "'rotation'" in err
 
 
 def test_oracle_rejects_boolean_vertex_count(capsys, tmp_path):

@@ -102,6 +102,19 @@ def test_components_certificate_sums_genus():
     assert sum(c.genus for c in parts) == 0
 
 
+def test_lone_vertex_lies_on_one_face():
+    cert = euler_genus(Embedding(from_edges(1, []), ((),)))
+    assert (cert.n, cert.m, cert.f, cert.genus) == (1, 0, 1, 0)
+    assert cert.minimal and not cert.quadrilateral
+    parts = components_certificate(Embedding(from_edges(2, []), ((), ())))
+    assert [(c.f, c.genus) for c in parts] == [(1, 0), (1, 0)]
+
+
+def test_components_certificate_of_connected_embedding_is_euler_genus():
+    e = k22_embedding()
+    assert components_certificate(e) == [euler_genus(e)]
+
+
 def test_subembedding_requires_whole_components():
     g = from_edges(4, [(0, 1), (2, 3)])
     rot = ((1,), (0,), (3,), (2,))
@@ -165,6 +178,17 @@ def test_canonical_json_is_stable():
     blob = {"b": 1, "a": [1, 2]}
     assert canonical_json_bytes(blob) == canonical_json_bytes(dict(blob))
     assert canonical_json_bytes(blob).endswith(b"\n")
+
+
+def test_canonical_json_is_compact():
+    e = k22_embedding()
+    blob = {"embedding": embedding_to_json_dict(e),
+            "certificate": certificate_to_json_dict(
+                euler_genus(e, construction_tag="K(2,2)"))}
+    data = canonical_json_bytes(blob)
+    assert b" " not in data and b"\n" not in data[:-1]
+    assert data.endswith(b"\n")
+    assert json.loads(data) == blob
 
 
 # properties over random rotation systems of fixed small graphs

@@ -320,3 +320,22 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
         work.add(f1, f2, 0)
     monkeypatch.undo()
     assert Surgery(e).add(f1, f2, 0).consumed == (f1, f2)
+
+
+def test_add_local_proof_catches_a_splice_outside_the_faces(monkeypatch):
+    # The splice reports a changed dart that lies on neither consumed
+    # face; only the tiling half of the local proof can notice.
+    e = k44()
+    f1, f2 = disjoint_quad_pair(e)
+    on_faces = set(f1.darts()) | set(f2.darts())
+    u, v = next((u, v) for u in range(e.graph.n) for v in e.graph.adj[u]
+                if (u, v) not in on_faces)
+    insert = Surgery._insert
+
+    def misreported(self, x, after, w):
+        key = insert(self, x, after, w)
+        return u * self.n + v if x == f1.vertices[0] else key
+
+    monkeypatch.setattr(Surgery, "_insert", misreported)
+    with pytest.raises(SurgeryError, match="outside the faces"):
+        Surgery(e).add(f1, f2, 0)
