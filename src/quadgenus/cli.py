@@ -46,6 +46,22 @@ class RunManifest:
     wall_clock_seconds: float
 
 
+def _out_dir(path: str | None) -> Path | None:
+    """The --out directory, refused before any work starts when it or
+    its nearest existing ancestor is not a directory.  No --out (or an
+    empty one) writes nothing."""
+    if not path:
+        return None
+    out = Path(path)
+    for existing in (out, *out.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise InvalidParameterError(
+                    f"--out {path}: {existing} is not a directory")
+            break
+    return out
+
+
 def _write(out_dir: Path, name: str, payload: dict) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_bytes(canonical_json_bytes(payload))
@@ -77,6 +93,7 @@ def _load_json(path: str) -> dict:
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
+    out = _out_dir(args.out)
     graph = build_family(parse_family_expr(args.expr))
     bip = is_bipartite(graph) is not None
     if args.json:
@@ -84,8 +101,7 @@ def cmd_build(args) -> int:
                           "bipartite": bip}))
     else:
         print(f"{args.expr}: n={graph.n} m={graph.m} bipartite={bip}")
-    if args.out:
-        out = Path(args.out)
+    if out:
         manifest = RunManifest("build", {"expr": args.expr}, [], [],
                                None, __version__, 0.0)
         manifest.outputs.append(
@@ -96,6 +112,7 @@ def cmd_build(args) -> int:
 
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
+    out = _out_dir(args.out)
     result, shape = embed_family(args.expr)
     cert = result.certificate
     if args.json:
@@ -104,8 +121,7 @@ def cmd_embed(args) -> int:
         print(f"{args.expr}: genus={cert.genus} n={cert.n} m={cert.m} "
               f"f={cert.f} quadrilateral={cert.quadrilateral} "
               f"minimal={cert.minimal}")
-    if args.out:
-        out = Path(args.out)
+    if out:
         manifest = RunManifest(
             "embed",
             {"expr": args.expr, "normalized": shape.normalized_expr,
@@ -125,8 +141,9 @@ def _locate_verify_inputs(path: str, cert_flag: str | None):
     p = Path(path)
     if p.is_dir():
         emb_path = p / "embedding.json"
+        # only the default certificate may be absent; a named one must load
         cert_path = Path(cert_flag) if cert_flag else p / "certificate.json"
-        if not cert_path.exists():
+        if not (cert_flag or cert_path.exists()):
             cert_path = None
     else:
         emb_path = p
@@ -227,6 +244,7 @@ def cmd_genus(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
+    out = _out_dir(args.out)
     graph = graph_from_json_dict(_load_json(args.path))
     budget = SearchBudget(max_rotation_systems=args.budget, seed=args.seed,
                           target_genus=args.target)
@@ -252,8 +270,7 @@ def cmd_oracle(args) -> int:
         tail = f" lower_bound={bound}" if bound is not None else ""
         print(f"{method}: best_genus={result.best_genus} "
               f"explored={result.explored}{tail}")
-    if args.out:
-        out = Path(args.out)
+    if out:
         manifest = RunManifest(
             "oracle",
             {"target": args.target, "budget": args.budget},
@@ -268,7 +285,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_selftest(args) -> int:
     t0 = time.perf_counter()
-    outcomes = run_selftest(seed=args.seed, out_dir=args.out)
+    out = _out_dir(args.out)
+    outcomes = run_selftest(seed=args.seed, out_dir=out)
     for oc in outcomes:
         status = "PASS" if oc.passed else "FAIL"
         print(f"criterion {oc.number} {status} {oc.name} "
@@ -278,8 +296,7 @@ def cmd_selftest(args) -> int:
     total = time.perf_counter() - t0
     good = sum(1 for oc in outcomes if oc.passed)
     print(f"selftest: {good}/{len(outcomes)} passed in {total:.2f} s")
-    if args.out:
-        out = Path(args.out)
+    if out:
         manifest = RunManifest(
             "selftest", {}, [],
             [f"criterion_{oc.number:02d}.json" for oc in outcomes]

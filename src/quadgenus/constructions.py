@@ -62,18 +62,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
+from math import prod
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
-                         canonical_face, certify_faces, trace_faces)
+                         canonical_face, certify_faces, face_lengths,
+                         trace_faces)
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
-                     build_family, family_factors, iter_atoms,
-                     make_complete_bipartite, parse_family_expr,
-                     product_sizes)
+                     family_factors, iter_atoms, make_complete_bipartite,
+                     parse_family_expr, product_sizes)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
                       handle_record_to_json_dict, quad_faces)
 
@@ -143,8 +144,12 @@ def embed_K2r2r(r: int) -> ConstructionResult:
         raise InvalidParameterError(f"need r >= 1, got {r}")
     graph = make_complete_bipartite(2 * r, 2 * r)
     emb = Embedding(graph, _scheme_rotation(r))
-    # refuses anything but a quadrilateral, minimal embedding (2r^2 faces)
-    cert, faces = _certify_step(emb, f"K({2*r},{2*r})")
+    # one trace gives the faces the reservoir is read from and the
+    # certificate, which refuses anything but a quadrilateral, minimal
+    # embedding (2r^2 faces)
+    faces = trace_faces(emb)
+    cert = _certify_step(graph, [len(face) for face in faces.faces],
+                         f"K({2*r},{2*r})")
     expected = int(ringel_genus(r))
     if cert.genus != expected:
         raise ConstructionError(
@@ -204,18 +209,18 @@ def _trace_entries(phase: str, links: list[list[HandleRecord]]) -> list[dict]:
     return entries
 
 
-def _certify_step(emb: Embedding, tag: str
-                  ) -> tuple[EmbeddingCertificate, FaceSet]:
-    """One full trace; its certificate must be quadrilateral and minimal."""
-    faces = trace_faces(emb)
-    cert = certify_faces(emb.graph, faces, construction_tag=tag)
+def _certify_step(graph: Graph, lengths: list[int],
+                  tag: str) -> EmbeddingCertificate:
+    """The certificate of one full trace's face lengths, which must be
+    quadrilateral and minimal."""
+    cert = certify_faces(graph, lengths, construction_tag=tag)
     if not cert.quadrilateral:
         raise ConstructionError(f"{tag}: embedding has a non-quad face")
     if not cert.minimal:
         raise ConstructionError(
             f"{tag}: genus {cert.genus} misses lower bound "
             f"{cert.lower_bound}")
-    return cert, faces
+    return cert
 
 
 def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
@@ -246,7 +251,7 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
     emb = work.freeze()
 
     f_expected = count * base.certificate.f + 2 * len(schedule) * (nb // 4)
-    cert = _certify_step(emb, tag)[0]  # the faces are not kept
+    cert = _certify_step(emb.graph, face_lengths(emb), tag)
     if cert.f != f_expected:
         raise ConstructionError(f"{tag}: face ledger off: {cert.f} != "
                                 f"{f_expected}")
@@ -337,7 +342,7 @@ def _path_removal_step(base: ConstructionResult, m: int,
     for rec in links[-1]:
         work.remove(rec)
     emb = work.freeze()
-    cert = _certify_step(emb, tag)[0]  # the faces are not kept
+    cert = _certify_step(emb.graph, face_lengths(emb), tag)
     removed = len(links[-1])
     if cert.genus != cycle_result.certificate.genus - removed:
         raise ConstructionError(
@@ -432,19 +437,58 @@ def classify_family(expr: FamilyExpr | str) -> FamilyShape:
                        factor_order=tuple(cube_positions + step_positions))
 
 
-def same_labeled_graph(a: Graph, b: Graph) -> bool:
-    """Isomorphic by label identity: the label sets coincide and matching
-    labels carry the same adjacency."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    la = {a.label_of(v): v for v in range(a.n)}
-    lb = {b.label_of(v): v for v in range(b.n)}
-    if len(la) != a.n or len(lb) != b.n or set(la) != set(lb):
-        return False
-    to_b = {la[lab]: lb[lab] for lab in la}
-    edges_a = {(min(to_b[u], to_b[v]), max(to_b[u], to_b[v]))
-               for (u, v) in a.edges()}
-    return edges_a == set(b.edges())
+def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
+    """Refuse a graph that is not the product of expr's factors in the
+    construction's own numbering.
+
+    A step puts copy t of its base at vertices t * n_base + v and gives
+    them the new factor's label of t as a final coordinate, so the first
+    factor is the least significant digit of a vertex number and labels
+    concatenate from the first factor on.  The expected label and sorted
+    neighbours of each vertex come from family_factors alone, vertex by
+    vertex; no product graph or adjacency table is built.  A neighbour
+    along a factor differs in that digit only, by a multiple of the
+    factor's stride, so sorted neighbours are the lower neighbours along
+    the factors from last to first, then the upper ones from first to
+    last."""
+    factors = [g for g, repeats in family_factors(expr)
+               for _ in range(repeats)]
+    n = prod(g.n for g in factors)
+    if graph.n != n or graph.labels is None:
+        raise ConstructionError(
+            f"constructed graph has {graph.n} vertices"
+            f"{'' if graph.labels else ' and no labels'}; {expr} has {n}")
+    # per factor and digit x: x's label, and the offsets to its lower and
+    # upper neighbours along the factor
+    tables = []
+    stride = 1
+    for g in factors:
+        tables.append([(g.label_of(x),
+                        tuple((y - x) * stride for y in g.adj[x] if y < x),
+                        tuple((y - x) * stride for y in g.adj[x] if y > x))
+                       for x in range(g.n)])
+        stride *= g.n
+    labels, adj = graph.labels, graph.adj
+    p = 0
+    # the digits of every factor but the first, most significant first;
+    # the first factor's digit runs fastest, in the inner loop
+    for high in product(*tables[:0:-1]):
+        high_label = sum((lab for lab, _, _ in reversed(high)), ())
+        high_lower = sum((lower for _, lower, _ in high), ())
+        high_upper = sum((upper for _, _, upper in reversed(high)), ())
+        for label, lower, upper in tables[0]:
+            label += high_label
+            nbrs = tuple([p + d
+                          for d in high_lower + lower + upper + high_upper])
+            if labels[p] != label:
+                raise ConstructionError(
+                    f"constructed graph does not match {expr}: vertex {p} "
+                    f"has label {labels[p]}, expected {label}")
+            if adj[p] != nbrs:
+                raise ConstructionError(
+                    f"constructed graph does not match {expr}: vertex {p} "
+                    f"has neighbours {adj[p]}, expected {nbrs}")
+            p += 1
 
 
 def _check_level(shape: FamilyShape, level: int,
@@ -479,9 +523,11 @@ def embed_family(expr: FamilyExpr | str,
                  route: str = "direct") -> tuple[ConstructionResult,
                                                  FamilyShape]:
     """Construct a certified minimum-genus embedding for a supported
-    expression.  The result graph is label-identical to
-    build_family(shape.normalized_expr); shape.factor_order records how
-    the factors were permuted.
+    expression.  The result graph is the product of the factors of
+    shape.normalized_expr, numbered with the first factor as the least
+    significant digit (check_family_graph proves label and neighbours of
+    every vertex); shape.factor_order records how the factors were
+    permuted.
 
     route="direct" runs an open ring step for every path factor;
     route="removal" opens up the cycle for every path factor P(2m) with
@@ -499,8 +545,5 @@ def embed_family(expr: FamilyExpr | str,
         else:
             result, _ = _ring_step(result, m, closed=(kind == "C"), tag=tag)
         _check_level(shape, level, result.certificate)
-    reference = build_family(shape.normalized_expr)
-    if not same_labeled_graph(result.embedding.graph, reference):
-        raise ConstructionError(
-            "constructed graph does not match the family it claims to embed")
+    check_family_graph(result.embedding.graph, shape.normalized_expr)
     return result, shape

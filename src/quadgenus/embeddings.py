@@ -8,23 +8,31 @@ rotation system).  Faces are recovered by the standard tracing rule
 
 so each directed edge (dart) lies on exactly one face and the face count
 plugs into Euler's formula n + f - m = 2 - 2g to give the genus of the
-surface the rotation system describes.  A certificate is one trace_faces,
-the one place a rotation system is validated, and certify_faces on its
-faces (one connectivity check, one 2-colouring, the quadrilateral bound);
-euler_genus runs the pair, construction steps run it and keep the faces.
-
-Rotations are cyclic: two rotations equal up to rotation (not reflection)
-describe the same embedding.  Faces are canonicalized to start at their
-lexicographically least dart, and trace_faces emits them sorted by that
-dart, so face indices are reproducible for a given Embedding.
+surface the rotation system describes.
 
 Face tracing runs on integer dart ids (DartIndex): dart (v, u) gets the
 next id in the order v = 0..n-1, u in graph.adj[v].  Adjacency is sorted,
 so id order is sorted dart order.  A rotation becomes a flat successor
 list succ[id(u, v)] = id(v, w), w the neighbour after u at v, and faces
-are the orbits of that list.  trace_faces and the search oracle share
-this core; the oracle rewrites only the entries a rotation change
-touches and counts orbits with count_orbits.
+are the orbits of that list.  face_successors is the one trace core: the
+one place a rotation system is validated, and the only builder of the
+successor list of an Embedding.  Two readers walk its orbits:
+
+  * face_lengths counts each orbit's length and builds nothing else.
+    Every certificate reads it: certify_faces takes the lengths (one
+    connectivity check, one 2-colouring, the quadrilateral bound), and
+    euler_genus, components_certificate and every construction step
+    certify that way.
+  * trace_faces turns each orbit into a face of (u, v) dart tuples, for
+    the readers that need the faces themselves.
+
+Rotations are cyclic: two rotations equal up to rotation (not reflection)
+describe the same embedding.  Faces are canonicalized to start at their
+lexicographically least dart, and trace_faces emits them sorted by that
+dart, so face indices are reproducible for a given Embedding; face_lengths
+lists the lengths in the same order.  The search oracle shares DartIndex:
+it rewrites only the successor entries a rotation change touches and
+counts orbits with count_orbits.
 """
 
 from __future__ import annotations
@@ -75,12 +83,14 @@ def validate_embedding(e: Embedding) -> list[str]:
     if len(e.rotation) != e.graph.n:
         return [f"rotation table has {len(e.rotation)} rows, graph has "
                 f"{e.graph.n} vertices"]
-    for v in range(e.graph.n):
-        rot = e.rotation[v]
+    for v, (rot, nbrs) in enumerate(zip(e.rotation, e.graph.adj)):
+        # adjacency is sorted and repeat-free, so one sort decides; the
+        # reason is looked for only on failure
+        if tuple(sorted(rot)) == nbrs:
+            continue
         if len(set(rot)) != len(rot):
             problems.append(f"vertex {v}: repeated neighbour in rotation")
-            continue
-        if sorted(rot) != list(e.graph.adj[v]):
+        else:
             problems.append(f"vertex {v}: rotation is not a permutation of "
                             f"its neighbourhood")
     return problems
@@ -100,10 +110,10 @@ def canonical_face(darts) -> tuple[Dart, ...]:
 
 
 class DartIndex:
-    """Integer ids for the darts of a graph: ``darts[k]`` is the dart with
-    id k and ``out[v][u]`` the id of (v, u)."""
+    """Integer ids for the darts of a graph: ``out[v][u]`` is the id of
+    (v, u) and ``size`` the number of darts."""
 
-    __slots__ = ("darts", "out")
+    __slots__ = ("out", "size")
 
     def __init__(self, graph: Graph):
         out: list[dict[int, int]] = []
@@ -112,8 +122,7 @@ class DartIndex:
             out.append(dict(zip(nbrs, range(first, first + len(nbrs)))))
             first += len(nbrs)
         self.out = out
-        self.darts = [(v, u) for v, nbrs in enumerate(graph.adj)
-                      for u in nbrs]
+        self.size = first
 
     def patch(self, v: int, rot) -> list[tuple[int, int]]:
         """(dart, successor) pairs for the darts entering v when v's
@@ -130,11 +139,17 @@ class DartIndex:
         return pairs
 
     def successors(self, rotation) -> list[int]:
-        """Flat face-successor list of a rotation system."""
-        succ = [0] * len(self.darts)
+        """Flat face-successor list of a rotation system: the entries
+        of every vertex's patch, written in place."""
+        out = self.out
+        succ = [0] * self.size
         for v, rot in enumerate(rotation):
-            for dart, nxt in self.patch(v, rot):
-                succ[dart] = nxt
+            if rot:
+                ov = out[v]
+                prev = rot[-1]
+                for w in rot:
+                    succ[out[prev][v]] = ov[w]
+                    prev = w
         return succ
 
 
@@ -157,29 +172,55 @@ def count_orbits(succ: list[int], starts, seen: list[int], stamp: int) -> int:
     return orbits
 
 
-def trace_faces(e: Embedding) -> FaceSet:
-    """Orbit decomposition of the dart set under the face successor map."""
+def face_successors(e: Embedding) -> list[int]:
+    """The face-successor list of a validated rotation system, on
+    DartIndex ids: the one trace core (see the module docstring)."""
     _require_valid(e)
-    index = DartIndex(e.graph)
-    succ = index.successors(e.rotation)
-    darts = index.darts
-    visited = bytearray(len(succ))
-    faces: list[tuple[Dart, ...]] = []
-    # Orbits start at each unvisited id in increasing (= sorted dart)
-    # order, so each face already begins at its least dart.
+    return DartIndex(e.graph).successors(e.rotation)
+
+
+def _orbits(succ: list[int]) -> tuple[list[int], list[int]]:
+    """Least id and length of every orbit of ``succ``, by increasing
+    least id; refuses a successor list that is not a permutation."""
+    seen = [False] * len(succ)
+    starts: list[int] = []
+    lengths: list[int] = []
     for start in range(len(succ)):
-        if visited[start]:
+        if seen[start]:
             continue
-        face: list[int] = []
+        length = 0
         dart = start
-        while not visited[dart]:
-            visited[dart] = 1
-            face.append(dart)
+        while not seen[dart]:
+            seen[dart] = True
+            length += 1
             dart = succ[dart]
         if dart != start:
             raise EmbeddingError("face tracing did not close; successor map "
                                  "is not a permutation")
-        faces.append(tuple([darts[d] for d in face]))
+        starts.append(start)
+        lengths.append(length)
+    return starts, lengths
+
+
+def face_lengths(e: Embedding) -> list[int]:
+    """Length of every face, in trace_faces order, from the successor
+    orbits alone: no dart tuple and no face is built."""
+    return _orbits(face_successors(e))[1]
+
+
+def trace_faces(e: Embedding) -> FaceSet:
+    """Orbit decomposition of the dart set under the face successor map."""
+    succ = face_successors(e)
+    darts = [(v, u) for v, nbrs in enumerate(e.graph.adj) for u in nbrs]
+    faces: list[tuple[Dart, ...]] = []
+    # Orbits start at their least id (= least dart), so each face already
+    # begins at its least dart.
+    for dart, length in zip(*_orbits(succ)):
+        face: list[Dart] = []
+        for _ in range(length):
+            face.append(darts[dart])
+            dart = succ[dart]
+        faces.append(tuple(face))
     return FaceSet(tuple(faces))
 
 
@@ -217,23 +258,23 @@ def genus_lower_bound(g: Graph) -> int:
     return _quad_bound(g.n, g.m)
 
 
-def certify_faces(g: Graph, faces: FaceSet,
+def certify_faces(g: Graph, lengths: list[int],
                   construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate of a connected embedding of g from its faces as
-    trace_faces gave them (having validated it), via n + f - m = 2 - 2g."""
+    """Certificate of a connected embedding of g from its face lengths as
+    face_lengths gave them (having validated it), via n + f - m = 2 - 2g."""
     if g.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
     if len(connected_components(g)) != 1:
         raise InvalidParameterError(
             "euler_genus needs a connected graph; use components_certificate")
-    return _certify_connected(g, faces, construction_tag)
+    return _certify_connected(g, lengths, construction_tag)
 
 
-def _certify_connected(g: Graph, faces: FaceSet,
+def _certify_connected(g: Graph, lengths: list[int],
                        construction_tag: str = "") -> EmbeddingCertificate:
     """certify_faces for a g already known to be connected and non-empty.
     A lone vertex traces no dart but lies on one face, the sphere."""
-    f = len(faces) if g.m else 1
+    f = len(lengths) if g.m else 1
     chi = g.n - g.m + f
     if chi % 2 != 0:
         raise EmbeddingError(
@@ -245,7 +286,7 @@ def _certify_connected(g: Graph, faces: FaceSet,
     lb = _quad_bound(g.n, g.m) if bip else 0
     return EmbeddingCertificate(
         n=g.n, m=g.m, f=f, genus=genus,
-        quadrilateral=bool(g.m) and is_quadrilateral(faces),
+        quadrilateral=bool(g.m) and lengths.count(4) == len(lengths),
         bipartite=bip,
         lower_bound=lb,
         minimal=bip and genus == lb,
@@ -254,8 +295,9 @@ def _certify_connected(g: Graph, faces: FaceSet,
 
 
 def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate for a connected embedding: trace, then certify_faces."""
-    return certify_faces(e.graph, trace_faces(e), construction_tag)
+    """Certificate for a connected embedding: face_lengths, then
+    certify_faces."""
+    return certify_faces(e.graph, face_lengths(e), construction_tag)
 
 
 def subembedding(e: Embedding, vertices: list[int]) -> Embedding:
@@ -285,10 +327,10 @@ def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
         raise InvalidParameterError("empty graph has no certificate")
     comps = connected_components(e.graph)
     if len(comps) == 1:
-        return [_certify_connected(e.graph, trace_faces(e))]
+        return [_certify_connected(e.graph, face_lengths(e))]
     _require_valid(e)
     subs = (subembedding(e, comp) for comp in comps)
-    return [_certify_connected(sub.graph, trace_faces(sub)) for sub in subs]
+    return [_certify_connected(sub.graph, face_lengths(sub)) for sub in subs]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +351,8 @@ def embedding_to_json_dict(e: Embedding) -> dict:
 
 def embedding_from_json_dict(data: dict) -> Embedding:
     """Embedding of the JSON form, checked for shape and integer entries
-    only: trace_faces validates the rotation system wherever it is used."""
+    only: face_successors validates the rotation system wherever it is
+    used."""
     if not isinstance(data, dict) or "graph" not in data or "rotation" not in data:
         raise InvalidParameterError("embedding JSON needs 'graph' and 'rotation'")
     g = graph_from_json_dict(data["graph"])

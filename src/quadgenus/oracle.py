@@ -204,8 +204,8 @@ def stochastic_search(graph: Graph,
     movable = [v for v in range(graph.n) if graph.degree(v) >= 3]
     index = DartIndex(graph)
     out = index.out
-    darts = range(len(index.darts))
-    seen = [0] * len(index.darts)
+    darts = range(index.size)
+    seen = [0] * index.size
     stamp = 0
     best_f = -1
     best_rot: Optional[list[tuple[int, ...]]] = None

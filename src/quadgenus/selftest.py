@@ -22,7 +22,8 @@ from pathlib import Path
 
 from .constructions import embed_K2r2r, embed_cube, embed_family
 from .embeddings import (Embedding, canonical_json_bytes, euler_genus,
-                         genus_lower_bound, trace_faces, validate_embedding)
+                         face_lengths, genus_lower_bound, trace_faces,
+                         validate_embedding)
 from .errors import SurgeryError
 from .formulas import (_cube_genus_as_printed, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,
@@ -258,9 +259,9 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         e2 = work.freeze()
         # A full retrace, not Surgery's local proof: this is the
         # independent check of the handle deltas.
-        fs2 = trace_faces(e2)
-        chi1 = e2.graph.n - e2.graph.m + len(fs2.faces)
-        quads1 = sum(1 for fc in fs2.faces if len(fc) == 4)
+        lengths = face_lengths(e2)
+        chi1 = e2.graph.n - e2.graph.m + len(lengths)
+        quads1 = lengths.count(4)
         ok = (chi1 - chi0 == -2 and e2.graph.m - m0 == 4
               and quads1 - quads0 == 2 and len(record.created) == 4)
         if not ok:

@@ -133,7 +133,7 @@ def test_verify_detects_tampering(capsys, tmp_path):
 def test_verify_traces_and_colours_once(capsys, tmp_path, count_calls):
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(4,4) x C(6)", "--out", str(out_dir))
-    traces = count_calls(embeddings.trace_faces)
+    traces = count_calls(embeddings.face_successors)
     colourings = count_calls(graphs.is_bipartite)
     validations = count_calls(embeddings.validate_embedding)
     searches = count_calls(graphs.connected_components)
@@ -202,6 +202,37 @@ def test_verify_refuses_mistyped_certificate_field(capsys, tmp_path, field,
     path.write_text(json.dumps(cert))
     code, _, err = run(capsys, "verify", str(out_dir))
     assert code == 3 and repr(field) in err
+
+
+def test_verify_refuses_a_missing_named_certificate(capsys, tmp_path):
+    # only the default DIR/certificate.json may be absent; a certificate
+    # named on the command line must exist, for a directory and a file
+    out_dir = tmp_path / "e"
+    run(capsys, "embed", "K(2,2) x C(4)", "--out", str(out_dir))
+    missing = str(tmp_path / "missing.json")
+    for path in (out_dir, out_dir / "embedding.json"):
+        code, out, err = run(capsys, "verify", str(path),
+                             "--certificate", missing)
+        assert (code, out) == (3, ""), path
+        assert "no such file" in err
+    (out_dir / "certificate.json").unlink()
+    code, out, _ = run(capsys, "verify", str(out_dir))
+    assert code == 0 and "ok:" in out and "certificate-match" not in out
+
+
+@pytest.mark.parametrize("argv", [("build", "K(2,2)"), ("embed", "K(2,2)"),
+                                  ("oracle", "GRAPH"), ("selftest",)])
+def test_out_path_that_is_a_file_exits_3(capsys, tmp_path, argv):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    for out in (taken, taken / "sub"):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (3, ""), (argv, out)  # refused before work
+        assert "not a directory" in err
+    assert taken.read_text() == "x"
 
 
 def test_verify_standalone_embedding_file(capsys, tmp_path):

@@ -5,17 +5,33 @@ import pytest
 
 from quadgenus import embeddings, graphs
 from quadgenus.constructions import (_check_level, _scheme_reservoir,
-                                     _scheme_rotation, classify_family,
-                                     embed_cube, embed_family, embed_K2r2r,
-                                     same_labeled_graph)
+                                     _scheme_rotation, check_family_graph,
+                                     classify_family, embed_cube,
+                                     embed_family, embed_K2r2r)
 from quadgenus.embeddings import (Embedding, genus_lower_bound,
                                   is_quadrilateral, trace_faces,
                                   validate_embedding)
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               UnsupportedFamilyError)
-from quadgenus.graphs import build_family, make_complete_bipartite
+from quadgenus.graphs import Graph, build_family, make_complete_bipartite
 from quadgenus.oracle import certify_minimum
 from quadgenus.surgery import check_reservoir, quad_faces
+
+
+def same_labeled_graph(a: Graph, b: Graph) -> bool:
+    """Reference for check_family_graph: isomorphic by label identity,
+    that is, the label sets coincide and matching labels carry the same
+    adjacency, whatever the vertex numbering."""
+    if a.n != b.n or a.m != b.m:
+        return False
+    la = {a.label_of(v): v for v in range(a.n)}
+    lb = {b.label_of(v): v for v in range(b.n)}
+    if len(la) != a.n or len(lb) != b.n or set(la) != set(lb):
+        return False
+    to_b = {la[lab]: lb[lab] for lab in la}
+    edges_a = {(min(to_b[u], to_b[v]), max(to_b[u], to_b[v]))
+               for (u, v) in a.edges()}
+    return edges_a == set(b.edges())
 
 
 @pytest.mark.parametrize("r,genus,f", [(1, 0, 2), (2, 1, 8), (3, 4, 18)])
@@ -222,11 +238,11 @@ def test_trace_is_json_serializable_and_replayable():
 def test_full_traces_per_build_stay_a_few(count_calls):
     # One certificate per construction step: the base block, the cube
     # step, the cycle step and the path step, plus the closed cycle the
-    # removal route opens up.  Each certificate traces once, validates
-    # the rotation system once, and searches components and 2-colours
-    # the graph once each.
+    # removal route opens up.  Each certificate builds one successor list
+    # in the trace core, validates the rotation system once, and
+    # searches components and 2-colours the graph once each.
     counted = {real.__name__: count_calls(real)
-               for real in (embeddings.trace_faces,
+               for real in (embeddings.face_successors,
                             embeddings.validate_embedding,
                             graphs.connected_components, graphs.is_bipartite)}
     for route, certificates in (("direct", 4), ("removal", 5)):
@@ -239,7 +255,7 @@ def test_full_traces_per_build_stay_a_few(count_calls):
 
 def test_base_block_is_traced_once(count_calls):
     # _scheme_reservoir reads the families off the certificate's trace
-    calls = count_calls(embeddings.trace_faces)
+    calls = count_calls(embeddings.face_successors)
     for r in (2, 14):
         calls.clear()
         embed_K2r2r(r)
@@ -247,13 +263,92 @@ def test_base_block_is_traced_once(count_calls):
 
 
 def test_embed_family_builds_the_product_once(count_calls):
-    # classify_family validates the atoms without building the product;
-    # the one build is the reference the result is compared with
+    # classify_family validates the atoms without building the product,
+    # and check_family_graph streams the expected product vertex by
+    # vertex: no product graph is ever built
     calls = count_calls(graphs.build_family)
+    products = count_calls(graphs.cartesian_product)
     for route in ("direct", "removal"):
         calls.clear()
         embed_family("Q(2,4) x C(4) x P(4)", route=route)
-        assert len(calls) <= 1, (route, len(calls))
+        assert (len(calls), len(products)) == (0, 0), route
+
+
+def accepts(graph: Graph, expr: str) -> bool:
+    try:
+        check_family_graph(graph, expr)
+    except ConstructionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("expr", [
+    "Q(1,2)", "Q(1,4)", "Q(3,2)", "Q(2,4)", "Q(1,2) x C(4)",
+    "Q(1,2) x P(2)", "Q(1,4) x P(4) x C(4)", "Q(1,2) x C(4) x P(2) x C(6)",
+    "Q(2,6) x C(4)", "Q(1,6) x P(6)"])
+def test_family_check_agrees_with_the_label_reference(expr):
+    # r = 1, mixed cycles and paths, and Q(2,6) x C(4); both routes
+    for route in ("direct", "removal"):
+        graph = embed_family(expr, route=route)[0].embedding.graph
+        assert accepts(graph, expr)
+        assert same_labeled_graph(graph, build_family(expr))
+
+
+def test_family_check_pins_the_numbering():
+    # build_family numbers the first factor as the most significant
+    # digit: the same labelled graph, which the label reference accepts
+    # and the streaming check refuses
+    expr = "Q(1,4) x C(4)"
+    reference = build_family(expr)
+    assert same_labeled_graph(reference,
+                              embed_family(expr)[0].embedding.graph)
+    assert not accepts(reference, expr)
+    assert accepts(build_family("K(4,4)"), "K(4,4)")  # one factor agrees
+
+
+def _moved_edge(g: Graph) -> Graph:
+    """g with its first edge (u, v) replaced by (u, w), w the least
+    vertex not adjacent to u."""
+    (u, v) = next(g.edges())
+    w = min(set(range(g.n)) - set(g.adj[u]) - {u})
+    adj = [set(nbrs) for nbrs in g.adj]
+    adj[u] -= {v}
+    adj[v] -= {u}
+    adj[u] |= {w}
+    adj[w] |= {u}
+    return Graph(g.n, tuple(tuple(sorted(a)) for a in adj), g.labels)
+
+
+def _swapped_labels(g: Graph) -> Graph:
+    labels = list(g.labels)
+    labels[0], labels[1] = labels[1], labels[0]
+    return dataclasses.replace(g, labels=tuple(labels))
+
+
+def _vertex_dropped(g: Graph) -> Graph:
+    last = g.n - 1
+    return Graph(last, tuple(tuple(u for u in g.adj[v] if u != last)
+                             for v in range(last)), g.labels[:last])
+
+
+def _vertex_added(g: Graph) -> Graph:
+    # an extra isolated vertex after the product's own
+    return Graph(g.n + 1, g.adj + ((),), g.labels + (("extra",),))
+
+
+@pytest.mark.parametrize("mutate,refusal", [
+    (_moved_edge, "has neighbours"), (_swapped_labels, "has label"),
+    (_vertex_dropped, "vertices"), (_vertex_added, "vertices")])
+@pytest.mark.parametrize("expr", ["Q(1,4) x C(4) x P(2)", "Q(2,2)"])
+def test_family_check_refuses_a_mutated_graph(mutate, refusal, expr):
+    # each mutation is refused by its own check: the vertex count, the
+    # label or the sorted neighbours of one vertex
+    original = embed_family(expr)[0].embedding.graph
+    graph = mutate(original)
+    assert graph != original
+    with pytest.raises(ConstructionError, match=refusal):
+        check_family_graph(graph, expr)
+    assert not same_labeled_graph(graph, build_family(expr))
 
 
 def test_classify_family_normalizes_order():

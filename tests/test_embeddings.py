@@ -1,16 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quadgenus.embeddings import (Embedding, canonical_face,
+from quadgenus.embeddings import (Embedding, _orbits, canonical_face,
                                   canonical_json_bytes,
                                   certificate_from_json_dict,
                                   certificate_to_json_dict,
                                   components_certificate,
                                   embedding_from_json_dict,
                                   embedding_to_json_dict, euler_genus,
-                                  genus_lower_bound, is_quadrilateral, mirror,
+                                  face_lengths, genus_lower_bound, is_quadrilateral, mirror,
                                   subembedding, trace_faces,
                                   validate_embedding)
 from quadgenus.errors import (EmbeddingError, InvalidParameterError,
@@ -255,3 +255,49 @@ def rotations_of_small_graphs(draw):
 def test_trace_faces_matches_tuple_tracer(e):
     # faces, their order and their start darts all agree
     assert trace_faces(e).faces == tuple_trace(e)
+
+
+@settings(derandomize=True)
+@given(rotations_of_small_graphs())
+def test_face_lengths_are_the_traced_face_lengths(e):
+    # the certificates' orbit lengths and trace_faces walk one successor
+    # list, in the same order
+    assert face_lengths(e) == [len(face) for face in trace_faces(e).faces]
+
+
+@st.composite
+def broken_rotations_of_small_graphs(draw):
+    """A rotation system with one row that is not a permutation of its
+    vertex's neighbours: a neighbour repeated, one left out, or one
+    replaced by the vertex itself."""
+    e = draw(rotations_of_small_graphs().filter(lambda e: e.graph.m > 0))
+    v = draw(st.sampled_from([v for v in range(e.graph.n) if e.graph.adj[v]]))
+    row = list(e.rotation[v])
+    kind = draw(st.sampled_from(["repeat", "drop", "self"]))
+    if kind == "repeat":
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(row)))
+    elif kind == "drop":
+        row.pop(draw(st.integers(0, len(row) - 1)))
+    else:
+        row[draw(st.integers(0, len(row) - 1))] = v
+    rotation = list(e.rotation)
+    rotation[v] = tuple(row)
+    return Embedding(e.graph, tuple(rotation))
+
+
+@settings(derandomize=True)
+@given(broken_rotations_of_small_graphs())
+def test_broken_rotation_is_refused_alike_on_both_paths(e):
+    with pytest.raises(EmbeddingError) as by_lengths:
+        face_lengths(e)
+    with pytest.raises(EmbeddingError) as by_faces:
+        trace_faces(e)
+    assert str(by_lengths.value) == str(by_faces.value)
+    assert str(by_lengths.value) == "; ".join(validate_embedding(e))
+
+
+@pytest.mark.parametrize("succ", [[1, 1], [0, 0, 1], [1, 2, 1]])
+def test_orbit_walk_refuses_a_non_permutation(succ):
+    # unreachable from a validated rotation system; the walk still checks
+    with pytest.raises(EmbeddingError, match="did not close"):
+        _orbits(succ)
