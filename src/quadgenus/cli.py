@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse errors, 3 invalid parameters or data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -306,7 +307,10 @@ def cmd_selftest(args) -> int:
     return 0 if good == len(outcomes) else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; every parse_args
+    call fills a fresh namespace, so no parsed state carries over."""
     parser = argparse.ArgumentParser(
         prog="quadgenus",
         description="Minimum-genus quadrilateral embeddings of repeated "

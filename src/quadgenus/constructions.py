@@ -18,17 +18,21 @@ repeatable.
 Every step runs that blueprint through one link-step body; a step only
 chooses which copies are mirrored, their coordinates, and the schedule of
 (left copy, right copy, family) links, and then harvests its own
-reservoir.  The body lays the copies out as one surgery working state,
-checks each transferred face and runs every link on it in place (each
-handle proved locally, see surgery), freezes it once, and then runs the
-step's one full retrace: the certificate, which must be quadrilateral,
-meet the lower bound and match the face ledger.  The base block is
-K(2r,2r) under one fixed rotation scheme (_scheme_rotation), certified
-like any step; its 2r face families are read off the certificate's trace
-by the scheme's own family rule (_scheme_reservoir), with no search.  Each
-step's harvest lives in the step itself, _k_step and _ring_step, and
-every reservoir is checked by surgery.check_reservoir.  Three step
-shapes cover the families:
+reservoir.  The body lays the copies straight into one surgery working
+state (Surgery.copies, from the base block's rotation, the mirrored flags
+and the coordinates; no union Embedding is built first).  It moves each
+family the schedule uses into every copy by shifting its vertex tuples,
+reversed in a mirrored copy, and checks every moved face against the
+state.  It runs every link on that state in place (each handle proved
+locally, see surgery), freezes it once, and then runs the step's one full
+retrace: the certificate, which must be quadrilateral, meet the lower
+bound and match the face ledger.  The base block is K(2r,2r) under one
+fixed rotation scheme (_scheme_rotation), certified like any step; its 2r
+face families are read off the certificate's trace by the scheme's own
+family rule (_scheme_reservoir), with no search.  Each step's harvest
+lives in the step itself, _k_step and _ring_step, and every reservoir is
+checked by surgery.check_reservoir.  Three step shapes cover the
+families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
     "a" side, mirrored copies the "b" side; copy a_j links to copy
@@ -68,15 +72,14 @@ from math import prod
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
-                         canonical_face, certify_faces, face_lengths,
-                         trace_faces)
+                         certify_faces, face_lengths, trace_faces)
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      family_factors, iter_atoms, make_complete_bipartite,
                      parse_family_expr, product_sizes)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      handle_record_to_json_dict, quad_faces)
+                      handle_record_to_json_dict, quad_faces, rotate_to_least)
 
 
 @dataclass(frozen=True)
@@ -157,26 +160,6 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
 
 
-def _assemble_copies(base: Embedding, count: int, mirrored: list[bool],
-                     coords: list) -> Embedding:
-    """Disjoint copies in contiguous index blocks; copy t's vertex v is
-    t * n_base + v, its label gains coords[t] as a final coordinate."""
-    nb = base.graph.n
-    rotation: list[tuple[int, ...]] = []
-    labels: list[tuple] = []
-    for t in range(count):
-        off = t * nb
-        for v in range(nb):
-            rot = base.rotation[v]
-            if mirrored[t]:
-                rot = tuple(reversed(rot))
-            rotation.append(tuple(x + off for x in rot))
-            labels.append(base.graph.label_of(v) + (coords[t],))
-    adj = tuple(tuple(sorted(rot)) for rot in rotation)
-    graph = Graph(nb * count, adj, tuple(labels))
-    return Embedding(graph, tuple(rotation))
-
-
 def _transfer_family(family: tuple[QuadFace, ...], offset: int,
                      mirrored: bool, work: Surgery) -> tuple[QuadFace, ...]:
     """Re-anchor a base-reservoir family inside one copy of the union.
@@ -186,11 +169,12 @@ def _transfer_family(family: tuple[QuadFace, ...], offset: int,
     caught here rather than surfacing later as a failed link."""
     out = []
     for face in family:
-        verts = face.vertices if not mirrored else tuple(reversed(face.vertices))
-        shifted = tuple(x + offset for x in verts)
-        key = canonical_face(
-            [(shifted[k], shifted[(k + 1) % 4]) for k in range(4)])
-        moved = QuadFace(tuple(u for (u, _) in key))
+        a, b, c, d = face.vertices
+        a, b, c, d = a + offset, b + offset, c + offset, d + offset
+        # a mirrored copy traces the boundary backwards: (d, c, b, a),
+        # which read from a is (a, d, c, b)
+        cycle = (a, d, c, b) if mirrored else (a, b, c, d)
+        moved = QuadFace(rotate_to_least(cycle))
         if not work.is_face(moved):
             raise ConstructionError(
                 f"face {face.vertices} did not transfer into the copy at "
@@ -240,7 +224,7 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
         raise ConstructionError(
             f"{tag}: step needs {n_fams} families, reservoir has "
             f"{len(base.reservoir)}")
-    work = Surgery(_assemble_copies(base.embedding, count, mirrored, coords))
+    work = Surgery.copies(base.embedding, mirrored, coords)
     fams = [
         [_transfer_family(base.reservoir[k], t * nb, mirrored[t], work)
          for k in range(n_fams)]

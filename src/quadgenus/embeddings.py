@@ -102,13 +102,6 @@ def _require_valid(e: Embedding) -> None:
         raise EmbeddingError("; ".join(problems))
 
 
-def canonical_face(darts) -> tuple[Dart, ...]:
-    """Rotate a dart cycle so it starts at its least dart."""
-    darts = list(darts)
-    k = darts.index(min(darts))
-    return tuple(darts[k:] + darts[:k])
-
-
 class DartIndex:
     """Integer ids for the darts of a graph: ``out[v][u]`` is the id of
     (v, u) and ``size`` the number of darts."""

@@ -23,26 +23,32 @@ The rotation splice is local: each new edge enters the rotation at its
 endpoint between the two boundary darts of the consumed face there, so
 only the sixteen darts of the four created faces change their successor
 (the eight consumed darts and the eight new ones).  Surgery is the working
-state that exploits this: it edits the rotations of the eight touched
-vertices in place and proves each handle locally instead of retracing.
-It walks the four created faces, requires each to close as the expected
-quadrilateral and all four together to cover exactly the changed darts,
-which pins the deltas at m +4, f +2, chi -2; removal proves the two
-reinstated faces the same way.  The proof compares sets of integer dart
-keys, u * n + v for the dart (u, v), read straight off the faces' vertex
-tuples.  Faces not involved stay faces, so callers may keep face handles
-across many operations as long as each face is consumed at most once, and
-freeze the state into an Embedding only when they need one.
+state that exploits this.  It holds each rotation as successor entries,
+one neighbour -> next neighbour dict per vertex, so a splice is two dict
+writes per endpoint and a face corner is one lookup.  It edits the
+entries of the eight touched vertices in place and proves each handle
+locally instead of retracing: the darts the splice changed must be
+exactly the eight darts of the consumed faces, each of the four created
+faces must close as the expected quadrilateral, and their sixteen darts
+must be exactly the changed darts plus the eight new ones, which pins the
+deltas at m +4, f +2, chi -2; removal proves the two reinstated faces the
+same way.  The proof runs on integer dart keys, u * n + v for the dart
+(u, v), read straight off the faces' vertex tuples.  Faces not involved
+stay faces, so callers may keep face handles across many operations as
+long as each face is consumed at most once, and freeze the state into an
+Embedding only when they need one.  A construction step lays its copies
+of a block straight into one working state (Surgery.copies) and freezes
+it once, after its last link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (ConstructionError, InvalidParameterError, LinkError,
                      SurgeryError)
-from .embeddings import Dart, Embedding, FaceSet, canonical_face
+from .embeddings import Dart, Embedding, FaceSet
 from .graphs import Graph
 
 
@@ -84,6 +90,26 @@ def quad_faces(faces: FaceSet) -> list[QuadFace]:
     return out
 
 
+def rotate_to_least(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """A vertex cycle rotated to start at its least vertex.  For a face
+    with distinct vertices that is its least dart, the start every traced
+    face has."""
+    i = cycle.index(min(cycle))
+    return cycle[i:] + cycle[:i]
+
+
+def _closes(after: list[dict[int, int]], quad: tuple[int, ...]) -> bool:
+    """Each corner of the vertex cycle `quad` follows the rotation: the
+    dart after (a, b) is (b, c) for consecutive vertices a, b, c, that is,
+    c follows a at b."""
+    a, b = quad[-2], quad[-1]
+    for c in quad:
+        if after[b].get(a) != c:
+            return False
+        a, b = b, c
+    return True
+
+
 def _tiles(faces: Sequence[QuadFace], keys: set[int], n: int) -> bool:
     """The faces are dart-disjoint and their darts, keyed u * n + v, are
     exactly `keys`."""
@@ -97,127 +123,154 @@ def _tiles(faces: Sequence[QuadFace], keys: set[int], n: int) -> bool:
 class Surgery:
     """A mutable embedding for a run of handle operations.
 
-    Holds one rotation list and one neighbour -> position dict per
-    vertex, plus the edge count; add and remove change only the rows of
-    the eight vertices they touch, and freeze() returns the Embedding.
-    add and remove check their preconditions before changing anything,
-    so a refused handle leaves the state as it was.  A failed local proof
-    raises SurgeryError with the state half changed; discard it then.
+    Holds the rotation as successor entries, after[x][u] = the neighbour
+    that follows u at x, one dict per vertex; the neighbour each frozen
+    rotation row starts at; the labels and the edge count.  add and
+    remove change only the entries of the eight vertices they touch, and
+    freeze() walks each vertex's cycle into the Embedding's rows.  Build
+    it from an Embedding, or lay copies of one straight into it with
+    Surgery.copies.  add and remove check their preconditions before
+    changing anything, so a refused handle leaves the state as it was.  A
+    failed local proof raises SurgeryError with the state half changed;
+    discard it then.
     """
 
     def __init__(self, e: Embedding):
-        self.n = e.graph.n
-        self.labels = e.graph.labels
-        self.rotation = [list(rot) for rot in e.rotation]
-        self.pos = [{u: i for i, u in enumerate(rot)} for rot in e.rotation]
-        self.m = e.graph.m
+        self._adopt(e.graph.n, e.graph.labels, e.rotation, e.graph.m)
+
+    @classmethod
+    def copies(cls, base: Embedding, mirrored: Sequence[bool],
+               coords: Sequence) -> Surgery:
+        """Disjoint copies of `base` in contiguous index blocks, one per
+        entry of `mirrored`: copy t's vertex v is t * n_base + v, its
+        rotation is v's in `base`, reversed where mirrored[t], and its
+        label is v's label with coords[t] appended."""
+        nb = base.graph.n
+        base_labels = [base.graph.label_of(v) for v in range(nb)]
+        labels: list[tuple] = []
+        for t in range(len(mirrored)):
+            coord = (coords[t],)
+            labels += [label + coord for label in base_labels]
+        rows = ([x + t * nb for x in (reversed(rot) if flip else rot)]
+                for t, flip in enumerate(mirrored) for rot in base.rotation)
+        work = cls.__new__(cls)
+        work._adopt(nb * len(mirrored), tuple(labels), rows,
+                    base.graph.m * len(mirrored))
+        return work
+
+    def _adopt(self, n: int, labels, rows: Iterable[Sequence[int]],
+               m: int) -> None:
+        """Take the rotation rows, read once in vertex order, as successor
+        entries; each row's first neighbour is where freeze starts it."""
+        self.n = n
+        self.labels = labels
+        self.after: list[dict[int, int]] = []
+        self.first: list[int | None] = []
+        for rot in rows:
+            self.after.append(dict(zip(rot, rot[1:] + rot[:1])))
+            self.first.append(rot[0] if rot else None)
+        self.m = m
 
     def is_face(self, face: QuadFace) -> bool:
         """Check the 4 corners of `face` against the successor rule."""
-        v = face.vertices
-        for k in range(4):
-            a, b, c = v[k - 1], v[k], v[(k + 1) % 4]
-            i = self.pos[b].get(a)
-            if i is None:
-                return False
-            rot = self.rotation[b]
-            if rot[(i + 1) % len(rot)] != c:
-                return False
-        return True
+        return _closes(self.after, face.vertices)
 
-    def _insert(self, x: int, after: int, u: int) -> int:
-        """Put u right after `after` in the rotation at x; returns the key
-        of the dart into x whose successor this changes."""
-        rot, pos = self.rotation[x], self.pos[x]
-        i = pos[after] + 1
-        rot.insert(i, u)
-        for j in range(i, len(rot)):
-            pos[rot[j]] = j
-        return rot[i - 1] * self.n + x
+    def _splice(self, v: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
+        """Lay the handle's edges vk - wk into the rotations, each between
+        the consumed faces' boundary darts at its ends: after v(k-1) at
+        vk, and after w(k+1) at wk.  Returns the keys of the darts whose
+        successor this changes, one per insertion: the dart into the
+        endpoint from the neighbour the new edge now follows."""
+        n, after = self.n, self.after
+        v0, v1, v2, v3 = v
+        w0, w1, w2, w3 = w
+        changed = []
+        for x, p, u in zip((v0, v1, v2, v3, w0, w1, w2, w3),
+                           (v3, v0, v1, v2, w1, w2, w3, w0),
+                           (w0, w1, w2, w3, v0, v1, v2, v3)):
+            at = after[x]
+            at[u] = at[p]
+            at[p] = u
+            changed.append(p * n + x)
+        return changed
 
     def _delete(self, x: int, u: int) -> int:
         """Take u out of the rotation at x; returns the key of the dart
         into x whose successor this changes."""
-        rot, pos = self.rotation[x], self.pos[x]
-        i = pos.pop(u)
-        del rot[i]
-        for j in range(i, len(rot)):
-            pos[rot[j]] = j
-        return rot[i - 1] * self.n + x
-
-    def _prove(self, gone: Sequence[QuadFace], made: Sequence[QuadFace],
-               before: set[int], after: set[int]) -> None:
-        """Local proof of a splice.  `before` and `after` are the darts
-        whose successor the splice changed, with the removed darts added to
-        `before` and the new ones to `after`; every other dart keeps its
-        face.  The `gone` faces were current before the splice; if their
-        darts are exactly `before`, they are the only faces it destroyed.
-        If every `made` face is current now and their darts are exactly
-        `after`, they are the only faces it created.  The face count then
-        changed by len(made) - len(gone).  Darts are keyed u * n + v."""
-        if not _tiles(gone, before, self.n):
-            raise SurgeryError("splice touched darts outside the faces it "
-                               "consumed")
-        for face in made:
-            if not self.is_face(face):
-                raise SurgeryError(
-                    f"face {face.vertices} did not close after the splice")
-        if not _tiles(made, after, self.n):
-            raise SurgeryError("faces closed by the splice do not cover the "
-                               "darts it changed")
+        at = self.after[x]
+        p = u
+        while at[p] != u:
+            p = at[p]
+        at[p] = at.pop(u)
+        if self.first[x] == u:
+            self.first[x] = at[p]
+        return p * self.n + x
 
     def add(self, f1: QuadFace, f2: QuadFace, pairing: int) -> HandleRecord:
         """Join two vertex-disjoint quadrilateral faces by a handle carrying
         four edges.  See the module docstring for the pairing convention
         and the resulting faces.
 
-        Checks, on every call: both faces are current and share no vertex,
-        none of the four edges exists, and, after the splice, the local
-        proof that the four created faces are the expected quadrilaterals
-        and the only faces changed: edge count +4, face count +2, Euler
-        characteristic -2.  If the two faces lie in different components
-        the components merge and total genus adds; within one component
-        the genus rises by one.
+        Checks, on every call and in this order: the pairing is 0..3, the
+        faces share no vertex, both are current, and none of the four
+        edges exists.  After the splice comes the local proof: the
+        changed darts are exactly the consumed faces' darts, each created
+        face closes, and the created faces' darts are exactly the changed
+        and the added ones; so the four created faces are the only faces
+        changed: edge count +4, face count +2, Euler characteristic -2.
+        If the two faces lie in different components the components merge
+        and total genus adds; within one component the genus rises by one.
         """
         if pairing not in (0, 1, 2, 3):
             raise InvalidParameterError(
                 f"pairing must be 0..3, got {pairing}")
-        if not set(f1.vertices).isdisjoint(f2.vertices):
+        v, x = f1.vertices, f2.vertices
+        if not set(v).isdisjoint(x):
             raise SurgeryError(
                 f"faces share vertices "
                 f"{sorted(f1.vertex_set & f2.vertex_set)}")
-        for face in (f1, f2):
-            if not self.is_face(face):
-                raise SurgeryError(f"face {face.vertices} is not a face of "
-                                   f"the current embedding")
-        v = f1.vertices
-        w = tuple(f2.vertices[(pairing - k) % 4] for k in range(4))
+        after, n = self.after, self.n
+        for face in (v, x):
+            if not _closes(after, face):
+                raise SurgeryError(f"face {face} is not a face of the "
+                                   f"current embedding")
+        # wk = F2.vertices[(pairing - k) mod 4]: F2 walked backwards
+        w = (x[pairing], x[pairing - 1], x[pairing - 2], x[pairing - 3])
         for k in range(4):
-            if w[k] in self.pos[v[k]]:
+            if w[k] in after[v[k]]:
                 raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
 
-        # New edge vk - wk sits between the consumed faces' boundary darts:
-        # after v(k-1) at vk, and after w(k+1) at wk.
-        n = self.n
-        changed = set()
-        for k in range(4):
-            changed.add(self._insert(v[k], v[k - 1], w[k]))
-            changed.add(self._insert(w[k], w[(k + 1) % 4], v[k]))
-        added = {key for k in range(4)
-                 for key in (v[k] * n + w[k], w[k] * n + v[k])}
-        created = []
-        for k in range(4):
-            # face k rotated to its least vertex: with four distinct
-            # vertices that is its least dart, as canonical_face picks
-            quad = (v[k], v[(k + 1) % 4], w[(k + 1) % 4], w[k])
-            i = quad.index(min(quad))
-            created.append(QuadFace(quad[i:] + quad[:i]))
-        self._prove((f1, f2), created, changed, changed | added)
+        changed = set(self._splice(v, w))
+        v0, v1, v2, v3 = v
+        w0, w1, w2, w3 = w
+        # F1's darts run v(k-1) -> vk; F2 walked backwards is w, so its
+        # darts run w(k+1) -> wk
+        if changed != {v3 * n + v0, v0 * n + v1, v1 * n + v2, v2 * n + v3,
+                       w1 * n + w0, w2 * n + w1, w3 * n + w2, w0 * n + w3}:
+            raise SurgeryError("splice touched darts outside the faces it "
+                               "consumed")
+        # face k is (vk, v(k+1), w(k+1), wk), rotated to its least vertex
+        created = (rotate_to_least((v0, v1, w1, w0)),
+                   rotate_to_least((v1, v2, w2, w1)),
+                   rotate_to_least((v2, v3, w3, w2)),
+                   rotate_to_least((v3, v0, w0, w3)))
+        made: set[int] = set()
+        for quad in created:
+            if not _closes(after, quad):
+                raise SurgeryError(
+                    f"face {quad} did not close after the splice")
+            a, b, c, d = quad
+            made |= {a * n + b, b * n + c, c * n + d, d * n + a}
+        changed |= {v0 * n + w0, w0 * n + v0, v1 * n + w1, w1 * n + v1,
+                    v2 * n + w2, w2 * n + v2, v3 * n + w3, w3 * n + v3}
+        if len(changed) != 16 or made != changed:
+            raise SurgeryError("faces closed by the splice do not cover the "
+                               "darts it changed")
         self.m += 4
         return HandleRecord(
             consumed=(f1, f2),
-            added_edges=tuple((v[k], w[k]) for k in range(4)),
-            created=tuple(created),
+            added_edges=((v0, w0), (v1, w1), (v2, w2), (v3, w3)),
+            created=tuple(map(QuadFace, created)),
         )
 
     def remove(self, record: HandleRecord) -> None:
@@ -233,15 +286,26 @@ class Surgery:
         n = self.n
         removed: set[int] = set()
         for (a, b) in record.added_edges:
-            if b not in self.pos[a] or a * n + b in removed:
+            if b not in self.after[a] or a * n + b in removed:
                 raise SurgeryError(f"edge ({a},{b}) not present")
             removed.update((a * n + b, b * n + a))
         changed = set()
         for (a, b) in record.added_edges:
             changed.add(self._delete(a, b))
             changed.add(self._delete(b, a))
-        self._prove(record.created, record.consumed, changed | removed,
-                    changed)
+        # The local proof, as in add: the created faces held exactly the
+        # changed and removed darts, every reinstated face closes, and
+        # their darts are exactly the changed ones.
+        if not _tiles(record.created, changed | removed, n):
+            raise SurgeryError("splice touched darts outside the faces it "
+                               "consumed")
+        for face in record.consumed:
+            if not self.is_face(face):
+                raise SurgeryError(
+                    f"face {face.vertices} did not close after the splice")
+        if not _tiles(record.consumed, changed, n):
+            raise SurgeryError("faces closed by the splice do not cover the "
+                               "darts it changed")
         self.m -= len(record.added_edges)
 
     def link(self, fam_a: tuple[QuadFace, ...], fam_b: tuple[QuadFace, ...],
@@ -264,19 +328,18 @@ class Surgery:
             raise LinkError("fam_b faces are not vertex-disjoint")
         records: list[HandleRecord] = []
         for fa in fam_a:
-            image = [x + offset for x in fa.vertices]
+            a, b, c, d = fa.vertices
+            image = (a + offset, b + offset, c + offset, d + offset)
             fb = by_vertex_set.get(frozenset(image))
             if fb is None:
                 raise LinkError(
                     f"image {sorted(image)} of face {fa.vertices} is not a "
                     f"fam_b face")
-            pairing = None
-            for a in range(4):
-                if all(fb.vertices[(a - k) % 4] == image[k]
-                       for k in range(4)):
-                    pairing = a
-                    break
-            if pairing is None:
+            # the one pairing that can send the image's first vertex to w0
+            x = fb.vertices
+            pairing = x.index(image[0])
+            if (x[pairing], x[pairing - 1], x[pairing - 2],
+                    x[pairing - 3]) != image:
                 raise LinkError(
                     f"face {fa.vertices}: offset {offset} does not reverse "
                     f"the boundary of {fb.vertices}; copies must be mirrored")
@@ -284,34 +347,61 @@ class Surgery:
         return records
 
     def freeze(self) -> Embedding:
-        adj = tuple(tuple(sorted(rot)) for rot in self.rotation)
-        return Embedding(Graph(self.n, adj, self.labels),
-                         tuple(tuple(rot) for rot in self.rotation))
+        """The Embedding of the current state.  A vertex's rotation row
+        starts where its row started when the state was made (or, once
+        that neighbour is removed, at the one that followed it), and its
+        adjacency is the sorted neighbours its successor entries name."""
+        rotation = []
+        for u, at in zip(self.first, self.after):
+            row = []
+            for _ in range(len(at)):
+                row.append(u)
+                u = at[u]
+            rotation.append(tuple(row))
+        adj = tuple(tuple(sorted(at)) for at in self.after)
+        return Embedding(Graph(self.n, adj, self.labels), tuple(rotation))
 
 
 def check_reservoir(e: Embedding,
                     reservoir: Sequence[tuple[QuadFace, ...]]) -> None:
     """Families must be pairwise face-disjoint; within a family, faces are
-    vertex-disjoint and tile the whole vertex set."""
+    vertex-disjoint and tile the whole vertex set.
+
+    A face is keyed by its vertex tuple rotated to the least vertex, and
+    each family marks the vertices it covers in one bytearray; a vertex
+    outside 0..n-1 covers nothing and is kept apart, so it is refused as
+    a cover that misses the vertex set."""
+    n = e.graph.n
     seen_faces: set[tuple[int, ...]] = set()
     for fam in reservoir:
-        covered: set[int] = set()
+        covered = bytearray(n)
+        outside: set[int] = set()
         for face in fam:
-            key = canonical_face(face.darts())
+            quad = face.vertices
+            key = rotate_to_least(quad)
             if key in seen_faces:
                 raise ConstructionError(
-                    f"face {face.vertices} appears in two families")
+                    f"face {quad} appears in two families")
             seen_faces.add(key)
-            if covered & face.vertex_set:
-                raise ConstructionError(
-                    f"family faces overlap at "
-                    f"{sorted(covered & face.vertex_set)}")
-            covered |= face.vertex_set
-        if covered != set(range(e.graph.n)):
-            missing = sorted(set(range(e.graph.n)) - covered)[:8]
+            a, b, c, d = quad
+            if key[0] >= 0 and max(quad) < n and not (
+                    covered[a] or covered[b] or covered[c] or covered[d]):
+                covered[a] = covered[b] = covered[c] = covered[d] = 1
+                continue
+            overlap = sorted(x for x in quad if (covered[x] if 0 <= x < n
+                                                 else x in outside))
+            if overlap:
+                raise ConstructionError(f"family faces overlap at {overlap}")
+            for x in quad:
+                if 0 <= x < n:
+                    covered[x] = 1
+                else:
+                    outside.add(x)
+        if outside or 0 in covered:
+            missing = [x for x in range(n) if not covered[x]][:8]
             raise ConstructionError(
-                f"family covers {len(covered)} of {e.graph.n} vertices "
-                f"(first missing: {missing})")
+                f"family covers {covered.count(1) + len(outside)} of {n} "
+                f"vertices (first missing: {missing})")
 
 
 def handle_record_to_json_dict(rec: HandleRecord) -> dict:

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import time
 
@@ -104,6 +106,31 @@ def test_embed_writes_verifiable_artifacts(capsys, tmp_path):
     assert code == 0 and "certificate-match" in out
 
 
+def test_main_calls_share_one_parser_and_no_parsed_state(capsys, tmp_path,
+                                                          monkeypatch):
+    out_dir = tmp_path / "e"
+    assert run(capsys, "embed", "K(2,2) x C(4)", "--out", str(out_dir))[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "quadgenus":
+            built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _ = run(capsys, "verify", "--json", str(out_dir))
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, out, _ = run(capsys, "verify", str(out_dir))
+    assert code == 0 and out.startswith("ok: ") and "certificate-match" in out
+    code, out, _ = run(capsys, "embed", "K(2,2) x C(4)")
+    assert code == 0 and out.startswith("K(2,2) x C(4): genus=")
+    code, out, _ = run(capsys, "embed", "--json", "K(2,2) x C(4)")
+    assert code == 0 and json.loads(out)["genus"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e"]
+    assert len(built) <= 1
+
+
 def test_embed_records_factor_permutation(capsys, tmp_path):
     out_dir = tmp_path / "e"
     code, _, _ = run(capsys, "embed", "C(4) x K(4,4)", "--out", str(out_dir))
@@ -154,6 +181,76 @@ def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
     # one component search in the exhaustive search's own refusal of
     # disconnected graphs, one in the lower bound; one colouring, the bound's
     assert (len(searches), len(colourings)) == (2, 1)
+
+
+# sha256 of embedding.json, certificate.json and handles.json from
+# `embed EXPR --out DIR`.  A change to the face order, a rotation row that
+# starts at another neighbour or a handle laid in another order changes
+# them; the canonical artifact form is meant to change only on purpose.
+EMBED_DIGESTS = {
+    "Q(3,4)": (
+        "01f6356b8e47933cf7d298600f9332a0753676a1d7993b6843cd87a45c4ae3d1",
+        "90d2ba02399357df833a93b907a7f1ab5963ca489ea22eb24d5f252553f1700c",
+        "edf93e0db4932c9ccb1f34e34938167598789a4dfca88c2c034bc763a340eb6d"),
+    "Q(2,6) x C(4)": (
+        "09ac0d663f9d9babd23c14c6401d2b6933768c9b80a20e374783995a5a0eddf6",
+        "c727de16e8cb7377cdfa6be2743792dc44c8be62a990e5849c3117ff2fbdff11",
+        "f1b4cd69a4b2fb2f5a56ba35e1b871d88f5fdf8f5647def9ec718dcbe4aca088"),
+    "Q(2,4) x C(4) x P(4)": (
+        "1a5bce4f90a0e65020dd919d2d504ed1ba47e670f37ae26f1dcb099cf177af47",
+        "5560aeb739a49f994a074d100b57f61f5f15ab684485959d08384e56c9d482b8",
+        "e5de8c80d7e6c20612df2dc0b56396fcaf0300bac633403302474f5d224ff673"),
+    "K(4,4) x C(6)": (
+        "f31ea95f3963c8dfb262a3fcda5c72dd1518b72ae56a8f6fed87ad726d35c01f",
+        "d23265262941713ed093c5ded9c3b0a04c91b867a74a87dfc2602cdc82bdc536",
+        "70cc491da3925318d4d33b66412be526702cef999f5d9109342430cdbbcd45a3"),
+    "Q(2,8)": (
+        "c5ca0ed633e1eb97224b6297a2b2ddc62ccf16fc98fdcb156d6fae9a8466d8da",
+        "2e1c20789d1dd50baf50c05170edac26fd9165d454bb5cdb5110e828d100c93e",
+        "a3c371af5aa8844e646ce0c0dd233b51352becdcc7a85501029546f14a95464c"),
+    "K(2,2) x P(2) x C(4)": (
+        "20b6557cfdab8618391b2aaeaf3ccaa8938500eeeb369287fe92cb670f069282",
+        "8d7aa89a0f7a9c85fe77b27b1f30fcda80038cd59fe4a2fa626bdf7d17ee52a8",
+        "482777adfbcfd7c087057b945c866fca65c9ad0909d52f0b78d94b03b67e9a9d"),
+}
+
+# sha256 of criterion_01.json .. criterion_09.json from
+# `selftest --seed 0 --out DIR`; criterion 6 records 4897 rejected
+# proposals, so the handle preconditions refuse the same draws.
+SELFTEST_DIGESTS = (
+    "fe6a8f4375dcda0557a544fcd843d546e66dab1cdbc97a82e8e8fdbf209f0051",
+    "df6736b3dd3be20366f089596d07a4d7d4af6e4794a82a4d09f38dd0f33792e3",
+    "48e91c560d2d270ba1bd27f731a4b2e1c22a2c68ca302b9672344bb01a1ed694",
+    "95c4a4e63c146393abfec4f92e50250d08042123a2ee5160556181fd14b6f469",
+    "f385657aaef7acb515a71ac785c6fbd8bc64a24281c154ecd33d30e8bfe598b0",
+    "2ab52f30b5f9df28adf44d0bab77b16dd097b13124099c32dd7e5b224650d979",
+    "d4dc6a76497c16d0f541639d4a32f802cf061ce32562690a0756ae613a3f260e",
+    "940827be98c67b2306ff90519cfba9071c2938b676a37bcc5aaa22c5966fc79a",
+    "535c666f3003400f8dd3315b65d88bdcc3bce8cc397e2beca524f714905fbcec",
+)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("expr", sorted(EMBED_DIGESTS))
+def test_embed_artifacts_match_pinned_digests(capsys, tmp_path, expr):
+    code, _, _ = run(capsys, "embed", expr, "--out", str(tmp_path))
+    assert code == 0
+    assert tuple(_sha256(tmp_path / name) for name in (
+        "embedding.json", "certificate.json", "handles.json")) == \
+        EMBED_DIGESTS[expr]
+
+
+def test_selftest_artifacts_match_pinned_digests(capsys, tmp_path):
+    code, _, _ = run(capsys, "selftest", "--seed", "0", "--out",
+                     str(tmp_path))
+    assert code == 0
+    assert json.loads((tmp_path / "criterion_06.json").read_text())[
+        "details"]["rejected_proposals"] == 4897
+    assert tuple(_sha256(tmp_path / f"criterion_{k:02d}.json")
+                 for k in range(1, 10)) == SELFTEST_DIGESTS
 
 
 def test_embed_artifacts_are_byte_identical_across_runs(capsys, tmp_path):

@@ -5,9 +5,9 @@ import pytest
 
 from quadgenus import embeddings, graphs
 from quadgenus.constructions import (_check_level, _scheme_reservoir,
-                                     _scheme_rotation, check_family_graph,
-                                     classify_family, embed_cube,
-                                     embed_family, embed_K2r2r)
+                                     _scheme_rotation, _transfer_family,
+                                     check_family_graph, classify_family,
+                                     embed_cube, embed_family, embed_K2r2r)
 from quadgenus.embeddings import (Embedding, genus_lower_bound,
                                   is_quadrilateral, trace_faces,
                                   validate_embedding)
@@ -15,7 +15,7 @@ from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               UnsupportedFamilyError)
 from quadgenus.graphs import Graph, build_family, make_complete_bipartite
 from quadgenus.oracle import certify_minimum
-from quadgenus.surgery import check_reservoir, quad_faces
+from quadgenus.surgery import Surgery, check_reservoir, quad_faces
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
@@ -119,6 +119,62 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
     assert is_quadrilateral(faces)
     with pytest.raises(ConstructionError):
         _scheme_reservoir(emb, faces)
+
+
+def assemble_copies(base: Embedding, count: int, mirrored: list[bool],
+                    coords: list) -> Embedding:
+    """Reference for Surgery.copies: disjoint copies in contiguous index
+    blocks; copy t's vertex v is t * n_base + v, its label gains coords[t]
+    as a final coordinate."""
+    nb = base.graph.n
+    rotation: list[tuple[int, ...]] = []
+    labels: list[tuple] = []
+    for t in range(count):
+        off = t * nb
+        for v in range(nb):
+            rot = base.rotation[v]
+            if mirrored[t]:
+                rot = tuple(reversed(rot))
+            rotation.append(tuple(x + off for x in rot))
+            labels.append(base.graph.label_of(v) + (coords[t],))
+    adj = tuple(tuple(sorted(rot)) for rot in rotation)
+    graph = Graph(nb * count, adj, tuple(labels))
+    return Embedding(graph, tuple(rotation))
+
+
+COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2).embedding,
+              "K(6,6)": lambda: embed_K2r2r(3).embedding,
+              "Q(2,2)": lambda: embed_cube(2, 1).embedding}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_BASES))
+@pytest.mark.parametrize("mirrored,coords", [
+    ([False], [0]),
+    ([False, True], [0, 1]),
+    ([True, False, False, True], [0, 1, 2, 3]),
+    ([False, False, True, True], ["a0", "a1", "b0", "b1"]),
+    ([True, True, False], ["x", 7, "y"]),
+])
+def test_copies_lay_out_the_reference_union(name, mirrored, coords):
+    base = COPY_BASES[name]()
+    work = Surgery.copies(base, mirrored, coords)
+    union = assemble_copies(base, len(mirrored), mirrored, coords)
+    assert work.freeze() == union
+    reference = Surgery(union)
+    assert (work.after, work.first, work.m) == (
+        reference.after, reference.first, reference.m)
+
+
+def test_transfer_refuses_a_family_moved_with_the_wrong_flag():
+    base = embed_K2r2r(2)
+    nb = base.embedding.graph.n
+    work = Surgery.copies(base.embedding, [False, True], [0, 1])
+    family = base.reservoir[0]
+    assert len(_transfer_family(family, nb, True, work)) == len(family)
+    with pytest.raises(ConstructionError, match="did not transfer"):
+        _transfer_family(family, nb, False, work)
+    with pytest.raises(ConstructionError, match="did not transfer"):
+        _transfer_family(family, 0, True, work)
 
 
 def test_cube_two_levels_frozen():

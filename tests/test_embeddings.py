@@ -3,8 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadgenus.embeddings import (Embedding, _orbits, canonical_face,
-                                  canonical_json_bytes,
+from quadgenus.embeddings import (Embedding, _orbits, canonical_json_bytes,
                                   certificate_from_json_dict,
                                   certificate_to_json_dict,
                                   components_certificate,
@@ -40,11 +39,6 @@ def test_faces_are_canonical_and_indexable():
     idx = {f: i for i, f in enumerate(fs.faces)}
     assert idx[fs.faces[1]] == 1
     assert tuple(u for (u, _) in fs.faces[0]) == (0, 2, 1, 3)
-
-
-def test_canonical_face_rotates_to_least_dart():
-    darts = [(2, 1), (1, 0), (0, 2)]
-    assert canonical_face(darts) == ((0, 2), (2, 1), (1, 0))
 
 
 def test_each_dart_used_exactly_once():

@@ -3,15 +3,22 @@ from hypothesis import given, settings, strategies as st
 
 from quadgenus import constructions
 from quadgenus.constructions import embed_cube, embed_K2r2r
-from quadgenus.embeddings import (Embedding, canonical_face, euler_genus,
-                                  trace_faces)
+from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               LinkError, SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
-from quadgenus.surgery import QuadFace, Surgery, check_reservoir, quad_faces
+from quadgenus.surgery import (QuadFace, Surgery, check_reservoir, quad_faces,
+                               rotate_to_least)
 
 K44_ROT = ((4, 5, 6, 7), (7, 6, 5, 4), (4, 5, 6, 7), (7, 6, 5, 4),
            (0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3), (3, 2, 1, 0))
+
+
+def canonical_face(darts) -> tuple:
+    """Reference: rotate a dart cycle so it starts at its least dart."""
+    darts = list(darts)
+    k = darts.index(min(darts))
+    return tuple(darts[k:] + darts[:k])
 
 
 def k44() -> Embedding:
@@ -44,6 +51,14 @@ def removed(e: Embedding, record) -> Embedding:
 def test_quad_face_requires_four_distinct():
     with pytest.raises(InvalidParameterError):
         QuadFace((0, 1, 0, 2))
+
+
+def test_rotate_to_least_matches_the_least_dart():
+    assert rotate_to_least((2, 1, 0)) == (0, 2, 1)
+    for cycle in ((2, 1, 0, 3), (0, 3, 2, 1), (5, 9, 4, 7), (7, 8, 9, 6)):
+        darts = [(cycle[k], cycle[(k + 1) % 4]) for k in range(4)]
+        assert canonical_face(darts) == QuadFace(
+            rotate_to_least(cycle)).darts()
 
 
 def test_add_handle_deltas_and_created_faces():
@@ -221,6 +236,30 @@ def test_check_reservoir_flags_overlap():
         check_reservoir(k44(), doubled)
 
 
+def test_check_reservoir_flags_a_face_under_two_rotations():
+    # one face of family 0 turns up again in family 1, its vertex tuple
+    # rotated to start elsewhere; the key is the tuple rotated to its
+    # least vertex, so both name the same face
+    reservoir = embed_K2r2r(2).reservoir
+    face = reservoir[0][0]
+    again = QuadFace(face.vertices[1:] + face.vertices[:1])
+    moved = (again,) + tuple(f for f in reservoir[1]
+                             if f.vertex_set != face.vertex_set)
+    with pytest.raises(ConstructionError, match="appears in two families"):
+        check_reservoir(k44(), (reservoir[0], moved))
+
+
+def test_check_reservoir_refuses_a_vertex_outside_the_graph():
+    # -1 must not stand in for vertex 7 (a bytearray would read it so)
+    fam = embed_K2r2r(2).reservoir[0]
+    face = next(f for f in fam if 7 in f.vertices)
+    wrong = QuadFace(tuple(-1 if x == 7 else x for x in face.vertices))
+    bad = tuple(wrong if f is face else f for f in fam)
+    with pytest.raises(ConstructionError, match=r"family covers 8 of 8 "
+                       r"vertices \(first missing: \[7\]\)"):
+        check_reservoir(k44(), (bad,))
+
+
 def test_check_reservoir_flags_partial_cover():
     reservoir = embed_K2r2r(2).reservoir
     half = (reservoir[0][:1],)
@@ -303,19 +342,19 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     work = Surgery(e)
-    insert = Surgery._insert
+    splice = Surgery._splice
 
-    def misplaced(self, x, after, u):
-        changed = insert(self, x, after, u)
-        if x == f1.vertices[0]:
-            rot, pos = self.rotation[x], self.pos[x]
-            i = pos[u]
-            j = (i + 1) % len(rot)
-            rot[i], rot[j] = rot[j], rot[i]
-            pos[rot[i]], pos[rot[j]] = i, j
+    def misplaced(self, v, w):
+        changed = splice(self, v, w)
+        # at f1.vertices[0] = v[0] the edge to u = w[0] went in after
+        # p = v[3]: turn p, u, c, d round it into p, c, u, d
+        at = self.after[f1.vertices[0]]
+        p, u = v[3], w[0]
+        c = at[u]
+        at[p], at[c], at[u] = c, u, at[c]
         return changed
 
-    monkeypatch.setattr(Surgery, "_insert", misplaced)
+    monkeypatch.setattr(Surgery, "_splice", misplaced)
     with pytest.raises(SurgeryError):
         work.add(f1, f2, 0)
     monkeypatch.undo()
@@ -330,12 +369,13 @@ def test_add_local_proof_catches_a_splice_outside_the_faces(monkeypatch):
     on_faces = set(f1.darts()) | set(f2.darts())
     u, v = next((u, v) for u in range(e.graph.n) for v in e.graph.adj[u]
                 if (u, v) not in on_faces)
-    insert = Surgery._insert
+    splice = Surgery._splice
 
-    def misreported(self, x, after, w):
-        key = insert(self, x, after, w)
-        return u * self.n + v if x == f1.vertices[0] else key
+    def misreported(self, ends, others):
+        # the dart into f1.vertices[0] is reported as (u, v)
+        return [u * self.n + v if key % self.n == f1.vertices[0] else key
+                for key in splice(self, ends, others)]
 
-    monkeypatch.setattr(Surgery, "_insert", misreported)
+    monkeypatch.setattr(Surgery, "_splice", misreported)
     with pytest.raises(SurgeryError, match="outside the faces"):
         Surgery(e).add(f1, f2, 0)
