@@ -14,8 +14,7 @@ from .constructions import (ConstructionResult, classify_family, embed_cube,
                             embed_family, embed_K2r2r)
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          components_certificate, euler_genus, face_lengths,
-                         genus_lower_bound, is_quadrilateral, mirror,
-                         trace_faces, validate_embedding)
+                         genus_lower_bound, trace_faces, validate_embedding)
 from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,
                      ExprSyntaxError, InvalidParameterError, LinkError,
                      NotApplicableError, SurgeryError, ToolError,
@@ -24,9 +23,9 @@ from .formulas import (FORMULAS, GenusValue, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,
                        hypercube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus, white_cycle_genus, white_path_genus)
-from .graphs import (Graph, build_family, cartesian_product, from_edges,
-                     is_bipartite, is_connected, make_complete_bipartite,
-                     make_cycle, make_path, parse_family_expr)
+from .graphs import (Graph, build_family, from_edges, is_bipartite,
+                     is_connected, make_complete_bipartite, make_cycle,
+                     make_path, parse_family_expr, product_graph)
 from .oracle import (OracleResult, SearchBudget, certify_minimum,
                      exhaustive_min_genus, rotation_space_size,
                      stochastic_search)

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
 from math import prod
 
 from .errors import (ConstructionError, InvalidParameterError,
@@ -76,8 +75,8 @@ from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
 from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus)
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
-                     family_factors, iter_atoms, make_complete_bipartite,
-                     parse_family_expr, product_sizes)
+                     family_factors, make_complete_bipartite,
+                     parse_family_expr, product_sizes, product_vertices)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
                       handle_record_to_json_dict, quad_faces, rotate_to_least)
 
@@ -385,7 +384,7 @@ def classify_family(expr: FamilyExpr | str) -> FamilyShape:
     steps: list[tuple[str, int]] = []
     i = 0
     r: int | None = None
-    for pos, atom in enumerate(iter_atoms(expr)):
+    for pos, atom in enumerate(expr):
         if isinstance(atom, (KAtom, CubeAtom)):
             if isinstance(atom, KAtom):
                 if atom.s != atom.t:
@@ -426,15 +425,10 @@ def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
     construction's own numbering.
 
     A step puts copy t of its base at vertices t * n_base + v and gives
-    them the new factor's label of t as a final coordinate, so the first
-    factor is the least significant digit of a vertex number and labels
-    concatenate from the first factor on.  The expected label and sorted
-    neighbours of each vertex come from family_factors alone, vertex by
-    vertex; no product graph or adjacency table is built.  A neighbour
-    along a factor differs in that digit only, by a multiple of the
-    factor's stride, so sorted neighbours are the lower neighbours along
-    the factors from last to first, then the upper ones from first to
-    last."""
+    them the new factor's label of t as a final coordinate, which is the
+    product numbering of graphs.product_vertices.  The expected label and
+    sorted neighbours of each vertex are streamed from it; no product
+    graph is built."""
     factors = [g for g, repeats in family_factors(expr)
                for _ in range(repeats)]
     n = prod(g.n for g in factors)
@@ -442,37 +436,16 @@ def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
         raise ConstructionError(
             f"constructed graph has {graph.n} vertices"
             f"{'' if graph.labels else ' and no labels'}; {expr} has {n}")
-    # per factor and digit x: x's label, and the offsets to its lower and
-    # upper neighbours along the factor
-    tables = []
-    stride = 1
-    for g in factors:
-        tables.append([(g.label_of(x),
-                        tuple((y - x) * stride for y in g.adj[x] if y < x),
-                        tuple((y - x) * stride for y in g.adj[x] if y > x))
-                       for x in range(g.n)])
-        stride *= g.n
     labels, adj = graph.labels, graph.adj
-    p = 0
-    # the digits of every factor but the first, most significant first;
-    # the first factor's digit runs fastest, in the inner loop
-    for high in product(*tables[:0:-1]):
-        high_label = sum((lab for lab, _, _ in reversed(high)), ())
-        high_lower = sum((lower for _, lower, _ in high), ())
-        high_upper = sum((upper for _, _, upper in reversed(high)), ())
-        for label, lower, upper in tables[0]:
-            label += high_label
-            nbrs = tuple([p + d
-                          for d in high_lower + lower + upper + high_upper])
-            if labels[p] != label:
-                raise ConstructionError(
-                    f"constructed graph does not match {expr}: vertex {p} "
-                    f"has label {labels[p]}, expected {label}")
-            if adj[p] != nbrs:
-                raise ConstructionError(
-                    f"constructed graph does not match {expr}: vertex {p} "
-                    f"has neighbours {adj[p]}, expected {nbrs}")
-            p += 1
+    for p, (label, nbrs) in enumerate(product_vertices(factors)):
+        if labels[p] != label:
+            raise ConstructionError(
+                f"constructed graph does not match {expr}: vertex {p} "
+                f"has label {labels[p]}, expected {label}")
+        if adj[p] != nbrs:
+            raise ConstructionError(
+                f"constructed graph does not match {expr}: vertex {p} "
+                f"has neighbours {adj[p]}, expected {nbrs}")
 
 
 def _check_level(shape: FamilyShape, level: int,
@@ -481,8 +454,8 @@ def _check_level(shape: FamilyShape, level: int,
     count 1 + m/4 - n/2 of the shape prefix (n and m from the parameters
     alone) and, where the prefix is all cube, all cycles or all paths,
     the closed form."""
-    atoms = iter_atoms(parse_family_expr(shape.normalized_expr))
-    *_, (n, m) = product_sizes(islice(atoms, level + 1))
+    atoms = parse_family_expr(shape.normalized_expr)
+    *_, (n, m) = product_sizes(atoms[:level + 1])
     euler = 1 + Fraction(m, 4) - Fraction(n, 2)
     prefix = shape.steps[:level]
     kinds = {kind for kind, _ in prefix}

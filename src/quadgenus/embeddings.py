@@ -38,7 +38,7 @@ counts orbits with count_orbits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
 from .graphs import (Graph, connected_components, graph_from_json_dict,
@@ -215,16 +215,6 @@ def trace_faces(e: Embedding) -> FaceSet:
             dart = succ[dart]
         faces.append(tuple(face))
     return FaceSet(tuple(faces))
-
-
-def is_quadrilateral(faces: FaceSet) -> bool:
-    return all(len(f) == 4 for f in faces.faces)
-
-
-def mirror(e: Embedding) -> Embedding:
-    """Reverse every rotation.  Reverses the orientation of the surface;
-    every face comes back with its boundary traced the opposite way."""
-    return replace(e, rotation=tuple(tuple(reversed(r)) for r in e.rotation))
 
 
 def _quad_bound(n: int, m: int) -> int:

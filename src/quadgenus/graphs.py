@@ -7,15 +7,18 @@ survives Cartesian products by concatenation, so a vertex of K(4,4) x C(6)
 is labelled e.g. ``("a2", 5)``.  Labels are what make graphs produced by
 different vertex numberings comparable.
 
-Product numbering is lexicographic in (first factor index, second factor
-index), so ``(u, v)`` becomes ``u * h.n + v``.  Downstream code relies on
-this to locate corresponding vertices across factor copies by pure index
-arithmetic.
+A product has one numbering, the one the constructions build: the first
+factor is the least significant digit, so vertex ``(x_1, ..., x_k)`` of
+factors with n_1, ..., n_k vertices is ``x_1 + n_1 * (x_2 + n_2 * (...))``,
+and its label concatenates the factor labels from the first factor on.
+product_vertices is the only place this is spelled out; build_family
+materialises it and constructions.check_family_graph compares against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ExprSyntaxError, InvalidParameterError
@@ -115,24 +118,45 @@ def make_complete_bipartite(s: int, t: int) -> Graph:
     return from_edges(s + t, edges, labels=labels)
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product: (u,v) ~ (u',v') iff one coordinate is equal and
-    the others are adjacent.  Vertex (u, v) gets index u * h.n + v and
-    label = label(u) + label(v)."""
-    if g.n == 0 or h.n == 0:
+def product_vertices(factors: Sequence[Graph]
+                     ) -> Iterator[tuple[Label, tuple[int, ...]]]:
+    """Label and sorted neighbours of each vertex of the Cartesian product
+    of `factors`, vertex by vertex in the module's product numbering.
+
+    A neighbour along a factor differs in that digit only, by a multiple
+    of the factor's stride, so sorted neighbours are the lower neighbours
+    along the factors from last to first, then the upper ones from first
+    to last.  No adjacency of the product is held: a caller may stream."""
+    if not factors or any(g.n == 0 for g in factors):
         raise InvalidParameterError("product factors must be non-empty")
-    n = g.n * h.n
-    edges: list[tuple[int, int]] = []
-    for u in range(g.n):
-        base = u * h.n
-        for (v, w) in h.edges():
-            edges.append((base + v, base + w))
-    for (u, w) in g.edges():
-        for v in range(h.n):
-            edges.append((u * h.n + v, w * h.n + v))
-    labels = [g.label_of(u) + h.label_of(v)
-              for u in range(g.n) for v in range(h.n)]
-    return from_edges(n, edges, labels=labels)
+    # per factor and digit x: x's label, and the offsets to its lower and
+    # upper neighbours along the factor
+    tables = []
+    stride = 1
+    for g in factors:
+        tables.append([(g.label_of(x),
+                        tuple((y - x) * stride for y in g.adj[x] if y < x),
+                        tuple((y - x) * stride for y in g.adj[x] if y > x))
+                       for x in range(g.n)])
+        stride *= g.n
+    p = 0
+    # the digits of every factor but the first, most significant first;
+    # the first factor's digit runs fastest, in the inner loop
+    for high in product(*tables[:0:-1]):
+        high_label = sum((lab for lab, _, _ in reversed(high)), ())
+        high_lower = sum((lower for _, lower, _ in high), ())
+        high_upper = sum((upper for _, _, upper in reversed(high)), ())
+        for label, lower, upper in tables[0]:
+            yield label + high_label, tuple(
+                [p + d for d in high_lower + lower + upper + high_upper])
+            p += 1
+
+
+def product_graph(factors: Sequence[Graph]) -> Graph:
+    """The Cartesian product of `factors`, numbered and labelled as
+    product_vertices gives it."""
+    labels, adj = zip(*product_vertices(factors))
+    return Graph(len(adj), adj, labels)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -228,16 +252,11 @@ class CubeAtom:
 Atom = Union[KAtom, CycleAtom, PathAtom, CubeAtom]
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "FamilyExpr"
-    right: "FamilyExpr"
+class FamilyExpr(tuple):
+    """A parsed expression: its atoms, left to right."""
 
     def __str__(self) -> str:
-        return " x ".join(map(str, iter_atoms(self)))
-
-
-FamilyExpr = Union[Atom, Product]
+        return " x ".join(map(str, self))
 
 
 class _ExprParser:
@@ -290,35 +309,22 @@ class _ExprParser:
         return CycleAtom(first) if head == "C" else PathAtom(first)
 
     def expr(self) -> FamilyExpr:
-        node: FamilyExpr = self.term()
+        atoms = [self.term()]
         while True:
             self.skip_ws()
             if self.peek() == "x":
                 self.pos += 1
-                node = Product(node, self.term())
+                atoms.append(self.term())
             else:
                 break
-        self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("unexpected trailing input")
-        return node
+        return FamilyExpr(atoms)
 
 
 def parse_family_expr(text: str) -> FamilyExpr:
     """Parse a family expression such as ``"K(4,4) x C(6)"``."""
     return _ExprParser(text).expr()
-
-
-def iter_atoms(expr: FamilyExpr) -> Iterator[Atom]:
-    """Atoms of the product chain, left to right.  Iterative: a parsed
-    chain nests one level per factor, past Python's recursion limit."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Product):
-            stack += (node.right, node.left)
-        else:
-            yield node
 
 
 def _atom_graph(atom: Atom) -> Graph:
@@ -375,8 +381,7 @@ def family_factors(expr: Union[str, FamilyExpr]) -> list[tuple[Graph, int]]:
     """
     if isinstance(expr, str):
         expr = parse_family_expr(expr)
-    atoms = list(iter_atoms(expr))
-    for n, m in product_sizes(atoms):
+    for n, m in product_sizes(expr):
         if 2 * m > MAX_DARTS:
             raise InvalidParameterError(
                 f"{expr} has more than {MAX_DARTS} darts (2 x edges); "
@@ -384,19 +389,14 @@ def family_factors(expr: Union[str, FamilyExpr]) -> list[tuple[Graph, int]]:
         if n == 0:
             break  # an empty factor, which its builder refuses below
     return [(_atom_graph(atom), atom.i if isinstance(atom, CubeAtom) else 1)
-            for atom in atoms]
+            for atom in expr]
 
 
 def build_family(expr: Union[str, FamilyExpr]) -> Graph:
-    """Left-fold of cartesian_product over the expression's factors
-    (see family_factors, which validates them all before the first
-    product)."""
-    graphs = [factor for factor, repeats in family_factors(expr)
-              for _ in range(repeats)]
-    result = graphs[0]
-    for g in graphs[1:]:
-        result = cartesian_product(result, g)
-    return result
+    """The product of the expression's factors (see family_factors, which
+    validates them all first), in the module's product numbering."""
+    return product_graph([factor for factor, repeats in family_factors(expr)
+                          for _ in range(repeats)])
 
 
 # ---------------------------------------------------------------------------

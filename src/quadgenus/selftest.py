@@ -29,9 +29,9 @@ from .formulas import (_cube_genus_as_printed, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,
                        hypercube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus, white_cycle_genus, white_path_genus)
-from .graphs import (Graph, build_family, cartesian_product, from_edges,
-                     is_bipartite, make_complete_bipartite, make_cycle,
-                     make_path)
+from .graphs import (Graph, build_family, from_edges, is_bipartite,
+                     make_complete_bipartite, make_cycle, make_path,
+                     product_graph)
 from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
 from .surgery import Surgery, quad_faces
 
@@ -436,7 +436,7 @@ def criterion_9(seed: int) -> tuple[bool, dict]:
         a, b = factory(), factory()
         left = is_bipartite(a) is not None
         right = is_bipartite(b) is not None
-        prod = is_bipartite(cartesian_product(a, b)) is not None
+        prod = is_bipartite(product_graph([a, b])) is not None
         checks.add(f"pair {idx}", prod == (left and right))
     return checks.passed, {"pairs": 100, "failure": checks.failure}
 

@@ -50,7 +50,7 @@ def refuse_to_build(monkeypatch):
         raise AssertionError("a graph was built past the size guard")
 
     for name in ("make_complete_bipartite", "make_cycle", "make_path",
-                 "cartesian_product"):
+                 "product_graph", "product_vertices"):
         monkeypatch.setattr(graphs, name, fail)
     monkeypatch.setattr(constructions, "make_complete_bipartite", fail)
 
@@ -241,6 +241,22 @@ def test_embed_artifacts_match_pinned_digests(capsys, tmp_path, expr):
     assert tuple(_sha256(tmp_path / name) for name in (
         "embedding.json", "certificate.json", "handles.json")) == \
         EMBED_DIGESTS[expr]
+
+
+@pytest.mark.parametrize("expr", sorted(EMBED_DIGESTS))
+def test_build_graph_is_the_embedded_graph(capsys, tmp_path, expr):
+    # one product numbering: build and embed give the same graph, labels
+    # included, in process and in their artifacts
+    assert graphs.build_family(expr) == \
+        constructions.embed_family(expr)[0].embedding.graph
+    for command in ("build", "embed"):
+        code, _, _ = run(capsys, command, expr, "--out",
+                         str(tmp_path / command))
+        assert code == 0
+    built = json.loads((tmp_path / "build" / "graph.json").read_text())
+    embedded = json.loads(
+        (tmp_path / "embed" / "embedding.json").read_text())["graph"]
+    assert built == embedded
 
 
 def test_selftest_artifacts_match_pinned_digests(capsys, tmp_path):

@@ -8,8 +8,7 @@ from quadgenus.constructions import (_check_level, _scheme_reservoir,
                                      _scheme_rotation, _transfer_family,
                                      check_family_graph, classify_family,
                                      embed_cube, embed_family, embed_K2r2r)
-from quadgenus.embeddings import (Embedding, genus_lower_bound,
-                                  is_quadrilateral, trace_faces,
+from quadgenus.embeddings import (Embedding, genus_lower_bound, trace_faces,
                                   validate_embedding)
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               UnsupportedFamilyError)
@@ -47,7 +46,7 @@ def test_base_block_certificates(r, genus, f):
 def test_base_scheme_is_quadrilateral_up_to_r6(r):
     res = embed_K2r2r(r)
     faces = trace_faces(res.embedding)
-    assert is_quadrilateral(faces)
+    assert all(len(f) == 4 for f in faces.faces)
     assert len(faces) == 2 * r * r
     assert len(res.reservoir) == 2 * r
     check_reservoir(res.embedding, res.reservoir)
@@ -59,7 +58,7 @@ def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
     # quadrilaterals and the family rule must give a valid reservoir
     res = embed_K2r2r(r)
     faces = trace_faces(res.embedding)
-    assert is_quadrilateral(faces)
+    assert all(len(f) == 4 for f in faces.faces)
     assert len(faces) == 2 * r * r
     assert len(res.reservoir) == 2 * r
     assert all(len(fam) == r for fam in res.reservoir)
@@ -116,7 +115,7 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
         rot[swap.get(v, v)] = tuple(swap.get(u, u) for u in row)
     emb = Embedding(make_complete_bipartite(6, 6), tuple(rot))
     faces = trace_faces(emb)
-    assert is_quadrilateral(faces)
+    assert all(len(f) == 4 for f in faces.faces)
     with pytest.raises(ConstructionError):
         _scheme_reservoir(emb, faces)
 
@@ -323,7 +322,7 @@ def test_embed_family_builds_the_product_once(count_calls):
     # and check_family_graph streams the expected product vertex by
     # vertex: no product graph is ever built
     calls = count_calls(graphs.build_family)
-    products = count_calls(graphs.cartesian_product)
+    products = count_calls(graphs.product_graph)
     for route in ("direct", "removal"):
         calls.clear()
         embed_family("Q(2,4) x C(4) x P(4)", route=route)
@@ -344,21 +343,37 @@ def accepts(graph: Graph, expr: str) -> bool:
     "Q(2,6) x C(4)", "Q(1,6) x P(6)"])
 def test_family_check_agrees_with_the_label_reference(expr):
     # r = 1, mixed cycles and paths, and Q(2,6) x C(4); both routes
+    # build_family gives the constructed graph itself, labels included
+    built = build_family(expr)
     for route in ("direct", "removal"):
         graph = embed_family(expr, route=route)[0].embedding.graph
         assert accepts(graph, expr)
-        assert same_labeled_graph(graph, build_family(expr))
+        assert same_labeled_graph(graph, built)
+        assert built == graph
+
+
+def _renumbered(g: Graph, to) -> Graph:
+    """g with vertex v renamed to(v), labels and edges carried along."""
+    adj, labels = [None] * g.n, [None] * g.n
+    for v in range(g.n):
+        adj[to(v)] = tuple(sorted(to(u) for u in g.adj[v]))
+        labels[to(v)] = g.labels[v]
+    return Graph(g.n, tuple(adj), tuple(labels))
 
 
 def test_family_check_pins_the_numbering():
-    # build_family numbers the first factor as the most significant
-    # digit: the same labelled graph, which the label reference accepts
-    # and the streaming check refuses
+    # build_family's numbering is the construction's, so the check
+    # accepts it; the same labelled graph in another numbering, which
+    # the label reference accepts, is refused
     expr = "Q(1,4) x C(4)"
-    reference = build_family(expr)
-    assert same_labeled_graph(reference,
-                              embed_family(expr)[0].embedding.graph)
-    assert not accepts(reference, expr)
+    graph = build_family(expr)
+    assert accepts(graph, expr)
+    for to in (lambda v: 4 * (v % 8) + v // 8,  # first factor most significant
+               lambda v: graph.n - 1 - v):
+        renumbered = _renumbered(graph, to)
+        assert renumbered != graph
+        assert same_labeled_graph(renumbered, graph)
+        assert not accepts(renumbered, expr)
     assert accepts(build_family("K(4,4)"), "K(4,4)")  # one factor agrees
 
 

@@ -9,7 +9,7 @@ from quadgenus.embeddings import (Embedding, _orbits, canonical_json_bytes,
                                   components_certificate,
                                   embedding_from_json_dict,
                                   embedding_to_json_dict, euler_genus,
-                                  face_lengths, genus_lower_bound, is_quadrilateral, mirror,
+                                  face_lengths, genus_lower_bound,
                                   subembedding, trace_faces,
                                   validate_embedding)
 from quadgenus.errors import (EmbeddingError, InvalidParameterError,
@@ -119,14 +119,19 @@ def test_subembedding_requires_whole_components():
         subembedding(e, [0, 2])
 
 
-def test_mirror_is_involution_and_reverses_faces():
+def reversed_rotations(e: Embedding) -> Embedding:
+    """The mirror image: every rotation reversed, as in a mirrored copy."""
+    return Embedding(e.graph, tuple(tuple(reversed(r)) for r in e.rotation))
+
+
+def test_reversed_rotations_reverse_faces():
+    # a mirrored copy traces every face of the original backwards
     e = Embedding(make_complete_bipartite(4, 4),
                   tuple(tuple(sorted(adj)) for adj in
                         make_complete_bipartite(4, 4).adj))
-    assert mirror(mirror(e)) == e
     forward = {frozenset(fc) for fc in trace_faces(e).faces}
     backward = {frozenset((v, u) for (u, v) in fc)
-                for fc in trace_faces(mirror(e)).faces}
+                for fc in trace_faces(reversed_rotations(e)).faces}
     assert forward == backward
 
 
@@ -144,14 +149,15 @@ def test_genus_lower_bound_rejects_nonbipartite():
 
 
 def test_quadrilateral_predicate():
-    assert is_quadrilateral(trace_faces(k22_embedding()))
+    assert euler_genus(k22_embedding()).quadrilateral
     g = make_cycle(4)
     ring = Embedding(g, tuple(tuple(sorted(g.adj[v])) for v in range(4)))
     assert [len(f) for f in trace_faces(ring).faces] == [4, 4]
-    assert is_quadrilateral(trace_faces(ring))
+    assert euler_genus(ring).quadrilateral
     edge = make_path(2)
     single = Embedding(edge, ((1,), (0,)))
-    assert not is_quadrilateral(trace_faces(single))
+    assert [len(f) for f in trace_faces(single).faces] == [2]
+    assert not euler_genus(single).quadrilateral
 
 
 def test_embedding_json_round_trip():
@@ -210,7 +216,7 @@ def test_random_rotations_trace_consistently(e):
 
 @given(rotations_of_k33())
 def test_mirror_preserves_face_count(e):
-    assert len(trace_faces(e)) == len(trace_faces(mirror(e)))
+    assert len(trace_faces(e)) == len(trace_faces(reversed_rotations(e)))
 
 
 def tuple_trace(e: Embedding) -> tuple:

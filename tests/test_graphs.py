@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 from quadgenus import graphs
 from quadgenus.errors import ExprSyntaxError, InvalidParameterError
 from quadgenus.graphs import (MAX_DARTS, CubeAtom, CycleAtom, KAtom, PathAtom,
-                              build_family, cartesian_product,
-                              connected_components, family_factors,
-                              from_edges, graph_from_json_dict,
-                              graph_to_json_dict, is_bipartite, is_connected,
-                              iter_atoms, make_complete_bipartite, make_cycle,
-                              make_path, parse_family_expr)
+                              build_family, connected_components,
+                              family_factors, from_edges,
+                              graph_from_json_dict, graph_to_json_dict,
+                              is_bipartite, is_connected,
+                              make_complete_bipartite, make_cycle, make_path,
+                              parse_family_expr, product_graph)
 
 
 def test_path_basic():
@@ -62,17 +62,26 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(0, 5)])
 
 
-def test_cartesian_product_k22_c4():
-    g = cartesian_product(make_complete_bipartite(2, 2), make_cycle(4))
+def test_product_graph_k22_c4():
+    g = product_graph([make_complete_bipartite(2, 2), make_cycle(4)])
     assert g.n == 16 and g.m == 32
-    # vertex (u, v) maps to u * 4 + v; copies of C4 plus K22 rungs
-    assert g.has_edge(0, 1) and g.has_edge(0, 8)
+    # vertex (u, v) maps to u + 4 * v; copies of K22 plus C4 rungs
+    assert g.has_edge(0, 2) and g.has_edge(0, 4) and g.has_edge(0, 12)
+    assert not g.has_edge(0, 1) and not g.has_edge(0, 8)
 
 
 def test_product_labels_concatenate():
-    g = cartesian_product(make_complete_bipartite(2, 2), make_path(2))
+    g = product_graph([make_complete_bipartite(2, 2), make_path(2)])
     assert g.label_of(0) == ("a0", 0)
-    assert g.label_of(1) == ("a0", 1)
+    assert g.label_of(1) == ("a1", 0)
+    assert g.label_of(4) == ("a0", 1)
+
+
+def test_product_graph_refuses_an_empty_factor():
+    with pytest.raises(InvalidParameterError, match="non-empty"):
+        product_graph([make_cycle(4), from_edges(0, [])])
+    with pytest.raises(InvalidParameterError, match="non-empty"):
+        product_graph([])
 
 
 def test_connectivity_helpers():
@@ -95,13 +104,14 @@ def test_bipartite_coloring_is_proper():
 
 def test_parse_product_expression():
     ast = parse_family_expr("K(4,4) x C(6) x P(4)")
-    atoms = list(iter_atoms(ast))
-    assert atoms == [KAtom(4, 4), CycleAtom(6), PathAtom(4)]
+    assert ast == (KAtom(4, 4), CycleAtom(6), PathAtom(4))
+    assert str(ast) == "K(4,4) x C(6) x P(4)"
 
 
 def test_parse_cube_shorthand():
     ast = parse_family_expr("Q(2,4)")
-    assert ast == CubeAtom(2, 4)
+    assert ast == (CubeAtom(2, 4),)
+    assert str(ast) == "Q(2,4)"
 
 
 def test_parse_tolerates_whitespace_but_not_case():
@@ -115,6 +125,7 @@ def test_parse_tolerates_whitespace_but_not_case():
 def test_format_round_trips():
     for text in ("K(4,4)", "Q(2,4) x C(6)", "P(2) x P(2) x P(2)"):
         ast = parse_family_expr(text)
+        assert str(ast) == text
         assert parse_family_expr(str(ast)) == ast
 
 
@@ -175,16 +186,30 @@ def small_graphs(draw):
 
 @given(small_graphs(), small_graphs())
 def test_product_counts(a, b):
-    p = cartesian_product(a, b)
+    p = product_graph([a, b])
     assert p.n == a.n * b.n
     assert p.m == a.n * b.m + b.n * a.m
 
 
 @given(small_graphs(), small_graphs())
 def test_product_degree_sum(a, b):
-    p = cartesian_product(a, b)
+    p = product_graph([a, b])
     u = 0
     assert p.degree(u) == a.degree(0) + b.degree(0)
+
+
+@given(small_graphs(), small_graphs())
+def test_product_matches_the_definition(a, b):
+    # (x, y) is vertex x + a.n * y, labelled label(x) + label(y), and
+    # (x, y) ~ (x', y') iff one coordinate is equal and the others adjacent
+    p = product_graph([a, b])
+    for x in range(a.n):
+        for y in range(b.n):
+            v = x + a.n * y
+            assert p.label_of(v) == a.label_of(x) + b.label_of(y)
+            assert p.adj[v] == tuple(sorted(
+                [x2 + a.n * y for x2 in a.adj[x]]
+                + [x + a.n * y2 for y2 in b.adj[y]]))
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
@@ -208,7 +233,8 @@ def test_size_guard_is_arithmetic_only(monkeypatch):
         raise AssertionError("no product may be taken")
 
     monkeypatch.setattr(graphs, "make_complete_bipartite", fake_k)
-    monkeypatch.setattr(graphs, "cartesian_product", fail)
+    monkeypatch.setattr(graphs, "product_graph", fail)
+    monkeypatch.setattr(graphs, "product_vertices", fail)
     assert family_factors("Q(6,4)") == [((4, 4), 6)]
     assert family_factors("K(2048,2048)") == [((2048, 2048), 1)]
     assert 2 * 2048 * 2048 == MAX_DARTS
