@@ -371,8 +371,13 @@ def certificate_from_json_dict(data: dict) -> EmbeddingCertificate:
     return cert
 
 
+# One encoder for every artifact.  The payloads are built by the package
+# from lists, dicts and scalars and cannot be cyclic, so the circular
+# reference check is skipped.  Without indent it runs the C encoder.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              check_circular=False)
+
+
 def canonical_json_bytes(data) -> bytes:
-    """Sorted keys, no whitespace, one trailing newline.  Without indent
-    json.dumps runs its C encoder."""
-    return (json.dumps(data, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
+    """Sorted keys, no whitespace, one trailing newline."""
+    return (_CANONICAL.encode(data) + "\n").encode()

@@ -12,14 +12,31 @@ enough to pin down small torus graphs in a few thousand evaluations.
 
 Faces are counted on the flat dart successor list of
 :class:`~quadgenus.embeddings.DartIndex`, never on Embedding objects.
-Exhaustive enumeration precomputes each cyclic order's successor patch;
-each step of the odometer writes the patches of the vertices whose order
-changed (a suffix of the product) and recounts all orbits.  A stochastic
-swap of two neighbours at v changes the successors of at most four darts
-entering v, so the face count moves by the number of distinct orbits
-through those darts after the swap minus the number before; a rejected
-swap writes the old successors back.  Each restart counts all orbits
-once.
+Exhaustive enumeration precomputes each cyclic order's successor patch.
+The wheels (vertices with more than one cyclic order) are split by a
+fixed rule: the block grows from the innermost wheel while its
+combinations times its in-darts stay within sixteen times the darts of
+the graph.  The outer wheels run on an odometer, each step writing the
+patches of the vertices whose order changed (a suffix of the product).
+Per outer setting one walk follows the successors from every out-dart o
+of a block vertex to the first in-dart of a block vertex, ret(o), and
+counts f_avoid, the orbits that meet no block in-dart; no dart it reads
+has its successor set by the block, and it visits each dart once.  A
+combination of block orders sends each block in-dart a to an out-dart
+s(a), and P(a) = ret(s(a)) is a permutation of the block in-darts.  An
+orbit through a block in-dart a runs a, s(a), ..., P(a) with no block
+in-dart between, so its block in-darts are one cycle of P; every other
+orbit is one of the f_avoid.  The system therefore has exactly
+f_avoid + cycles(P) faces, counted in one step per block in-dart.
+Combinations are scored in itertools.product order and the first best
+is kept, so the result is the one a full recount of every system in
+product order would give.
+
+A stochastic swap of two neighbours at v changes the successors of at
+most four darts entering v, so the face count moves by the number of
+distinct orbits through those darts after the swap minus the number
+before; a rejected swap writes the old successors back.  Each restart
+counts all orbits once.
 
 Both searchers are deterministic for a fixed seed.  Restarts draw their
 generators from per-chunk seeds, so chunks could run in any order (or in
@@ -38,7 +55,7 @@ from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
 from .embeddings import (DartIndex, Embedding, EmbeddingCertificate,
                          count_orbits, euler_genus)
-from .graphs import Graph, is_bipartite, is_connected
+from .graphs import Graph, is_bipartite, is_connected, is_json_int
 
 
 @dataclass(frozen=True)
@@ -49,13 +66,17 @@ class SearchBudget:
     restart_stall: int = 400  # hill-climb evaluations without improvement
 
     def __post_init__(self):
+        # booleans are ints to Python but never a cap, seed or genus
         for name in ("max_rotation_systems", "restart_stall"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not is_json_int(value) or value < 1:
                 raise InvalidParameterError(
                     f"{name} must be a positive integer, got {value!r}")
+        if not is_json_int(self.seed):
+            raise InvalidParameterError(
+                f"seed must be an integer, got {self.seed!r}")
         target = self.target_genus
-        if target is not None and (not isinstance(target, int) or target < 0):
+        if target is not None and (not is_json_int(target) or target < 0):
             raise InvalidParameterError(
                 f"target_genus must be a non-negative integer, got "
                 f"{target!r}")
@@ -86,6 +107,21 @@ def rotation_space_size(graph: Graph) -> int:
         if v == 0 and d >= 3:
             orders //= 2
         size *= orders
+    return size
+
+
+def _block_size(wheels: list[tuple[int, int]], darts: int) -> int:
+    """How many of the innermost wheels form the block.  ``wheels`` are
+    (cyclic orders, degree) pairs, outermost first.  The block grows from
+    the innermost wheel while its combinations times its in-darts stay
+    within sixteen times the darts of the graph."""
+    combos, in_darts, size = 1, 0, 0
+    for orders, degree in reversed(wheels):
+        combos *= orders
+        in_darts += degree
+        if combos * in_darts > 16 * darts:
+            break
+        size += 1
     return size
 
 
@@ -120,32 +156,76 @@ def exhaustive_min_genus(graph: Graph,
             yield (first,) + perm
 
     index = DartIndex(graph)
+    out = index.out
     # One (rotation, successor patch) entry per cyclic order.  The
-    # vertices with more than one order form the odometer, whose steps
+    # vertices with more than one order are the wheels; the innermost
+    # few form the block, the others run on the odometer, whose steps
     # change exactly a suffix of its positions.
     entries = [[(rot, index.patch(v, rot)) for rot in cyclic_orders(v)]
                for v in range(graph.n)]
     rotation = [orders[0][0] for orders in entries]
     succ = index.successors(rotation)
     wheels = [v for v in range(graph.n) if len(entries[v]) > 1]
-    current = tuple(entries[v][0] for v in wheels)
-    darts = range(len(succ))
-    seen = [0] * len(succ)
+    split = len(wheels) - _block_size(
+        [(len(entries[v]), graph.degree(v)) for v in wheels], index.size)
+    outer, block = wheels[:split], wheels[split:]
+    # The block's in-darts get local ids 0, 1, ... grouped by vertex, and
+    # ``local[d]`` is the local id of dart d, -1 off the block.  For each
+    # order of a block vertex, ``targets`` lists the out-dart its patch
+    # sends each of the vertex's in-darts to, in local id order.
+    block_in: list[int] = []
+    targets = []
+    for v in block:
+        ins = [out[u][v] for u in graph.adj[v]]
+        block_in += ins
+        targets.append([list(map(dict(patch).__getitem__, ins))
+                        for _, patch in entries[v]])
+    local = [-1] * index.size
+    for i, dart in enumerate(block_in):
+        local[dart] = i
+    block_out = [out[v][u] for v in block for u in graph.adj[v]]
+    others = [d for d in range(index.size) if local[d] < 0]
+    block_ids = range(len(block_in))
+    ret = [0] * index.size
+    seen = [0] * index.size
+    mark = [0] * len(block_in)
+    current = tuple(entries[v][0] for v in outer)
     best_f = -1
     best: tuple = ()
     explored = 0
-    for combo in itertools.product(*(entries[v] for v in wheels)):
+    for combo in itertools.product(*(entries[v] for v in outer)):
         k = len(combo) - 1
         while k >= 0 and combo[k] is not current[k]:
             for dart, nxt in combo[k][1]:
                 succ[dart] = nxt
             k -= 1
         current = combo
-        explored += 1
-        f = count_orbits(succ, darts, seen, explored)
-        if f > best_f:
-            best_f = f
-            best = combo
+        # One walk over the darts off the block: ret[o] is the first
+        # block in-dart reached from the block out-dart o, and f_avoid
+        # counts the orbits that never meet the block.
+        stamp = explored + 1
+        for start in block_out:
+            dart = start
+            while local[dart] < 0:
+                seen[dart] = stamp
+                dart = succ[dart]
+            ret[start] = local[dart]
+        f_avoid = count_orbits(succ, others, seen, stamp)
+        # P of every block combination in itertools.product order, each
+        # the concatenation of its vertices' segments
+        perms = [()]
+        for orders in targets:
+            segments = [tuple(map(ret.__getitem__, outs)) for outs in orders]
+            perms = [perm + segment for perm in perms for segment in segments]
+        cycles = [count_orbits(perm, block_ids, mark, tick)
+                  for tick, perm in enumerate(perms, explored + 1)]
+        explored += len(cycles)
+        most = max(cycles)
+        if f_avoid + most > best_f:
+            best_f = f_avoid + most
+            best = combo + next(itertools.islice(
+                itertools.product(*(entries[v] for v in block)),
+                cycles.index(most), None))
     for v, (rot, _) in zip(wheels, best):
         rotation[v] = rot
     witness = Embedding(graph, tuple(rotation))

@@ -1,8 +1,9 @@
 import hashlib
+import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadgenus.constructions import embed_K2r2r
 from quadgenus.embeddings import (DartIndex, Embedding, euler_genus,
@@ -12,9 +13,9 @@ from quadgenus.errors import (BudgetExceededError, InvalidParameterError,
                               NotApplicableError)
 from quadgenus.graphs import (build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
-from quadgenus.oracle import (SearchBudget, _swap, certify_minimum,
-                              exhaustive_min_genus, rotation_space_size,
-                              stochastic_search)
+from quadgenus.oracle import (SearchBudget, _block_size, _swap,
+                              certify_minimum, exhaustive_min_genus,
+                              rotation_space_size, stochastic_search)
 
 # frozen: a rotation system of K(4,4) landing on genus 3, found once by
 # seeded perturbation of three vertices of the quadrilateral scheme
@@ -143,6 +144,18 @@ def test_search_budget_refuses_non_positive_caps():
         SearchBudget(target_genus=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_rotation_systems", True), ("restart_stall", True),
+    ("target_genus", False), ("target_genus", True),
+    ("seed", True), ("seed", 1.5), ("seed", "0"), ("seed", None)])
+def test_search_budget_refuses_booleans_and_non_integer_seeds(field, value):
+    # True is no cap of 1 and False no genus 0; a float or string seed
+    # must not reach the chunk generators
+    with pytest.raises(InvalidParameterError) as info:
+        SearchBudget(**{field: value})
+    assert info.value.exit_code == 3
+
+
 def test_stochastic_scores_the_first_system_when_no_move_is_possible():
     # a budget of one leaves no room for a move, and a path has no
     # vertex of degree 3 to perturb: the restart's system is the answer
@@ -242,3 +255,73 @@ def test_swap_delta_matches_a_full_retrace(case):
     for dart, nxt in undo:
         succ[dart] = nxt
     assert succ == before
+
+
+def reference_exhaustive(g):
+    """(best_genus, explored, witness rotation) by the enumeration the
+    oracle must reproduce: every vertex's cyclic orders in permutation
+    order, the root's up to reversal, systems in itertools.product
+    order, each one's faces counted with a dict tracer, first best
+    kept."""
+    def orders(v):
+        nbrs = g.adj[v]
+        if len(nbrs) <= 2:
+            return [tuple(nbrs)]
+        return [(nbrs[0],) + perm
+                for perm in itertools.permutations(nbrs[1:])
+                if v != 0 or perm[0] < perm[-1]]
+
+    best_f, best, explored = -1, None, 0
+    for rotation in itertools.product(*map(orders, range(g.n))):
+        explored += 1
+        after = {(v, u): rot[(i + 1) % len(rot)]
+                 for v, rot in enumerate(rotation) for i, u in enumerate(rot)}
+        unseen = {(u, v) for v, nbrs in enumerate(g.adj) for u in nbrs}
+        f = 0
+        while unseen:
+            f += 1
+            u, v = unseen.pop()
+            while (v, after[v, u]) in unseen:
+                u, v = v, after[v, u]
+                unseen.remove((u, v))
+        if f > best_f:
+            best_f, best = f, rotation
+    return (2 - g.n + g.m - best_f) // 2, explored, best
+
+
+# a hub of degree 6 has more orders than the rule lets into a block;
+# K4's three wheels all fit in one
+HUB = from_edges(7, [(0, 1), (1, 2)] + [(v, 6) for v in range(6)])
+
+
+def test_block_rule_covers_no_block_and_every_wheel():
+    # (cyclic orders, degree) of each wheel, outermost first: HUB's are
+    # vertex 1 and the hub, K4's are vertices 1-3 (its root has one
+    # order up to reversal)
+    assert _block_size([(2, 3), (120, 6)], 2 * HUB.m) == 0
+    assert _block_size([(2, 3)] * 3, 2 * complete(4).m) == 3
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random connected graph on 3..7 vertices: a random tree plus
+    extra edges, each kept only while the rotation space stays small."""
+    n = draw(st.integers(3, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    for edge in draw(st.lists(st.sampled_from(pairs), max_size=10)):
+        grown = edges | {edge}
+        if rotation_space_size(from_edges(n, sorted(grown))) <= 600:
+            edges = grown
+    return from_edges(n, sorted(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs())
+@example(HUB)
+@example(complete(4))
+def test_block_scoring_matches_a_full_recount(g):
+    res = exhaustive_min_genus(g)
+    genus, explored, witness = reference_exhaustive(g)
+    assert (res.best_genus, res.explored, res.witness.rotation) == (
+        genus, explored, witness)
