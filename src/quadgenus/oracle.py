@@ -3,12 +3,14 @@
 The constructions certify themselves through the quadrilateral lower
 bound; this module is the second, construction-free route for small
 graphs.  Exhaustive enumeration walks the product of every vertex's
-(d-1)! cyclic orders, except that the first vertex's orders are taken up
-to reversal: reversing all rotations at once preserves the face
-structure, so each orientation class is visited exactly once and the
-minimum is still exact.  The stochastic search does seeded random
-restarts plus face-count hill climbing with sideways moves, which is
-enough to pin down small torus graphs in a few thousand evaluations.
+(d-1)! cyclic orders, except that the root's orders are taken up to
+reversal, the root being the first vertex of degree at least 3 (the
+only vertices whose reversed orders differ): reversing all rotations at
+once preserves the face structure, so each orientation class is visited
+exactly once and the minimum is still exact.  The stochastic search
+does seeded random restarts plus face-count hill climbing with sideways
+moves, which is enough to pin down small torus graphs in a few thousand
+evaluations.
 
 Faces are counted on the flat dart successor list of
 :class:`~quadgenus.embeddings.DartIndex`, never on Embedding objects.
@@ -32,11 +34,20 @@ Combinations are scored in itertools.product order and the first best
 is kept, so the result is the one a full recount of every system in
 product order would give.
 
-A stochastic swap of two neighbours at v changes the successors of at
-most four darts entering v, so the face count moves by the number of
-distinct orbits through those darts after the swap minus the number
-before; a rejected swap writes the old successors back.  Each restart
-counts all orbits once.
+A stochastic swap of two neighbours at v changes the successors of the
+changed darts C, the at most four darts entering v from the positions
+i-1, i, j-1 and j.  Each restart walks every orbit once and labels each
+dart d with its orbit id fid[d] and position fpos[d], and each orbit
+with its length.  The same block argument scores a swap with no walk:
+each new successor t(c) of a dart c in C is an out-dart of v, never in
+C, and reach(t), the dart of C on t's orbit at the least positive
+offset (fpos[reach] - fpos[t]) mod length, is reached from t along
+successors the swap keeps.  The orbits through C after the swap are
+the cycles of c -> reach(t(c)), the orbits before are the distinct fid
+values over C, and the face count moves by the difference.  A rejected
+swap swaps the two entries of v's rotation back and writes nothing
+else; an accepted one writes the new successors and relabels the
+orbits through C in one walk.
 
 Both searchers are deterministic for a fixed seed.  Restarts draw their
 generators from per-chunk seeds, so chunks could run in any order (or in
@@ -94,20 +105,23 @@ def _genus_from_faces(graph: Graph, f: int) -> int:
     return (2 - graph.n + graph.m - f) // 2
 
 
+def _root(graph: Graph) -> int:
+    """The vertex whose cyclic orders are taken up to reversal: the first
+    of degree >= 3 (-1 if there is none, and then every vertex has one
+    cyclic order, its own reversal)."""
+    return next((v for v in range(graph.n) if graph.degree(v) >= 3), -1)
+
+
 def rotation_space_size(graph: Graph) -> int:
     """Rotation systems counted once per orientation class: full (d-1)!
-    cyclic orders everywhere except the first vertex, whose orders are
-    halved (for degree >= 3) to quotient out global reflection."""
+    cyclic orders at every vertex except the root, the first vertex of
+    degree >= 3, whose (d-1)!/2 reversal pairs quotient out global
+    reflection."""
     size = 1
     for v in range(graph.n):
-        d = graph.degree(v)
-        orders = 1
-        for k in range(1, d):
-            orders *= k
-        if v == 0 and d >= 3:
-            orders //= 2
-        size *= orders
-    return size
+        for k in range(2, graph.degree(v)):
+            size *= k
+    return size // 2 if _root(graph) >= 0 else size
 
 
 def _block_size(wheels: list[tuple[int, int]], darts: int) -> int:
@@ -140,6 +154,8 @@ def exhaustive_min_genus(graph: Graph,
             f"rotation space {space} exceeds cap "
             f"{budget.max_rotation_systems}")
 
+    root = _root(graph)
+
     def cyclic_orders(v: int):
         """All (d-1)! cyclic orders at v, anchored at the first neighbour.
         At the root vertex only one of each reversed pair is emitted:
@@ -151,7 +167,7 @@ def exhaustive_min_genus(graph: Graph,
             return
         first = nbrs[0]
         for perm in itertools.permutations(nbrs[1:]):
-            if v == 0 and perm[0] > perm[-1]:
+            if v == root and perm[0] > perm[-1]:
                 continue
             yield (first,) + perm
 
@@ -241,28 +257,108 @@ def _chunk_rng(seed: int, chunk: int) -> random.Random:
     return random.Random((seed * 1_000_003 + chunk) & 0xFFFFFFFF)
 
 
-def _swap(out: list[dict[int, int]], succ: list[int], seen: list[int],
-          stamp: int, v: int, rot: list[int], i: int,
-          j: int) -> tuple[int, list[tuple[int, int]]]:
-    """Swap positions i and j of ``rot``, v's rotation (changed in place),
-    and rewrite the successors this changes in ``succ``.
+def _positions(rng: random.Random, d: int) -> tuple[int, int]:
+    """Two distinct positions below d, drawn exactly as
+    ``rng.sample(range(d), 2)`` draws them (the CPython 3.10-3.13 code:
+    a pool below 22 items, rejection above) without building a sample."""
+    randrange = rng.randrange
+    i = randrange(d)
+    if d <= 21:
+        j = randrange(d - 1)
+        return i, (d - 1 if j == i else j)
+    j = randrange(d)
+    while j == i:
+        j = randrange(d)
+    return i, j
 
-    Only the darts entering v from the neighbours at positions i-1, i,
-    j-1 and j change successor, so the face count changes by the number
-    of distinct orbits through them after the swap minus the number
-    before.  Returns that change and the (dart, successor) pairs that
-    undo the rewrite.  Marks ``seen`` with stamps ``stamp - 1`` and
-    ``stamp``.
+
+def _walk(succ: list[int], start: int, k: int, fid: list[int],
+          fpos: list[int]) -> int:
+    """Label the orbit of ``start`` with id k and positions 0, 1, ...
+    from ``start``; return its length."""
+    fid[start], fpos[start] = k, 0
+    pos = 1
+    dart = succ[start]
+    while dart != start:
+        fid[dart], fpos[dart] = k, pos
+        pos += 1
+        dart = succ[dart]
+    return pos
+
+
+def _orbit_labels(succ: list[int]) -> tuple[list[int], list[int],
+                                            list[int]]:
+    """Orbit id and position of every dart of ``succ`` and the length of
+    every orbit, ids 0 .. faces-1, in one walk."""
+    fid, fpos, flen = [-1] * len(succ), [0] * len(succ), []
+    for dart in range(len(succ)):
+        if fid[dart] < 0:
+            flen.append(_walk(succ, dart, len(flen), fid, fpos))
+    return fid, fpos, flen
+
+
+def _try_swap(into: dict[int, int], ov: dict[int, int], row: list[int],
+              i: int, j: int, succ: list[int], fid: list[int],
+              fpos: list[int], flen: list[int]) -> int:
+    """Swap positions i and j of ``row``, the rotation of a vertex whose
+    in-darts and out-darts are ``into`` and ``ov`` (keyed by neighbour),
+    if that loses no face; return the change in the face count either
+    way.
+
+    ``fid``, ``fpos`` and ``flen`` label the orbits of ``succ`` (see the
+    module docstring), and the swap is scored from them without a walk.
+    A rejected swap swaps the two entries back and writes nothing else.
+    An accepted one writes the new successors and relabels the orbits
+    through the changed darts in one walk, reusing the ids of the orbits
+    they replace (never more than the new ones), so the ids stay
+    0 .. faces-1.
     """
-    positions = (i - 1, i, j - 1, j)
-    changed = {out[rot[p]][v] for p in positions}
-    undo = [(dart, succ[dart]) for dart in changed]
-    before = count_orbits(succ, changed, seen, stamp - 1)
-    rot[i], rot[j] = rot[j], rot[i]
-    ov, d = out[v], len(rot)
-    for p in positions:
-        succ[out[rot[p]][v]] = ov[rot[(p + 1) % d]]
-    return count_orbits(succ, changed, seen, stamp) - before, undo
+    d = len(row)
+    row[i], row[j] = a, b = row[j], row[i]
+    new = {into[row[i - 1]]: ov[a], into[a]: ov[row[(i + 1) % d]],
+           into[row[j - 1]]: ov[b], into[b]: ov[row[(j + 1) % d]]}
+    ids = list(map(fid.__getitem__, new))
+    # link[x]: the changed dart reached first from changed dart x's new
+    # successor t, along successors the swap keeps: the one changed dart
+    # on t's orbit, or of several the one at the least positive offset
+    link = []
+    for t in new.values():
+        k = fid[t]
+        if ids.count(k) == 1:
+            link.append(ids.index(k))
+            continue
+        base = fpos[t]
+        length = near = flen[k]
+        for x, c in enumerate(new):
+            if ids[x] == k:
+                off = (fpos[c] - base) % length
+                if off < near:
+                    near, reach = off, x
+        link.append(reach)
+    # one head per cycle of link, that is per orbit through the changed
+    # darts after the swap
+    heads = []
+    for x in range(len(link)):
+        if link[x] >= 0:
+            heads.append(x)
+            while link[x] >= 0:
+                link[x], x = -1, link[x]
+    free = set(ids)
+    delta = len(heads) - len(free)
+    if delta < 0:
+        row[i], row[j] = b, a
+        return delta
+    changed = list(new)
+    for c, t in new.items():
+        succ[c] = t
+    for x in heads:
+        start = changed[x]
+        if free:
+            k = free.pop()
+            flen[k] = _walk(succ, start, k, fid, fpos)
+        else:
+            flen.append(_walk(succ, start, len(flen), fid, fpos))
+    return delta
 
 
 def stochastic_search(graph: Graph,
@@ -272,9 +368,12 @@ def stochastic_search(graph: Graph,
     Within a restart: random rotation system, then repeated single-vertex
     perturbations (swap two neighbours in one rotation), accepting any
     move that does not lose faces.  A restart ends after restart_stall
-    evaluations without strict improvement.  Deterministic per seed; the
-    result never beats the true minimum, so pair it with a lower bound or
-    a target to know when it has won.
+    evaluations without strict improvement.  Each restart labels every
+    dart with its orbit and position in one walk; a swap is scored from
+    those labels (see ``_try_swap``), and only an accepted swap walks,
+    along the orbits it changed.  Deterministic per seed; the result
+    never beats the true minimum, so pair it with a lower bound or a
+    target to know when it has won.
     """
     if graph.n == 0 or not is_connected(graph):
         raise InvalidParameterError("need a non-empty connected graph")
@@ -284,9 +383,7 @@ def stochastic_search(graph: Graph,
     movable = [v for v in range(graph.n) if graph.degree(v) >= 3]
     index = DartIndex(graph)
     out = index.out
-    darts = range(index.size)
-    seen = [0] * index.size
-    stamp = 0
+    into = [{u: out[u][v] for u in graph.adj[v]} for v in range(graph.n)]
     best_f = -1
     best_rot: Optional[list[tuple[int, ...]]] = None
     explored = 0
@@ -298,10 +395,10 @@ def stochastic_search(graph: Graph,
         for v in range(graph.n):
             nbrs = list(graph.adj[v])
             rng.shuffle(nbrs)
-            rotation.append(tuple(nbrs))
+            rotation.append(nbrs)
         succ = index.successors(rotation)
-        stamp += 1
-        current_f = count_orbits(succ, darts, seen, stamp)
+        fid, fpos, flen = _orbit_labels(succ)
+        current_f = len(flen)
         explored += 1
         stall = 0
         local_best = current_f
@@ -310,33 +407,29 @@ def stochastic_search(graph: Graph,
             if not movable:
                 break
             v = rng.choice(movable)
-            rot = list(rotation[v])
-            i, j = rng.sample(range(len(rot)), 2)
-            stamp += 2
-            delta, undo = _swap(out, succ, seen, stamp, v, rot, i, j)
-            f = current_f + delta
+            row = rotation[v]
+            i, j = _positions(rng, len(row))
+            delta = _try_swap(into[v], out[v], row, i, j, succ, fid, fpos,
+                              flen)
             explored += 1
-            if f >= current_f:
-                rotation[v] = tuple(rot)
-                current_f = f
-                if f > local_best:
-                    local_best = f
+            if delta >= 0:
+                current_f += delta
+                if current_f > local_best:
+                    local_best = current_f
                     stall = 0
                 else:
                     stall += 1
             else:
-                for dart, nxt in undo:
-                    succ[dart] = nxt
                 stall += 1
             if current_f > best_f:
                 best_f = current_f
-                best_rot = [r for r in rotation]
+                best_rot = [tuple(r) for r in rotation]
                 if target_f is not None and best_f >= target_f:
                     break
         if best_rot is None:
             # The budget or the graph allowed no move: the restart's
             # first system is the only one scored.
-            best_f, best_rot = current_f, rotation
+            best_f, best_rot = current_f, [tuple(r) for r in rotation]
         if target_f is not None and best_f >= target_f:
             break
         if not movable:

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadgenus.constructions import embed_K2r2r
-from quadgenus.embeddings import (DartIndex, Embedding, euler_genus,
-                                  genus_lower_bound, trace_faces,
-                                  validate_embedding)
+from quadgenus.embeddings import (DartIndex, Embedding, count_orbits,
+                                  euler_genus, genus_lower_bound,
+                                  trace_faces, validate_embedding)
 from quadgenus.errors import (BudgetExceededError, InvalidParameterError,
                               NotApplicableError)
 from quadgenus.graphs import (build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
-from quadgenus.oracle import (SearchBudget, _block_size, _swap,
+from quadgenus.oracle import (SearchBudget, _block_size, _chunk_rng,
+                              _orbit_labels, _positions, _try_swap,
                               certify_minimum, exhaustive_min_genus,
                               rotation_space_size, stochastic_search)
 
@@ -240,36 +241,175 @@ def swaps_on_connected_graphs(draw):
     return g, rotation, v, i, j
 
 
+def labels_describe(succ, fid, fpos, flen):
+    """Whether the labels name the orbits of ``succ``: one id per orbit,
+    ids 0 .. faces-1, positions stepping by one along the orbit and
+    lengths matching it."""
+    orbits = {}
+    for dart, nxt in enumerate(succ):
+        k = fid[dart]
+        orbits.setdefault(k, []).append(dart)
+        if fid[nxt] != k or fpos[nxt] != (fpos[dart] + 1) % flen[k]:
+            return False
+    return (sorted(orbits) == list(range(len(flen)))
+            and all(len(orbits[k]) == flen[k] for k in orbits))
+
+
 @given(swaps_on_connected_graphs())
 def test_swap_delta_matches_a_full_retrace(case):
     g, rotation, v, i, j = case
     index = DartIndex(g)
     succ = index.successors(rotation)
-    before = list(succ)
+    fid, fpos, flen = _orbit_labels(succ)
+    assert labels_describe(succ, fid, fpos, flen)
+    old_succ, old_row = list(succ), list(rotation[v])
+    swapped = list(old_row)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
     f_old = len(trace_faces(Embedding(g, tuple(map(tuple, rotation)))))
-    seen = [0] * len(succ)
-    delta, undo = _swap(index.out, succ, seen, 2, v, rotation[v], i, j)
-    assert succ == index.successors(rotation)
-    f_new = len(trace_faces(Embedding(g, tuple(map(tuple, rotation)))))
+    f_new = len(trace_faces(Embedding(
+        g, tuple(tuple(swapped if u == v else rot)
+                 for u, rot in enumerate(rotation)))))
+    into = {u: index.out[u][v] for u in g.adj[v]}
+    delta = _try_swap(into, index.out[v], rotation[v], i, j, succ, fid,
+                      fpos, flen)
     assert delta == f_new - f_old
-    for dart, nxt in undo:
-        succ[dart] = nxt
-    assert succ == before
+    if delta >= 0:
+        assert rotation[v] == swapped
+        assert succ == index.successors(rotation)
+        assert labels_describe(succ, fid, fpos, flen)
+    else:
+        assert rotation[v] == old_row and succ == old_succ
+
+
+def test_positions_draw_what_sample_draws():
+    # below 22 items sample draws from a shrinking pool, above it redraws
+    # on a collision; both must be matched draw for draw
+    for d in range(2, 41):
+        for seed in range(50):
+            a, b = _chunk_rng(seed, d), _chunk_rng(seed, d)
+            assert _positions(a, d) == tuple(b.sample(range(d), 2))
+            assert a.getstate() == b.getstate()
+
+
+def reference_stochastic(g, budget):
+    """(best_genus, explored, witness rotation) of the hill climb the
+    stochastic search must reproduce, scoring each swap by walking every
+    orbit through its changed darts before and after the swap."""
+    target_f = None
+    if budget.target_genus is not None:
+        target_f = 2 - 2 * budget.target_genus - g.n + g.m
+    movable = [v for v in range(g.n) if g.degree(v) >= 3]
+    index = DartIndex(g)
+    out = index.out
+    seen = [0] * index.size
+    stamp = 0
+    best_f, best_rot, explored, chunk = -1, None, 0, 0
+    while explored < budget.max_rotation_systems:
+        rng = _chunk_rng(budget.seed, chunk)
+        chunk += 1
+        rotation = []
+        for v in range(g.n):
+            nbrs = list(g.adj[v])
+            rng.shuffle(nbrs)
+            rotation.append(tuple(nbrs))
+        succ = index.successors(rotation)
+        stamp += 1
+        current_f = count_orbits(succ, range(index.size), seen, stamp)
+        explored += 1
+        stall = 0
+        local_best = current_f
+        while (stall < budget.restart_stall
+               and explored < budget.max_rotation_systems):
+            if not movable:
+                break
+            v = rng.choice(movable)
+            rot = list(rotation[v])
+            i, j = rng.sample(range(len(rot)), 2)
+            positions = (i - 1, i, j - 1, j)
+            changed = {out[rot[p]][v] for p in positions}
+            undo = [(dart, succ[dart]) for dart in changed]
+            stamp += 2
+            before = count_orbits(succ, changed, seen, stamp - 1)
+            rot[i], rot[j] = rot[j], rot[i]
+            for p in positions:
+                succ[out[rot[p]][v]] = out[v][rot[(p + 1) % len(rot)]]
+            f = current_f + count_orbits(succ, changed, seen, stamp) - before
+            explored += 1
+            if f >= current_f:
+                rotation[v] = tuple(rot)
+                current_f = f
+                if f > local_best:
+                    local_best = f
+                    stall = 0
+                else:
+                    stall += 1
+            else:
+                for dart, nxt in undo:
+                    succ[dart] = nxt
+                stall += 1
+            if current_f > best_f:
+                best_f = current_f
+                best_rot = list(rotation)
+                if target_f is not None and best_f >= target_f:
+                    break
+        if best_rot is None:
+            best_f, best_rot = current_f, rotation
+        if target_f is not None and best_f >= target_f:
+            break
+        if not movable:
+            break
+    return (2 - g.n + g.m - best_f) // 2, explored, tuple(best_rot)
+
+
+@st.composite
+def stochastic_cases(draw):
+    """A small connected graph and a budget: seed, cap, stall limit and
+    sometimes a target genus."""
+    n = draw(st.integers(3, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=14)))
+    g = from_edges(n, sorted(edges))
+    budget = SearchBudget(
+        seed=draw(st.integers(0, 2 ** 32)),
+        max_rotation_systems=draw(st.integers(1, 3000)),
+        restart_stall=draw(st.integers(1, 60)),
+        target_genus=draw(st.none() | st.integers(0, 3)))
+    return g, budget
+
+
+# a star with 23 leaves: positions at the hub are drawn by rejection
+STAR23 = from_edges(24, [(0, v) for v in range(1, 24)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(stochastic_cases())
+@example((STAR23, SearchBudget(seed=3, max_rotation_systems=2000)))
+@example((make_complete_bipartite(23, 3),
+          SearchBudget(seed=7, max_rotation_systems=3000, restart_stall=50)))
+def test_stochastic_matches_the_walk_based_loop(case):
+    g, budget = case
+    res = stochastic_search(g, budget)
+    assert (res.best_genus, res.explored, res.witness.rotation) == (
+        reference_stochastic(g, budget))
 
 
 def reference_exhaustive(g):
     """(best_genus, explored, witness rotation) by the enumeration the
     oracle must reproduce: every vertex's cyclic orders in permutation
-    order, the root's up to reversal, systems in itertools.product
+    order, the root's (the first vertex of degree >= 3) up to reversal,
+    systems in itertools.product
     order, each one's faces counted with a dict tracer, first best
     kept."""
+    root = next((v for v in range(g.n) if g.degree(v) >= 3), None)
+
     def orders(v):
         nbrs = g.adj[v]
         if len(nbrs) <= 2:
             return [tuple(nbrs)]
         return [(nbrs[0],) + perm
                 for perm in itertools.permutations(nbrs[1:])
-                if v != 0 or perm[0] < perm[-1]]
+                if v != root or perm[0] < perm[-1]]
 
     best_f, best, explored = -1, None, 0
     for rotation in itertools.product(*map(orders, range(g.n))):
@@ -292,14 +432,26 @@ def reference_exhaustive(g):
 # a hub of degree 6 has more orders than the rule lets into a block;
 # K4's three wheels all fit in one
 HUB = from_edges(7, [(0, 1), (1, 2)] + [(v, 6) for v in range(6)])
+# the same graph with the hub as vertex 0 (and old vertex 0 as 6)
+HUB_AT_0 = from_edges(7, [(1, 6), (1, 2)] + [(0, v) for v in range(1, 7)])
 
 
 def test_block_rule_covers_no_block_and_every_wheel():
-    # (cyclic orders, degree) of each wheel, outermost first: HUB's are
-    # vertex 1 and the hub, K4's are vertices 1-3 (its root has one
-    # order up to reversal)
-    assert _block_size([(2, 3), (120, 6)], 2 * HUB.m) == 0
+    # (cyclic orders, degree) of each wheel, outermost first: HUB's only
+    # wheel is the hub (vertex 1, the first of degree 3, is the root and
+    # has one order up to reversal), K4's are vertices 1-3 (its root is
+    # vertex 0)
+    assert _block_size([(120, 6)], 2 * HUB.m) == 0
     assert _block_size([(2, 3)] * 3, 2 * complete(4).m) == 3
+
+
+@pytest.mark.parametrize("g", [HUB, HUB_AT_0], ids=["hub 6", "hub 0"])
+def test_reflection_is_quotiented_whatever_the_root_label(g):
+    # the root is the first vertex of degree >= 3, so relabelling the
+    # hub does not double the systems enumerated
+    res = exhaustive_min_genus(g)
+    assert (res.best_genus, res.explored) == (0, 120)
+    assert rotation_space_size(g) == 120
 
 
 @st.composite
@@ -319,6 +471,7 @@ def small_connected_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_connected_graphs())
 @example(HUB)
+@example(HUB_AT_0)
 @example(complete(4))
 def test_block_scoring_matches_a_full_recount(g):
     res = exhaustive_min_genus(g)
