@@ -25,10 +25,9 @@ from .constructions import embed_family
 from .embeddings import (canonical_json_bytes, certificate_from_json_dict,
                          certificate_to_json_dict, components_certificate,
                          embedding_from_json_dict, embedding_to_json_dict,
-                         genus_lower_bound, trace_faces)
+                         trace_faces)
 from .errors import (BudgetExceededError, ExprSyntaxError,
-                     InvalidParameterError, NotApplicableError, ToolError,
-                     VerificationError)
+                     InvalidParameterError, ToolError, VerificationError)
 from .formulas import FORMULAS
 from .graphs import (build_family, graph_from_json_dict, graph_to_json_dict,
                      is_bipartite, is_json_int, parse_family_expr)
@@ -253,12 +252,7 @@ def cmd_oracle(args) -> int:
         result = exhaustive_min_genus(graph, budget)
     except BudgetExceededError:
         result = stochastic_search(graph, budget)
-    # the search refused a disconnected or empty graph, so the bound
-    # applies unless the graph is not bipartite
-    try:
-        bound = genus_lower_bound(graph)
-    except NotApplicableError:
-        bound = None
+    bound = result.quad_bound
     summary = {"best_genus": result.best_genus,
                "exhaustive": result.exhaustive,
                "explored": result.explored,

@@ -34,6 +34,20 @@ Combinations are scored in itertools.product order and the first best
 is kept, so the result is the one a full recount of every system in
 product order would give.
 
+Enumeration stops at the first system that meets the Euler lower bound,
+because no system can have more faces.  In a connected simple graph
+other than K2 a face of length 1 needs a loop, and one of length 2,
+the walk (u, v), (v, u), needs u and v both of degree 1, so every face
+has length at least 3; in a bipartite graph every closed walk, so every
+face, has even length, at least 4.  The face lengths sum to 2m, so
+f <= 2m/4 (bipartite) or f <= 2m/3, and Euler's formula
+n - m + f = 2 - 2g turns that into g >= 1 + m/4 - n/2 or
+g >= (m - 3n + 6)/6; rounded up and floored at zero that is the bound
+lb (trees, K1 and K2 are bipartite and get 0), and no system has more
+than f_cap = 2 - n + m - 2 lb faces.  The first system with f_cap faces
+is therefore the first best, the one a full enumeration keeps, and the
+search reports its position in product order as ``explored``.
+
 A stochastic swap of two neighbours at v changes the successors of the
 changed darts C, the at most four darts entering v from the positions
 i-1, i, j-1 and j.  Each restart walks every orbit once and labels each
@@ -65,7 +79,7 @@ from typing import Optional
 from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
 from .embeddings import (DartIndex, Embedding, EmbeddingCertificate,
-                         count_orbits, euler_genus)
+                         _quad_bound, count_orbits, euler_genus)
 from .graphs import Graph, is_bipartite, is_connected, is_json_int
 
 
@@ -99,10 +113,29 @@ class OracleResult:
     witness: Embedding
     exhaustive: bool
     explored: int
+    quad_bound: Optional[int]  # None when the graph is not bipartite
 
 
 def _genus_from_faces(graph: Graph, f: int) -> int:
     return (2 - graph.n + graph.m - f) // 2
+
+
+def _quad_bound_of(graph: Graph) -> Optional[int]:
+    """The quadrilateral lower bound of a connected graph, None when it
+    is not bipartite."""
+    if is_bipartite(graph) is None:
+        return None
+    return _quad_bound(graph.n, graph.m)
+
+
+def _face_cap(graph: Graph, quad: Optional[int]) -> int:
+    """The most faces a rotation system of the connected graph can have:
+    Euler's formula at the quadrilateral bound ``quad`` of a bipartite
+    graph, or at the triangle bound ceil((m - 3n + 6) / 6) floored at
+    zero of any other (see the module docstring)."""
+    lb = quad if quad is not None else max(
+        0, -((3 * graph.n - 6 - graph.m) // 6))
+    return 2 - graph.n + graph.m - 2 * lb
 
 
 def _root(graph: Graph) -> int:
@@ -141,10 +174,16 @@ def _block_size(wheels: list[tuple[int, int]], darts: int) -> int:
 
 def exhaustive_min_genus(graph: Graph,
                          budget: SearchBudget = SearchBudget()) -> OracleResult:
-    """True minimum genus by enumerating every rotation system.
+    """True minimum genus by enumerating rotation systems in product
+    order until one meets the Euler lower bound, or all of them.
 
-    Refuses graphs whose quotient rotation space exceeds the budget cap;
-    callers wanting an answer anyway should drop to stochastic_search.
+    The first best system is the witness; ``explored`` is its position
+    in product order when it meets the bound (no later system can beat
+    it, see the module docstring), and the whole quotient space
+    otherwise.  The budget's target genus plays no part.  Refuses graphs
+    whose quotient rotation space exceeds the budget cap, whether or not
+    the bound would stop the search early; callers wanting an answer
+    anyway should drop to stochastic_search.
     """
     if graph.n == 0 or not is_connected(graph):
         raise InvalidParameterError("need a non-empty connected graph")
@@ -153,6 +192,8 @@ def exhaustive_min_genus(graph: Graph,
         raise BudgetExceededError(
             f"rotation space {space} exceeds cap "
             f"{budget.max_rotation_systems}")
+    quad = _quad_bound_of(graph)
+    f_cap = _face_cap(graph, quad)
 
     root = _root(graph)
 
@@ -235,13 +276,16 @@ def exhaustive_min_genus(graph: Graph,
             perms = [perm + segment for perm in perms for segment in segments]
         cycles = [count_orbits(perm, block_ids, mark, tick)
                   for tick, perm in enumerate(perms, explored + 1)]
-        explored += len(cycles)
         most = max(cycles)
         if f_avoid + most > best_f:
             best_f = f_avoid + most
+            at = cycles.index(most)
             best = combo + next(itertools.islice(
-                itertools.product(*(entries[v] for v in block)),
-                cycles.index(most), None))
+                itertools.product(*(entries[v] for v in block)), at, None))
+            if best_f == f_cap:  # no system has more faces
+                explored += at + 1
+                break
+        explored += len(cycles)
     for v, (rot, _) in zip(wheels, best):
         rotation[v] = rot
     witness = Embedding(graph, tuple(rotation))
@@ -250,6 +294,7 @@ def exhaustive_min_genus(graph: Graph,
         witness=witness,
         exhaustive=True,
         explored=explored,
+        quad_bound=quad,
     )
 
 
@@ -365,15 +410,16 @@ def stochastic_search(graph: Graph,
                       budget: SearchBudget = SearchBudget()) -> OracleResult:
     """Seeded random-restart hill climbing on the face count.
 
-    Within a restart: random rotation system, then repeated single-vertex
-    perturbations (swap two neighbours in one rotation), accepting any
-    move that does not lose faces.  A restart ends after restart_stall
-    evaluations without strict improvement.  Each restart labels every
-    dart with its orbit and position in one walk; a swap is scored from
-    those labels (see ``_try_swap``), and only an accepted swap walks,
-    along the orbits it changed.  Deterministic per seed; the result
-    never beats the true minimum, so pair it with a lower bound or a
-    target to know when it has won.
+    Within a restart: random rotation system, compared with the best
+    before any move (the search stops there if it meets the target),
+    then repeated single-vertex perturbations (swap two neighbours in one
+    rotation), accepting any move that does not lose faces.  A restart
+    ends after restart_stall evaluations without strict improvement.
+    Each restart labels every dart with its orbit and position in one
+    walk; a swap is scored from those labels (see ``_try_swap``), and
+    only an accepted swap walks, along the orbits it changed.
+    Deterministic per seed; the result never beats the true minimum, so
+    pair it with a lower bound or a target to know when it has won.
     """
     if graph.n == 0 or not is_connected(graph):
         raise InvalidParameterError("need a non-empty connected graph")
@@ -400,6 +446,10 @@ def stochastic_search(graph: Graph,
         fid, fpos, flen = _orbit_labels(succ)
         current_f = len(flen)
         explored += 1
+        if current_f > best_f:
+            best_f, best_rot = current_f, [tuple(r) for r in rotation]
+            if target_f is not None and best_f >= target_f:
+                break
         stall = 0
         local_best = current_f
         while (stall < budget.restart_stall
@@ -426,10 +476,6 @@ def stochastic_search(graph: Graph,
                 best_rot = [tuple(r) for r in rotation]
                 if target_f is not None and best_f >= target_f:
                     break
-        if best_rot is None:
-            # The budget or the graph allowed no move: the restart's
-            # first system is the only one scored.
-            best_f, best_rot = current_f, [tuple(r) for r in rotation]
         if target_f is not None and best_f >= target_f:
             break
         if not movable:
@@ -440,6 +486,7 @@ def stochastic_search(graph: Graph,
         witness=witness,
         exhaustive=False,
         explored=explored,
+        quad_bound=_quad_bound_of(graph),
     )
 
 

@@ -28,6 +28,16 @@ def complete(k):
     return from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
 
 
+# K(3,3) with its edge (0, 3) subdivided by vertex 6, and the same graph
+# with the new vertex labelled 0 (every other label one higher): genus 1
+# against a triangle bound of 0, so no system meets the bound and the
+# search scores the whole quotient space
+K33_SUBDIVIDED = from_edges(7, [(0, 4), (0, 5), (0, 6), (1, 3), (1, 4),
+                                (1, 5), (2, 3), (2, 4), (2, 5), (3, 6)])
+K33_SUBDIVIDED_AT_0 = from_edges(7, [(0, 1), (0, 4), (1, 5), (1, 6), (2, 4),
+                                     (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)])
+
+
 def test_rotation_space_sizes():
     # root vertex contributes (d-1)!/2 orders for d >= 3 (reflection
     # quotient), every other vertex the full (d-1)!
@@ -36,14 +46,19 @@ def test_rotation_space_sizes():
     assert rotation_space_size(complete(5)) == 3888
 
 
-@pytest.mark.parametrize("g,want", [(complete(4), 0),
-                                    (make_complete_bipartite(3, 3), 1),
-                                    (complete(5), 1)])
-def test_exhaustive_minimum(g, want):
+# each of these meets its Euler lower bound, so the search stops at the
+# first system that does: explored is that system's position in product
+# order, well inside the quotient space
+@pytest.mark.parametrize("g,want,explored",
+                         [(complete(4), 0, 6),
+                          (make_complete_bipartite(3, 3), 1, 1),
+                          (complete(5), 1, 53)],
+                         ids=["K4", "K(3,3)", "K5"])
+def test_exhaustive_minimum(g, want, explored):
     res = exhaustive_min_genus(g, SearchBudget())
     assert res.best_genus == want
     assert res.exhaustive
-    assert res.explored == rotation_space_size(g)
+    assert res.explored == explored < rotation_space_size(g)
     assert validate_embedding(res.witness) == []
     assert euler_genus(res.witness).genus == want
 
@@ -55,11 +70,15 @@ def test_exhaustive_refuses_oversized_space():
 
 
 def test_exhaustive_ignores_target_and_stays_complete():
-    # a target never truncates enumeration; exhaustive means exhaustive
-    res = exhaustive_min_genus(complete(5),
-                               SearchBudget(target_genus=1))
-    assert res.best_genus == 1
-    assert res.exhaustive and res.explored == 3888
+    # only the Euler lower bound stops the enumeration, never a target:
+    # whatever genus the caller aims at, the same systems are scored
+    for g in (complete(5), K33_SUBDIVIDED):
+        plain = exhaustive_min_genus(g)
+        for target in (0, 1, 2, 5):
+            res = exhaustive_min_genus(g, SearchBudget(target_genus=target))
+            assert res.exhaustive
+            assert (res.best_genus, res.explored, res.witness) == (
+                plain.best_genus, plain.explored, plain.witness)
 
 
 def test_exhaustive_trivial_cycle():
@@ -75,7 +94,7 @@ def test_exhaustive_is_exact_for_asymmetric_root_rotation():
                            (1, 3), (3, 2), (2, 4), (4, 1)])
     res = exhaustive_min_genus(wheel, SearchBudget())
     assert res.best_genus == 0
-    assert res.explored == rotation_space_size(wheel) == 48
+    assert (res.explored, rotation_space_size(wheel)) == (42, 48)
 
 
 def test_stochastic_finds_torus_witnesses():
@@ -157,6 +176,16 @@ def test_search_budget_refuses_booleans_and_non_integer_seeds(field, value):
     assert info.value.exit_code == 3
 
 
+def test_stochastic_compares_each_restarts_first_system_with_the_best():
+    # the budget runs out right after the last restart's first system,
+    # which has 6 faces where every earlier system had at most 4
+    res = stochastic_search(build_family("C(4) x C(4)"),
+                            SearchBudget(seed=6, max_rotation_systems=35,
+                                         restart_stall=5))
+    assert (res.best_genus, res.explored) == (6, 35)
+    assert euler_genus(res.witness).genus == 6
+
+
 def test_stochastic_scores_the_first_system_when_no_move_is_possible():
     # a budget of one leaves no room for a move, and a path has no
     # vertex of degree 3 to perturb: the restart's system is the answer
@@ -170,21 +199,23 @@ def test_stochastic_scores_the_first_system_when_no_move_is_possible():
 
 # frozen: (best_genus, explored, sha256 of the witness rotation as JSON)
 # for each search, captured from the tuple-based face counter that the
-# dart-indexed one replaced; both searchers must reproduce them exactly
+# dart-indexed one replaced; both searchers must reproduce them exactly.
+# Every exhaustive case here meets its Euler lower bound, so its explored
+# is the witness's position in product order, not the whole space.
 WHEEL = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4),
                        (1, 3), (3, 2), (2, 4), (4, 1)])
 PINNED = [
-    ("K4", exhaustive_min_genus, complete(4), SearchBudget(), 0, 8,
+    ("K4", exhaustive_min_genus, complete(4), SearchBudget(), 0, 6,
      "520500ac88248251a51f25ab0631135ee7862da499d9ebb6c4c31ed088527c65"),
     ("K(3,3)", exhaustive_min_genus, make_complete_bipartite(3, 3),
-     SearchBudget(), 1, 32,
+     SearchBudget(), 1, 1,
      "af9f95647803d140def96d475007e395a0c19787355d9faf980df35187b5aafd"),
-    ("K5", exhaustive_min_genus, complete(5), SearchBudget(), 1, 3888,
+    ("K5", exhaustive_min_genus, complete(5), SearchBudget(), 1, 53,
      "fbd94b7785761795905aac9c824e50a0034a0c93523949ec338d9e96d85d8faa"),
     ("K(3,4)", exhaustive_min_genus, make_complete_bipartite(3, 4),
-     SearchBudget(), 1, 1728,
+     SearchBudget(), 1, 86,
      "40fb836b8345364537e02e3bc7f800c4e5c7ad0f5506279b8cf7e795a70d7c0e"),
-    ("wheel", exhaustive_min_genus, WHEEL, SearchBudget(), 0, 48,
+    ("wheel", exhaustive_min_genus, WHEEL, SearchBudget(), 0, 42,
      "c4c79ad723e7dc6f60e6b1606daf71abeb6d0a0c6b93496632ba828258629439"),
     ("C4xC4 seed 0", stochastic_search, build_family("C(4) x C(4)"),
      SearchBudget(seed=0, target_genus=1), 1, 23391,
@@ -316,6 +347,10 @@ def reference_stochastic(g, budget):
         stamp += 1
         current_f = count_orbits(succ, range(index.size), seen, stamp)
         explored += 1
+        if current_f > best_f:
+            best_f, best_rot = current_f, list(rotation)
+            if target_f is not None and best_f >= target_f:
+                break
         stall = 0
         local_best = current_f
         while (stall < budget.restart_stall
@@ -352,8 +387,6 @@ def reference_stochastic(g, budget):
                 best_rot = list(rotation)
                 if target_f is not None and best_f >= target_f:
                     break
-        if best_rot is None:
-            best_f, best_rot = current_f, rotation
         if target_f is not None and best_f >= target_f:
             break
         if not movable:
@@ -398,10 +431,26 @@ def reference_exhaustive(g):
     """(best_genus, explored, witness rotation) by the enumeration the
     oracle must reproduce: every vertex's cyclic orders in permutation
     order, the root's (the first vertex of degree >= 3) up to reversal,
-    systems in itertools.product
-    order, each one's faces counted with a dict tracer, first best
-    kept."""
+    systems in itertools.product order, each one's faces counted with a
+    dict tracer, first best kept, stopping at the first system with as
+    many faces as any can have.  That cap comes from the face lengths of
+    a connected simple graph on three or more vertices: at least 4 when
+    it is bipartite and 3 otherwise, summing to 2m; a system has at most
+    2 - n + m faces (genus 0), and its face count has the parity of
+    m - n."""
     root = next((v for v in range(g.n) if g.degree(v) >= 3), None)
+    colour = {0: 0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in g.adj[v]:
+            if u not in colour:
+                colour[u] = 1 - colour[v]
+                stack.append(u)
+    bipartite = all(colour[u] != colour[v]
+                    for v in range(g.n) for u in g.adj[v])
+    cap = min(2 - g.n + g.m, 2 * g.m // (4 if bipartite else 3))
+    cap -= (cap - g.m + g.n) % 2
 
     def orders(v):
         nbrs = g.adj[v]
@@ -426,6 +475,8 @@ def reference_exhaustive(g):
                 unseen.remove((u, v))
         if f > best_f:
             best_f, best = f, rotation
+            if f >= cap:
+                break
     return (2 - g.n + g.m - best_f) // 2, explored, best
 
 
@@ -445,13 +496,15 @@ def test_block_rule_covers_no_block_and_every_wheel():
     assert _block_size([(2, 3)] * 3, 2 * complete(4).m) == 3
 
 
-@pytest.mark.parametrize("g", [HUB, HUB_AT_0], ids=["hub 6", "hub 0"])
+@pytest.mark.parametrize("g", [K33_SUBDIVIDED, K33_SUBDIVIDED_AT_0],
+                         ids=["degree 2 at 6", "degree 2 at 0"])
 def test_reflection_is_quotiented_whatever_the_root_label(g):
-    # the root is the first vertex of degree >= 3, so relabelling the
-    # hub does not double the systems enumerated
+    # the root is the first vertex of degree >= 3, so labelling the
+    # degree-2 vertex 0 does not double the systems enumerated; the graph
+    # misses its bound, so every system of the quotient is scored
     res = exhaustive_min_genus(g)
-    assert (res.best_genus, res.explored) == (0, 120)
-    assert rotation_space_size(g) == 120
+    assert (res.best_genus, res.explored) == (1, 32)
+    assert rotation_space_size(g) == 32
 
 
 @st.composite
@@ -468,11 +521,45 @@ def small_connected_graphs(draw):
     return from_edges(n, sorted(edges))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_connected_graphs())
+@st.composite
+def trees(draw):
+    """A random tree on 3..9 vertices: every system is planar, so the
+    first one meets the bound."""
+    n = draw(st.integers(3, 9))
+    return from_edges(n, sorted({(draw(st.integers(0, v - 1)), v)
+                                 for v in range(1, n)}))
+
+
+@st.composite
+def k33_variants(draw):
+    """K(3,3), whose genus 1 meets its quadrilateral bound where the
+    triangle bound would be 0, or K(3,3) with one edge subdivided (not
+    bipartite, triangle bound 0) or a pendant vertex added (bipartite,
+    quadrilateral bound 0): genus 1, so no system of these two meets the
+    bound and every one is scored.  Vertices are relabelled at random."""
+    edges = [(u, v) for u in range(3) for v in range(3, 6)]
+    kind = draw(st.sampled_from(["plain", "subdivided", "pendant"]))
+    if kind == "subdivided":
+        u, v = edges.pop(draw(st.integers(0, 8)))
+        edges += [(u, 6), (v, 6)]
+    elif kind == "pendant":
+        edges.append((draw(st.integers(0, 5)), 6))
+    n = 6 if kind == "plain" else 7
+    label = draw(st.permutations(range(n)))
+    return from_edges(n, sorted(tuple(sorted((label[u], label[v])))
+                                for u, v in edges))
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(small_connected_graphs(), trees(), k33_variants()))
 @example(HUB)
 @example(HUB_AT_0)
 @example(complete(4))
+@example(WHEEL)
+@example(make_path(3))
+@example(make_complete_bipartite(3, 3))
+@example(K33_SUBDIVIDED)
+@example(K33_SUBDIVIDED_AT_0)
 def test_block_scoring_matches_a_full_recount(g):
     res = exhaustive_min_genus(g)
     genus, explored, witness = reference_exhaustive(g)
