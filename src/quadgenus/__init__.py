@@ -17,7 +17,8 @@ from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          genus_lower_bound, trace_faces, validate_embedding)
 from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,
                      ExprSyntaxError, InvalidParameterError, LinkError,
-                     NotApplicableError, SurgeryError, ToolError,
+                     LocalProofError, NotApplicableError, SurgeryError,
+                     ToolError,
                      UnsupportedFamilyError, VerificationError)
 from .formulas import (FORMULAS, GenusValue, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,

@@ -52,6 +52,11 @@ class SurgeryError(ToolError):
     exit_code = 3
 
 
+class LocalProofError(SurgeryError):
+    """A handle's local proof failed after its splice.  That is a fault,
+    not a refused handle, and it leaves the working state half changed."""
+
+
 class LinkError(SurgeryError):
     """Copy-to-copy linking failed (family mismatch or bad correspondence)."""
 

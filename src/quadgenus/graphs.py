@@ -18,6 +18,7 @@ materialises it and constructions.check_family_graph compares against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -34,9 +35,12 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[Label, ...]] = None
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        """The edge count, summed over the adjacency on the first read
+        only.  The cached value is not a field: equality, hash and repr
+        see n, adj and labels alone."""
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

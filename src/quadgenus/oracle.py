@@ -48,9 +48,15 @@ than f_cap = 2 - n + m - 2 lb faces.  The first system with f_cap faces
 is therefore the first best, the one a full enumeration keeps, and the
 search reports its position in product order as ``explored``.
 
-A stochastic swap of two neighbours at v changes the successors of the
-changed darts C, the at most four darts entering v from the positions
-i-1, i, j-1 and j.  Each restart walks every orbit once and labels each
+A stochastic restart holds each rotation as a row of local positions,
+k for the k-th neighbour in v's adjacency, and reads the darts into and
+out of v at position k from two lists indexed by position; the witness
+is mapped back to neighbours once, at the end.  Every random draw goes
+through one ``below(n)`` per restart (see ``_below``), which replays the
+draws ``randrange``, ``choice``, ``shuffle`` and ``sample`` would make.
+A swap of two neighbours at v changes the successors of the changed
+darts C, the at most four darts entering v from the positions i-1, i,
+j-1 and j.  Each restart walks every orbit once and labels each
 dart d with its orbit id fid[d] and position fpos[d], and each orbit
 with its length.  The same block argument scores a swap with no walk:
 each new successor t(c) of a dart c in C is an out-dart of v, never in
@@ -58,10 +64,18 @@ C, and reach(t), the dart of C on t's orbit at the least positive
 offset (fpos[reach] - fpos[t]) mod length, is reached from t along
 successors the swap keeps.  The orbits through C after the swap are
 the cycles of c -> reach(t(c)), the orbits before are the distinct fid
-values over C, and the face count moves by the difference.  A rejected
-swap swaps the two entries of v's rotation back and writes nothing
-else; an accepted one writes the new successors and relabels the
-orbits through C in one walk.
+values over C, and the face count moves by the difference.  The old
+and the new successors of C are the same out-darts of v, so when every
+dart of C lies on its own orbit, reach(t(c)) is the dart of C whose old
+successor was t(c).  Writing (p) for the dart from neighbour p into v
+and p_k for the neighbour at position k before the swap, that map
+exchanges (p_{i-1}) with (p_{j-1}) and (p_i) with (p_j), two cycles on
+four darts, or is one cycle on three when i and j are adjacent; either
+way the swap loses two faces, so it is rejected as soon as the fid
+values over C are seen to be distinct.  A rejected swap swaps the two
+entries of v's rotation back and writes nothing else; an accepted one
+writes the new successors and relabels the orbits through C in one
+walk.
 
 Both searchers are deterministic for a fixed seed.  Restarts draw their
 generators from per-chunk seeds, so chunks could run in any order (or in
@@ -74,7 +88,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
@@ -302,18 +316,38 @@ def _chunk_rng(seed: int, chunk: int) -> random.Random:
     return random.Random((seed * 1_000_003 + chunk) & 0xFFFFFFFF)
 
 
-def _positions(rng: random.Random, d: int) -> tuple[int, int]:
-    """Two distinct positions below d, drawn exactly as
-    ``rng.sample(range(d), 2)`` draws them (the CPython 3.10-3.13 code:
-    a pool below 22 items, rejection above) without building a sample."""
-    randrange = rng.randrange
-    i = randrange(d)
+def _below(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``, a draw below n >= 1 exactly as ``rng.randrange(n)``
+    draws it.  The CPython 3.10-3.13 code, ``_randbelow_with_getrandbits``,
+    takes ``getrandbits(n.bit_length())`` until the value is below n;
+    ``choice(seq)`` draws ``seq[below(len(seq))]``, ``shuffle`` swaps
+    position k with ``below(k + 1)`` for k from the last down to 1, and
+    ``sample`` draws as ``_positions`` shows.  Calling the public
+    ``getrandbits`` directly replays those draws without their wrappers."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _positions(below: Callable[[int], int], d: int) -> tuple[int, int]:
+    """Two distinct positions below d, drawn through ``below`` (see
+    ``_below``) exactly as ``rng.sample(range(d), 2)`` draws them (the
+    CPython 3.10-3.13 code: a pool below 22 items, rejection above)
+    without building a sample."""
+    i = below(d)
     if d <= 21:
-        j = randrange(d - 1)
+        j = below(d - 1)
         return i, (d - 1 if j == i else j)
-    j = randrange(d)
+    j = below(d)
     while j == i:
-        j = randrange(d)
+        j = below(d)
     return i, j
 
 
@@ -342,70 +376,6 @@ def _orbit_labels(succ: list[int]) -> tuple[list[int], list[int],
     return fid, fpos, flen
 
 
-def _try_swap(into: dict[int, int], ov: dict[int, int], row: list[int],
-              i: int, j: int, succ: list[int], fid: list[int],
-              fpos: list[int], flen: list[int]) -> int:
-    """Swap positions i and j of ``row``, the rotation of a vertex whose
-    in-darts and out-darts are ``into`` and ``ov`` (keyed by neighbour),
-    if that loses no face; return the change in the face count either
-    way.
-
-    ``fid``, ``fpos`` and ``flen`` label the orbits of ``succ`` (see the
-    module docstring), and the swap is scored from them without a walk.
-    A rejected swap swaps the two entries back and writes nothing else.
-    An accepted one writes the new successors and relabels the orbits
-    through the changed darts in one walk, reusing the ids of the orbits
-    they replace (never more than the new ones), so the ids stay
-    0 .. faces-1.
-    """
-    d = len(row)
-    row[i], row[j] = a, b = row[j], row[i]
-    new = {into[row[i - 1]]: ov[a], into[a]: ov[row[(i + 1) % d]],
-           into[row[j - 1]]: ov[b], into[b]: ov[row[(j + 1) % d]]}
-    ids = list(map(fid.__getitem__, new))
-    # link[x]: the changed dart reached first from changed dart x's new
-    # successor t, along successors the swap keeps: the one changed dart
-    # on t's orbit, or of several the one at the least positive offset
-    link = []
-    for t in new.values():
-        k = fid[t]
-        if ids.count(k) == 1:
-            link.append(ids.index(k))
-            continue
-        base = fpos[t]
-        length = near = flen[k]
-        for x, c in enumerate(new):
-            if ids[x] == k:
-                off = (fpos[c] - base) % length
-                if off < near:
-                    near, reach = off, x
-        link.append(reach)
-    # one head per cycle of link, that is per orbit through the changed
-    # darts after the swap
-    heads = []
-    for x in range(len(link)):
-        if link[x] >= 0:
-            heads.append(x)
-            while link[x] >= 0:
-                link[x], x = -1, link[x]
-    free = set(ids)
-    delta = len(heads) - len(free)
-    if delta < 0:
-        row[i], row[j] = b, a
-        return delta
-    changed = list(new)
-    for c, t in new.items():
-        succ[c] = t
-    for x in heads:
-        start = changed[x]
-        if free:
-            k = free.pop()
-            flen[k] = _walk(succ, start, k, fid, fpos)
-        else:
-            flen.append(_walk(succ, start, len(flen), fid, fpos))
-    return delta
-
-
 def stochastic_search(graph: Graph,
                       budget: SearchBudget = SearchBudget()) -> OracleResult:
     """Seeded random-restart hill climbing on the face count.
@@ -416,8 +386,8 @@ def stochastic_search(graph: Graph,
     rotation), accepting any move that does not lose faces.  A restart
     ends after restart_stall evaluations without strict improvement.
     Each restart labels every dart with its orbit and position in one
-    walk; a swap is scored from those labels (see ``_try_swap``), and
-    only an accepted swap walks, along the orbits it changed.
+    walk; a swap is scored from those labels (see the module docstring),
+    and only an accepted swap walks, along the orbits it changed.
     Deterministic per seed; the result never beats the true minimum, so
     pair it with a lower bound or a target to know when it has won.
     """
@@ -426,61 +396,128 @@ def stochastic_search(graph: Graph,
     target_f: Optional[int] = None
     if budget.target_genus is not None:
         target_f = 2 - 2 * budget.target_genus - graph.n + graph.m
+    cap, restart_stall = budget.max_rotation_systems, budget.restart_stall
     movable = [v for v in range(graph.n) if graph.degree(v) >= 3]
     index = DartIndex(graph)
     out = index.out
-    into = [{u: out[u][v] for u in graph.adj[v]} for v in range(graph.n)]
+    # Rows hold local positions: k stands for the k-th neighbour of v in
+    # graph.adj[v], and into[v][k] and outof[v][k] are the darts from it
+    # into v and from v out to it.
+    into = [[out[u][v] for u in nbrs] for v, nbrs in enumerate(graph.adj)]
+    outof = [list(darts.values()) for darts in out]
     best_f = -1
-    best_rot: Optional[list[tuple[int, ...]]] = None
+    best_rows: list[list[int]] = []
     explored = 0
     chunk = 0
-    while explored < budget.max_rotation_systems:
-        rng = _chunk_rng(budget.seed, chunk)
+    while explored < cap:
+        below = _below(_chunk_rng(budget.seed, chunk))
         chunk += 1
-        rotation = []
-        for v in range(graph.n):
-            nbrs = list(graph.adj[v])
-            rng.shuffle(nbrs)
-            rotation.append(nbrs)
-        succ = index.successors(rotation)
+        rows = []
+        succ = [0] * index.size
+        for iv, ov in zip(into, outof):
+            row = list(range(len(iv)))
+            for k in range(len(row) - 1, 0, -1):  # rng.shuffle(row)
+                p = below(k + 1)
+                row[k], row[p] = row[p], row[k]
+            rows.append(row)
+            if row:
+                prev = row[-1]
+                for k in row:
+                    succ[iv[prev]] = ov[k]
+                    prev = k
         fid, fpos, flen = _orbit_labels(succ)
         current_f = len(flen)
         explored += 1
         if current_f > best_f:
-            best_f, best_rot = current_f, [tuple(r) for r in rotation]
+            best_f, best_rows = current_f, [row[:] for row in rows]
             if target_f is not None and best_f >= target_f:
                 break
+        if not movable:
+            break
         stall = 0
         local_best = current_f
-        while (stall < budget.restart_stall
-               and explored < budget.max_rotation_systems):
-            if not movable:
-                break
-            v = rng.choice(movable)
-            row = rotation[v]
-            i, j = _positions(rng, len(row))
-            delta = _try_swap(into[v], out[v], row, i, j, succ, fid, fpos,
-                              flen)
+        while stall < restart_stall and explored < cap:
+            v = movable[below(len(movable))]  # rng.choice(movable)
+            row = rows[v]
+            d = len(row)
+            i, j = _positions(below, d)
+            iv, ov = into[v], outof[v]
+            row[i], row[j] = a, b = row[j], row[i]
+            # the changed darts and their new successors; when i and j
+            # are neighbours one dart is listed twice, and goes once
+            changed = [iv[row[i - 1]], iv[a], iv[row[j - 1]], iv[b]]
+            targets = [ov[a], ov[row[(i + 1) % d]], ov[b],
+                       ov[row[(j + 1) % d]]]
+            if (j - i) % d == 1:
+                del changed[2], targets[2]
+            elif (i - j) % d == 1:
+                del changed[3], targets[3]
+            ids = [fid[c] for c in changed]
+            free = set(ids)
             explored += 1
-            if delta >= 0:
-                current_f += delta
-                if current_f > local_best:
-                    local_best = current_f
-                    stall = 0
+            if len(free) == len(ids):  # loses two faces (module docstring)
+                row[i], row[j] = b, a
+                stall += 1
+                continue
+            # link[x]: the changed dart reached first from changed dart
+            # x's new successor t, along successors the swap keeps: the
+            # one changed dart on t's orbit, or of several the one at the
+            # least positive offset
+            link = []
+            for t in targets:
+                k = fid[t]
+                if ids.count(k) == 1:
+                    link.append(ids.index(k))
+                    continue
+                base = fpos[t]
+                length = near = flen[k]
+                for x, c in enumerate(changed):
+                    if ids[x] == k:
+                        off = (fpos[c] - base) % length
+                        if off < near:
+                            near, reach = off, x
+                link.append(reach)
+            # one head per cycle of link, that is per orbit through the
+            # changed darts after the swap
+            heads = []
+            for x in range(len(link)):
+                if link[x] >= 0:
+                    heads.append(x)
+                    while link[x] >= 0:
+                        link[x], x = -1, link[x]
+            delta = len(heads) - len(free)
+            if delta < 0:
+                row[i], row[j] = b, a
+                stall += 1
+                continue
+            # accepted: write the new successors and relabel the orbits
+            # through the changed darts, reusing the ids of the orbits
+            # they replace (never more than the new ones), so the ids
+            # stay 0 .. faces-1
+            for c, t in zip(changed, targets):
+                succ[c] = t
+            for x in heads:
+                if free:
+                    k = free.pop()
+                    flen[k] = _walk(succ, changed[x], k, fid, fpos)
                 else:
-                    stall += 1
+                    flen.append(_walk(succ, changed[x], len(flen), fid,
+                                      fpos))
+            current_f += delta
+            if current_f > local_best:
+                local_best = current_f
+                stall = 0
             else:
                 stall += 1
             if current_f > best_f:
-                best_f = current_f
-                best_rot = [tuple(r) for r in rotation]
+                best_f, best_rows = current_f, [row[:] for row in rows]
                 if target_f is not None and best_f >= target_f:
                     break
         if target_f is not None and best_f >= target_f:
             break
-        if not movable:
-            break
-    witness = Embedding(graph, tuple(best_rot))
+    witness = Embedding(graph, tuple(
+        tuple(map(nbrs.__getitem__, row))
+        for nbrs, row in zip(graph.adj, best_rows)))
     return OracleResult(
         best_genus=_genus_from_faces(graph, best_f),
         witness=witness,

@@ -24,7 +24,7 @@ from .constructions import embed_K2r2r, embed_cube, embed_family
 from .embeddings import (Embedding, canonical_json_bytes, euler_genus,
                          face_lengths, genus_lower_bound, trace_faces,
                          validate_embedding)
-from .errors import SurgeryError
+from .errors import LocalProofError, SurgeryError
 from .formulas import (_cube_genus_as_printed, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,
                        hypercube_genus, main_cycles_genus, main_paths_genus,
@@ -32,7 +32,8 @@ from .formulas import (_cube_genus_as_printed, corollary_genus,
 from .graphs import (Graph, build_family, from_edges, is_bipartite,
                      make_complete_bipartite, make_cycle, make_path,
                      product_graph)
-from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
+from .oracle import (SearchBudget, _below, _positions, exhaustive_min_genus,
+                     stochastic_search)
 from .surgery import Surgery, quad_faces
 
 
@@ -229,9 +230,16 @@ def criterion_5(seed: int) -> tuple[bool, dict]:
 def criterion_6(seed: int) -> tuple[bool, dict]:
     """1000 randomized handle additions on valid quadrilateral face pairs:
     the Euler characteristic drops by exactly 2, four edges appear, and
-    the quadrilateral face count rises by exactly 2 every single time."""
+    the quadrilateral face count rises by exactly 2 every single time.
+
+    Each base gets one working state.  Every applied handle is checked
+    on a full retrace of the frozen state and then removed again, and at
+    the end each working state must freeze back to its base exactly.  A
+    proposal add refuses before its splice (an edge of the handle already
+    present) changes nothing and counts as rejected; a failed local proof
+    after the splice is a fault and fails the criterion at once."""
     checks = _Checks()
-    rng = random.Random(seed * 100003 + 6)
+    below = _below(random.Random(seed * 100003 + 6))
     pool = []
     for base in (embed_K2r2r(2), embed_K2r2r(3), embed_cube(2, 1)):
         e = base.embedding
@@ -239,19 +247,23 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         faces = quad_faces(fs)
         g = e.graph
         quad_before = sum(1 for fc in fs.faces if len(fc) == 4)
-        pool.append((e, faces, g.n - g.m + len(fs.faces), g.m, quad_before))
+        pool.append((e, Surgery(e), faces, [f.vertex_set for f in faces],
+                     g.n - g.m + len(fs.faces), g.m, quad_before))
     applications = 0
     rejected = 0
     while applications < 1000:
-        e, faces, chi0, m0, quads0 = pool[rng.randrange(len(pool))]
-        f1, f2 = rng.sample(range(len(faces)), 2)
-        pairing = rng.randrange(4)
-        if set(faces[f1].vertices) & set(faces[f2].vertices):
+        e, work, faces, vertex_sets, chi0, m0, quads0 = pool[
+            below(len(pool))]
+        f1, f2 = _positions(below, len(faces))  # rng.sample(range(...), 2)
+        pairing = below(4)
+        if not vertex_sets[f1].isdisjoint(vertex_sets[f2]):
             rejected += 1
             continue
-        work = Surgery(e)
         try:
             record = work.add(faces[f1], faces[f2], pairing)
+        except LocalProofError:
+            checks.add(f"application {applications + 1} local proof", False)
+            break
         except SurgeryError:
             rejected += 1
             continue
@@ -267,7 +279,10 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         if not ok:
             checks.add(f"application {applications} deltas", False)
             break
+        work.remove(record)
     checks.add("1000 applications completed", applications == 1000)
+    for k, (e, work, *_) in enumerate(pool):
+        checks.add(f"base {k} restored", work.freeze() == e)
     return checks.passed, {"applications": applications,
                            "rejected_proposals": rejected,
                            "failure": checks.failure}
@@ -310,9 +325,15 @@ def criterion_7(seed: int) -> tuple[bool, dict]:
     return checks.passed, {**details, "failure": checks.failure}
 
 
-def _euler_value(expr: str) -> Fraction:
-    g = build_family(expr)
-    return Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
+def _euler_value(expr: str, memo: dict[str, Fraction]) -> Fraction:
+    """1 + m/4 - n/2 of the family ``expr``, its genus if it has a
+    quadrilateral embedding; each expression is built once per memo."""
+    value = memo.get(expr)
+    if value is None:
+        g = build_family(expr)
+        value = memo[expr] = (Fraction(1) + Fraction(g.m, 4)
+                              - Fraction(g.n, 2))
+    return value
 
 
 def criterion_8(seed: int) -> tuple[bool, dict]:
@@ -321,6 +342,7 @@ def criterion_8(seed: int) -> tuple[bool, dict]:
     form contradicts the Euler count at its smallest even case."""
     checks = _Checks()
     rng = random.Random(seed * 100003 + 8)
+    euler = {}  # expression -> its Euler count, for this call only
     for _ in range(200):
         i, r, s = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 30)
         checks.add("(a) single cycle specialization",
@@ -397,7 +419,7 @@ def criterion_8(seed: int) -> tuple[bool, dict]:
     for _ in range(200):
         value, expr = sample_f()
         checks.add(f"(f) euler count of {expr}",
-                   _euler_value(expr) == value)
+                   _euler_value(expr, euler) == value)
 
     checks.add("pinned cube_genus(2,2) == 1", cube_genus(2, 2).value == 1)
     checks.add("pinned cube_genus(2,4) == 33", cube_genus(2, 4).value == 33)
@@ -405,11 +427,11 @@ def criterion_8(seed: int) -> tuple[bool, dict]:
     checks.add("negative control: uncorrected form gives -3 at (2,2)",
                printed == Fraction(-3))
     checks.add("negative control: contradicts euler count",
-               printed != _euler_value("Q(2,2)")
-               and _euler_value("Q(2,2)") == cube_genus(2, 2).value)
+               printed != _euler_value("Q(2,2)", euler)
+               and _euler_value("Q(2,2)", euler) == cube_genus(2, 2).value)
     checks.add("negative control: also wrong at part size 4",
-               _cube_genus_as_printed(2, 4) != _euler_value("Q(2,4)")
-               and _euler_value("Q(2,4)") == cube_genus(2, 4).value)
+               _cube_genus_as_printed(2, 4) != _euler_value("Q(2,4)", euler)
+               and _euler_value("Q(2,4)", euler) == cube_genus(2, 4).value)
     return checks.passed, {"checks_run": checks.count,
                            "uncorrected_value_at_2_2": str(printed),
                            "failure": checks.failure}

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (ConstructionError, InvalidParameterError, LinkError,
-                     SurgeryError)
+                     LocalProofError, SurgeryError)
 from .embeddings import Dart, Embedding, FaceSet
 from .graphs import Graph
 
@@ -131,8 +131,8 @@ class Surgery:
     it from an Embedding, or lay copies of one straight into it with
     Surgery.copies.  add and remove check their preconditions before
     changing anything, so a refused handle leaves the state as it was.  A
-    failed local proof raises SurgeryError with the state half changed;
-    discard it then.
+    failed local proof raises LocalProofError, a SurgeryError, with the
+    state half changed; discard it then.
     """
 
     def __init__(self, e: Embedding):
@@ -218,8 +218,10 @@ class Surgery:
         face closes, and the created faces' darts are exactly the changed
         and the added ones; so the four created faces are the only faces
         changed: edge count +4, face count +2, Euler characteristic -2.
-        If the two faces lie in different components the components merge
-        and total genus adds; within one component the genus rises by one.
+        A failed check before the splice changes nothing; a failed local
+        proof raises LocalProofError.  If the two faces lie in different
+        components the components merge and total genus adds; within one
+        component the genus rises by one.
         """
         if pairing not in (0, 1, 2, 3):
             raise InvalidParameterError(
@@ -247,8 +249,8 @@ class Surgery:
         # darts run w(k+1) -> wk
         if changed != {v3 * n + v0, v0 * n + v1, v1 * n + v2, v2 * n + v3,
                        w1 * n + w0, w2 * n + w1, w3 * n + w2, w0 * n + w3}:
-            raise SurgeryError("splice touched darts outside the faces it "
-                               "consumed")
+            raise LocalProofError("splice touched darts outside the faces "
+                                  "it consumed")
         # face k is (vk, v(k+1), w(k+1), wk), rotated to its least vertex
         created = (rotate_to_least((v0, v1, w1, w0)),
                    rotate_to_least((v1, v2, w2, w1)),
@@ -257,15 +259,15 @@ class Surgery:
         made: set[int] = set()
         for quad in created:
             if not _closes(after, quad):
-                raise SurgeryError(
+                raise LocalProofError(
                     f"face {quad} did not close after the splice")
             a, b, c, d = quad
             made |= {a * n + b, b * n + c, c * n + d, d * n + a}
         changed |= {v0 * n + w0, w0 * n + v0, v1 * n + w1, w1 * n + v1,
                     v2 * n + w2, w2 * n + v2, v3 * n + w3, w3 * n + v3}
         if len(changed) != 16 or made != changed:
-            raise SurgeryError("faces closed by the splice do not cover the "
-                               "darts it changed")
+            raise LocalProofError("faces closed by the splice do not cover "
+                                  "the darts it changed")
         self.m += 4
         return HandleRecord(
             consumed=(f1, f2),
@@ -297,15 +299,15 @@ class Surgery:
         # changed and removed darts, every reinstated face closes, and
         # their darts are exactly the changed ones.
         if not _tiles(record.created, changed | removed, n):
-            raise SurgeryError("splice touched darts outside the faces it "
-                               "consumed")
+            raise LocalProofError("splice touched darts outside the faces "
+                                  "it consumed")
         for face in record.consumed:
             if not self.is_face(face):
-                raise SurgeryError(
+                raise LocalProofError(
                     f"face {face.vertices} did not close after the splice")
         if not _tiles(record.consumed, changed, n):
-            raise SurgeryError("faces closed by the splice do not cover the "
-                               "darts it changed")
+            raise LocalProofError("faces closed by the splice do not cover "
+                                  "the darts it changed")
         self.m -= len(record.added_edges)
 
     def link(self, fam_a: tuple[QuadFace, ...], fam_b: tuple[QuadFace, ...],

@@ -272,6 +272,29 @@ def test_selftest_artifacts_match_pinned_digests(capsys, tmp_path):
                  for k in range(1, 10)) == SELFTEST_DIGESTS
 
 
+# criterion_06.json, criterion_07.json and criterion_08.json for two more
+# seeds: the handle surgery, oracle and formula criteria draw everything
+# from the seed, so their artifacts are pinned beyond seed 0
+SEEDED_DIGESTS = {
+    1: ("b88f8de0b64f77ef218127498ade9600d9db13c8ca53c6efaa8dee205a129b22",
+        "9a096cec4d5cea3a48f6930522b19d9b889be910eec059633f8e83cb7b1af442",
+        "35238f96fe44c2d7dc0ea73c42401ea4681708b9486a150cfc30ba2ffae27ac0"),
+    7: ("345d62602f0ee8f1a98a2fb5b633ecc3af3198b969932bc82848eeba79170df6",
+        "495c4f4792da9451e46d60477981c0ea3750baf2783656a8649d5ee948abe52a",
+        "fc0a8df6933921823f287a17e25e36e148682dd65dd6e625b3bc411551ebb11a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_DIGESTS))
+def test_selftest_criteria_6_to_8_match_pinned_digests(capsys, tmp_path,
+                                                       seed):
+    code, _, _ = run(capsys, "selftest", "--seed", str(seed), "--out",
+                     str(tmp_path))
+    assert code == 0
+    assert tuple(_sha256(tmp_path / f"criterion_{k:02d}.json")
+                 for k in (6, 7, 8)) == SEEDED_DIGESTS[seed]
+
+
 def test_embed_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out_dir in (a, b):

@@ -192,6 +192,16 @@ def test_product_counts(a, b):
 
 
 @given(small_graphs(), small_graphs())
+def test_edge_count_is_cached_out_of_sight(a, b):
+    p = product_graph([a, b])
+    assert p.m == len(list(p.edges())) == p.m
+    # an equal graph whose m was never read
+    fresh = graphs.Graph(p.n, p.adj, p.labels)
+    assert "m" in vars(p) and "m" not in vars(fresh)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+
+
+@given(small_graphs(), small_graphs())
 def test_product_degree_sum(a, b):
     p = product_graph([a, b])
     u = 0

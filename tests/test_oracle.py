@@ -3,7 +3,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadgenus.constructions import embed_K2r2r
 from quadgenus.embeddings import (DartIndex, Embedding, count_orbits,
@@ -13,10 +13,10 @@ from quadgenus.errors import (BudgetExceededError, InvalidParameterError,
                               NotApplicableError)
 from quadgenus.graphs import (build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
-from quadgenus.oracle import (SearchBudget, _block_size, _chunk_rng,
-                              _orbit_labels, _positions, _try_swap,
-                              certify_minimum, exhaustive_min_genus,
-                              rotation_space_size, stochastic_search)
+from quadgenus.oracle import (SearchBudget, _below, _block_size, _chunk_rng,
+                              _orbit_labels, _positions, certify_minimum,
+                              exhaustive_min_genus, rotation_space_size,
+                              stochastic_search)
 
 # frozen: a rotation system of K(4,4) landing on genus 3, found once by
 # seeded perturbation of three vertices of the quadrilateral scheme
@@ -257,19 +257,16 @@ def test_search_results_are_pinned(label, search, graph, budget, genus,
 
 
 @st.composite
-def swaps_on_connected_graphs(draw):
-    """A random connected graph on 3..9 vertices, a rotation system of
-    it, and a swap of two positions at a vertex of degree >= 2."""
+def rotations_on_connected_graphs(draw):
+    """A random connected graph on 3..9 vertices and a rotation system of
+    it."""
     n = draw(st.integers(3, 9))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for v in range(n) for u in range(v)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
     g = from_edges(n, sorted(edges))
-    rotation = [list(draw(st.permutations(g.adj[v]))) for v in range(n)]
-    v = draw(st.sampled_from([v for v in range(n) if g.degree(v) >= 2]))
-    i, j = draw(st.lists(st.integers(0, g.degree(v) - 1), min_size=2,
-                         max_size=2, unique=True))
-    return g, rotation, v, i, j
+    rotation = [tuple(draw(st.permutations(g.adj[v]))) for v in range(n)]
+    return g, rotation
 
 
 def labels_describe(succ, fid, fpos, flen):
@@ -286,30 +283,62 @@ def labels_describe(succ, fid, fpos, flen):
             and all(len(orbits[k]) == flen[k] for k in orbits))
 
 
-@given(swaps_on_connected_graphs())
-def test_swap_delta_matches_a_full_retrace(case):
-    g, rotation, v, i, j = case
-    index = DartIndex(g)
-    succ = index.successors(rotation)
+@given(rotations_on_connected_graphs())
+def test_orbit_labels_name_every_face(case):
+    g, rotation = case
+    succ = DartIndex(g).successors(rotation)
     fid, fpos, flen = _orbit_labels(succ)
     assert labels_describe(succ, fid, fpos, flen)
-    old_succ, old_row = list(succ), list(rotation[v])
-    swapped = list(old_row)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    f_old = len(trace_faces(Embedding(g, tuple(map(tuple, rotation)))))
-    f_new = len(trace_faces(Embedding(
-        g, tuple(tuple(swapped if u == v else rot)
-                 for u, rot in enumerate(rotation)))))
-    into = {u: index.out[u][v] for u in g.adj[v]}
-    delta = _try_swap(into, index.out[v], rotation[v], i, j, succ, fid,
-                      fpos, flen)
-    assert delta == f_new - f_old
-    if delta >= 0:
-        assert rotation[v] == swapped
-        assert succ == index.successors(rotation)
-        assert labels_describe(succ, fid, fpos, flen)
-    else:
-        assert rotation[v] == old_row and succ == old_succ
+    faces = trace_faces(Embedding(g, tuple(rotation))).faces
+    assert sorted(flen) == sorted(map(len, faces))
+
+
+@given(st.sampled_from([complete(4), complete(5),
+                        make_complete_bipartite(3, 3),
+                        make_complete_bipartite(4, 4),
+                        make_complete_bipartite(3, 5),
+                        build_family("C(4) x C(4)")]), st.data())
+def test_a_swap_over_distinct_faces_loses_two(g, data):
+    # the stochastic search rejects such a swap without scoring it
+    rotation = [tuple(data.draw(st.permutations(g.adj[v])))
+                for v in range(g.n)]
+    v = data.draw(st.integers(0, g.n - 1))
+    i, j = data.draw(st.lists(st.integers(0, g.degree(v) - 1), min_size=2,
+                              max_size=2, unique=True))
+    index = DartIndex(g)
+    fid, _, flen = _orbit_labels(index.successors(rotation))
+    row = list(rotation[v])
+    changed = {index.out[row[p]][v] for p in (i - 1, i, j - 1, j)}
+    assume(len({fid[c] for c in changed}) == len(changed))
+    row[i], row[j] = row[j], row[i]
+    swapped = tuple(tuple(row) if u == v else rot
+                    for u, rot in enumerate(rotation))
+    assert len(trace_faces(Embedding(g, swapped))) == len(flen) - 2
+
+
+def test_below_draws_what_randrange_choice_and_shuffle_draw():
+    # _randbelow_with_getrandbits redraws k = n.bit_length() bits until
+    # they fall below n; powers of two are the edge of that rule
+    sizes = list(range(1, 70)) + [2 ** 31, 2 ** 31 + 1, 10 ** 12]
+    for n in sizes:
+        for seed in range(20):
+            a, b = _chunk_rng(seed, n), _chunk_rng(seed, n)
+            below = _below(a)
+            assert below(n) == b.randrange(n)
+            assert below(n) == b.choice(range(n))
+            assert a.getstate() == b.getstate()
+        if n > 40:
+            continue
+        for seed in range(20):
+            a, b = _chunk_rng(seed, n), _chunk_rng(seed, n)
+            below = _below(a)
+            mine, theirs = list(range(n)), list(range(n))
+            for k in range(n - 1, 0, -1):
+                p = below(k + 1)
+                mine[k], mine[p] = mine[p], mine[k]
+            b.shuffle(theirs)
+            assert mine == theirs
+            assert a.getstate() == b.getstate()
 
 
 def test_positions_draw_what_sample_draws():
@@ -318,7 +347,7 @@ def test_positions_draw_what_sample_draws():
     for d in range(2, 41):
         for seed in range(50):
             a, b = _chunk_rng(seed, d), _chunk_rng(seed, d)
-            assert _positions(a, d) == tuple(b.sample(range(d), 2))
+            assert _positions(_below(a), d) == tuple(b.sample(range(d), 2))
             assert a.getstate() == b.getstate()
 
 

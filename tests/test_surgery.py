@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadgenus import constructions
+from quadgenus import constructions, selftest
 from quadgenus.constructions import embed_cube, embed_K2r2r
 from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
@@ -359,6 +359,29 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
         work.add(f1, f2, 0)
     monkeypatch.undo()
     assert Surgery(e).add(f1, f2, 0).consumed == (f1, f2)
+
+
+def test_criterion_6_fails_at_once_on_a_failed_local_proof(monkeypatch):
+    # A failed local proof is a fault, not a refused proposal: criterion 6
+    # stops at the first one instead of drawing proposals until 1000
+    # handles apply, which would never happen here.
+    # The splice is broken only in the working states criterion 6 makes,
+    # not in the constructions that build its bases.
+    calls = []
+
+    class Dropping(Surgery):
+        def _splice(self, v, w):
+            calls.append(v)
+            if len(calls) > 1:
+                raise RuntimeError("proposal drawn after a failed proof")
+            changed = super()._splice(v, w)
+            return changed[:-1] + changed[:1]  # one changed dart unreported
+
+    monkeypatch.setattr(selftest, "Surgery", Dropping)
+    passed, details = selftest.criterion_6(0)
+    assert not passed and len(calls) == 1
+    assert details["applications"] == 0
+    assert details["failure"] == "application 1 local proof"
 
 
 def test_add_local_proof_catches_a_splice_outside_the_faces(monkeypatch):
