@@ -132,7 +132,7 @@ def cmd_embed(args) -> int:
         manifest.outputs.append(_write(
             out, "certificate.json", certificate_to_json_dict(cert)))
         manifest.outputs.append(_write(
-            out, "handles.json", {"handles": list(result.trace)}))
+            out, "handles.json", {"steps": list(result.steps)}))
         _finish_manifest(out, manifest, t0)
     return 0
 
@@ -323,7 +323,7 @@ def make_parser() -> argparse.ArgumentParser:
                                      "embedding for a supported family")
     p.add_argument("expr")
     p.add_argument("--out", help="directory for embedding, certificate and "
-                                 "handle log")
+                                 "per-step handle counts")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_embed)
 

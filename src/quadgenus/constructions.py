@@ -57,9 +57,11 @@ count 1 + m/4 - n/2 of the shape prefix, with n and m computed from the
 parameters alone, and against the closed form wherever the prefix is all
 cube, all cycles or all paths.
 
-Handle records collect into a flat replayable trace; vertex numbers in
-each record refer to the phase in which the handle was added (copies are
-renumbered between phases, labels never lie).
+Each step leaves one row in the result's steps: its tag, how many links
+and handles it laid, and how many handles the removal route took out
+again.  The handle records themselves live only as long as the step that
+harvests its reservoir from them; the certificate proves the embedding
+whatever built it.
 """
 
 from __future__ import annotations
@@ -78,13 +80,15 @@ from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      family_factors, make_complete_bipartite,
                      parse_family_expr, product_sizes, product_vertices)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      handle_record_to_json_dict, quad_faces, rotate_to_least)
+                      quad_faces, rotate_to_least)
 
 
 @dataclass(frozen=True)
 class ConstructionResult:
     """An embedding, the reservoir that makes it extendable, its
-    certificate, and the flat handle trace that built it.
+    certificate, and one row per link step that built it:
+    {"step": tag, "links": L, "handles": H, "removed": R}, where R is the
+    closing link's handle count on the removal route and 0 elsewhere.
 
     The reservoir is a tuple of face families, each a tuple of
     quadrilateral faces of the embedding.  No face lies in two families,
@@ -95,7 +99,7 @@ class ConstructionResult:
     embedding: Embedding
     reservoir: tuple[tuple[QuadFace, ...], ...]
     certificate: EmbeddingCertificate
-    trace: tuple[dict, ...]
+    steps: tuple[dict, ...]
 
 
 def _scheme_rotation(r: int) -> tuple[tuple[int, ...], ...]:
@@ -182,14 +186,10 @@ def _transfer_family(family: tuple[QuadFace, ...], offset: int,
     return tuple(out)
 
 
-def _trace_entries(phase: str, links: list[list[HandleRecord]]) -> list[dict]:
-    entries = []
-    for li, recs in enumerate(links):
-        for hi, rec in enumerate(recs):
-            entry = {"phase": phase, "link": li, "handle": hi}
-            entry.update(handle_record_to_json_dict(rec))
-            entries.append(entry)
-    return entries
+def _step_row(tag: str, links: list[list[HandleRecord]],
+              removed: int) -> dict:
+    return {"step": tag, "links": len(links),
+            "handles": sum(map(len, links)), "removed": removed}
 
 
 def _certify_step(graph: Graph, lengths: list[int],
@@ -265,8 +265,8 @@ def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
             fam2.extend((rec.created[1], rec.created[3]))
     reservoir = (tuple(fam1), tuple(fam2))
     check_reservoir(emb, reservoir)
-    trace = base.trace + tuple(_trace_entries(tag, links))
-    return ConstructionResult(emb, reservoir, cert, trace), links
+    steps = base.steps + (_step_row(tag, links, 0),)
+    return ConstructionResult(emb, reservoir, cert, steps), links
 
 
 def _k_step(base: ConstructionResult, r: int,
@@ -290,8 +290,8 @@ def _k_step(base: ConstructionResult, r: int,
             members[k].extend((rec.created[0], rec.created[2]))
     reservoir = tuple(tuple(fam) for fam in members)
     check_reservoir(emb, reservoir)
-    trace = base.trace + tuple(_trace_entries(tag, links))
-    return ConstructionResult(emb, reservoir, cert, trace)
+    steps = base.steps + (_step_row(tag, links, 0),)
+    return ConstructionResult(emb, reservoir, cert, steps)
 
 
 def embed_cube(i: int, r: int) -> ConstructionResult:
@@ -340,11 +340,8 @@ def _path_removal_step(base: ConstructionResult, m: int,
                 raise ConstructionError(
                     f"{tag}: reservoir face {face.vertices} lost in removal")
     check_reservoir(emb, cycle_result.reservoir)
-    trace = cycle_result.trace + tuple(
-        {"phase": tag, "removed_link": len(links) - 1, "handle": hi,
-         **handle_record_to_json_dict(rec)}
-        for hi, rec in enumerate(links[-1]))
-    return ConstructionResult(emb, cycle_result.reservoir, cert, trace)
+    steps = base.steps + (_step_row(tag, links, removed),)
+    return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Callable, Optional
 
 from .errors import (BudgetExceededError, InvalidParameterError,
@@ -164,10 +166,8 @@ def rotation_space_size(graph: Graph) -> int:
     cyclic orders at every vertex except the root, the first vertex of
     degree >= 3, whose (d-1)!/2 reversal pairs quotient out global
     reflection."""
-    size = 1
-    for v in range(graph.n):
-        for k in range(2, graph.degree(v)):
-            size *= k
+    size = prod(factorial(d - 1) ** count
+                for d, count in Counter(map(len, graph.adj)).items() if d)
     return size // 2 if _root(graph) >= 0 else size
 
 
@@ -197,15 +197,20 @@ def exhaustive_min_genus(graph: Graph,
     otherwise.  The budget's target genus plays no part.  Refuses graphs
     whose quotient rotation space exceeds the budget cap, whether or not
     the bound would stop the search early; callers wanting an answer
-    anyway should drop to stochastic_search.
+    anyway should drop to stochastic_search.  The space is multiplied up
+    vertex by vertex only until half of it passes the cap, so a refusal
+    costs no more than the vertices read before it.
     """
     if graph.n == 0 or not is_connected(graph):
         raise InvalidParameterError("need a non-empty connected graph")
-    space = rotation_space_size(graph)
-    if space > budget.max_rotation_systems:
-        raise BudgetExceededError(
-            f"rotation space {space} exceeds cap "
-            f"{budget.max_rotation_systems}")
+    cap, space = budget.max_rotation_systems, 1
+    for v in range(graph.n):
+        for k in range(2, graph.degree(v)):
+            space *= k
+        # the quotient halves at the root, which any product above 1 has met
+        if space // 2 > cap:
+            raise BudgetExceededError(
+                f"rotation space exceeds cap {cap} by vertex {v}")
     quad = _quad_bound_of(graph)
     f_cap = _face_cap(graph, quad)
 

@@ -125,9 +125,9 @@ class Surgery:
 
     Holds the rotation as successor entries, after[x][u] = the neighbour
     that follows u at x, one dict per vertex; the neighbour each frozen
-    rotation row starts at; the labels and the edge count.  add and
-    remove change only the entries of the eight vertices they touch, and
-    freeze() walks each vertex's cycle into the Embedding's rows.  Build
+    rotation row starts at; and the labels.  add and remove change only
+    the entries of the eight vertices they touch, and freeze() walks each
+    vertex's cycle into the Embedding's rows.  Build
     it from an Embedding, or lay copies of one straight into it with
     Surgery.copies.  add and remove check their preconditions before
     changing anything, so a refused handle leaves the state as it was.  A
@@ -136,7 +136,7 @@ class Surgery:
     """
 
     def __init__(self, e: Embedding):
-        self._adopt(e.graph.n, e.graph.labels, e.rotation, e.graph.m)
+        self._adopt(e.graph.n, e.graph.labels, e.rotation)
 
     @classmethod
     def copies(cls, base: Embedding, mirrored: Sequence[bool],
@@ -154,12 +154,10 @@ class Surgery:
         rows = ([x + t * nb for x in (reversed(rot) if flip else rot)]
                 for t, flip in enumerate(mirrored) for rot in base.rotation)
         work = cls.__new__(cls)
-        work._adopt(nb * len(mirrored), tuple(labels), rows,
-                    base.graph.m * len(mirrored))
+        work._adopt(nb * len(mirrored), tuple(labels), rows)
         return work
 
-    def _adopt(self, n: int, labels, rows: Iterable[Sequence[int]],
-               m: int) -> None:
+    def _adopt(self, n: int, labels, rows: Iterable[Sequence[int]]) -> None:
         """Take the rotation rows, read once in vertex order, as successor
         entries; each row's first neighbour is where freeze starts it."""
         self.n = n
@@ -169,7 +167,6 @@ class Surgery:
         for rot in rows:
             self.after.append(dict(zip(rot, rot[1:] + rot[:1])))
             self.first.append(rot[0] if rot else None)
-        self.m = m
 
     def is_face(self, face: QuadFace) -> bool:
         """Check the 4 corners of `face` against the successor rule."""
@@ -268,7 +265,6 @@ class Surgery:
         if len(changed) != 16 or made != changed:
             raise LocalProofError("faces closed by the splice do not cover "
                                   "the darts it changed")
-        self.m += 4
         return HandleRecord(
             consumed=(f1, f2),
             added_edges=((v0, w0), (v1, w1), (v2, w2), (v3, w3)),
@@ -308,7 +304,6 @@ class Surgery:
         if not _tiles(record.consumed, changed, n):
             raise LocalProofError("faces closed by the splice do not cover "
                                   "the darts it changed")
-        self.m -= len(record.added_edges)
 
     def link(self, fam_a: tuple[QuadFace, ...], fam_b: tuple[QuadFace, ...],
              offset: int) -> list[HandleRecord]:
@@ -404,11 +399,3 @@ def check_reservoir(e: Embedding,
             raise ConstructionError(
                 f"family covers {covered.count(1) + len(outside)} of {n} "
                 f"vertices (first missing: {missing})")
-
-
-def handle_record_to_json_dict(rec: HandleRecord) -> dict:
-    return {
-        "consumed": [list(f.vertices) for f in rec.consumed],
-        "added_edges": [list(d) for d in rec.added_edges],
-        "created": [list(f.vertices) for f in rec.created],
-    }

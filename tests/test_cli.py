@@ -99,8 +99,9 @@ def test_embed_writes_verifiable_artifacts(capsys, tmp_path):
         assert (out_dir / name).exists()
     cert = json.loads((out_dir / "certificate.json").read_text())
     assert cert["genus"] == 13 and cert["quadrilateral"]
-    handles = json.loads((out_dir / "handles.json").read_text())["handles"]
-    assert len(handles) == 6 * 2  # six links, two handles each
+    steps = json.loads((out_dir / "handles.json").read_text())["steps"]
+    # one C(6) step: six links, two handles each
+    assert [(row["links"], row["handles"]) for row in steps] == [(6, 12)]
 
     code, out, _ = run(capsys, "verify", str(out_dir))
     assert code == 0 and "certificate-match" in out
@@ -187,32 +188,33 @@ def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
 # sha256 of embedding.json, certificate.json and handles.json from
 # `embed EXPR --out DIR`.  A change to the face order, a rotation row that
 # starts at another neighbour or a handle laid in another order changes
-# them; the canonical artifact form is meant to change only on purpose.
+# the first two, a change to a step's link or handle count the third; the
+# canonical artifact form is meant to change only on purpose.
 EMBED_DIGESTS = {
     "Q(3,4)": (
         "01f6356b8e47933cf7d298600f9332a0753676a1d7993b6843cd87a45c4ae3d1",
         "90d2ba02399357df833a93b907a7f1ab5963ca489ea22eb24d5f252553f1700c",
-        "edf93e0db4932c9ccb1f34e34938167598789a4dfca88c2c034bc763a340eb6d"),
+        "67e44f0d5b0a58579d7a238c2ad2dbb76699a89d75ffc05c88af8e72cf7c74e1"),
     "Q(2,6) x C(4)": (
         "09ac0d663f9d9babd23c14c6401d2b6933768c9b80a20e374783995a5a0eddf6",
         "c727de16e8cb7377cdfa6be2743792dc44c8be62a990e5849c3117ff2fbdff11",
-        "f1b4cd69a4b2fb2f5a56ba35e1b871d88f5fdf8f5647def9ec718dcbe4aca088"),
+        "ad1039a14d82639681154401acd121ae0ac49eaba07a7de0efeb6c72e482a6c1"),
     "Q(2,4) x C(4) x P(4)": (
         "1a5bce4f90a0e65020dd919d2d504ed1ba47e670f37ae26f1dcb099cf177af47",
         "5560aeb739a49f994a074d100b57f61f5f15ab684485959d08384e56c9d482b8",
-        "e5de8c80d7e6c20612df2dc0b56396fcaf0300bac633403302474f5d224ff673"),
+        "dc79f75d512ca784a1d5d4a08e1dc042d2b31bb1e4dcbf83633470cbe3079a26"),
     "K(4,4) x C(6)": (
         "f31ea95f3963c8dfb262a3fcda5c72dd1518b72ae56a8f6fed87ad726d35c01f",
         "d23265262941713ed093c5ded9c3b0a04c91b867a74a87dfc2602cdc82bdc536",
-        "70cc491da3925318d4d33b66412be526702cef999f5d9109342430cdbbcd45a3"),
+        "7e5f1a6ff82a4b794a29f140fb244a5804ea587945c5b04975d8c1033717f6d9"),
     "Q(2,8)": (
         "c5ca0ed633e1eb97224b6297a2b2ddc62ccf16fc98fdcb156d6fae9a8466d8da",
         "2e1c20789d1dd50baf50c05170edac26fd9165d454bb5cdb5110e828d100c93e",
-        "a3c371af5aa8844e646ce0c0dd233b51352becdcc7a85501029546f14a95464c"),
+        "101d0255433f1ddf30b281009791e61c5d61e6bf772292a88c78a94530fac199"),
     "K(2,2) x P(2) x C(4)": (
         "20b6557cfdab8618391b2aaeaf3ccaa8938500eeeb369287fe92cb670f069282",
         "8d7aa89a0f7a9c85fe77b27b1f30fcda80038cd59fe4a2fa626bdf7d17ee52a8",
-        "482777adfbcfd7c087057b945c866fca65c9ad0909d52f0b78d94b03b67e9a9d"),
+        "e0b0c2d379ab81163573bacaaa5af82acfe451af4f48cc01800788f32a9911cf"),
 }
 
 # sha256 of criterion_01.json .. criterion_09.json from

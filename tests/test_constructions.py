@@ -160,8 +160,7 @@ def test_copies_lay_out_the_reference_union(name, mirrored, coords):
     union = assemble_copies(base, len(mirrored), mirrored, coords)
     assert work.freeze() == union
     reference = Surgery(union)
-    assert (work.after, work.first, work.m) == (
-        reference.after, reference.first, reference.m)
+    assert (work.after, work.first) == (reference.after, reference.first)
 
 
 def test_transfer_refuses_a_family_moved_with_the_wrong_flag():
@@ -238,14 +237,17 @@ def test_removal_route_multi_level_agrees():
     direct = embed_family("Q(1,2) x P(4) x P(4)", route="direct")[0]
     removal = embed_family("Q(1,2) x P(4) x P(4)", route="removal")[0]
     assert direct.certificate == removal.certificate
-    assert any("removed_link" in entry for entry in removal.trace)
+    # both P(4) steps open a ring of four links by its closing link, one
+    # handle per link on K(2,2) and four on K(2,2) x P(4)
+    assert [row["removed"] for row in removal.steps] == [1, 4]
+    assert [row["removed"] for row in direct.steps] == [0, 0]
 
 
 def test_removal_route_rejects_single_link():
     res, _ = embed_family("Q(1,4) x P(2)", route="removal")
     # P(2) silently builds directly: there is no cycle to open
     assert res.certificate.genus == 3
-    assert not any("removed_link" in entry for entry in res.trace)
+    assert [(row["links"], row["removed"]) for row in res.steps] == [(1, 0)]
 
 
 def test_embed_family_rejects_unknown_route():
@@ -278,16 +280,26 @@ def test_certificates_certify_via_oracle_helper():
     assert cert.minimal and cert.genus == 4
 
 
-def test_trace_is_json_serializable_and_replayable():
-    res, _ = embed_family("Q(1,2) x C(4)")
-    blob = json.dumps(list(res.trace))
-    entries = json.loads(blob)
-    assert entries, "expected at least one handle record"
-    assert all(len(e["added_edges"]) == 4 for e in entries)
-    assert all(len(e["created"]) == 4 for e in entries)
-    # handles per link equal a quarter of the base vertex count
-    phase0 = [e for e in entries if e["link"] == 0]
-    assert len(phase0) == 1  # K(2,2) has 4 vertices, one handle per link
+@pytest.mark.parametrize("route", ["direct", "removal"])
+def test_step_rows_count_links_and_handles(route):
+    # one row per link step: the cube step on K(4,4), then C(4), then P(4)
+    res, _ = embed_family("Q(2,4) x C(4) x P(4)", route=route)
+    assert json.loads(json.dumps(res.steps)) == list(res.steps)
+    base_n = (8, 64, 256)
+    for row, n in zip(res.steps, base_n, strict=True):
+        # each link lays one handle per face of a family: a quarter of
+        # the base vertices
+        assert row["handles"] == row["links"] * (n // 4)
+    assert res.steps[0]["step"] == "cube(i=2,r=2)"
+    links = [(row["links"], row["handles"]) for row in res.steps]
+    removed = [row["removed"] for row in res.steps]
+    if route == "direct":
+        assert links == [(16, 32), (4, 64), (3, 192)]
+        assert removed == [0, 0, 0]
+    else:
+        # the path is the closed ring with its closing link removed
+        assert links == [(16, 32), (4, 64), (4, 256)]
+        assert removed == [0, 0, 64]
 
 
 def test_full_traces_per_build_stay_a_few(count_calls):

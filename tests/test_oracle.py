@@ -11,7 +11,7 @@ from quadgenus.embeddings import (DartIndex, Embedding, count_orbits,
                                   trace_faces, validate_embedding)
 from quadgenus.errors import (BudgetExceededError, InvalidParameterError,
                               NotApplicableError)
-from quadgenus.graphs import (build_family, from_edges,
+from quadgenus.graphs import (Graph, build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
 from quadgenus.oracle import (SearchBudget, _below, _block_size, _chunk_rng,
                               _orbit_labels, _positions, certify_minimum,
@@ -67,6 +67,40 @@ def test_exhaustive_refuses_oversized_space():
     with pytest.raises(BudgetExceededError):
         exhaustive_min_genus(make_complete_bipartite(4, 4),
                              SearchBudget(max_rotation_systems=100))
+
+
+@pytest.mark.parametrize("cap,read", [(2519, {0}), (2520, {0, 1}),
+                                      (10_000_000, {0, 1})],
+                         ids=["2519", "2520", "default"])
+def test_exhaustive_refusal_stops_at_the_cap(monkeypatch, cap, read):
+    # every vertex of Q(2,4) has 7! = 5040 cyclic orders, halved at the
+    # root: the space passes the cap after one vertex when the cap is
+    # below 2520, after two when it is below 5040^2 / 2, and the rest of
+    # the 64 vertices are never read
+    graph = build_family("Q(2,4)")
+    seen = set()
+    degree = Graph.degree
+
+    def counted(self, v):
+        seen.add(v)
+        return degree(self, v)
+
+    monkeypatch.setattr(Graph, "degree", counted)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_min_genus(graph, SearchBudget(max_rotation_systems=cap))
+    assert seen == read
+    assert rotation_space_size(graph) == 5040 ** 64 // 2
+
+
+@pytest.mark.parametrize("g", [complete(4), make_complete_bipartite(3, 3),
+                               complete(5), K33_SUBDIVIDED],
+                         ids=["K4", "K(3,3)", "K5", "K(3,3)-subdivided"])
+def test_exhaustive_refuses_exactly_past_the_space(g):
+    space = rotation_space_size(g)
+    res = exhaustive_min_genus(g, SearchBudget(max_rotation_systems=space))
+    assert res.exhaustive
+    with pytest.raises(BudgetExceededError):
+        exhaustive_min_genus(g, SearchBudget(max_rotation_systems=space - 1))
 
 
 def test_exhaustive_ignores_target_and_stays_complete():

@@ -326,7 +326,6 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
             recorded, delta = record.created, 2
         frozen = work.freeze()
         assert frozen == chain
-        assert work.m == frozen.graph.m
         faces = trace_faces(frozen)
         traced = set(faces.faces)
         assert all(canonical_face(face.darts()) in traced
