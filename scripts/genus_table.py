@@ -2,7 +2,8 @@
 
 For each row the table shows the closed-form value and, when the graph is
 small enough to build quickly, the genus certified by an explicit embedding
-so the two can be eyeballed side by side.
+so the two can be eyeballed side by side.  Exits 1 if any built genus
+differs from its closed form, 0 otherwise.
 
 Usage:
     python3 scripts/genus_table.py --max-i 2 --max-r 2 --max-s 3
@@ -60,6 +61,7 @@ def main(argv=None) -> int:
     header = f"{'family':<28} {'n':>6} {'m':>7} {'formula':>8} {'built':>8} {'time':>7}"
     print(header)
     print("-" * len(header))
+    mismatches = 0
     for kind in args.families.split(","):
         for expr, value in family_rows(
                 kind.strip(), args.max_i, args.max_r, args.max_s):
@@ -70,12 +72,13 @@ def main(argv=None) -> int:
                 dt = time.perf_counter() - t0
                 built = result.certificate.genus
                 mark = "" if built == value else "  <-- MISMATCH"
+                mismatches += built != value
                 print(f"{expr:<28} {g.n:>6} {g.m:>7} {value:>8} "
                       f"{built:>8} {dt:>6.2f}s{mark}")
             else:
                 print(f"{expr:<28} {g.n:>6} {g.m:>7} {value:>8} "
                       f"{'-':>8} {'-':>7}")
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

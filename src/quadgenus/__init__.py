@@ -16,9 +16,8 @@ from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          components_certificate, euler_genus, face_lengths,
                          genus_lower_bound, trace_faces, validate_embedding)
 from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,
-                     ExprSyntaxError, InvalidParameterError, LinkError,
-                     LocalProofError, NotApplicableError, SurgeryError,
-                     ToolError,
+                     ExprSyntaxError, InvalidParameterError, LocalProofError,
+                     NotApplicableError, SurgeryError, ToolError,
                      UnsupportedFamilyError, VerificationError)
 from .formulas import (FORMULAS, GenusValue, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,

@@ -20,16 +20,19 @@ chooses which copies are mirrored, their coordinates, and the schedule of
 (left copy, right copy, family) links, and then harvests its own
 reservoir.  The body lays the copies straight into one surgery working
 state (Surgery.copies, from the base block's rotation, the mirrored flags
-and the coordinates; no union Embedding is built first).  It moves each
-family the schedule uses into every copy by shifting its vertex tuples,
-reversed in a mirrored copy, and checks every moved face against the
-state.  It runs every link on that state in place (each handle proved
-locally, see surgery), freezes it once, and then runs the step's one full
-retrace: the certificate, which must be quadrilateral, meet the lower
-bound and match the face ledger.  The base block is K(2r,2r) under one
-fixed rotation scheme (_scheme_rotation), certified like any step; its 2r
-face families are read off the certificate's trace by the scheme's own
-family rule (_scheme_reservoir), with no search.  Each step's harvest
+and the coordinates; no union Embedding is built first).  A base face
+appears in both copies of a link, so each handle joins the face's image
+in one copy to its own image in the other: the base face's vertex tuple
+shifted to the copy's block, reversed in a mirrored copy.  The body
+refuses a link between copies that are not mirrored against each other
+before it lays any handle.  It runs every link on that state in place
+(each handle checked and proved locally, see surgery), freezes it once,
+and then runs the step's one full retrace: the certificate, which must
+be quadrilateral, meet the lower bound and match the face ledger.  The
+base block is K(2r,2r) under one fixed rotation scheme
+(_scheme_rotation), certified like any step; its 2r face families are
+read off the certificate's trace by the scheme's own family rule
+(_scheme_reservoir), with no search.  Each step's harvest
 lives in the step itself, _k_step and _ring_step, and every reservoir is
 checked by surgery.check_reservoir.  Three step shapes cover the
 families:
@@ -80,7 +83,7 @@ from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      family_factors, make_complete_bipartite,
                      parse_family_expr, product_sizes, product_vertices)
 from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      quad_faces, rotate_to_least)
+                      quad_faces)
 
 
 @dataclass(frozen=True)
@@ -163,29 +166,6 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
 
 
-def _transfer_family(family: tuple[QuadFace, ...], offset: int,
-                     mirrored: bool, work: Surgery) -> tuple[QuadFace, ...]:
-    """Re-anchor a base-reservoir family inside one copy of the union.
-
-    A mirrored copy traces every face backwards; the expected boundary is
-    checked against the union's rotations, so a wrong orientation is
-    caught here rather than surfacing later as a failed link."""
-    out = []
-    for face in family:
-        a, b, c, d = face.vertices
-        a, b, c, d = a + offset, b + offset, c + offset, d + offset
-        # a mirrored copy traces the boundary backwards: (d, c, b, a),
-        # which read from a is (a, d, c, b)
-        cycle = (a, d, c, b) if mirrored else (a, b, c, d)
-        moved = QuadFace(rotate_to_least(cycle))
-        if not work.is_face(moved):
-            raise ConstructionError(
-                f"face {face.vertices} did not transfer into the copy at "
-                f"offset {offset} (mirrored={mirrored})")
-        out.append(moved)
-    return tuple(out)
-
-
 def _step_row(tag: str, links: list[list[HandleRecord]],
               removed: int) -> dict:
     return {"step": tag, "links": len(links),
@@ -211,29 +191,43 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
                ) -> tuple[Embedding, list[list[HandleRecord]],
                           EmbeddingCertificate]:
     """The body every step shares: one copy of the base per entry of
-    `mirrored`, the reservoir families the schedule uses transferred into
-    each copy, one link per (left, right, family) schedule entry in
-    order, all on one working state, then one freeze, the certificate
-    and the face ledger (each handle adds two faces).  Returns the linked
-    embedding, each link's handle records, and the certificate."""
-    count = len(mirrored)
+    `mirrored`, one link per (left, right, k) schedule entry in order,
+    all on one working state, then one freeze, the certificate and the
+    face ledger (each handle adds two faces).  A link joins every face of
+    base.reservoir[k] in copy `left` to its own image in copy `right` by
+    one handle; the two copies must be mirrored against each other.
+    Returns the linked embedding, each link's handle records, and the
+    certificate."""
     nb = base.embedding.graph.n
     n_fams = 1 + max(k for _, _, k in schedule)
     if len(base.reservoir) < n_fams:
         raise ConstructionError(
             f"{tag}: step needs {n_fams} families, reservoir has "
             f"{len(base.reservoir)}")
+    for left, right, _ in schedule:
+        if mirrored[left] == mirrored[right]:
+            raise ConstructionError(
+                f"{tag}: copies {left} and {right} are not mirrored against "
+                f"each other, so no handle carries the product edges")
     work = Surgery.copies(base.embedding, mirrored, coords)
-    fams = [
-        [_transfer_family(base.reservoir[k], t * nb, mirrored[t], work)
-         for k in range(n_fams)]
-        for t in range(count)
-    ]
-    links = [work.link(fams[left][k], fams[right][k], (right - left) * nb)
+
+    def image(face: QuadFace, t: int) -> QuadFace:
+        # a mirrored copy traces the boundary backwards: (d, c, b, a),
+        # which read from a is (a, d, c, b)
+        a, b, c, d = (x + t * nb for x in face.vertices)
+        return QuadFace((a, d, c, b) if mirrored[t] else (a, b, c, d))
+
+    # Both images start at the base face's first vertex and run opposite
+    # ways round, so pairing 0 (the right face walked backwards from its
+    # first vertex) joins every vertex to its own image: the four new
+    # edges are product edges.  add refuses a face that is not current.
+    links = [[work.add(image(face, left), image(face, right), 0)
+              for face in base.reservoir[k]]
              for left, right, k in schedule]
     emb = work.freeze()
 
-    f_expected = count * base.certificate.f + 2 * len(schedule) * (nb // 4)
+    f_expected = (len(mirrored) * base.certificate.f
+                  + 2 * len(schedule) * (nb // 4))
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
     if cert.f != f_expected:
         raise ConstructionError(f"{tag}: face ledger off: {cert.f} != "
@@ -339,7 +333,6 @@ def _path_removal_step(base: ConstructionResult, m: int,
             if not work.is_face(face):
                 raise ConstructionError(
                     f"{tag}: reservoir face {face.vertices} lost in removal")
-    check_reservoir(emb, cycle_result.reservoir)
     steps = base.steps + (_step_row(tag, links, removed),)
     return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
 

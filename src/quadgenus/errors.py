@@ -57,10 +57,6 @@ class LocalProofError(SurgeryError):
     not a refused handle, and it leaves the working state half changed."""
 
 
-class LinkError(SurgeryError):
-    """Copy-to-copy linking failed (family mismatch or bad correspondence)."""
-
-
 class ConstructionError(ToolError):
     """A construction invariant failed mid-build.  Always a bug or a
     misuse severe enough that continuing would certify garbage."""

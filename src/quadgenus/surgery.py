@@ -37,8 +37,9 @@ same way.  The proof runs on integer dart keys, u * n + v for the dart
 stay faces, so callers may keep face handles across many operations as
 long as each face is consumed at most once, and freeze the state into an
 Embedding only when they need one.  A construction step lays its copies
-of a block straight into one working state (Surgery.copies) and freezes
-it once, after its last link.
+of a block straight into one working state (Surgery.copies), adds one
+handle per face of each link it runs, and freezes the state once, after
+its last link.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (ConstructionError, InvalidParameterError, LinkError,
+from .errors import (ConstructionError, InvalidParameterError,
                      LocalProofError, SurgeryError)
 from .embeddings import Dart, Embedding, FaceSet
 from .graphs import Graph
@@ -304,44 +305,6 @@ class Surgery:
         if not _tiles(record.consumed, changed, n):
             raise LocalProofError("faces closed by the splice do not cover "
                                   "the darts it changed")
-
-    def link(self, fam_a: tuple[QuadFace, ...], fam_b: tuple[QuadFace, ...],
-             offset: int) -> list[HandleRecord]:
-        """One link: a handle per face of fam_a, joining it to the fam_b
-        face on the vertices `offset` indices further on.
-
-        For faces taken from two copies of one embedding laid out in
-        contiguous index blocks, `offset` is the distance between the
-        copies' blocks.  The shift must send each fam_a boundary onto a
-        fam_b boundary traced the opposite way round, which holds exactly
-        when one copy is mirrored; otherwise no pairing yields the product
-        edges and the link is refused.
-        """
-        if len(fam_a) != len(fam_b):
-            raise LinkError(
-                f"family sizes differ: {len(fam_a)} vs {len(fam_b)}")
-        by_vertex_set = {f.vertex_set: f for f in fam_b}
-        if len(by_vertex_set) != len(fam_b):
-            raise LinkError("fam_b faces are not vertex-disjoint")
-        records: list[HandleRecord] = []
-        for fa in fam_a:
-            a, b, c, d = fa.vertices
-            image = (a + offset, b + offset, c + offset, d + offset)
-            fb = by_vertex_set.get(frozenset(image))
-            if fb is None:
-                raise LinkError(
-                    f"image {sorted(image)} of face {fa.vertices} is not a "
-                    f"fam_b face")
-            # the one pairing that can send the image's first vertex to w0
-            x = fb.vertices
-            pairing = x.index(image[0])
-            if (x[pairing], x[pairing - 1], x[pairing - 2],
-                    x[pairing - 3]) != image:
-                raise LinkError(
-                    f"face {fa.vertices}: offset {offset} does not reverse "
-                    f"the boundary of {fb.vertices}; copies must be mirrored")
-            records.append(self.add(fa, fb, pairing))
-        return records
 
     def freeze(self) -> Embedding:
         """The Embedding of the current state.  A vertex's rotation row

@@ -1,20 +1,22 @@
+import copy
 import dataclasses
 import json
 
 import pytest
 
 from quadgenus import embeddings, graphs
-from quadgenus.constructions import (_check_level, _scheme_reservoir,
-                                     _scheme_rotation, _transfer_family,
+from quadgenus.constructions import (_check_level, _link_step,
+                                     _scheme_reservoir, _scheme_rotation,
                                      check_family_graph, classify_family,
                                      embed_cube, embed_family, embed_K2r2r)
 from quadgenus.embeddings import (Embedding, genus_lower_bound, trace_faces,
                                   validate_embedding)
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
-                              UnsupportedFamilyError)
+                              SurgeryError, UnsupportedFamilyError)
 from quadgenus.graphs import Graph, build_family, make_complete_bipartite
 from quadgenus.oracle import certify_minimum
-from quadgenus.surgery import Surgery, check_reservoir, quad_faces
+from quadgenus.surgery import (QuadFace, Surgery, check_reservoir,
+                               quad_faces)
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
@@ -163,16 +165,51 @@ def test_copies_lay_out_the_reference_union(name, mirrored, coords):
     assert (work.after, work.first) == (reference.after, reference.first)
 
 
+def test_link_step_requires_mirroring(monkeypatch):
+    # one link of two K(4,4) copies by family 0: a handle per face, each
+    # joining a vertex to its own image in the other copy
+    base = embed_K2r2r(2)
+    nb = base.embedding.graph.n
+    _, links, cert = _link_step(base, [False, True], [0, 1], [(0, 1, 0)],
+                                "link")
+    assert [len(recs) for recs in links] == [2]
+    assert cert.quadrilateral and cert.minimal
+    assert all(w == v + nb for recs in links for rec in recs
+               for v, w in rec.added_edges)
+
+    # copies traced the same way round carry no product handle; the step
+    # refuses them before it lays any
+    def no_add(*args):
+        raise AssertionError("add called for an unmirrored link")
+
+    monkeypatch.setattr(Surgery, "add", no_add)
+    for flags in ([False, False], [True, True]):
+        with pytest.raises(ConstructionError, match="not mirrored"):
+            _link_step(base, flags, [0, 1], [(0, 1, 0)], "link")
+
+
 def test_transfer_refuses_a_family_moved_with_the_wrong_flag():
+    # a family face placed in a copy the wrong way round, or in the wrong
+    # copy, is not a face of the copies; add refuses it before any splice
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
     work = Surgery.copies(base.embedding, [False, True], [0, 1])
-    family = base.reservoir[0]
-    assert len(_transfer_family(family, nb, True, work)) == len(family)
-    with pytest.raises(ConstructionError, match="did not transfer"):
-        _transfer_family(family, nb, False, work)
-    with pytest.raises(ConstructionError, match="did not transfer"):
-        _transfer_family(family, 0, True, work)
+    before = (copy.deepcopy(work.after), list(work.first))
+
+    def moved(face, offset, flip):
+        a, b, c, d = (x + offset for x in face.vertices)
+        return QuadFace((a, d, c, b) if flip else (a, b, c, d))
+
+    for face in base.reservoir[0]:
+        assert work.is_face(moved(face, 0, False))
+        assert work.is_face(moved(face, nb, True))
+        # the wrong flag in copy 1, and copy 1's flag in copy 0
+        for left, right in ((moved(face, 0, False), moved(face, nb, False)),
+                            (moved(face, 0, True), moved(face, nb, True))):
+            assert not (work.is_face(left) and work.is_face(right))
+            with pytest.raises(SurgeryError, match="not a face"):
+                work.add(left, right, 0)
+    assert (work.after, work.first) == before
 
 
 def test_cube_two_levels_frozen():

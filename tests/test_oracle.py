@@ -336,14 +336,21 @@ def test_a_swap_over_distinct_faces_loses_two(g, data):
     # the stochastic search rejects such a swap without scoring it
     rotation = [tuple(data.draw(st.permutations(g.adj[v])))
                 for v in range(g.n)]
-    v = data.draw(st.integers(0, g.n - 1))
-    i, j = data.draw(st.lists(st.integers(0, g.degree(v) - 1), min_size=2,
-                              max_size=2, unique=True))
     index = DartIndex(g)
     fid, _, flen = _orbit_labels(index.successors(rotation))
+
+    def distinct(v, i, j):
+        # the darts whose successor the swap of positions i, j at v
+        # changes lie on pairwise distinct faces
+        row = rotation[v]
+        changed = {index.out[row[p]][v] for p in (i - 1, i, j - 1, j)}
+        return len({fid[c] for c in changed}) == len(changed)
+
+    swaps = [(v, i, j) for v in range(g.n) for j in range(g.degree(v))
+             for i in range(j) if distinct(v, i, j)]
+    assume(swaps)
+    v, i, j = data.draw(st.sampled_from(swaps))
     row = list(rotation[v])
-    changed = {index.out[row[p]][v] for p in (i - 1, i, j - 1, j)}
-    assume(len({fid[c] for c in changed}) == len(changed))
     row[i], row[j] = row[j], row[i]
     swapped = tuple(tuple(row) if u == v else rot
                     for u, rot in enumerate(rotation))

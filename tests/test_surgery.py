@@ -5,7 +5,7 @@ from quadgenus import constructions, selftest
 from quadgenus.constructions import embed_cube, embed_K2r2r
 from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
-                              LinkError, SurgeryError)
+                              SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
 from quadgenus.surgery import (QuadFace, Surgery, check_reservoir, quad_faces,
                                rotate_to_least)
@@ -152,59 +152,33 @@ def test_link_copies_requires_mirroring():
     base = embed_K2r2r(2)
     e, fam = base.embedding, base.reservoir[0]
     n = e.graph.n
-    plain, mirrored = [], []
-    labels = []
-    for t, flip in enumerate((False, True)):
-        for v in range(n):
-            ring = e.rotation[v]
-            if flip:
-                ring = tuple(reversed(ring))
-            (mirrored if flip else plain).append(
-                tuple(x + t * n for x in ring))
-            labels.append(e.graph.label_of(v) + (t,))
-    rotation = tuple(plain + mirrored)
-    adj = tuple(tuple(sorted(r)) for r in rotation)
-    union = Embedding(
-        type(e.graph)(2 * n, adj, tuple(labels)), rotation)
-    faces = set(trace_faces(union).faces)
 
-    def transfer(offset, flip):
-        out = []
-        for face in fam:
-            verts = tuple(reversed(face.vertices)) if flip else face.vertices
-            verts = tuple(x + offset for x in verts)
-            darts = [(verts[k], verts[(k + 1) % 4]) for k in range(4)]
-            key = min(tuple(darts[i:] + darts[:i]) for i in range(4))
-            assert key in faces
-            out.append(QuadFace(tuple(u for u, _ in key)))
-        return tuple(out)
+    def shifted(face, offset, flip):
+        # a face of the base moved into a copy; a mirrored copy traces its
+        # boundary backwards, which read from the first vertex is (a, d, c, b)
+        a, b, c, d = (x + offset for x in face.vertices)
+        return QuadFace((a, d, c, b) if flip else (a, b, c, d))
 
-    fam_a = transfer(0, False)
-    fam_b = transfer(n, True)
-    work = Surgery(union)
-    records = work.link(fam_a, fam_b, n)
-    # one handle per face of the family: n/4 = 2 for K(4,4)
+    # mirrored copies: each face joined to its own image by pairing 0, one
+    # handle per face of the family (n/4 = 2 for K(4,4)), product edges only
+    work = Surgery.copies(e, [False, True], [0, 1])
+    records = [work.add(shifted(face, 0, False), shifted(face, n, True), 0)
+               for face in fam]
     assert len(records) == len(fam) == 2
+    assert all(w == v + n for rec in records for v, w in rec.added_edges)
     assert euler_genus(work.freeze()).quadrilateral
 
-    # same-orientation copies admit no valid alignment: the mutation test
-    plain2 = tuple(tuple(x + n for x in e.rotation[v]) for v in range(n))
-    rotation2 = tuple(plain + list(plain2))
-    union2 = Embedding(type(e.graph)(2 * n, adj, tuple(labels)), rotation2)
-    faces2 = set(trace_faces(union2).faces)
-
-    def transfer2(offset):
-        out = []
-        for face in fam:
-            verts = tuple(x + offset for x in face.vertices)
-            darts = [(verts[k], verts[(k + 1) % 4]) for k in range(4)]
-            key = min(tuple(darts[i:] + darts[:i]) for i in range(4))
-            assert key in faces2
-            out.append(QuadFace(tuple(u for u, _ in key)))
-        return tuple(out)
-
-    with pytest.raises(LinkError):
-        Surgery(union2).link(transfer2(0), transfer2(n), n)
+    # same-orientation copies admit no alignment: every pairing joins some
+    # vertex to a vertex other than its own image
+    for face in fam:
+        for pairing in range(4):
+            plain = Surgery.copies(e, [False, False], [0, 1])
+            rec = plain.add(shifted(face, 0, False),
+                            shifted(face, n, False), pairing)
+            assert any(w != v + n for v, w in rec.added_edges)
+    with pytest.raises(ConstructionError, match="not mirrored"):
+        constructions._link_step(base, [False, False], [0, 1], [(0, 1, 0)],
+                                 "link")
 
 
 def test_partition_faces_k44():
