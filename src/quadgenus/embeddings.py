@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
-from .graphs import (Graph, connected_components, graph_from_json_dict,
-                     graph_to_json_dict, is_bipartite)
+from .graphs import (Graph, connected_components, from_rows, is_bipartite,
+                     json_header)
 
 Dart = tuple[int, int]
 
@@ -79,21 +80,16 @@ class EmbeddingCertificate:
 def validate_embedding(e: Embedding) -> list[str]:
     """Return a list of violations; empty means the rotation system is a
     permutation of each vertex's neighbourhood."""
-    problems: list[str] = []
     if len(e.rotation) != e.graph.n:
         return [f"rotation table has {len(e.rotation)} rows, graph has "
                 f"{e.graph.n} vertices"]
-    for v, (rot, nbrs) in enumerate(zip(e.rotation, e.graph.adj)):
-        # adjacency is sorted and repeat-free, so one sort decides; the
-        # reason is looked for only on failure
-        if tuple(sorted(rot)) == nbrs:
-            continue
-        if len(set(rot)) != len(rot):
-            problems.append(f"vertex {v}: repeated neighbour in rotation")
-        else:
-            problems.append(f"vertex {v}: rotation is not a permutation of "
-                            f"its neighbourhood")
-    return problems
+    # adjacency is sorted and repeat-free, so one sort decides; the
+    # reason is looked for only on failure
+    return [f"vertex {v}: repeated neighbour in rotation"
+            if len(set(rot)) != len(rot) else
+            f"vertex {v}: rotation is not a permutation of its neighbourhood"
+            for v, (rot, nbrs) in enumerate(zip(e.rotation, e.graph.adj))
+            if tuple(sorted(rot)) != nbrs]
 
 
 def _require_valid(e: Embedding) -> None:
@@ -287,19 +283,15 @@ def subembedding(e: Embedding, vertices: list[int]) -> Embedding:
     """Restriction to a union of components, vertices renumbered in the
     given (sorted) order.  Rotations must not point outside the set."""
     index = {v: i for i, v in enumerate(vertices)}
-    adj = []
-    rot = []
-    for v in vertices:
-        if any(w not in index for w in e.graph.adj[v]):
-            raise InvalidParameterError(
-                "subembedding must take whole components")
-        adj.append(tuple(index[w] for w in e.graph.adj[v]))
-        rot.append(tuple(index[w] for w in e.rotation[v]))
-    labels = None
-    if e.graph.labels is not None:
-        labels = tuple(e.graph.labels[v] for v in vertices)
-    g = Graph(len(vertices), tuple(tuple(sorted(a)) for a in adj), labels)
-    return Embedding(g, tuple(rot))
+    if any(w not in index for v in vertices for w in e.graph.adj[v]):
+        raise InvalidParameterError("subembedding must take whole components")
+    adj = tuple(tuple(sorted(index[w] for w in e.graph.adj[v]))
+                for v in vertices)
+    labels = e.graph.labels
+    if labels is not None:
+        labels = tuple(labels[v] for v in vertices)
+    return Embedding(Graph(len(vertices), adj, labels), tuple(
+        tuple(index[w] for w in e.rotation[v]) for v in vertices))
 
 
 def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
@@ -317,35 +309,40 @@ def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Embedding files wrap the graph together with the rotation
-# table; certificates are flat JSON objects.  Writers emit canonical bytes
-# (sorted keys, no whitespace, one trailing newline) so identical runs
-# produce identical files.  Readers ignore whitespace, so files written
-# with indentation load the same.
+# Serialization.  Embedding files are {"graph": {"n", "labels"?}, "rotation"}:
+# the rotation rows are the adjacency, so no edge list is stored.  Writers
+# emit canonical bytes (sorted keys, no whitespace, one trailing newline)
+# so identical runs produce identical files; readers ignore whitespace.
+# Certificates are flat JSON objects.
 # ---------------------------------------------------------------------------
 
 
 def embedding_to_json_dict(e: Embedding) -> dict:
-    return {
-        "graph": graph_to_json_dict(e.graph),
-        "rotation": [list(r) for r in e.rotation],
-    }
+    graph: dict = {"n": e.graph.n}
+    if e.graph.labels is not None:
+        graph["labels"] = [list(lab) for lab in e.graph.labels]
+    return {"graph": graph, "rotation": [list(r) for r in e.rotation]}
 
 
 def embedding_from_json_dict(data: dict) -> Embedding:
-    """Embedding of the JSON form, checked for shape and integer entries
-    only: face_successors validates the rotation system wherever it is
-    used."""
-    if not isinstance(data, dict) or "graph" not in data or "rotation" not in data:
-        raise InvalidParameterError("embedding JSON needs 'graph' and 'rotation'")
-    g = graph_from_json_dict(data["graph"])
-    rows = data["rotation"]
-    if not (isinstance(rows, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) and set(map(type, row)) <= {int}
-            for row in rows)):
+    """Embedding of the JSON form, its graph read off the rotation rows
+    by from_rows: vertex v's sorted row is its adjacency."""
+    if not (isinstance(data, dict) and isinstance(data.get("graph"), dict)
+            and "rotation" in data) or "edges" in data["graph"]:
+        raise InvalidParameterError(
+            "embedding JSON needs 'graph' ('n', 'labels') and 'rotation', "
+            "whose rows are the graph; the older format's 'edges' is refused")
+    g, rows = data["graph"], data["rotation"]
+    if not (isinstance(rows, (list, tuple))
+            and set(map(type, rows)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
         raise InvalidParameterError(
             "'rotation' must be a list of lists of integers")
-    return Embedding(g, tuple(tuple(r) for r in rows))
+    n, labels = json_header(g, sum(map(len, rows)))
+    if len(rows) != n:
+        raise InvalidParameterError(
+            f"'rotation' has {len(rows)} rows, graph has n={n} vertices")
+    return Embedding(from_rows(n, rows, labels), tuple(map(tuple, rows)))
 
 
 def certificate_to_json_dict(c: EmbeddingCertificate) -> dict:

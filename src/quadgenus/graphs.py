@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ExprSyntaxError, InvalidParameterError
@@ -71,22 +71,45 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
     """
     if n < 0:
         raise InvalidParameterError("vertex count must be non-negative")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise InvalidParameterError(f"loop at vertex {u} not allowed")
-        if v in nbrs[u]:
-            raise InvalidParameterError(f"duplicate edge ({u},{v})")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    lab = None
     if labels is not None:
         if len(labels) != n:
             raise InvalidParameterError("labels length must equal vertex count")
-        lab = tuple(tuple(x) for x in labels)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), lab)
+        labels = tuple(map(tuple, labels))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
+        rows[u].append(v)
+        rows[v].append(u)
+    return from_rows(n, rows, labels)
+
+
+def from_rows(n: int, rows: Sequence[Sequence[int]], labels=None) -> Graph:
+    """The graph in which vertex v has the neighbours rows[v], in any
+    order, as in a rotation system.  One stream over the sorted rows, with
+    no per-vertex set, checks that it is simple and names each edge at
+    both ends: darts into w arrive in increasing v, as adj[w] lists them."""
+    adj = tuple(map(tuple, map(sorted, rows)))
+    at = [0] * n
+    try:
+        for v, nbrs in enumerate(adj):
+            prev = -1
+            for w in nbrs:
+                if not prev < w != v or adj[w][at[w]] != v:
+                    raise _row_refusal(v, w, prev, n)
+                at[w] += 1
+                prev = w
+    except IndexError:  # w >= n, or every dart into w already matched
+        raise _row_refusal(v, w, prev, n) from None
+    return Graph(n, adj, labels)
+
+
+def _row_refusal(v: int, w: int, prev: int, n: int) -> InvalidParameterError:
+    """Why from_rows stopped at row v's entry w, after prev."""
+    why = (f"out of range for n={n}" if not 0 <= w < n else "a loop"
+           if w == v else "a repeat" if w == prev else
+           f"but the rows naming {w} are not row {w}'s entries")
+    return InvalidParameterError(f"row {v} names {w}, {why}")
 
 
 def make_path(n: int) -> Graph:
@@ -404,9 +427,10 @@ def build_family(expr: Union[str, FamilyExpr]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Graph files are JSON objects:
+# Serialization.  Graph files (`build` writes them, `oracle` reads them):
 #   {"n": int, "edges": [[u, v], ...], "labels": [[...], ...]?}
-# with edges normalized to u < v and sorted lexicographically.
+# with edges normalized to u < v and sorted lexicographically.  Embedding
+# files have no edge list; json_header reads n and labels for both.
 # ---------------------------------------------------------------------------
 
 
@@ -423,35 +447,35 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def json_header(data: dict, darts: int) -> tuple[int, Optional[tuple]]:
+    """n and labels of a graph or embedding file, refused with the file's
+    darts past MAX_DARTS before anything is built per vertex.  Exact type
+    tests: JSON decodes integers only to int and true/false only to bool."""
+    n, labels = data.get("n"), data.get("labels")
+    if not is_json_int(n):
+        raise InvalidParameterError("'n' must be an integer")
+    if n > MAX_DARTS or darts > MAX_DARTS:
+        raise InvalidParameterError(
+            f"graph has n={n} vertices and {darts} darts; more than "
+            f"{MAX_DARTS} vertices or darts is refused")
+    if labels is not None and not (
+            isinstance(labels, (list, tuple)) and len(labels) == n
+            and set(map(type, labels)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(labels))) <= {int, str}):
+        raise InvalidParameterError(
+            "'labels' must be a list of n lists of strings and integers")
+    return n, (None if labels is None else tuple(map(tuple, labels)))
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidParameterError("graph JSON needs 'n' and 'edges'")
-    n = data["n"]
-    if not is_json_int(n):
-        raise InvalidParameterError("'n' must be an integer")
-    if not isinstance(data["edges"], (list, tuple)):
-        raise InvalidParameterError("'edges' must be a list")
-    # from_edges allocates per vertex: refuse what no admitted family has
-    # (n <= 2m <= MAX_DARTS) before it runs
-    if n > MAX_DARTS or 2 * len(data["edges"]) > MAX_DARTS:
+    edges = data["edges"]
+    if not (isinstance(edges, (list, tuple))
+            and set(map(type, edges)) <= {list, tuple}
+            and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
         raise InvalidParameterError(
-            f"graph has n={n} vertices and {len(data['edges'])} edges; "
-            f"more than {MAX_DARTS} vertices or darts is refused")
-    # Exact type tests, cheaper than is_json_int per entry: JSON decodes
-    # integers only to int and true/false only to bool, so decoded JSON
-    # meets the same refusals.
-    edges = []
-    for e in data["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and type(e[0]) is int and type(e[1]) is int):
-            raise InvalidParameterError(f"malformed edge entry {e!r}")
-        edges.append((e[0], e[1]))
-    labels = data.get("labels")
-    if labels is not None:
-        if not (isinstance(labels, (list, tuple)) and all(
-                isinstance(lab, (list, tuple))
-                and set(map(type, lab)) <= {int, str} for lab in labels)):
-            raise InvalidParameterError(
-                "'labels' must be a list of lists of strings and integers")
-        labels = [tuple(lab) for lab in labels]
-    return from_edges(n, edges, labels=labels)
+            "'edges' must be a list of [u, v] pairs of integers")
+    n, labels = json_header(data, 2 * len(edges))
+    return from_edges(n, edges, labels)

@@ -27,16 +27,15 @@ state that exploits this.  It holds each rotation as successor entries,
 one neighbour -> next neighbour dict per vertex, so a splice is two dict
 writes per endpoint and a face corner is one lookup.  It edits the
 entries of the eight touched vertices in place and proves each handle
-locally instead of retracing: the darts the splice changed must be
-exactly the eight darts of the consumed faces, each of the four created
-faces must close as the expected quadrilateral, and their sixteen darts
-must be exactly the changed darts plus the eight new ones, which pins the
-deltas at m +4, f +2, chi -2; removal proves the two reinstated faces the
-same way.  The proof runs on integer dart keys, u * n + v for the dart
-(u, v), read straight off the faces' vertex tuples.  Faces not involved
-stay faces, so callers may keep face handles across many operations as
-long as each face is consumed at most once, and freeze the state into an
-Embedding only when they need one.  A construction step lays its copies
+locally instead of retracing: each of the four created faces must close
+as the expected quadrilateral.  Those faces hold the sixteen darts the
+splice changed, so that pins the deltas at m +4, f +2, chi -2.  Removal
+proves the two reinstated faces, and checks on integer dart keys
+(u * n + v for the dart (u, v)) that they and the created faces hold
+exactly the darts it changed.  Faces not involved stay faces, so callers
+may keep face handles across many operations as long as each face is
+consumed at most once, and freeze the state into an Embedding only when
+they need one.  A construction step lays its copies
 of a block straight into one working state (Surgery.copies), adds one
 handle per face of each link it runs, and freezes the state once, after
 its last link.
@@ -128,12 +127,12 @@ class Surgery:
     that follows u at x, one dict per vertex; the neighbour each frozen
     rotation row starts at; and the labels.  add and remove change only
     the entries of the eight vertices they touch, and freeze() walks each
-    vertex's cycle into the Embedding's rows.  Build
-    it from an Embedding, or lay copies of one straight into it with
-    Surgery.copies.  add and remove check their preconditions before
-    changing anything, so a refused handle leaves the state as it was.  A
-    failed local proof raises LocalProofError, a SurgeryError, with the
-    state half changed; discard it then.
+    vertex's cycle into the Embedding's rows.  Build it from an Embedding,
+    or lay copies of one straight into it with Surgery.copies.  add and
+    remove check their preconditions before changing anything, so a
+    refused handle leaves the state as it was.  A failed local proof
+    raises LocalProofError, a SurgeryError, with the state half changed;
+    discard it then.
     """
 
     def __init__(self, e: Embedding):
@@ -173,24 +172,18 @@ class Surgery:
         """Check the 4 corners of `face` against the successor rule."""
         return _closes(self.after, face.vertices)
 
-    def _splice(self, v: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
+    def _splice(self, v: tuple[int, ...], w: tuple[int, ...]) -> None:
         """Lay the handle's edges vk - wk into the rotations, each between
         the consumed faces' boundary darts at its ends: after v(k-1) at
-        vk, and after w(k+1) at wk.  Returns the keys of the darts whose
-        successor this changes, one per insertion: the dart into the
-        endpoint from the neighbour the new edge now follows."""
-        n, after = self.n, self.after
+        vk, and after w(k+1) at wk.  Each insertion changes the successor
+        of one dart, the one into the endpoint from the neighbour the new
+        edge now follows: a consumed dart."""
+        after = self.after
         v0, v1, v2, v3 = v
         w0, w1, w2, w3 = w
-        changed = []
-        for x, p, u in zip((v0, v1, v2, v3, w0, w1, w2, w3),
-                           (v3, v0, v1, v2, w1, w2, w3, w0),
-                           (w0, w1, w2, w3, v0, v1, v2, v3)):
+        for x, p, u in zip(v + w, (v3, v0, v1, v2, w1, w2, w3, w0), w + v):
             at = after[x]
-            at[u] = at[p]
-            at[p] = u
-            changed.append(p * n + x)
-        return changed
+            at[u], at[p] = at[p], u
 
     def _delete(self, x: int, u: int) -> int:
         """Take u out of the rotation at x; returns the key of the dart
@@ -211,15 +204,14 @@ class Surgery:
 
         Checks, on every call and in this order: the pairing is 0..3, the
         faces share no vertex, both are current, and none of the four
-        edges exists.  After the splice comes the local proof: the
-        changed darts are exactly the consumed faces' darts, each created
-        face closes, and the created faces' darts are exactly the changed
-        and the added ones; so the four created faces are the only faces
-        changed: edge count +4, face count +2, Euler characteristic -2.
-        A failed check before the splice changes nothing; a failed local
-        proof raises LocalProofError.  If the two faces lie in different
-        components the components merge and total genus adds; within one
-        component the genus rises by one.
+        edges exists.  After the splice comes the local proof: each
+        created face closes.  The splice changes only the successors of
+        the consumed and the added darts, which the created faces cover,
+        so they are the only faces changed: edge count +4, face count +2,
+        Euler characteristic -2.  A failed check before the splice
+        changes nothing; a failed local proof raises LocalProofError.  If
+        the two faces lie in different components the components merge
+        and total genus adds; within one component the genus rises by one.
         """
         if pairing not in (0, 1, 2, 3):
             raise InvalidParameterError(
@@ -229,7 +221,7 @@ class Surgery:
             raise SurgeryError(
                 f"faces share vertices "
                 f"{sorted(f1.vertex_set & f2.vertex_set)}")
-        after, n = self.after, self.n
+        after = self.after
         for face in (v, x):
             if not _closes(after, face):
                 raise SurgeryError(f"face {face} is not a face of the "
@@ -240,32 +232,18 @@ class Surgery:
             if w[k] in after[v[k]]:
                 raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
 
-        changed = set(self._splice(v, w))
+        self._splice(v, w)
         v0, v1, v2, v3 = v
         w0, w1, w2, w3 = w
-        # F1's darts run v(k-1) -> vk; F2 walked backwards is w, so its
-        # darts run w(k+1) -> wk
-        if changed != {v3 * n + v0, v0 * n + v1, v1 * n + v2, v2 * n + v3,
-                       w1 * n + w0, w2 * n + w1, w3 * n + w2, w0 * n + w3}:
-            raise LocalProofError("splice touched darts outside the faces "
-                                  "it consumed")
         # face k is (vk, v(k+1), w(k+1), wk), rotated to its least vertex
         created = (rotate_to_least((v0, v1, w1, w0)),
                    rotate_to_least((v1, v2, w2, w1)),
                    rotate_to_least((v2, v3, w3, w2)),
                    rotate_to_least((v3, v0, w0, w3)))
-        made: set[int] = set()
         for quad in created:
             if not _closes(after, quad):
                 raise LocalProofError(
                     f"face {quad} did not close after the splice")
-            a, b, c, d = quad
-            made |= {a * n + b, b * n + c, c * n + d, d * n + a}
-        changed |= {v0 * n + w0, w0 * n + v0, v1 * n + w1, w1 * n + v1,
-                    v2 * n + w2, w2 * n + v2, v3 * n + w3, w3 * n + v3}
-        if len(changed) != 16 or made != changed:
-            raise LocalProofError("faces closed by the splice do not cover "
-                                  "the darts it changed")
         return HandleRecord(
             consumed=(f1, f2),
             added_edges=((v0, w0), (v1, w1), (v2, w2), (v3, w3)),
@@ -274,7 +252,7 @@ class Surgery:
 
     def remove(self, record: HandleRecord) -> None:
         """Inverse of add: delete the handle's four edges and reinstate the
-        two consumed faces, with the same local proof (face count -2).
+        two consumed faces, with a local proof (face count -2).
         Only records whose created faces are still current can be
         removed."""
         for face in record.created:

@@ -189,30 +189,32 @@ def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
 # `embed EXPR --out DIR`.  A change to the face order, a rotation row that
 # starts at another neighbour or a handle laid in another order changes
 # the first two, a change to a step's link or handle count the third; the
-# canonical artifact form is meant to change only on purpose.
+# canonical artifact form is meant to change only on purpose.  The
+# embedding.json column was last re-pinned when the file dropped its edge
+# list (the rotation rows are the adjacency); the other two did not move.
 EMBED_DIGESTS = {
     "Q(3,4)": (
-        "01f6356b8e47933cf7d298600f9332a0753676a1d7993b6843cd87a45c4ae3d1",
+        "196a2d08b5216cb772c78b9dd1cf67e708261c9ea9c44d324a40d70a70e505f7",
         "90d2ba02399357df833a93b907a7f1ab5963ca489ea22eb24d5f252553f1700c",
         "67e44f0d5b0a58579d7a238c2ad2dbb76699a89d75ffc05c88af8e72cf7c74e1"),
     "Q(2,6) x C(4)": (
-        "09ac0d663f9d9babd23c14c6401d2b6933768c9b80a20e374783995a5a0eddf6",
+        "cc2d8ee14db0019f647887ff4fab03ead9fb642e9d45f2156e82b7c603428bf8",
         "c727de16e8cb7377cdfa6be2743792dc44c8be62a990e5849c3117ff2fbdff11",
         "ad1039a14d82639681154401acd121ae0ac49eaba07a7de0efeb6c72e482a6c1"),
     "Q(2,4) x C(4) x P(4)": (
-        "1a5bce4f90a0e65020dd919d2d504ed1ba47e670f37ae26f1dcb099cf177af47",
+        "c7a86f34c68d7c51005aa23c128777179357bef9b5f5d8a8b9de164eff7ef624",
         "5560aeb739a49f994a074d100b57f61f5f15ab684485959d08384e56c9d482b8",
         "dc79f75d512ca784a1d5d4a08e1dc042d2b31bb1e4dcbf83633470cbe3079a26"),
     "K(4,4) x C(6)": (
-        "f31ea95f3963c8dfb262a3fcda5c72dd1518b72ae56a8f6fed87ad726d35c01f",
+        "7639f884abf3fc2bb00630d53fb165335dfad791c1e14b4ab79cfd4594213186",
         "d23265262941713ed093c5ded9c3b0a04c91b867a74a87dfc2602cdc82bdc536",
         "7e5f1a6ff82a4b794a29f140fb244a5804ea587945c5b04975d8c1033717f6d9"),
     "Q(2,8)": (
-        "c5ca0ed633e1eb97224b6297a2b2ddc62ccf16fc98fdcb156d6fae9a8466d8da",
+        "d3cf9be6a156f2a4d8684f28fc12b87de7035282808414cf54b650a8901be4c3",
         "2e1c20789d1dd50baf50c05170edac26fd9165d454bb5cdb5110e828d100c93e",
         "101d0255433f1ddf30b281009791e61c5d61e6bf772292a88c78a94530fac199"),
     "K(2,2) x P(2) x C(4)": (
-        "20b6557cfdab8618391b2aaeaf3ccaa8938500eeeb369287fe92cb670f069282",
+        "8dd0fa0c1c93e2a65ceb044576a3442063910db2e0c157148c40263554728f3b",
         "8d7aa89a0f7a9c85fe77b27b1f30fcda80038cd59fe4a2fa626bdf7d17ee52a8",
         "e0b0c2d379ab81163573bacaaa5af82acfe451af4f48cc01800788f32a9911cf"),
 }
@@ -251,7 +253,8 @@ def test_embed_artifacts_match_pinned_digests(capsys, tmp_path, expr):
 @pytest.mark.parametrize("expr", sorted(EMBED_DIGESTS))
 def test_build_graph_is_the_embedded_graph(capsys, tmp_path, expr):
     # one product numbering: build and embed give the same graph, labels
-    # included, in process and in their artifacts
+    # included, in process and in their artifacts, where the embedding's
+    # edges are read off its sorted rotation rows
     assert graphs.build_family(expr) == \
         constructions.embed_family(expr)[0].embedding.graph
     for command in ("build", "embed"):
@@ -259,9 +262,12 @@ def test_build_graph_is_the_embedded_graph(capsys, tmp_path, expr):
                          str(tmp_path / command))
         assert code == 0
     built = json.loads((tmp_path / "build" / "graph.json").read_text())
-    embedded = json.loads(
-        (tmp_path / "embed" / "embedding.json").read_text())["graph"]
-    assert built == embedded
+    embedded = json.loads((tmp_path / "embed" / "embedding.json").read_text())
+    assert sorted(embedded["graph"]) == ["labels", "n"]
+    assert built["edges"] == [[u, v] for u, row in enumerate(
+        embedded["rotation"]) for v in sorted(row) if u < v]
+    assert (built["n"], built["labels"]) == (embedded["graph"]["n"],
+                                             embedded["graph"]["labels"])
 
 
 def test_selftest_artifacts_match_pinned_digests(capsys, tmp_path):
@@ -324,7 +330,7 @@ def test_indented_artifacts_still_verify(capsys, tmp_path):
                          ids=["one-vertex", "two-vertices"])
 def test_verify_edgeless_graph_has_genus_zero(capsys, tmp_path, rotation):
     path = tmp_path / "edgeless.json"
-    path.write_text(json.dumps({"graph": {"n": len(rotation), "edges": []},
+    path.write_text(json.dumps({"graph": {"n": len(rotation)},
                                 "rotation": rotation}))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and "genus=0" in out
@@ -380,19 +386,18 @@ def test_verify_standalone_embedding_file(capsys, tmp_path):
     # hand-written square on the sphere
     path = tmp_path / "c4.json"
     path.write_text(json.dumps({
-        "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
-        "rotation": [[1, 3], [0, 2], [1, 3], [0, 2]]}))
+        "graph": {"n": 4}, "rotation": [[1, 3], [0, 2], [1, 3], [0, 2]]}))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and "genus=0" in out
 
 
 def test_verify_rejects_broken_rotation(capsys, tmp_path):
+    # row 0 repeats 1 and leaves out 3, which row 3 names
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
-        "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
-        "rotation": [[1, 1], [0, 2], [1, 3], [0, 2]]}))
-    code, _, _ = run(capsys, "verify", str(path))
-    assert code == 3
+        "graph": {"n": 4}, "rotation": [[1, 1], [0, 2], [1, 3], [0, 2]]}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "Traceback" not in err
 
 
 def _tampered_k22_embedding(capsys, tmp_path, tamper):
@@ -422,10 +427,11 @@ def test_verify_rejects_non_list_label(capsys, tmp_path):
 @pytest.mark.parametrize("entry", [[True, 1], [1.5, 2]],
                          ids=["bool", "float"])
 def test_verify_rejects_non_integer_edge_entry(capsys, tmp_path, entry):
+    # a rotation row lists the edges at its vertex
     path = _tampered_k22_embedding(
-        capsys, tmp_path, lambda d: d["graph"]["edges"].__setitem__(0, entry))
+        capsys, tmp_path, lambda d: d["rotation"].__setitem__(0, entry))
     code, _, err = run(capsys, "verify", str(path))
-    assert code == 3 and "malformed edge entry" in err
+    assert code == 3 and "'rotation'" in err
 
 
 def test_verify_rejects_boolean_in_rotation_row(capsys, tmp_path):
@@ -433,6 +439,73 @@ def test_verify_rejects_boolean_in_rotation_row(capsys, tmp_path):
         capsys, tmp_path, lambda d: d["rotation"][0].__setitem__(0, True))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 3 and "'rotation'" in err
+
+
+def square_file():
+    """The 4-cycle on the sphere, as embedding.json stores it."""
+    return {"graph": {"n": 4, "labels": [[0], [1], [2], [3]]},
+            "rotation": [[1, 3], [0, 2], [1, 3], [0, 2]]}
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def tamper(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    pytest.param(_set("rotation", 0, 0, 1.5), "'rotation'", id="float"),
+    pytest.param(_set("rotation", 0, 0, True), "'rotation'", id="bool"),
+    pytest.param(_set("rotation", 0, 5), "'rotation'", id="row-not-a-list"),
+    pytest.param(_set("rotation", "rows"), "'rotation'", id="not-a-list"),
+    pytest.param(_set("graph", "n", 4.0), "'n' must be an integer",
+                 id="n-float"),
+    pytest.param(_set("graph", "n", True), "'n' must be an integer",
+                 id="n-bool"),
+    pytest.param(lambda d: d["graph"].pop("n"), "'n' must be an integer",
+                 id="n-missing"),
+    pytest.param(lambda d: d["rotation"].append([]), "has 5 rows",
+                 id="row-count"),
+    pytest.param(_set("rotation", 0, [1, 3, 4]), "out of range",
+                 id="out-of-range"),
+    pytest.param(_set("rotation", 0, [-1, 1, 3]), "out of range",
+                 id="negative"),
+    pytest.param(_set("rotation", 0, [1, 0, 3]), "a loop", id="loop"),
+    pytest.param(_set("rotation", [[1, 3, 1], [0, 2, 0], [1, 3], [0, 2]]),
+                 "a repeat", id="repeat"),
+    pytest.param(_set("rotation", 0, [1, 2, 3]),
+                 "row 0 names 2, but the rows naming 2 are not row 2's",
+                 id="one-sided"),
+    pytest.param(_set("rotation", 2, [1, 3, 0]),
+                 "row 1 names 2, but the rows naming 2 are not row 2's",
+                 id="one-sided-later-row"),
+    pytest.param(_set("graph", "labels", 0, 1), "'labels'", id="label"),
+    pytest.param(_set("graph", "labels", 0, [True]), "'labels'",
+                 id="label-bool"),
+    pytest.param(lambda d: d["graph"]["labels"].pop(), "'labels'",
+                 id="label-count"),
+    pytest.param(_set("graph", "edges", [[0, 1], [1, 2], [2, 3], [0, 3]]),
+                 "older format's 'edges' is refused", id="edge-list"),
+    pytest.param(_set("graph", [4]), "needs 'graph'", id="graph-not-a-dict"),
+    pytest.param(_set("graph", "n", 2 ** 23 + 1), "refused", id="over-cap"),
+])
+def test_verify_refuses_a_malformed_embedding_file(capsys, tmp_path, tamper,
+                                                   reason):
+    path = tmp_path / "embedding.json"
+    path.write_text(json.dumps(square_file()))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "genus=0" in out
+    doc = square_file()
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "faces"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, ""), command
+        assert reason in err and "Traceback" not in err
 
 
 def test_oracle_rejects_boolean_vertex_count(capsys, tmp_path):
@@ -444,16 +517,26 @@ def test_oracle_rejects_boolean_vertex_count(capsys, tmp_path):
 
 def graph_file(tmp_path, command, graph):
     """A graph as the command reads it: a graph file for oracle, an
-    embedding file (empty rotation) for verify and faces."""
+    embedding file for verify and faces, whose rotation rows list each
+    vertex's neighbours.  A vertex count past the cap gets no rows: the
+    cap refuses it before the rows are counted."""
     path = tmp_path / "input.json"
-    doc = graph if command == "oracle" else {"graph": graph, "rotation": []}
+    doc = graph
+    if command != "oracle":
+        n = graph["n"]
+        rows = [[] for _ in range(n if n <= graphs.MAX_DARTS else 0)]
+        for u, v in graph["edges"]:
+            rows[u].append(v)
+            rows[v].append(u)
+        doc = {"graph": {"n": n}, "rotation": rows}
     path.write_text(json.dumps(doc))
     return str(path)
 
 
 def fake_from_edges(monkeypatch):
-    """Replace the graph builder the JSON loader calls; the record lists
-    the vertex count of each call that got past the size guard."""
+    """Replace the graph builders the JSON loaders call, from_edges for a
+    graph file and from_rows for an embedding file; the record lists the
+    vertex count of each call that got past the size guard."""
     calls = []
 
     def fake(n, edges, labels=None):
@@ -461,6 +544,7 @@ def fake_from_edges(monkeypatch):
         raise InvalidParameterError("faked builder")
 
     monkeypatch.setattr(graphs, "from_edges", fake)
+    monkeypatch.setattr(embeddings, "from_rows", fake)
     return calls
 
 
@@ -483,7 +567,9 @@ def test_over_cap_graph_file_is_refused_before_building(
 
 @pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
 @pytest.mark.parametrize("cap, graph", [
-    pytest.param(None, {"n": graphs.MAX_DARTS, "edges": []}, id="n"),
+    # n at a lowered cap: an embedding file at the real cap would hold
+    # 2^23 empty rows
+    pytest.param(64, {"n": 64, "edges": []}, id="n"),
     pytest.param(8, {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
                  id="edges"),
 ])

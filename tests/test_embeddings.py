@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadgenus import embeddings, graphs
 from quadgenus.embeddings import (Embedding, _orbits, canonical_json_bytes,
                                   certificate_from_json_dict,
                                   certificate_to_json_dict,
@@ -165,6 +167,53 @@ def test_embedding_json_round_trip():
     data = json.loads(canonical_json_bytes(embedding_to_json_dict(e)))
     back = embedding_from_json_dict(data)
     assert back == e
+
+
+@st.composite
+def rotations_of_labelled_graphs(draw):
+    """A random simple graph on at most 9 vertices, often disconnected or
+    with isolated vertices and sometimes labelled, under a random
+    rotation system."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=20)) if pairs else []
+    label = st.tuples(st.integers(0, 3) | st.text(max_size=2))
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n))
+    g = from_edges(n, edges, labels)
+    rot = tuple(tuple(draw(st.permutations(g.adj[v]))) for v in range(n))
+    return Embedding(g, rot)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(rotations_of_labelled_graphs())
+def test_embedding_json_round_trips_from_the_rows(e):
+    data = json.loads(canonical_json_bytes(embedding_to_json_dict(e)))
+    assert "edges" not in data["graph"]
+    assert embedding_from_json_dict(data) == e
+
+
+@pytest.mark.parametrize("n, row", [(50_000, []), (4000, [1, 2])],
+                         ids=["n", "darts"])
+def test_embedding_past_the_cap_is_refused_before_any_vertex_is_built(
+        monkeypatch, n, row):
+    # 4000 rows of two entries are 8000 darts; refused, the loader has
+    # allocated less than one list of n entries would take
+    monkeypatch.setattr(graphs, "MAX_DARTS", 4096)
+
+    def builder(*args):
+        raise AssertionError("rows reached the graph builder")
+
+    monkeypatch.setattr(embeddings, "from_rows", builder)
+    data = {"graph": {"n": n, "labels": [["v"]] * n}, "rotation": [row] * n}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="refused"):
+            embedding_from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
 
 
 def test_certificate_json_round_trip():

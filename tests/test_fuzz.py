@@ -94,29 +94,63 @@ def graph_dicts(draw):
 @st.composite
 def valid_embeddings(draw):
     """A random simple graph on 2 to 7 vertices under a random rotation
-    system: these reach the certificate.  A spanning tree keeps most of
-    them connected."""
+    system, in the embedding file's form: these reach the certificate.  A
+    spanning tree keeps most of them connected."""
     n = draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = set(draw(st.lists(st.sampled_from(pairs), max_size=10)))
     if draw(st.integers(0, 3)):
         edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    edges = sorted(edges)
     adj = [[] for _ in range(n)]
-    for u, v in edges:
+    for u, v in sorted(edges):
         adj[u].append(v)
         adj[v].append(u)
-    rotation = [draw(st.permutations(sorted(nbrs))) for nbrs in adj]
-    return {"graph": {"n": n, "edges": [list(e) for e in edges]},
-            "rotation": [list(r) for r in rotation]}
+    rotation = [draw(st.permutations(nbrs)) for nbrs in adj]
+    return {"graph": {"n": n}, "rotation": [list(r) for r in rotation]}
+
+
+def graph_of(embedding: dict) -> dict:
+    """The graph file of an embedding file: its edges read off the rows."""
+    return {"n": embedding["graph"]["n"],
+            "edges": [[u, v] for u, row in enumerate(embedding["rotation"])
+                      for v in sorted(row) if u < v]}
+
+
+@st.composite
+def broken_rows(draw):
+    """The rows of a valid embedding with one fault laid in: an entry out
+    of range, a loop, a repeated neighbour, or an edge named at one end
+    only (added to one row, or dropped from one)."""
+    data = draw(valid_embeddings())
+    rows = data["rotation"]
+    n = len(rows)
+    v = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["range", "loop", "repeat", "one-sided"]))
+    at = draw(st.integers(0, len(rows[v])))
+    if kind == "range":
+        rows[v].insert(at, draw(st.sampled_from([-1, n, n + 3])))
+    elif kind == "loop":
+        rows[v].insert(at, v)
+    elif kind == "repeat" and rows[v]:
+        rows[v].insert(at, draw(st.sampled_from(rows[v])))
+    elif rows[v] and draw(st.booleans()):
+        rows[v].pop(at - 1)
+    else:
+        rows[v].insert(at, draw(st.sampled_from(
+            [w for w in range(n) if w != v and w not in rows[v]] or [v])))
+    return data
 
 
 @st.composite
 def embedding_dicts(draw):
     return draw(st.one_of(
         valid_embeddings(),
+        broken_rows(),
+        valid_embeddings().map(lambda e: {**e, "graph": graph_of(e)}),
         st.builds(lambda g, rot: {"graph": g, "rotation": rot},
-                  graph_dicts(),
+                  st.one_of(graph_dicts().map(
+                      lambda g: {k: v for k, v in g.items() if k != "edges"}),
+                      json_values),
                   st.one_of(st.lists(st.lists(vertex, max_size=4),
                                      max_size=9), json_values)),
         json_values))
@@ -163,9 +197,23 @@ def test_graph_loader_fails_only_with_tool_errors(data):
 @given(data=embedding_dicts())
 def test_embedding_loader_fails_only_with_tool_errors(data):
     try:
-        embedding_from_json_dict(data)
+        e = embedding_from_json_dict(data)
     except ToolError:
-        pass
+        return
+    # what loads is a simple graph named at both ends, its rows sorted
+    adj = e.graph.adj
+    assert len(adj) == e.graph.n <= graphs.MAX_DARTS
+    for v, nbrs in enumerate(adj):
+        assert list(nbrs) == sorted(set(nbrs)) == sorted(e.rotation[v])
+        assert v not in nbrs and all(0 <= w < e.graph.n for w in nbrs)
+        assert all(v in adj[w] for w in nbrs)
+
+
+@FUZZ
+@given(data=broken_rows())
+def test_embedding_loader_refuses_every_broken_row(data):
+    with pytest.raises(ToolError):
+        embedding_from_json_dict(data)
 
 
 @FUZZ
@@ -238,7 +286,7 @@ def test_cli_verify_and_faces(command, embedding, certificate, as_json):
 
 @FUZZ
 @given(graph=file_contents(st.one_of(
-           graph_dicts(), valid_embeddings().map(lambda e: e["graph"]))),
+           graph_dicts(), valid_embeddings().map(graph_of))),
        budget=st.integers(-1, 60), target=st.none() | st.integers(-1, 3),
        seed=st.integers(0, 3), out=st.booleans())
 def test_cli_oracle(graph, budget, target, seed, out):

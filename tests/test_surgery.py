@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -308,6 +310,15 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
         f = len(faces)
 
 
+def misplace(after, v, w):
+    """Put the edge a splice just laid in at v[0] one slot too far round:
+    it went in after p = v[3], so turn p, u, c, d into p, c, u, d."""
+    at = after[v[0]]
+    p, u = v[3], w[0]
+    c = at[u]
+    at[p], at[c], at[u] = c, u, at[c]
+
+
 def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
     # The checks before the splice pass; the splice then puts the new
     # edge one slot too far round at a consumed face's vertex, and only
@@ -318,14 +329,8 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
     splice = Surgery._splice
 
     def misplaced(self, v, w):
-        changed = splice(self, v, w)
-        # at f1.vertices[0] = v[0] the edge to u = w[0] went in after
-        # p = v[3]: turn p, u, c, d round it into p, c, u, d
-        at = self.after[f1.vertices[0]]
-        p, u = v[3], w[0]
-        c = at[u]
-        at[p], at[c], at[u] = c, u, at[c]
-        return changed
+        splice(self, v, w)
+        misplace(self.after, v, w)
 
     monkeypatch.setattr(Surgery, "_splice", misplaced)
     with pytest.raises(SurgeryError):
@@ -342,36 +347,55 @@ def test_criterion_6_fails_at_once_on_a_failed_local_proof(monkeypatch):
     # not in the constructions that build its bases.
     calls = []
 
-    class Dropping(Surgery):
+    class Misplacing(Surgery):
         def _splice(self, v, w):
             calls.append(v)
             if len(calls) > 1:
                 raise RuntimeError("proposal drawn after a failed proof")
-            changed = super()._splice(v, w)
-            return changed[:-1] + changed[:1]  # one changed dart unreported
+            super()._splice(v, w)
+            misplace(self.after, v, w)
 
-    monkeypatch.setattr(selftest, "Surgery", Dropping)
+    monkeypatch.setattr(selftest, "Surgery", Misplacing)
     passed, details = selftest.criterion_6(0)
     assert not passed and len(calls) == 1
     assert details["applications"] == 0
     assert details["failure"] == "application 1 local proof"
 
 
-def test_add_local_proof_catches_a_splice_outside_the_faces(monkeypatch):
-    # The splice reports a changed dart that lies on neither consumed
-    # face; only the tiling half of the local proof can notice.
-    e = k44()
-    f1, f2 = disjoint_quad_pair(e)
-    on_faces = set(f1.darts()) | set(f2.darts())
-    u, v = next((u, v) for u in range(e.graph.n) for v in e.graph.adj[u]
-                if (u, v) not in on_faces)
-    splice = Surgery._splice
+@functools.cache
+def handle_proposals(r: int):
+    """The K(2r,2r) base block and every (f1, f2, pairing) that add
+    accepts on it."""
+    e = embed_K2r2r(r).embedding
+    faces = quad_faces(trace_faces(e))
+    accepted = []
+    for f1 in faces:
+        for f2 in faces:
+            for pairing in range(4):
+                try:
+                    Surgery(e).add(f1, f2, pairing)
+                except SurgeryError:
+                    continue
+                accepted.append((f1, f2, pairing))
+    return e, accepted
 
-    def misreported(self, ends, others):
-        # the dart into f1.vertices[0] is reported as (u, v)
-        return [u * self.n + v if key % self.n == f1.vertices[0] else key
-                for key in splice(self, ends, others)]
 
-    monkeypatch.setattr(Surgery, "_splice", misreported)
-    with pytest.raises(SurgeryError, match="outside the faces"):
-        Surgery(e).add(f1, f2, 0)
+def successors(work: Surgery) -> dict:
+    """The dart after each dart (u, x) of a working state."""
+    return {(u, x): (x, nxt) for x, at in enumerate(work.after)
+            for u, nxt in at.items()}
+
+
+@settings(derandomize=True, max_examples=60)
+@given(data=st.data(), r=st.sampled_from([2, 3]))
+def test_add_changes_exactly_the_consumed_and_the_new_darts(data, r):
+    e, accepted = handle_proposals(r)
+    f1, f2, pairing = data.draw(st.sampled_from(accepted))
+    work = Surgery(e)
+    before = successors(work)
+    record = work.add(f1, f2, pairing)
+    after = successors(work)
+    changed = {d for d in after if before.get(d) != after[d]}
+    new = {d for a, b in record.added_edges for d in ((a, b), (b, a))}
+    assert len(new) == 8 and set(before) == set(after) - new
+    assert changed == set(f1.darts()) | set(f2.darts()) | new
