@@ -16,11 +16,11 @@ opposite-face pairs tile everything), which is what makes the process
 repeatable.
 
 Every step runs that blueprint through one link-step body; a step only
-chooses which copies are mirrored, their coordinates, and the schedule of
-(left copy, right copy, family) links, and then harvests its own
-reservoir.  The body lays the copies straight into one surgery working
-state (Surgery.copies, from the base block's rotation, the mirrored flags
-and the coordinates; no union Embedding is built first).  A base face
+chooses which copies are mirrored, their coordinates, the schedule of
+(left copy, right copy, family) links and its harvest rule.  The body
+lays the copies straight into one surgery working state (Surgery.copies,
+from the base block's rotation, the mirrored flags and the coordinates;
+no union Embedding is built first).  A base face
 appears in both copies of a link, so each handle joins the face's image
 in one copy to its own image in the other: the base face's vertex tuple
 shifted to the copy's block, reversed in a mirrored copy.  The body
@@ -28,13 +28,15 @@ refuses a link between copies that are not mirrored against each other
 before it lays any handle.  It runs every link on that state in place
 (each handle checked and proved locally, see surgery), freezes it once,
 and then runs the step's one full retrace: the certificate, which must
-be quadrilateral, meet the lower bound and match the face ledger.  The
-base block is K(2r,2r) under one fixed rotation scheme
-(_scheme_rotation), certified like any step; its 2r face families are
-read off the certificate's trace by the scheme's own family rule
-(_scheme_reservoir), with no search.  Each step's harvest
-lives in the step itself, _k_step and _ring_step, and every reservoir is
-checked by surgery.check_reservoir.  Three step shapes cover the
+be quadrilateral and meet the lower bound.  The body then harvests the
+new reservoir once, by the step's rule: a list of (links, j) entries,
+each of which makes one family from the faces j and j + 2 of those
+links' handles, in order.  The links of one entry must form a perfect
+matching on the copies, and surgery.check_reservoir proves every
+reservoir that is made.  The base block is K(2r,2r) under one fixed
+rotation scheme (_scheme_rotation), certified like any step; its 2r face
+families are read off the certificate's trace by the scheme's own family
+rule (_scheme_reservoir), with no search.  Three step shapes cover the
 families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
@@ -51,14 +53,27 @@ which lowers the genus by one per handle and reinstates the consumed
 faces, and certify the result with one more full retrace.  Both routes
 must and do agree on every certificate.
 
-One driver, embed_family(expr, route="direct"), builds every supported
-family Q(i,2r) x C(2m)* x P(2m)*: embed_cube(i, r), then one ring step
-per cycle or path factor in the expression's order; route="removal"
-takes the subtractive route for every path factor with m >= 2.  At every
-level the certificate's n, m and genus are checked against the Euler
-count 1 + m/4 - n/2 of the shape prefix, with n and m computed from the
-parameters alone, and against the closed form wherever the prefix is all
-cube, all cycles or all paths.
+One driver, embed_family(expr, route="direct"), runs every step of
+every supported family Q(i,2r) x C(2m)* x P(2m)* in one loop over its
+levels: level 0 is the base block K(2r,2r), levels 1..i-1 are K steps
+(the cube folds), and one ring step follows per cycle or path factor in
+the expression's order; route="removal" takes the subtractive route for
+every path factor with m >= 2.  embed_cube(i, r) is embed_family on
+Q(i,2r).  Every level, the base block included, is checked once, by
+_check_level: the certificate's n, m and genus must equal the shape
+prefix's n and m (one graphs.product_sizes stream, from the parameters
+alone) and its Euler count 1 + m/4 - n/2, and the genus must equal the
+closed form wherever the prefix is all cube, all cycles or all paths.
+
+No step checks its own genus or face count, because the level check
+implies both.  The certificate refuses any face that is not a
+quadrilateral, so it has f = m/2 faces and genus 1 + m/4 - n/2 of the
+graph it traced, and the level check pins that graph's n and m to the
+prefix.  So K(2r,2r) has Ringel's genus (r-1)^2, each cube fold meets
+cube_genus, a link step adds exactly two faces per handle, and a removal
+takes out exactly the closing link's handles, each lowering the genus by
+one and the faces by two: a handle left in place keeps its four edges
+and is refused as a wrong m.
 
 Each step leaves one row in the result's steps: its tag, how many links
 and handles it laid, and how many handles the removal route took out
@@ -77,8 +92,7 @@ from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          certify_faces, face_lengths, trace_faces)
-from .formulas import (cube_genus, main_cycles_genus, main_paths_genus,
-                       ringel_genus)
+from .formulas import cube_genus, main_cycles_genus, main_paths_genus
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      family_factors, make_complete_bipartite,
                      parse_family_expr, product_sizes, product_vertices)
@@ -154,15 +168,11 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     graph = make_complete_bipartite(2 * r, 2 * r)
     emb = Embedding(graph, _scheme_rotation(r))
     # one trace gives the faces the reservoir is read from and the
-    # certificate, which refuses anything but a quadrilateral, minimal
-    # embedding (2r^2 faces)
+    # certificate, which refuses anything but a quadrilateral embedding:
+    # 2r^2 faces, so genus 1 + r^2 - 2r = (r-1)^2
     faces = trace_faces(emb)
     cert = _certify_step(graph, [len(face) for face in faces.faces],
                          f"K({2*r},{2*r})")
-    expected = int(ringel_genus(r))
-    if cert.genus != expected:
-        raise ConstructionError(
-            f"K({2*r},{2*r}) certificate genus {cert.genus} != {expected}")
     return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
 
 
@@ -187,17 +197,18 @@ def _certify_step(graph: Graph, lengths: list[int],
 
 
 def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
-               schedule: list[tuple[int, int, int]], tag: str
-               ) -> tuple[Embedding, list[list[HandleRecord]],
-                          EmbeddingCertificate]:
+               schedule: list[tuple[int, int, int]],
+               harvest: list[tuple[range, int]], tag: str
+               ) -> tuple[ConstructionResult, list[list[HandleRecord]]]:
     """The body every step shares: one copy of the base per entry of
     `mirrored`, one link per (left, right, k) schedule entry in order,
     all on one working state, then one freeze, the certificate and the
-    face ledger (each handle adds two faces).  A link joins every face of
-    base.reservoir[k] in copy `left` to its own image in copy `right` by
-    one handle; the two copies must be mirrored against each other.
-    Returns the linked embedding, each link's handle records, and the
-    certificate."""
+    harvest.  A link joins every face of base.reservoir[k] in copy `left`
+    to its own image in copy `right` by one handle; the two copies must
+    be mirrored against each other.  Each (links, j) entry of `harvest`
+    makes one family of the new reservoir: the faces j and j + 2 of every
+    handle of those links (schedule positions), in order.  Returns the
+    step's result and each link's handle records."""
     nb = base.embedding.graph.n
     n_fams = 1 + max(k for _, _, k in schedule)
     if len(base.reservoir) < n_fams:
@@ -225,14 +236,15 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
               for face in base.reservoir[k]]
              for left, right, k in schedule]
     emb = work.freeze()
-
-    f_expected = (len(mirrored) * base.certificate.f
-                  + 2 * len(schedule) * (nb // 4))
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
-    if cert.f != f_expected:
-        raise ConstructionError(f"{tag}: face ledger off: {cert.f} != "
-                                f"{f_expected}")
-    return emb, links, cert
+    # the links of one entry form a perfect matching on the copies, so
+    # their handles' opposite-face pairs tile every vertex
+    reservoir = tuple(tuple(face for t in ids for rec in links[t]
+                            for face in (rec.created[j], rec.created[j + 2]))
+                      for ids, j in harvest)
+    check_reservoir(emb, reservoir)
+    steps = base.steps + (_step_row(tag, links, 0),)
+    return ConstructionResult(emb, reservoir, cert, steps), links
 
 
 def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
@@ -240,68 +252,43 @@ def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
     """One cycle factor C(2m) (closed) or path factor P(2m) (open).
 
     The even-numbered links form a perfect matching on the copies (there
-    are 2m links round the cycle, 2m - 1 along the path), so collecting
-    their handles' opposite-face pairs gives two disjoint families that
-    cover every vertex: the first takes handle faces {0, 2}, the second
-    {1, 3}."""
+    are 2m links round the cycle, 2m - 1 along the path), so their
+    handles give two families: faces {0, 2} and faces {1, 3}."""
     count = 2 * m
     link_count = count if closed else count - 1
-    emb, links, cert = _link_step(
+    even = range(0, link_count, 2)
+    return _link_step(
         base, mirrored=[t % 2 == 1 for t in range(count)],
         coords=list(range(count)),
         schedule=[(t, (t + 1) % count, t % 2) for t in range(link_count)],
-        tag=tag)
-    fam1: list[QuadFace] = []
-    fam2: list[QuadFace] = []
-    for recs in links[::2]:
-        for rec in recs:
-            fam1.extend((rec.created[0], rec.created[2]))
-            fam2.extend((rec.created[1], rec.created[3]))
-    reservoir = (tuple(fam1), tuple(fam2))
-    check_reservoir(emb, reservoir)
-    steps = base.steps + (_step_row(tag, links, 0),)
-    return ConstructionResult(emb, reservoir, cert, steps), links
+        harvest=[(even, 0), (even, 1)], tag=tag)
 
 
 def _k_step(base: ConstructionResult, r: int,
             tag: str) -> ConstructionResult:
     """One K(2r,2r) factor: 4r copies, 4r^2 links, family k at both ends
-    of the link from a_j to b_(j+k mod 2r)."""
+    of the link from a_j to b_(j+k mod 2r).  The links of one family k
+    form a perfect matching on the copies; their handles' faces {0, 2}
+    make family k of the new reservoir."""
     two_r = 2 * r
     count = 4 * r
-    schedule = [(j, two_r + (j + k) % two_r, k)
-                for j in range(two_r) for k in range(two_r)]
-    emb, links, cert = _link_step(
+    return _link_step(
         base, mirrored=[t >= two_r for t in range(count)],
         coords=[f"a{t}" if t < two_r else f"b{t - two_r}"
                 for t in range(count)],
-        schedule=schedule, tag=tag)
-    # Links sharing a family index form a perfect matching on the copies,
-    # so each family's opposite handle faces tile the new vertex set.
-    members: list[list[QuadFace]] = [[] for _ in range(two_r)]
-    for (_, _, k), recs in zip(schedule, links):
-        for rec in recs:
-            members[k].extend((rec.created[0], rec.created[2]))
-    reservoir = tuple(tuple(fam) for fam in members)
-    check_reservoir(emb, reservoir)
-    steps = base.steps + (_step_row(tag, links, 0),)
-    return ConstructionResult(emb, reservoir, cert, steps)
+        schedule=[(j, two_r + (j + k) % two_r, k)
+                  for j in range(two_r) for k in range(two_r)],
+        harvest=[(range(k, two_r * two_r, two_r), 0) for k in range(two_r)],
+        tag=tag)[0]
 
 
 def embed_cube(i: int, r: int) -> ConstructionResult:
     """The i-fold product of K(2r,2r), genus 1 + 2^(2i-2) r^i (ir-2),
-    carrying a 2r-family reservoir for further factors."""
+    carrying a 2r-family reservoir for further factors: embed_family on
+    Q(i,2r)."""
     if i < 1 or r < 1:
         raise InvalidParameterError(f"need i >= 1 and r >= 1, got ({i},{r})")
-    result = embed_K2r2r(r)
-    for step in range(2, i + 1):
-        result = _k_step(result, r, tag=f"cube(i={step},r={r})")
-        expected = int(cube_genus(step, 2 * r))
-        if result.certificate.genus != expected:
-            raise ConstructionError(
-                f"cube step {step}: genus {result.certificate.genus} != "
-                f"{expected}")
-    return result
+    return embed_family(f"Q({i},{2 * r})")[0]
 
 
 def _path_removal_step(base: ConstructionResult, m: int,
@@ -309,31 +296,23 @@ def _path_removal_step(base: ConstructionResult, m: int,
     """Path factor P(2m), m >= 2, the subtractive way: run the closed ring
     step, then undo the closing link handle by handle.  Every removal
     lowers the genus by one and reinstates two quadrilateral faces,
-    landing exactly on the path product.  The removals run on one working
-    state, each proved locally, and the result is certified once.  The
-    harvested reservoir survives because it came from even links and the
-    closing link is odd; each of its faces is checked against the
-    working state."""
+    landing exactly on the path product, which the level check proves.
+    The removals run on one working state, each proved locally, and the
+    result is certified once.  The harvested reservoir survives because
+    it came from even links and the closing link is odd; each of its
+    faces is checked against the working state."""
     cycle_result, links = _ring_step(base, m, closed=True, tag=tag)
     work = Surgery(cycle_result.embedding)
     for rec in links[-1]:
         work.remove(rec)
     emb = work.freeze()
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
-    removed = len(links[-1])
-    if cert.genus != cycle_result.certificate.genus - removed:
-        raise ConstructionError(
-            f"{tag}: removing {removed} handles changed genus to "
-            f"{cert.genus}, expected "
-            f"{cycle_result.certificate.genus - removed}")
-    if cert.f != cycle_result.certificate.f - 2 * removed:
-        raise ConstructionError(f"{tag}: face ledger off after removal")
     for fam in cycle_result.reservoir:
         for face in fam:
             if not work.is_face(face):
                 raise ConstructionError(
                     f"{tag}: reservoir face {face.vertices} lost in removal")
-    steps = base.steps + (_step_row(tag, links, removed),)
+    steps = base.steps + (_step_row(tag, links, len(links[-1])),)
     return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
 
 
@@ -438,20 +417,20 @@ def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
                 f"has neighbours {adj[p]}, expected {nbrs}")
 
 
-def _check_level(shape: FamilyShape, level: int,
+def _check_level(shape: FamilyShape, level: int, size: tuple[int, int],
                  cert: EmbeddingCertificate) -> None:
-    """The certificate after `level` factor steps must match the Euler
-    count 1 + m/4 - n/2 of the shape prefix (n and m from the parameters
-    alone) and, where the prefix is all cube, all cycles or all paths,
-    the closed form."""
-    atoms = parse_family_expr(shape.normalized_expr)
-    *_, (n, m) = product_sizes(atoms[:level + 1])
+    """The certificate of `level` (0 the base block, then each cube fold,
+    then each cycle or path factor) must have the shape prefix's n and m,
+    size = (n, m) from the parameters alone, its Euler count
+    1 + m/4 - n/2 as genus and, where the prefix is all cube, all cycles
+    or all paths, the closed form."""
+    n, m = size
     euler = 1 + Fraction(m, 4) - Fraction(n, 2)
-    prefix = shape.steps[:level]
+    prefix = shape.steps[:max(0, level + 1 - shape.i)]
     kinds = {kind for kind, _ in prefix}
     ms = [s for _, s in prefix]
     if not prefix:
-        closed = int(cube_genus(shape.i, 2 * shape.r))
+        closed = int(cube_genus(level + 1, 2 * shape.r))
     elif kinds == {"C"}:
         closed = int(main_cycles_genus(shape.i, shape.r, ms))
     elif kinds == {"P"}:
@@ -470,11 +449,13 @@ def embed_family(expr: FamilyExpr | str,
                  route: str = "direct") -> tuple[ConstructionResult,
                                                  FamilyShape]:
     """Construct a certified minimum-genus embedding for a supported
-    expression.  The result graph is the product of the factors of
-    shape.normalized_expr, numbered with the first factor as the least
-    significant digit (check_family_graph proves label and neighbours of
-    every vertex); shape.factor_order records how the factors were
-    permuted.
+    expression, one level at a time: the base block K(2r,2r), i - 1 cube
+    folds, then one ring step per cycle or path factor, each level
+    checked by _check_level.  The result graph is the product of the
+    factors of shape.normalized_expr, numbered with the first factor as
+    the least significant digit (check_family_graph proves label and
+    neighbours of every vertex); shape.factor_order records how the
+    factors were permuted.
 
     route="direct" runs an open ring step for every path factor;
     route="removal" opens up the cycle for every path factor P(2m) with
@@ -483,14 +464,22 @@ def embed_family(expr: FamilyExpr | str,
     if route not in ("removal", "direct"):
         raise InvalidParameterError(f"unknown route {route!r}")
     shape = classify_family(expr)
-    result = embed_cube(shape.i, shape.r)
-    _check_level(shape, 0, result.certificate)
-    for level, (kind, m) in enumerate(shape.steps, start=1):
-        tag = f"family({shape.normalized_expr})#step{level}"
-        if kind == "P" and route == "removal" and m >= 2:
-            result = _path_removal_step(result, m, tag)
+    sizes = product_sizes(parse_family_expr(shape.normalized_expr))
+    for level, size in enumerate(sizes):
+        if level == 0:
+            result = embed_K2r2r(shape.r)
+        elif level < shape.i:
+            result = _k_step(result, shape.r,
+                             tag=f"cube(i={level + 1},r={shape.r})")
         else:
-            result, _ = _ring_step(result, m, closed=(kind == "C"), tag=tag)
-        _check_level(shape, level, result.certificate)
+            step = level + 1 - shape.i
+            kind, m = shape.steps[step - 1]
+            tag = f"family({shape.normalized_expr})#step{step}"
+            if kind == "P" and route == "removal" and m >= 2:
+                result = _path_removal_step(result, m, tag)
+            else:
+                result, _ = _ring_step(result, m, closed=(kind == "C"),
+                                       tag=tag)
+        _check_level(shape, level, size, result.certificate)
     check_family_graph(result.embedding.graph, shape.normalized_expr)
     return result, shape

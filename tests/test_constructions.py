@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quadgenus import embeddings, graphs
+from quadgenus import constructions, embeddings, graphs
 from quadgenus.constructions import (_check_level, _link_step,
                                      _scheme_reservoir, _scheme_rotation,
                                      check_family_graph, classify_family,
@@ -170,8 +170,9 @@ def test_link_step_requires_mirroring(monkeypatch):
     # joining a vertex to its own image in the other copy
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
-    _, links, cert = _link_step(base, [False, True], [0, 1], [(0, 1, 0)],
-                                "link")
+    res, links = _link_step(base, [False, True], [0, 1], [(0, 1, 0)],
+                            [(range(1), 0)], "link")
+    cert = res.certificate
     assert [len(recs) for recs in links] == [2]
     assert cert.quadrilateral and cert.minimal
     assert all(w == v + nb for recs in links for rec in recs
@@ -185,7 +186,8 @@ def test_link_step_requires_mirroring(monkeypatch):
     monkeypatch.setattr(Surgery, "add", no_add)
     for flags in ([False, False], [True, True]):
         with pytest.raises(ConstructionError, match="not mirrored"):
-            _link_step(base, flags, [0, 1], [(0, 1, 0)], "link")
+            _link_step(base, flags, [0, 1], [(0, 1, 0)], [(range(1), 0)],
+                       "link")
 
 
 def test_transfer_refuses_a_family_moved_with_the_wrong_flag():
@@ -292,14 +294,84 @@ def test_embed_family_rejects_unknown_route():
         embed_family("Q(1,4) x P(4)", route="subtractive")
 
 
+def level_sizes(shape) -> list:
+    return list(graphs.product_sizes(
+        graphs.parse_family_expr(shape.normalized_expr)))
+
+
 def test_level_check_covers_mixed_products():
     shape = classify_family("Q(1,4) x C(4) x P(4)")
+    sizes = level_sizes(shape)
     cert = embed_family(shape.normalized_expr)[0].certificate
-    _check_level(shape, 2, cert)
+    _check_level(shape, 2, sizes[2], cert)
     with pytest.raises(ConstructionError):
-        _check_level(shape, 2, dataclasses.replace(cert, genus=cert.genus + 1))
+        _check_level(shape, 2, sizes[2],
+                     dataclasses.replace(cert, genus=cert.genus + 1))
     with pytest.raises(ConstructionError):
-        _check_level(shape, 1, cert)
+        _check_level(shape, 1, sizes[1], cert)
+    # a cube fold is a level too: the Q(2,4) certificate is level 1 of
+    # Q(2,4) x C(4), and neither the base block's level nor the cycle's
+    shape = classify_family("Q(2,4) x C(4)")
+    sizes = level_sizes(shape)
+    cert = embed_family("Q(2,4)")[0].certificate
+    _check_level(shape, 1, sizes[1], cert)
+    for level in (0, 2):
+        with pytest.raises(ConstructionError, match=f"level {level}:"):
+            _check_level(shape, level, sizes[level], cert)
+
+
+@pytest.mark.parametrize("route", ["direct", "removal"])
+def test_every_level_is_checked_once(route, monkeypatch):
+    # Q(3,4) x C(4) x P(4): the base block, two cube folds, the cycle and
+    # the path, each checked once with its own product_sizes pair
+    shape = classify_family("Q(3,4) x C(4) x P(4)")
+    checked = []
+    real = constructions._check_level
+
+    def record(shape, level, size, cert):
+        checked.append((level, size, (cert.n, cert.m)))
+        real(shape, level, size, cert)
+
+    monkeypatch.setattr(constructions, "_check_level", record)
+    embed_family(shape.normalized_expr, route=route)
+    sizes = level_sizes(shape)
+    assert len(sizes) == 5
+    assert checked == [(level, size, size)
+                       for level, size in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("i,r", [(2, 1), (3, 1), (2, 2)])
+def test_cube_is_the_family_driver_on_a_cube(i, r):
+    assert embed_cube(i, r) == embed_family(f"Q({i},{2 * r})")[0]
+
+
+def test_removal_left_incomplete_is_refused_at_its_level(monkeypatch):
+    # a handle of the closing link left in place keeps its four edges,
+    # and the level check refuses the extra edges and the extra genus
+    real = Surgery.remove
+    skipped = []
+
+    def remove(self, record):
+        if not skipped:
+            skipped.append(record)
+            return
+        real(self, record)
+
+    monkeypatch.setattr(Surgery, "remove", remove)
+    with pytest.raises(ConstructionError,
+                       match="level 1: .* m=92 genus=8, expected n=32 m=88 "
+                             "genus=7"):
+        embed_family("Q(1,4) x P(4)", route="removal")
+    assert len(skipped) == 1
+
+
+def test_fold_that_adds_nothing_is_refused_at_its_level(monkeypatch):
+    # a K step that hands back its base leaves level 1 with level 0's
+    # graph
+    monkeypatch.setattr(constructions, "_k_step",
+                        lambda base, r, tag: base)
+    with pytest.raises(ConstructionError, match="level 1: .* n=8 m=16"):
+        embed_family("Q(2,4)")
 
 
 def test_reservoirs_survive_every_route():
@@ -349,12 +421,15 @@ def test_full_traces_per_build_stay_a_few(count_calls):
                for real in (embeddings.face_successors,
                             embeddings.validate_embedding,
                             graphs.connected_components, graphs.is_bipartite)}
-    for route, certificates in (("direct", 4), ("removal", 5)):
+    for expr, route, certificates in (
+            ("Q(2,4) x C(4) x P(4)", "direct", 4),
+            ("Q(2,4) x C(4) x P(4)", "removal", 5),
+            ("Q(3,4)", "direct", 3)):  # one per level: base and two folds
         for calls in counted.values():
             calls.clear()
-        embed_family("Q(2,4) x C(4) x P(4)", route=route)
+        embed_family(expr, route=route)
         assert {name: len(calls) for name, calls in counted.items()} == {
-            name: certificates for name in counted}, route
+            name: certificates for name in counted}, (expr, route)
 
 
 def test_base_block_is_traced_once(count_calls):

@@ -180,7 +180,7 @@ def test_link_copies_requires_mirroring():
             assert any(w != v + n for v, w in rec.added_edges)
     with pytest.raises(ConstructionError, match="not mirrored"):
         constructions._link_step(base, [False, False], [0, 1], [(0, 1, 0)],
-                                 "link")
+                                 [(range(1), 0)], "link")
 
 
 def test_partition_faces_k44():
