@@ -29,5 +29,4 @@ from .graphs import (Graph, build_family, from_edges, is_bipartite,
 from .oracle import (OracleResult, SearchBudget, certify_minimum,
                      exhaustive_min_genus, rotation_space_size,
                      stochastic_search)
-from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      quad_faces)
+from .surgery import Surgery, check_reservoir, handle_faces

@@ -31,12 +31,15 @@ and then runs the step's one full retrace: the certificate, which must
 be quadrilateral and meet the lower bound.  The body then harvests the
 new reservoir once, by the step's rule: a list of (links, j) entries,
 each of which makes one family from the faces j and j + 2 of those
-links' handles, in order.  The links of one entry must form a perfect
-matching on the copies, and surgery.check_reservoir proves every
-reservoir that is made.  The base block is K(2r,2r) under one fixed
-rotation scheme (_scheme_rotation), certified like any step; its 2r face
-families are read off the certificate's trace by the scheme's own family
-rule (_scheme_reservoir), with no search.  Three step shapes cover the
+links' handles, in order, each from its least vertex as a traced face
+is.  That start is where the face's images start in the next step, so
+it fixes which of that step's handle faces are j and j + 2.  The links
+of one entry must form a perfect matching on the copies, and
+surgery.check_reservoir proves every reservoir that is made.  The base
+block is K(2r,2r) under one fixed rotation scheme (_scheme_rotation),
+certified like any step; its 2r face families are read off the
+certificate's trace by the scheme's own family rule
+(_scheme_reservoir), with no search.  Three step shapes cover the
 families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
@@ -77,9 +80,9 @@ and is refused as a wrong m.
 
 Each step leaves one row in the result's steps: its tag, how many links
 and handles it laid, and how many handles the removal route took out
-again.  The handle records themselves live only as long as the step that
-harvests its reservoir from them; the certificate proves the embedding
-whatever built it.
+again.  The handles themselves (surgery.add's vertex tuple pairs) live
+only as long as the step that harvests its reservoir from them; the
+certificate proves the embedding whatever built it.
 """
 
 from __future__ import annotations
@@ -96,8 +99,11 @@ from .formulas import cube_genus, main_cycles_genus, main_paths_genus
 from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
                      family_factors, make_complete_bipartite,
                      parse_family_expr, product_sizes, product_vertices)
-from .surgery import (HandleRecord, QuadFace, Surgery, check_reservoir,
-                      quad_faces)
+from .surgery import (Surgery, check_reservoir, handle_faces,
+                      rotate_to_least)
+
+Face = tuple[int, ...]
+Handle = tuple[Face, Face]
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ class ConstructionResult:
     reservoir is made."""
 
     embedding: Embedding
-    reservoir: tuple[tuple[QuadFace, ...], ...]
+    reservoir: tuple[tuple[Face, ...], ...]
     certificate: EmbeddingCertificate
     steps: tuple[dict, ...]
 
@@ -135,7 +141,7 @@ def _scheme_rotation(r: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _scheme_reservoir(emb: Embedding, faces: FaceSet
-                      ) -> tuple[tuple[QuadFace, ...], ...]:
+                      ) -> tuple[tuple[Face, ...], ...]:
     """The 2r face families in the traced faces of K(2r,2r), by rule.
 
     With a_s = vertex s, b_s = vertex 2r+s and indices mod 2r, each face
@@ -143,16 +149,17 @@ def _scheme_reservoir(emb: Embedding, faces: FaceSet
     family 2t holds {a_2s, a_2s+1, b_(2t-2s-1), b_(2t-2s)} and family
     2t+1 holds {a_2s+1, a_2s+2, b_(2t-2s-2), b_(2t-2s-1)}, s = 0..r-1.
     For r = 1 both faces share one vertex set; each is its own family.
-    Faces join in trace order.  check_reservoir proves the result."""
+    Faces join in trace order, each as its vertex tuple from its least
+    dart.  check_reservoir proves the result."""
     two_r = emb.graph.n // 2
-    quads = quad_faces(faces)
+    quads = [tuple(u for u, _ in face) for face in faces.faces]
     if two_r == 2:
         reservoir = tuple((face,) for face in quads)
     else:
-        members: list[list[QuadFace]] = [[] for _ in range(two_r)]
+        members: list[list[Face]] = [[] for _ in range(two_r)]
         for face in quads:
-            a = [v for v in face.vertices if v < two_r]
-            b = [v - two_r for v in face.vertices if v >= two_r]
+            a = [v for v in face if v < two_r]
+            b = [v - two_r for v in face if v >= two_r]
             p, q = (x if (x + 1) % two_r == y else y for x, y in (a, b))
             members[(p + q + 1 + p % 2) % two_r].append(face)
         reservoir = tuple(tuple(fam) for fam in members)
@@ -176,7 +183,7 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
 
 
-def _step_row(tag: str, links: list[list[HandleRecord]],
+def _step_row(tag: str, links: list[list[Handle]],
               removed: int) -> dict:
     return {"step": tag, "links": len(links),
             "handles": sum(map(len, links)), "removed": removed}
@@ -199,7 +206,7 @@ def _certify_step(graph: Graph, lengths: list[int],
 def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
                schedule: list[tuple[int, int, int]],
                harvest: list[tuple[range, int]], tag: str
-               ) -> tuple[ConstructionResult, list[list[HandleRecord]]]:
+               ) -> tuple[ConstructionResult, list[list[Handle]]]:
     """The body every step shares: one copy of the base per entry of
     `mirrored`, one link per (left, right, k) schedule entry in order,
     all on one working state, then one freeze, the certificate and the
@@ -207,8 +214,8 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
     to its own image in copy `right` by one handle; the two copies must
     be mirrored against each other.  Each (links, j) entry of `harvest`
     makes one family of the new reservoir: the faces j and j + 2 of every
-    handle of those links (schedule positions), in order.  Returns the
-    step's result and each link's handle records."""
+    handle of those links (schedule positions), in order, each from its
+    least vertex.  Returns the step's result and each link's handles."""
     nb = base.embedding.graph.n
     n_fams = 1 + max(k for _, _, k in schedule)
     if len(base.reservoir) < n_fams:
@@ -222,11 +229,11 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
                 f"each other, so no handle carries the product edges")
     work = Surgery.copies(base.embedding, mirrored, coords)
 
-    def image(face: QuadFace, t: int) -> QuadFace:
+    def image(face: Face, t: int) -> Face:
         # a mirrored copy traces the boundary backwards: (d, c, b, a),
         # which read from a is (a, d, c, b)
-        a, b, c, d = (x + t * nb for x in face.vertices)
-        return QuadFace((a, d, c, b) if mirrored[t] else (a, b, c, d))
+        a, b, c, d = (x + t * nb for x in face)
+        return (a, d, c, b) if mirrored[t] else (a, b, c, d)
 
     # Both images start at the base face's first vertex and run opposite
     # ways round, so pairing 0 (the right face walked backwards from its
@@ -239,8 +246,9 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
     # the links of one entry form a perfect matching on the copies, so
     # their handles' opposite-face pairs tile every vertex
-    reservoir = tuple(tuple(face for t in ids for rec in links[t]
-                            for face in (rec.created[j], rec.created[j + 2]))
+    reservoir = tuple(tuple(rotate_to_least(face)
+                            for t in ids for handle in links[t]
+                            for face in handle_faces(*handle)[j::2])
                       for ids, j in harvest)
     check_reservoir(emb, reservoir)
     steps = base.steps + (_step_row(tag, links, 0),)
@@ -248,7 +256,7 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
 
 
 def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
-               ) -> tuple[ConstructionResult, list[list[HandleRecord]]]:
+               ) -> tuple[ConstructionResult, list[list[Handle]]]:
     """One cycle factor C(2m) (closed) or path factor P(2m) (open).
 
     The even-numbered links form a perfect matching on the copies (there
@@ -303,15 +311,15 @@ def _path_removal_step(base: ConstructionResult, m: int,
     faces is checked against the working state."""
     cycle_result, links = _ring_step(base, m, closed=True, tag=tag)
     work = Surgery(cycle_result.embedding)
-    for rec in links[-1]:
-        work.remove(rec)
+    for handle in links[-1]:
+        work.remove(handle)
     emb = work.freeze()
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
     for fam in cycle_result.reservoir:
         for face in fam:
             if not work.is_face(face):
                 raise ConstructionError(
-                    f"{tag}: reservoir face {face.vertices} lost in removal")
+                    f"{tag}: reservoir face {face} lost in removal")
     steps = base.steps + (_step_row(tag, links, len(links[-1])),)
     return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
 

@@ -34,7 +34,7 @@ from .graphs import (Graph, build_family, from_edges, is_bipartite,
                      product_graph)
 from .oracle import (SearchBudget, _below, _positions, exhaustive_min_genus,
                      stochastic_search)
-from .surgery import Surgery, quad_faces
+from .surgery import Surgery
 
 
 @dataclass
@@ -140,7 +140,7 @@ def criterion_2(seed: int) -> tuple[bool, dict]:
     fams = res.reservoir
     checks.add("4 families", len(fams) == 4)
     for k, fam in enumerate(fams):
-        verts = [v for face in fam for v in face.vertices]
+        verts = [v for face in fam for v in face]
         checks.add(f"family {k}: 16 faces", len(fam) == 16)
         checks.add(f"family {k}: vertex-disjoint cover of all 64",
                    len(verts) == 64 and set(verts) == set(range(64)))
@@ -244,11 +244,10 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
     for base in (embed_K2r2r(2), embed_K2r2r(3), embed_cube(2, 1)):
         e = base.embedding
         fs = trace_faces(e)
-        faces = quad_faces(fs)
+        faces = [tuple(u for u, _ in fc) for fc in fs.faces if len(fc) == 4]
         g = e.graph
-        quad_before = sum(1 for fc in fs.faces if len(fc) == 4)
-        pool.append((e, Surgery(e), faces, [f.vertex_set for f in faces],
-                     g.n - g.m + len(fs.faces), g.m, quad_before))
+        pool.append((e, Surgery(e), faces, [set(f) for f in faces],
+                     g.n - g.m + len(fs.faces), g.m, len(faces)))
     applications = 0
     rejected = 0
     while applications < 1000:
@@ -260,7 +259,7 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             rejected += 1
             continue
         try:
-            record = work.add(faces[f1], faces[f2], pairing)
+            handle = work.add(faces[f1], faces[f2], pairing)
         except LocalProofError:
             checks.add(f"application {applications + 1} local proof", False)
             break
@@ -275,11 +274,11 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         chi1 = e2.graph.n - e2.graph.m + len(lengths)
         quads1 = lengths.count(4)
         ok = (chi1 - chi0 == -2 and e2.graph.m - m0 == 4
-              and quads1 - quads0 == 2 and len(record.created) == 4)
+              and quads1 - quads0 == 2)
         if not ok:
             checks.add(f"application {applications} deltas", False)
             break
-        work.remove(record)
+        work.remove(handle)
     checks.add("1000 applications completed", applications == 1000)
     for k, (e, work, *_) in enumerate(pool):
         checks.add(f"base {k} restored", work.freeze() == e)

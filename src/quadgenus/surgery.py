@@ -14,10 +14,11 @@ handle are indices {0, 2} and {1, 3}; either pair covers all eight
 vertices of the consumed faces, which is what makes handle faces usable
 as the raw material for the next round of surgery.
 
-The pairing parameter selects which vertex of F2 plays w0: pairing a
-means wk = F2.vertices[(a - k) mod 4].  Walking F1 forwards thus pairs it
-with F2 walked backwards; this reversal is what the construction's
-mirrored copies guarantee can be made consistent with the product edges.
+A face is a tuple of its four vertices in trace order, from any start,
+and a handle is the aligned pair (v, w) that add returns: handle_faces
+gives its four faces, and it consumed v and w reversed.  Pairing a
+means wk = F2[(a - k) mod 4], F2 walked backwards: the reversal the
+construction's mirrored copies make consistent with the product edges.
 
 The rotation splice is local: each new edge enters the rotation at its
 endpoint between the two boundary darts of the consumed face there, so
@@ -29,65 +30,43 @@ writes per endpoint and a face corner is one lookup.  It edits the
 entries of the eight touched vertices in place and proves each handle
 locally instead of retracing: each of the four created faces must close
 as the expected quadrilateral.  Those faces hold the sixteen darts the
-splice changed, so that pins the deltas at m +4, f +2, chi -2.  Removal
-proves the two reinstated faces, and checks on integer dart keys
-(u * n + v for the dart (u, v)) that they and the created faces hold
-exactly the darts it changed.  Faces not involved stay faces, so callers
-may keep face handles across many operations as long as each face is
-consumed at most once, and freeze the state into an Embedding only when
-they need one.  A construction step lays its copies
-of a block straight into one working state (Surgery.copies), adds one
-handle per face of each link it runs, and freezes the state once, after
-its last link.
+splice changed, so that pins the deltas at m +4, f +2, chi -2.
+
+remove needs no search and no dart bookkeeping: the handle's eight
+vertices are distinct, so each vertex's entries are edited once, and its
+four faces must be current.  Faces k-1 and k then put wk between v(k-1)
+and v(k+1) at vk, and vk between w(k+1) and w(k-1) at wk.  So each edge
+comes out at the predecessor the handle names, and the darts whose
+successor changes are exactly (v(k-1), vk) and (w(k+1), wk), the darts
+of v and w reversed; with the eight removed darts they are the sixteen
+of the handle faces.  remove still proves that v and w reversed close.
+
+Faces not involved stay faces, so callers may keep faces and handles
+across many operations as long as each face is consumed at most once,
+and freeze the state into an Embedding only when they need one.  A
+construction step lays its copies of a block straight into one working
+state (Surgery.copies), adds one handle per face of each link it runs,
+and freezes the state once, after its last link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (ConstructionError, InvalidParameterError,
                      LocalProofError, SurgeryError)
-from .embeddings import Dart, Embedding, FaceSet
+from .embeddings import Embedding
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class QuadFace:
-    """A quadrilateral face, vertices in trace order starting at the least
-    dart."""
-
-    vertices: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len(set(self.vertices)) != 4:
-            raise InvalidParameterError(
-                f"quadrilateral face needs 4 distinct vertices, got "
-                f"{self.vertices}")
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    def darts(self) -> tuple[Dart, ...]:
-        v = self.vertices
-        return tuple((v[k], v[(k + 1) % 4]) for k in range(4))
-
-
-@dataclass(frozen=True)
-class HandleRecord:
-    consumed: tuple[QuadFace, QuadFace]
-    added_edges: tuple[Dart, Dart, Dart, Dart]
-    created: tuple[QuadFace, QuadFace, QuadFace, QuadFace]
-
-
-def quad_faces(faces: FaceSet) -> list[QuadFace]:
-    """All quadrilateral faces of a trace, in trace order."""
-    out = []
-    for f in faces.faces:
-        if len(f) == 4:
-            out.append(QuadFace(tuple(u for (u, _) in f)))
-    return out
+def handle_faces(v: Sequence[int], w: Sequence[int]
+                 ) -> tuple[tuple[int, int, int, int], ...]:
+    """The four faces of the handle (v, w): face k is
+    (vk, v(k+1), w(k+1), wk), indices mod 4, starting at vk."""
+    v0, v1, v2, v3 = v
+    w0, w1, w2, w3 = w
+    return ((v0, v1, w1, w0), (v1, v2, w2, w1), (v2, v3, w3, w2),
+            (v3, v0, w0, w3))
 
 
 def rotate_to_least(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -108,16 +87,6 @@ def _closes(after: list[dict[int, int]], quad: tuple[int, ...]) -> bool:
             return False
         a, b = b, c
     return True
-
-
-def _tiles(faces: Sequence[QuadFace], keys: set[int], n: int) -> bool:
-    """The faces are dart-disjoint and their darts, keyed u * n + v, are
-    exactly `keys`."""
-    listed: list[int] = []
-    for face in faces:
-        a, b, c, d = face.vertices
-        listed += (a * n + b, b * n + c, c * n + d, d * n + a)
-    return len(listed) == len(keys) and set(listed) == keys
 
 
 class Surgery:
@@ -168,9 +137,9 @@ class Surgery:
             self.after.append(dict(zip(rot, rot[1:] + rot[:1])))
             self.first.append(rot[0] if rot else None)
 
-    def is_face(self, face: QuadFace) -> bool:
-        """Check the 4 corners of `face` against the successor rule."""
-        return _closes(self.after, face.vertices)
+    def is_face(self, face: Sequence[int]) -> bool:
+        """Whether the vertex cycle `face`, from any start, is a face."""
+        return _closes(self.after, face)
 
     def _splice(self, v: tuple[int, ...], w: tuple[int, ...]) -> None:
         """Lay the handle's edges vk - wk into the rotations, each between
@@ -185,104 +154,79 @@ class Surgery:
             at = after[x]
             at[u], at[p] = at[p], u
 
-    def _delete(self, x: int, u: int) -> int:
-        """Take u out of the rotation at x; returns the key of the dart
-        into x whose successor this changes."""
+    def _delete(self, x: int, u: int, p: int) -> None:
+        """Take u out of the rotation at x, where p precedes it."""
         at = self.after[x]
-        p = u
-        while at[p] != u:
-            p = at[p]
         at[p] = at.pop(u)
         if self.first[x] == u:
             self.first[x] = at[p]
-        return p * self.n + x
 
-    def add(self, f1: QuadFace, f2: QuadFace, pairing: int) -> HandleRecord:
+    def add(self, f1: Sequence[int], f2: Sequence[int],
+            pairing: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Join two vertex-disjoint quadrilateral faces by a handle carrying
-        four edges.  See the module docstring for the pairing convention
-        and the resulting faces.
+        four edges vk - wk, and return it as (v, w): v is f1 and w is f2
+        aligned by `pairing`, as the module docstring says.
 
-        Checks, on every call and in this order: the pairing is 0..3, the
-        faces share no vertex, both are current, and none of the four
-        edges exists.  After the splice comes the local proof: each
-        created face closes.  The splice changes only the successors of
-        the consumed and the added darts, which the created faces cover,
-        so they are the only faces changed: edge count +4, face count +2,
-        Euler characteristic -2.  A failed check before the splice
-        changes nothing; a failed local proof raises LocalProofError.  If
-        the two faces lie in different components the components merge
-        and total genus adds; within one component the genus rises by one.
+        Checks, on every call and in this order: the pairing is 0..3, each
+        face is four distinct vertices, the faces share no vertex, both
+        are current, and none of the four edges exists.  After the splice
+        comes the local proof: each face of handle_faces(v, w) closes.
+        The splice changes only the successors of the consumed and the
+        added darts, which those faces cover, so they are the only faces
+        changed: edge count +4, face count +2, Euler characteristic -2.
+        A failed check before the splice changes nothing; a failed local
+        proof raises LocalProofError.  If the two faces lie in different
+        components the components merge and total genus adds; within one
+        component the genus rises by one.
         """
         if pairing not in (0, 1, 2, 3):
             raise InvalidParameterError(
                 f"pairing must be 0..3, got {pairing}")
-        v, x = f1.vertices, f2.vertices
+        v, x = tuple(f1), tuple(f2)
+        for face in (v, x):
+            if len(face) != 4 or len(set(face)) != 4:
+                raise InvalidParameterError(
+                    f"quadrilateral face needs 4 distinct vertices: {face}")
         if not set(v).isdisjoint(x):
             raise SurgeryError(
-                f"faces share vertices "
-                f"{sorted(f1.vertex_set & f2.vertex_set)}")
+                f"faces share vertices {sorted(set(v) & set(x))}")
         after = self.after
         for face in (v, x):
             if not _closes(after, face):
                 raise SurgeryError(f"face {face} is not a face of the "
                                    f"current embedding")
-        # wk = F2.vertices[(pairing - k) mod 4]: F2 walked backwards
+        # wk = f2[(pairing - k) mod 4]: f2 walked backwards
         w = (x[pairing], x[pairing - 1], x[pairing - 2], x[pairing - 3])
         for k in range(4):
             if w[k] in after[v[k]]:
                 raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
 
         self._splice(v, w)
-        v0, v1, v2, v3 = v
-        w0, w1, w2, w3 = w
-        # face k is (vk, v(k+1), w(k+1), wk), rotated to its least vertex
-        created = (rotate_to_least((v0, v1, w1, w0)),
-                   rotate_to_least((v1, v2, w2, w1)),
-                   rotate_to_least((v2, v3, w3, w2)),
-                   rotate_to_least((v3, v0, w0, w3)))
-        for quad in created:
+        for quad in handle_faces(v, w):
             if not _closes(after, quad):
                 raise LocalProofError(
                     f"face {quad} did not close after the splice")
-        return HandleRecord(
-            consumed=(f1, f2),
-            added_edges=((v0, w0), (v1, w1), (v2, w2), (v3, w3)),
-            created=tuple(map(QuadFace, created)),
-        )
+        return v, w
 
-    def remove(self, record: HandleRecord) -> None:
-        """Inverse of add: delete the handle's four edges and reinstate the
-        two consumed faces, with a local proof (face count -2).
-        Only records whose created faces are still current can be
-        removed."""
-        for face in record.created:
-            if not self.is_face(face):
-                raise SurgeryError(
-                    f"created face {face.vertices} no longer current; "
-                    f"handle cannot be removed")
-        n = self.n
-        removed: set[int] = set()
-        for (a, b) in record.added_edges:
-            if b not in self.after[a] or a * n + b in removed:
-                raise SurgeryError(f"edge ({a},{b}) not present")
-            removed.update((a * n + b, b * n + a))
-        changed = set()
-        for (a, b) in record.added_edges:
-            changed.add(self._delete(a, b))
-            changed.add(self._delete(b, a))
-        # The local proof, as in add: the created faces held exactly the
-        # changed and removed darts, every reinstated face closes, and
-        # their darts are exactly the changed ones.
-        if not _tiles(record.created, changed | removed, n):
-            raise LocalProofError("splice touched darts outside the faces "
-                                  "it consumed")
-        for face in record.consumed:
-            if not self.is_face(face):
+    def remove(self, handle: tuple[Sequence[int], Sequence[int]]) -> None:
+        """Inverse of add: delete the edges of the handle (v, w), whose
+        eight vertices must be distinct and four faces current, and prove
+        that the faces it consumed, v and w reversed, close again (face
+        count -2).  The module docstring says why this is exact."""
+        v, w = tuple(handle[0]), tuple(handle[1])
+        if len(v) != 4 or len(w) != 4 or len(set(v + w)) != 8:
+            raise SurgeryError(f"handle {v}, {w} is not 8 distinct vertices")
+        after = self.after
+        for face in handle_faces(v, w):
+            if not _closes(after, face):
+                raise SurgeryError(f"handle face {face} no longer current")
+        for k in range(4):
+            self._delete(v[k], w[k], v[k - 1])
+            self._delete(w[k], v[k], w[(k + 1) % 4])
+        for face in (v, w[::-1]):
+            if not _closes(after, face):
                 raise LocalProofError(
-                    f"face {face.vertices} did not close after the splice")
-        if not _tiles(record.consumed, changed, n):
-            raise LocalProofError("faces closed by the splice do not cover "
-                                  "the darts it changed")
+                    f"face {face} did not close after the removal")
 
     def freeze(self) -> Embedding:
         """The Embedding of the current state.  A vertex's rotation row
@@ -301,7 +245,8 @@ class Surgery:
 
 
 def check_reservoir(e: Embedding,
-                    reservoir: Sequence[tuple[QuadFace, ...]]) -> None:
+                    reservoir: Sequence[tuple[tuple[int, ...], ...]]
+                    ) -> None:
     """Families must be pairwise face-disjoint; within a family, faces are
     vertex-disjoint and tile the whole vertex set.
 
@@ -314,8 +259,7 @@ def check_reservoir(e: Embedding,
     for fam in reservoir:
         covered = bytearray(n)
         outside: set[int] = set()
-        for face in fam:
-            quad = face.vertices
+        for quad in fam:
             key = rotate_to_least(quad)
             if key in seen_faces:
                 raise ConstructionError(

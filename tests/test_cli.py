@@ -192,6 +192,9 @@ def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
 # canonical artifact form is meant to change only on purpose.  The
 # embedding.json column was last re-pinned when the file dropped its edge
 # list (the rotation rows are the adjacency); the other two did not move.
+# The two five-level families guard where a harvested face starts: the
+# start decides which handle faces the next step harvests, and that
+# reaches an embedding only from the fifth level on.
 EMBED_DIGESTS = {
     "Q(3,4)": (
         "196a2d08b5216cb772c78b9dd1cf67e708261c9ea9c44d324a40d70a70e505f7",
@@ -217,6 +220,14 @@ EMBED_DIGESTS = {
         "8dd0fa0c1c93e2a65ceb044576a3442063910db2e0c157148c40263554728f3b",
         "8d7aa89a0f7a9c85fe77b27b1f30fcda80038cd59fe4a2fa626bdf7d17ee52a8",
         "e0b0c2d379ab81163573bacaaa5af82acfe451af4f48cc01800788f32a9911cf"),
+    "Q(5,2)": (
+        "579f647e1020de4fc702fbfa811f279df5c5388699e7a46066b2ab6d0dcf1639",
+        "9b4a94f304a61791f133953f356a889c079ec27098e7844edeb7c41fd1924321",
+        "3b69a1b51b57280b36d3fbf7e2cac658cb7f77b025561dd6068359685e7c7a37"),
+    "Q(1,2) x C(4) x C(4) x C(4) x C(4)": (
+        "87fdd5e19bb844bc9dccf4b6671bfcfdb1a04cf33e3a51b23ab4de40936bb98a",
+        "66b4b30ffc24049bd13dfae382cef147fd69ae3a18e464992b83e36d3ffa7425",
+        "9ac38f3c17717fd62c70b5c57921c533bf9227ecf4f539c379f8eaa12253bd3a"),
 }
 
 # sha256 of criterion_01.json .. criterion_09.json from

@@ -15,8 +15,7 @@ from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError, UnsupportedFamilyError)
 from quadgenus.graphs import Graph, build_family, make_complete_bipartite
 from quadgenus.oracle import certify_minimum
-from quadgenus.surgery import (QuadFace, Surgery, check_reservoir,
-                               quad_faces)
+from quadgenus.surgery import Surgery, check_reservoir
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
@@ -72,7 +71,7 @@ def reference_partition(e: Embedding) -> tuple:
     deterministic backtracking over the trace order, where the first face
     opens the first family and a new family may open only when all
     earlier ones are in use.  Exponential; a reference for small r."""
-    quads = quad_faces(trace_faces(e))
+    quads = [tuple(u for u, _ in face) for face in trace_faces(e).faces]
     r = e.graph.n // 4
     assignment = [-1] * len(quads)
     used = [set() for _ in range(2 * r)]
@@ -81,7 +80,7 @@ def reference_partition(e: Embedding) -> tuple:
     def place(idx, opened):
         if idx == len(quads):
             return True
-        vset = quads[idx].vertex_set
+        vset = set(quads[idx])
         for fam in range(min(opened + 1, 2 * r)):
             if sizes[fam] == r or used[fam] & vset:
                 continue
@@ -173,10 +172,10 @@ def test_link_step_requires_mirroring(monkeypatch):
     res, links = _link_step(base, [False, True], [0, 1], [(0, 1, 0)],
                             [(range(1), 0)], "link")
     cert = res.certificate
-    assert [len(recs) for recs in links] == [2]
+    assert [len(handles) for handles in links] == [2]
     assert cert.quadrilateral and cert.minimal
-    assert all(w == v + nb for recs in links for rec in recs
-               for v, w in rec.added_edges)
+    assert all(w == v + nb for handles in links for handle in handles
+               for v, w in zip(*handle))
 
     # copies traced the same way round carry no product handle; the step
     # refuses them before it lays any
@@ -199,8 +198,8 @@ def test_transfer_refuses_a_family_moved_with_the_wrong_flag():
     before = (copy.deepcopy(work.after), list(work.first))
 
     def moved(face, offset, flip):
-        a, b, c, d = (x + offset for x in face.vertices)
-        return QuadFace((a, d, c, b) if flip else (a, b, c, d))
+        a, b, c, d = (x + offset for x in face)
+        return (a, d, c, b) if flip else (a, b, c, d)
 
     for face in base.reservoir[0]:
         assert work.is_face(moved(face, 0, False))
@@ -351,11 +350,11 @@ def test_removal_left_incomplete_is_refused_at_its_level(monkeypatch):
     real = Surgery.remove
     skipped = []
 
-    def remove(self, record):
+    def remove(self, handle):
         if not skipped:
-            skipped.append(record)
+            skipped.append(handle)
             return
-        real(self, record)
+        real(self, handle)
 
     monkeypatch.setattr(Surgery, "remove", remove)
     with pytest.raises(ConstructionError,

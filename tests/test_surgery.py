@@ -9,7 +9,7 @@ from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
-from quadgenus.surgery import (QuadFace, Surgery, check_reservoir, quad_faces,
+from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
                                rotate_to_least)
 
 K44_ROT = ((4, 5, 6, 7), (7, 6, 5, 4), (4, 5, 6, 7), (7, 6, 5, 4),
@@ -23,44 +23,61 @@ def canonical_face(darts) -> tuple:
     return tuple(darts[k:] + darts[:k])
 
 
+def darts(face: tuple) -> tuple:
+    """The darts of a vertex cycle, from its first vertex."""
+    return tuple(zip(face, face[1:] + face[:1]))
+
+
 def k44() -> Embedding:
     return Embedding(make_complete_bipartite(4, 4), K44_ROT)
 
 
+def quads(e: Embedding) -> list:
+    """The quadrilateral faces of a full trace, as vertex tuples from the
+    least dart, in trace order."""
+    return [tuple(u for u, _ in face) for face in trace_faces(e).faces
+            if len(face) == 4]
+
+
 def disjoint_quad_pair(e: Embedding):
-    faces = quad_faces(trace_faces(e))
+    faces = quads(e)
     for i in range(len(faces)):
         for j in range(i + 1, len(faces)):
-            if not set(faces[i].vertices) & set(faces[j].vertices):
+            if not set(faces[i]) & set(faces[j]):
                 return faces[i], faces[j]
     raise AssertionError("no disjoint pair")
 
 
-def added(e: Embedding, f1: QuadFace, f2: QuadFace, pairing: int):
+def added(e: Embedding, f1: tuple, f2: tuple, pairing: int):
     """One handle on a fresh working state of `e`, frozen."""
     work = Surgery(e)
-    record = work.add(f1, f2, pairing)
-    return work.freeze(), record
+    handle = work.add(f1, f2, pairing)
+    return work.freeze(), handle
 
 
-def removed(e: Embedding, record) -> Embedding:
+def removed(e: Embedding, handle) -> Embedding:
     """One handle removal on a fresh working state of `e`, frozen."""
     work = Surgery(e)
-    work.remove(record)
+    work.remove(handle)
     return work.freeze()
 
 
-def test_quad_face_requires_four_distinct():
-    with pytest.raises(InvalidParameterError):
-        QuadFace((0, 1, 0, 2))
+def test_add_refuses_a_face_that_is_not_four_distinct_vertices():
+    # refused before anything changes, as either face of the handle
+    e = k44()
+    f1, f2 = disjoint_quad_pair(e)
+    work = Surgery(e)
+    for bad in ((0, 1, 0, 2), (0, 1, 2), (0, 1, 2, 3, 0)):
+        for pair in ((bad, f2), (f1, bad)):
+            with pytest.raises(InvalidParameterError, match="4 distinct"):
+                work.add(*pair, 0)
+    assert work.freeze() == e
 
 
 def test_rotate_to_least_matches_the_least_dart():
     assert rotate_to_least((2, 1, 0)) == (0, 2, 1)
     for cycle in ((2, 1, 0, 3), (0, 3, 2, 1), (5, 9, 4, 7), (7, 8, 9, 6)):
-        darts = [(cycle[k], cycle[(k + 1) % 4]) for k in range(4)]
-        assert canonical_face(darts) == QuadFace(
-            rotate_to_least(cycle)).darts()
+        assert canonical_face(darts(cycle)) == darts(rotate_to_least(cycle))
 
 
 def test_add_handle_deltas_and_created_faces():
@@ -72,11 +89,11 @@ def test_add_handle_deltas_and_created_faces():
     assert after.m == before.m + 4
     assert after.f == before.f + 2
     assert after.genus == before.genus + 1
-    assert len(rec.created) == 4
-    v, w = f1.vertices, [f2.vertices[(0 - k) % 4] for k in range(4)]
-    for k, face in enumerate(rec.created):
-        assert set(face.vertices) == {v[k], v[(k + 1) % 4],
-                                      w[(k + 1) % 4], w[k]}
+    assert len(handle_faces(*rec)) == 4
+    v, w = f1, tuple(f2[(0 - k) % 4] for k in range(4))
+    assert rec == (v, w)
+    for k, face in enumerate(handle_faces(*rec)):
+        assert set(face) == {v[k], v[(k + 1) % 4], w[(k + 1) % 4], w[k]}
 
 
 def test_add_handle_all_pairings_work():
@@ -100,24 +117,23 @@ def test_add_handle_rejects_bad_pairing_index():
 
 def test_add_handle_rejects_shared_vertices():
     e = k44()
-    faces = quad_faces(trace_faces(e))
+    faces = quads(e)
     f1 = faces[0]
-    f2 = next(f for f in faces[1:] if set(f.vertices) & set(f1.vertices))
+    f2 = next(f for f in faces[1:] if set(f) & set(f1))
     with pytest.raises(SurgeryError):
         Surgery(e).add(f1, f2, 0)
 
 
 def test_add_handle_rejects_existing_edge():
     e = k44()
-    faces = quad_faces(trace_faces(e))
+    faces = quads(e)
     for f1 in faces:
         for f2 in faces:
-            if set(f1.vertices) & set(f2.vertices):
+            if set(f1) & set(f2):
                 continue
             for a in range(4):
-                w = [f2.vertices[(a - k) % 4] for k in range(4)]
-                if any(e.graph.has_edge(f1.vertices[k], w[k])
-                       for k in range(4)):
+                w = [f2[(a - k) % 4] for k in range(4)]
+                if any(e.graph.has_edge(f1[k], w[k]) for k in range(4)):
                     with pytest.raises(SurgeryError):
                         Surgery(e).add(f1, f2, a)
                     return
@@ -127,8 +143,7 @@ def test_add_handle_rejects_existing_edge():
 def test_add_handle_rejects_stale_face():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    stale = QuadFace((f1.vertices[0], f1.vertices[2],
-                      f1.vertices[1], f1.vertices[3]))
+    stale = (f1[0], f1[2], f1[1], f1[3])
     with pytest.raises(SurgeryError):
         Surgery(e).add(stale, f2, 0)
 
@@ -150,6 +165,47 @@ def test_remove_handle_rejects_missing_created_faces():
         Surgery(back).remove(rec)
 
 
+def test_remove_refuses_a_repeated_vertex_or_stale_handle():
+    # refused before anything changes: a handle that names a vertex
+    # twice, or whose faces are not all current (its w turned one place,
+    # or the handle again after its removal)
+    e = k44()
+    f1, f2 = disjoint_quad_pair(e)
+    e2, (v, w) = added(e, f1, f2, 0)
+    work = Surgery(e2)
+    for bad in ((v, (w[0], w[1], w[2], v[0])), (v, (w[0], w[1], w[0], w[2])),
+                (v[:3], w), (v, w[1:] + w[:1])):
+        with pytest.raises(SurgeryError):
+            work.remove(bad)
+        assert work.freeze() == e2
+    work.remove((v, w))
+    with pytest.raises(SurgeryError, match="no longer current"):
+        work.remove((v, w))
+    assert work.freeze() == e
+
+
+def test_every_rotation_of_a_face_is_accepted():
+    # a face is its vertex cycle from any start: is_face sees it, and
+    # adding the same handle from rotated faces (the pairing turned to
+    # match) or removing it as a rotated handle gives the same state
+    def turn(face, j):
+        return face[j:] + face[:j]
+
+    e = k44()
+    f1, f2 = disjoint_quad_pair(e)
+    work = Surgery(e)
+    assert all(work.is_face(turn(face, j)) for face in quads(e)
+               for j in range(4))
+    e2, (v, w) = added(e, f1, f2, 0)
+    for j in range(4):
+        for s in range(4):
+            again, handle = added(e, turn(f1, j), turn(f2, s),
+                                  (-j - s) % 4)
+            assert again == e2
+            assert handle == (turn(v, j), turn(w, j))
+        assert removed(e2, (turn(v, j), turn(w, j))) == e
+
+
 def test_link_copies_requires_mirroring():
     base = embed_K2r2r(2)
     e, fam = base.embedding, base.reservoir[0]
@@ -158,16 +214,16 @@ def test_link_copies_requires_mirroring():
     def shifted(face, offset, flip):
         # a face of the base moved into a copy; a mirrored copy traces its
         # boundary backwards, which read from the first vertex is (a, d, c, b)
-        a, b, c, d = (x + offset for x in face.vertices)
-        return QuadFace((a, d, c, b) if flip else (a, b, c, d))
+        a, b, c, d = (x + offset for x in face)
+        return (a, d, c, b) if flip else (a, b, c, d)
 
     # mirrored copies: each face joined to its own image by pairing 0, one
     # handle per face of the family (n/4 = 2 for K(4,4)), product edges only
     work = Surgery.copies(e, [False, True], [0, 1])
-    records = [work.add(shifted(face, 0, False), shifted(face, n, True), 0)
+    handles = [work.add(shifted(face, 0, False), shifted(face, n, True), 0)
                for face in fam]
-    assert len(records) == len(fam) == 2
-    assert all(w == v + n for rec in records for v, w in rec.added_edges)
+    assert len(handles) == len(fam) == 2
+    assert all(y == x + n for v, w in handles for x, y in zip(v, w))
     assert euler_genus(work.freeze()).quadrilateral
 
     # same-orientation copies admit no alignment: every pairing joins some
@@ -177,7 +233,7 @@ def test_link_copies_requires_mirroring():
             plain = Surgery.copies(e, [False, False], [0, 1])
             rec = plain.add(shifted(face, 0, False),
                             shifted(face, n, False), pairing)
-            assert any(w != v + n for v, w in rec.added_edges)
+            assert any(y != x + n for x, y in zip(*rec))
     with pytest.raises(ConstructionError, match="not mirrored"):
         constructions._link_step(base, [False, False], [0, 1], [(0, 1, 0)],
                                  [(range(1), 0)], "link")
@@ -189,7 +245,7 @@ def test_partition_faces_k44():
     assert len(res.reservoir) == 4
     for fam in res.reservoir:
         assert len(fam) == 2
-        verts = [v for f in fam for v in f.vertices]
+        verts = [v for f in fam for v in f]
         assert len(set(verts)) == 8
     check_reservoir(k44(), res.reservoir)
 
@@ -218,9 +274,9 @@ def test_check_reservoir_flags_a_face_under_two_rotations():
     # least vertex, so both name the same face
     reservoir = embed_K2r2r(2).reservoir
     face = reservoir[0][0]
-    again = QuadFace(face.vertices[1:] + face.vertices[:1])
+    again = face[1:] + face[:1]
     moved = (again,) + tuple(f for f in reservoir[1]
-                             if f.vertex_set != face.vertex_set)
+                             if set(f) != set(face))
     with pytest.raises(ConstructionError, match="appears in two families"):
         check_reservoir(k44(), (reservoir[0], moved))
 
@@ -228,8 +284,8 @@ def test_check_reservoir_flags_a_face_under_two_rotations():
 def test_check_reservoir_refuses_a_vertex_outside_the_graph():
     # -1 must not stand in for vertex 7 (a bytearray would read it so)
     fam = embed_K2r2r(2).reservoir[0]
-    face = next(f for f in fam if 7 in f.vertices)
-    wrong = QuadFace(tuple(-1 if x == 7 else x for x in face.vertices))
+    face = next(f for f in fam if 7 in f)
+    wrong = tuple(-1 if x == 7 else x for x in face)
     bad = tuple(wrong if f is face else f for f in fam)
     with pytest.raises(ConstructionError, match=r"family covers 8 of 8 "
                        r"vertices \(first missing: \[7\]\)"):
@@ -247,9 +303,9 @@ def test_check_reservoir_flags_partial_cover():
 @given(st.integers(0, 3), st.randoms(use_true_random=False))
 def test_handle_deltas_random(pairing, rnd):
     e = k44()
-    faces = quad_faces(trace_faces(e))
+    faces = quads(e)
     pairs = [(f1, f2) for f1 in faces for f2 in faces
-             if not set(f1.vertices) & set(f2.vertices)]
+             if not set(f1) & set(f2)]
     f1, f2 = pairs[rnd.randrange(len(pairs))]
     try:
         e2, rec = added(e, f1, f2, pairing)
@@ -280,31 +336,32 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
     newest = []
     for _ in range(data.draw(st.integers(1, 8))):
         if newest and data.draw(st.booleans()):
-            record = newest.pop()
-            work.remove(record)
-            chain = removed(chain, record)
-            recorded, delta = record.consumed, -2
+            handle = newest.pop()
+            work.remove(handle)
+            chain = removed(chain, handle)
+            # the faces the handle (v, w) consumed: v, and w reversed
+            recorded, delta = (handle[0], handle[1][::-1]), -2
         else:
-            faces = quad_faces(trace_faces(chain))
+            faces = quads(chain)
             f1 = data.draw(st.sampled_from(faces))
             f2 = data.draw(st.sampled_from(faces))
             pairing = data.draw(st.integers(0, 3))
             try:
-                record = work.add(f1, f2, pairing)
+                handle = work.add(f1, f2, pairing)
             except SurgeryError:
                 with pytest.raises(SurgeryError):
                     Surgery(chain).add(f1, f2, pairing)
                 assert work.freeze() == chain  # refused: nothing changed
                 continue
             chain, chained = added(chain, f1, f2, pairing)
-            assert chained == record
-            newest.append(record)
-            recorded, delta = record.created, 2
+            assert chained == handle
+            newest.append(handle)
+            recorded, delta = handle_faces(*handle), 2
         frozen = work.freeze()
         assert frozen == chain
         faces = trace_faces(frozen)
         traced = set(faces.faces)
-        assert all(canonical_face(face.darts()) in traced
+        assert all(canonical_face(darts(face)) in traced
                    for face in recorded)
         assert len(faces) - f == delta
         f = len(faces)
@@ -336,7 +393,8 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
     with pytest.raises(SurgeryError):
         work.add(f1, f2, 0)
     monkeypatch.undo()
-    assert Surgery(e).add(f1, f2, 0).consumed == (f1, f2)
+    v, w = Surgery(e).add(f1, f2, 0)
+    assert (v, rotate_to_least(w[::-1])) == (f1, f2)
 
 
 def test_criterion_6_fails_at_once_on_a_failed_local_proof(monkeypatch):
@@ -367,7 +425,7 @@ def handle_proposals(r: int):
     """The K(2r,2r) base block and every (f1, f2, pairing) that add
     accepts on it."""
     e = embed_K2r2r(r).embedding
-    faces = quad_faces(trace_faces(e))
+    faces = quads(e)
     accepted = []
     for f1 in faces:
         for f2 in faces:
@@ -393,9 +451,9 @@ def test_add_changes_exactly_the_consumed_and_the_new_darts(data, r):
     f1, f2, pairing = data.draw(st.sampled_from(accepted))
     work = Surgery(e)
     before = successors(work)
-    record = work.add(f1, f2, pairing)
+    handle = work.add(f1, f2, pairing)
     after = successors(work)
     changed = {d for d in after if before.get(d) != after[d]}
-    new = {d for a, b in record.added_edges for d in ((a, b), (b, a))}
+    new = {d for a, b in zip(*handle) for d in ((a, b), (b, a))}
     assert len(new) == 8 and set(before) == set(after) - new
-    assert changed == set(f1.darts()) | set(f2.darts()) | new
+    assert changed == set(darts(f1)) | set(darts(f2)) | new
