@@ -30,19 +30,19 @@ def family_rows(kind: str, max_i: int, max_r: int, max_s: int):
         for i in range(1, max_i + 1):
             for r in range(1, max_r + 1):
                 expr = f"Q({i},{2 * r})"
-                yield expr, cube_genus(i, 2 * r).value
+                yield expr, cube_genus(i, 2 * r)
     elif kind == "cycle":
         for i in range(1, max_i + 1):
             for r in range(1, max_r + 1):
                 for s in range(2, max_s + 1):
                     expr = f"Q({i},{2 * r}) x C({2 * s})"
-                    yield expr, cube_cycle_genus(i, r, s).value
+                    yield expr, cube_cycle_genus(i, r, s)
     elif kind == "path":
         for i in range(1, max_i + 1):
             for r in range(1, max_r + 1):
                 for s in range(1, max_s + 1):
                     expr = f"Q({i},{2 * r}) x P({2 * s})"
-                    yield expr, cube_path_genus(i, r, s).value
+                    yield expr, cube_path_genus(i, r, s)
     else:
         raise SystemExit(f"unknown family kind: {kind}")
 

@@ -19,13 +19,13 @@ from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,
                      ExprSyntaxError, InvalidParameterError, LocalProofError,
                      NotApplicableError, SurgeryError, ToolError,
                      UnsupportedFamilyError, VerificationError)
-from .formulas import (FORMULAS, GenusValue, corollary_genus,
-                       cube_cycle_genus, cube_genus, cube_path_genus,
-                       hypercube_genus, main_cycles_genus, main_paths_genus,
-                       ringel_genus, white_cycle_genus, white_path_genus)
-from .graphs import (Graph, build_family, from_edges, is_bipartite,
-                     is_connected, make_complete_bipartite, make_cycle,
-                     make_path, parse_family_expr, product_graph)
+from .formulas import (FORMULAS, corollary_genus, cube_cycle_genus,
+                       cube_genus, cube_path_genus, hypercube_genus,
+                       main_cycles_genus, main_paths_genus, ringel_genus,
+                       white_cycle_genus, white_path_genus)
+from .graphs import (Graph, build_family, components, from_edges,
+                     make_complete_bipartite, make_cycle, make_path,
+                     parse_family_expr, product_graph)
 from .oracle import (OracleResult, SearchBudget, certify_minimum,
                      exhaustive_min_genus, rotation_space_size,
                      stochastic_search)

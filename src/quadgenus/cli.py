@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .embeddings import (canonical_json_bytes, certificate_from_json_dict,
 from .errors import (BudgetExceededError, ExprSyntaxError,
                      InvalidParameterError, ToolError, VerificationError)
 from .formulas import FORMULAS
-from .graphs import (build_family, graph_from_json_dict, graph_to_json_dict,
-                     is_bipartite, is_json_int, parse_family_expr)
+from .graphs import (build_family, components, graph_from_json_dict,
+                     graph_to_json_dict, is_json_int, parse_family_expr)
 from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
 from .selftest import run_selftest
 
@@ -95,7 +96,7 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     out = _out_dir(args.out)
     graph = build_family(parse_family_expr(args.expr))
-    bip = is_bipartite(graph) is not None
+    bip = all(bipartite for _, bipartite in components(graph))
     if args.json:
         print(json.dumps({"expr": args.expr, "n": graph.n, "m": graph.m,
                           "bipartite": bip}))
@@ -192,19 +193,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_faces(args) -> int:
+    """The traced faces, then one face per isolated vertex, as the
+    certificate counts it: a 0-gon, with no darts."""
     emb = embedding_from_json_dict(_load_json(args.path))
-    faces = trace_faces(emb)
-    hist: dict[int, int] = {}
-    for fc in faces.faces:
-        hist[len(fc)] = hist.get(len(fc), 0) + 1
+    if emb.graph.n == 0:
+        raise InvalidParameterError("empty graph has no faces")
+    faces = [[list(d) for d in fc] for fc in trace_faces(emb).faces]
+    faces += [[] for row in emb.graph.adj if not row]
+    hist = Counter(map(len, faces))
     if args.json:
         print(json.dumps({
-            "count": len(faces.faces),
+            "count": len(faces),
             "lengths": {str(k): v for k, v in sorted(hist.items())},
-            "faces": [[list(d) for d in fc] for fc in faces.faces]}))
+            "faces": faces}))
     else:
         shape = " ".join(f"{v}x{k}-gon" for k, v in sorted(hist.items()))
-        print(f"{len(faces.faces)} faces: {shape}")
+        print(f"{len(faces)} faces: {shape}")
     return 0
 
 
@@ -233,7 +237,7 @@ def cmd_genus(args) -> int:
                                     f"{args.formula}: {exc}")
     try:
         text = json.dumps({"formula": args.formula, "params": params,
-                           "genus": int(value)})
+                           "genus": value})
     except ValueError as exc:  # the genus is past the int -> str digit limit
         raise InvalidParameterError(
             f"genus of {args.formula} for these parameters is too large to "

@@ -438,11 +438,11 @@ def _check_level(shape: FamilyShape, level: int, size: tuple[int, int],
     kinds = {kind for kind, _ in prefix}
     ms = [s for _, s in prefix]
     if not prefix:
-        closed = int(cube_genus(level + 1, 2 * shape.r))
+        closed = cube_genus(level + 1, 2 * shape.r)
     elif kinds == {"C"}:
-        closed = int(main_cycles_genus(shape.i, shape.r, ms))
+        closed = main_cycles_genus(shape.i, shape.r, ms)
     elif kinds == {"P"}:
-        closed = int(main_paths_genus(shape.i, shape.r, ms))
+        closed = main_paths_genus(shape.i, shape.r, ms)
     else:
         closed = None  # mixed cycles and paths: no closed form
     if (cert.n, cert.m, cert.genus) != (n, m, euler) or \

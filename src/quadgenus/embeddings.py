@@ -20,7 +20,8 @@ successor list of an Embedding.  Two readers walk its orbits:
 
   * face_lengths counts each orbit's length and builds nothing else.
     Every certificate reads it: certify_faces takes the lengths (one
-    connectivity check, one 2-colouring, the quadrilateral bound), and
+    walk of the graph, graphs.components, for connectivity and
+    bipartiteness at once, then the quadrilateral bound), and
     euler_genus, components_certificate and every construction step
     certify that way.
   * trace_faces turns each orbit into a face of (u, v) dart tuples, for
@@ -42,8 +43,7 @@ from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
-from .graphs import (Graph, connected_components, from_rows, is_bipartite,
-                     json_header)
+from .graphs import Graph, components, from_rows, json_header
 
 Dart = tuple[int, int]
 
@@ -229,9 +229,10 @@ def genus_lower_bound(g: Graph) -> int:
     """
     if g.n == 0:
         raise InvalidParameterError("empty graph has no genus")
-    if len(connected_components(g)) != 1:
+    comps = components(g)
+    if len(comps) != 1:
         raise InvalidParameterError("lower bound needs a connected graph")
-    if is_bipartite(g) is None:
+    if not comps[0][1]:
         raise NotApplicableError(
             "quadrilateral lower bound needs a bipartite graph")
     return _quad_bound(g.n, g.m)
@@ -243,16 +244,18 @@ def certify_faces(g: Graph, lengths: list[int],
     face_lengths gave them (having validated it), via n + f - m = 2 - 2g."""
     if g.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
-    if len(connected_components(g)) != 1:
+    comps = components(g)
+    if len(comps) != 1:
         raise InvalidParameterError(
             "euler_genus needs a connected graph; use components_certificate")
-    return _certify_connected(g, lengths, construction_tag)
+    return _certify_connected(g, lengths, comps[0][1], construction_tag)
 
 
-def _certify_connected(g: Graph, lengths: list[int],
+def _certify_connected(g: Graph, lengths: list[int], bip: bool,
                        construction_tag: str = "") -> EmbeddingCertificate:
-    """certify_faces for a g already known to be connected and non-empty.
-    A lone vertex traces no dart but lies on one face, the sphere."""
+    """certify_faces for a g already known to be connected and non-empty,
+    and to be bipartite or not as bip says.  A lone vertex traces no dart
+    but lies on one face, the sphere."""
     f = len(lengths) if g.m else 1
     chi = g.n - g.m + f
     if chi % 2 != 0:
@@ -261,7 +264,6 @@ def _certify_connected(g: Graph, lengths: list[int],
     genus = (2 - chi) // 2
     if genus < 0:
         raise EmbeddingError(f"negative genus {genus}; rotation system corrupt")
-    bip = is_bipartite(g) is not None
     lb = _quad_bound(g.n, g.m) if bip else 0
     return EmbeddingCertificate(
         n=g.n, m=g.m, f=f, genus=genus,
@@ -295,17 +297,18 @@ def subembedding(e: Embedding, vertices: list[int]) -> Embedding:
 
 
 def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
-    """Per-component certificates, from one component search.  The total
+    """Per-component certificates, from one walk of the graph.  The total
     genus of a disconnected embedding is the sum over components; a
     connected one gets the single certificate euler_genus would give."""
     if e.graph.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
-    comps = connected_components(e.graph)
+    comps = components(e.graph)
     if len(comps) == 1:
-        return [_certify_connected(e.graph, face_lengths(e))]
+        return [_certify_connected(e.graph, face_lengths(e), comps[0][1])]
     _require_valid(e)
-    subs = (subembedding(e, comp) for comp in comps)
-    return [_certify_connected(sub.graph, face_lengths(sub)) for sub in subs]
+    subs = ((subembedding(e, comp), bip) for comp, bip in comps)
+    return [_certify_connected(sub.graph, face_lengths(sub), bip)
+            for sub, bip in subs]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything is computed over exact integers and rationals and asserted to
 land on a non-negative integer; nothing here ever touches a float.  Each
-function returns a GenusValue; a value that fails those checks raises an
+function returns a plain int; a value that fails those checks raises an
 error naming the formula it came from.  Every power goes through _power,
 which refuses one past MAX_POWER_BITS bits before taking it.
 
@@ -25,22 +25,14 @@ test suite; see _cube_genus_as_printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import InvalidParameterError, NotApplicableError
 
 
-@dataclass(frozen=True)
-class GenusValue:
-    value: int
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def _as_genus(x: Fraction | int, source: str) -> GenusValue:
+def _as_genus(x: Fraction | int, source: str) -> int:
     frac = Fraction(x)
     if frac.denominator != 1:
         raise InvalidParameterError(
@@ -48,7 +40,7 @@ def _as_genus(x: Fraction | int, source: str) -> GenusValue:
     if frac < 0:
         raise InvalidParameterError(
             f"{source}: genus value {frac} is negative")
-    return GenusValue(int(frac))
+    return int(frac)
 
 
 # Largest power a formula takes, in bits.  Python prints at most 4300
@@ -77,28 +69,21 @@ def _check_m_list(m_list: Sequence[int], minimum: int, what: str) -> None:
                 f"{what}: factor parameter {m} below minimum {minimum}")
 
 
-def _product(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
-def ringel_genus(r: int) -> GenusValue:
+def ringel_genus(r: int) -> int:
     """Genus of K(2r,2r): (r-1)^2."""
     if r < 1:
         raise InvalidParameterError(f"need r >= 1, got {r}")
     return _as_genus(_power(r - 1, 2), "ringel")
 
 
-def hypercube_genus(n: int) -> GenusValue:
+def hypercube_genus(n: int) -> int:
     """Genus of the n-cube, n >= 2: 1 + 2^(n-3) (n-4)."""
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
     return _as_genus(1 + _power(2, n - 3) * (n - 4), "hypercube")
 
 
-def cube_genus(j: int, t: int) -> GenusValue:
+def cube_genus(j: int, t: int) -> int:
     """Genus of the j-fold product of K(t,t): 1 + 2^(j-3) t^j (jt - 4).
 
     Defined for even t with j >= 1, and for t in {1, 3} with j >= 2.
@@ -124,7 +109,7 @@ def _cube_genus_as_printed(j: int, t: int) -> Fraction:
     return 1 + _power(2, j - 3) * _power(t, j) * (j - 4)
 
 
-def cube_cycle_genus(i: int, r: int, s: int) -> GenusValue:
+def cube_cycle_genus(i: int, r: int, s: int) -> int:
     """Genus of Q(i,2r) x C(2s): 1 + 2^(2i-1) s r^i (ir - 1)."""
     if i < 1 or r < 1 or s < 2:
         raise InvalidParameterError(
@@ -133,31 +118,31 @@ def cube_cycle_genus(i: int, r: int, s: int) -> GenusValue:
                      "cube_cycle")
 
 
-def main_cycles_genus(i: int, r: int, m_list: Sequence[int]) -> GenusValue:
+def main_cycles_genus(i: int, r: int, m_list: Sequence[int]) -> int:
     """Genus of Q(i,2r) x C(2m_1) x ... x C(2m_j):
     1 + M 2^(2i+j-2) r^i (j + ir - 2)."""
     if i < 1 or r < 1:
         raise InvalidParameterError(f"need i >= 1 and r >= 1, got ({i}, {r})")
     _check_m_list(m_list, 2, "main_cycles")
     j = len(m_list)
-    big_m = _product(m_list)
+    big_m = prod(m_list)
     return _as_genus(
         1 + big_m * _power(2, 2 * i + j - 2) * _power(r, i) * (j + i * r - 2),
         "main_cycles")
 
 
-def corollary_genus(r: int, m_list: Sequence[int]) -> GenusValue:
+def corollary_genus(r: int, m_list: Sequence[int]) -> int:
     """Genus of K(2r,2r) x C(2m_1) x ... x C(2m_j):
     1 + r 2^j M (j + r - 2)."""
     if r < 1:
         raise InvalidParameterError(f"need r >= 1, got {r}")
     _check_m_list(m_list, 2, "corollary")
     j = len(m_list)
-    big_m = _product(m_list)
+    big_m = prod(m_list)
     return _as_genus(1 + r * _power(2, j) * big_m * (j + r - 2), "corollary")
 
 
-def cube_path_genus(i: int, r: int, s: int) -> GenusValue:
+def cube_path_genus(i: int, r: int, s: int) -> int:
     """Genus of Q(i,2r) x P(2s): 1 + 2^(2i-2) r^i (2s(ir - 1) - 1)."""
     if i < 1 or r < 1 or s < 1:
         raise InvalidParameterError(
@@ -167,14 +152,14 @@ def cube_path_genus(i: int, r: int, s: int) -> GenusValue:
         "cube_path")
 
 
-def main_paths_genus(i: int, r: int, m_list: Sequence[int]) -> GenusValue:
+def main_paths_genus(i: int, r: int, m_list: Sequence[int]) -> int:
     """Genus of Q(i,2r) x P(2m_1) x ... x P(2m_j):
     1 + 2^(2i+j-3) r^i M (2ir + 2j - sum(1/m_a) - 4)."""
     if i < 1 or r < 1:
         raise InvalidParameterError(f"need i >= 1 and r >= 1, got ({i}, {r})")
     _check_m_list(m_list, 1, "main_paths")
     j = len(m_list)
-    big_m = _product(m_list)
+    big_m = prod(m_list)
     inv = sum((Fraction(1, m) for m in m_list), Fraction(0))
     return _as_genus(
         1 + _power(2, 2 * i + j - 3) * _power(r, i) * big_m
@@ -182,18 +167,18 @@ def main_paths_genus(i: int, r: int, m_list: Sequence[int]) -> GenusValue:
         "main_paths")
 
 
-def white_cycle_genus(m_list: Sequence[int]) -> GenusValue:
+def white_cycle_genus(m_list: Sequence[int]) -> int:
     """Genus of C(2m_1) x ... x C(2m_j), j >= 2: 1 + 2^(j-2) (j-2) M."""
     _check_m_list(m_list, 2, "white_cycle")
     j = len(m_list)
     if j < 2:
         raise InvalidParameterError(f"need at least 2 cycles, got {j}")
-    big_m = _product(m_list)
+    big_m = prod(m_list)
     return _as_genus(1 + _power(2, j - 2) * (j - 2) * big_m,
                      "white_cycle")
 
 
-def white_path_genus(m_list: Sequence[int]) -> GenusValue:
+def white_path_genus(m_list: Sequence[int]) -> int:
     """Genus of P(m_1) x ... x P(m_j) for j >= 3 with m_1, m_2, m_3 even:
     1 + (M/4) (j - 2 - sum(1/m_k)).
 
@@ -208,7 +193,7 @@ def white_path_genus(m_list: Sequence[int]) -> GenusValue:
         if m_list[k] % 2 != 0:
             raise NotApplicableError(
                 "the first three path orders must be even")
-    big_m = _product(m_list)
+    big_m = prod(m_list)
     inv = sum((Fraction(1, m) for m in m_list), Fraction(0))
     return _as_genus(1 + Fraction(big_m, 4) * (j - 2 - inv), "white_path")
 

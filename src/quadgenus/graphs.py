@@ -186,47 +186,32 @@ def product_graph(factors: Sequence[Graph]) -> Graph:
     return Graph(len(adj), adj, labels)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
-def is_bipartite(g: Graph) -> Optional[list[int]]:
-    """Two-colouring as a list of 0/1, or None if an odd cycle exists."""
-    colour: list[int] = [-1] * g.n
+def components(g: Graph) -> list[tuple[list[int], bool]]:
+    """Each connected component of g, in order of its least vertex, as
+    its sorted vertices and whether it is bipartite.  One walk finds
+    both: it 2-colours each vertex as it reaches it, and a component is
+    bipartite when no edge joins two vertices of one colour.  A graph is
+    connected when it has exactly one component (none when n = 0)."""
+    colour = [-1] * g.n
+    comps: list[tuple[list[int], bool]] = []
     for start in range(g.n):
         if colour[start] != -1:
             continue
         colour[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
+        comp, stack, bipartite = [start], [start], True
+        while stack:
+            u = stack.pop()
+            other = 1 - colour[u]
             for v in g.adj[u]:
                 if colour[v] == -1:
-                    colour[v] = 1 - colour[u]
-                    queue.append(v)
-                elif colour[v] == colour[u]:
-                    return None
-    return colour
+                    colour[v] = other
+                    comp.append(v)
+                    stack.append(v)
+                elif colour[v] != other:
+                    bipartite = False
+        comp.sort()
+        comps.append((comp, bipartite))
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ g >= (m - 3n + 6)/6; rounded up and floored at zero that is the bound
 lb (trees, K1 and K2 are bipartite and get 0), and no system has more
 than f_cap = 2 - n + m - 2 lb faces.  The first system with f_cap faces
 is therefore the first best, the one a full enumeration keeps, and the
-search reports its position in product order as ``explored``.
+search reports its position in product order as ``explored``.  Both
+searches walk the graph once, with graphs.components, which refuses a
+graph that is not one component and says which bound applies.
 
 A stochastic restart holds each rotation as a row of local positions,
 k for the k-th neighbour in v's adjacency, and reads the darts into and
@@ -96,7 +98,7 @@ from .errors import (BudgetExceededError, InvalidParameterError,
                      NotApplicableError)
 from .embeddings import (DartIndex, Embedding, EmbeddingCertificate,
                          _quad_bound, count_orbits, euler_genus)
-from .graphs import Graph, is_bipartite, is_connected, is_json_int
+from .graphs import Graph, components, is_json_int
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,6 @@ class OracleResult:
 
 def _genus_from_faces(graph: Graph, f: int) -> int:
     return (2 - graph.n + graph.m - f) // 2
-
-
-def _quad_bound_of(graph: Graph) -> Optional[int]:
-    """The quadrilateral lower bound of a connected graph, None when it
-    is not bipartite."""
-    if is_bipartite(graph) is None:
-        return None
-    return _quad_bound(graph.n, graph.m)
 
 
 def _face_cap(graph: Graph, quad: Optional[int]) -> int:
@@ -201,8 +195,10 @@ def exhaustive_min_genus(graph: Graph,
     vertex by vertex only until half of it passes the cap, so a refusal
     costs no more than the vertices read before it.
     """
-    if graph.n == 0 or not is_connected(graph):
+    comps = components(graph)
+    if len(comps) != 1:
         raise InvalidParameterError("need a non-empty connected graph")
+    quad = _quad_bound(graph.n, graph.m) if comps[0][1] else None
     cap, space = budget.max_rotation_systems, 1
     for v in range(graph.n):
         for k in range(2, graph.degree(v)):
@@ -211,7 +207,6 @@ def exhaustive_min_genus(graph: Graph,
         if space // 2 > cap:
             raise BudgetExceededError(
                 f"rotation space exceeds cap {cap} by vertex {v}")
-    quad = _quad_bound_of(graph)
     f_cap = _face_cap(graph, quad)
 
     root = _root(graph)
@@ -396,8 +391,10 @@ def stochastic_search(graph: Graph,
     Deterministic per seed; the result never beats the true minimum, so
     pair it with a lower bound or a target to know when it has won.
     """
-    if graph.n == 0 or not is_connected(graph):
+    comps = components(graph)
+    if len(comps) != 1:
         raise InvalidParameterError("need a non-empty connected graph")
+    quad = _quad_bound(graph.n, graph.m) if comps[0][1] else None
     target_f: Optional[int] = None
     if budget.target_genus is not None:
         target_f = 2 - 2 * budget.target_genus - graph.n + graph.m
@@ -528,17 +525,18 @@ def stochastic_search(graph: Graph,
         witness=witness,
         exhaustive=False,
         explored=explored,
-        quad_bound=_quad_bound_of(graph),
+        quad_bound=quad,
     )
 
 
 def certify_minimum(graph: Graph, e: Embedding) -> EmbeddingCertificate:
     """Certificate for an embedding of a bipartite graph: minimal is True
     exactly when the embedding's genus meets the quadrilateral bound."""
-    if is_bipartite(graph) is None:
+    if e.graph.n != graph.n or e.graph.adj != graph.adj:
+        raise InvalidParameterError("embedding does not embed this graph")
+    cert = euler_genus(e)
+    if not cert.bipartite:
         raise NotApplicableError(
             "certify_minimum uses the quadrilateral bound; graph must be "
             "bipartite")
-    if e.graph.n != graph.n or e.graph.adj != graph.adj:
-        raise InvalidParameterError("embedding does not embed this graph")
-    return euler_genus(e)
+    return cert

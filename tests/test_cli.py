@@ -162,27 +162,24 @@ def test_verify_traces_and_colours_once(capsys, tmp_path, count_calls):
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(4,4) x C(6)", "--out", str(out_dir))
     traces = count_calls(embeddings.face_successors)
-    colourings = count_calls(graphs.is_bipartite)
     validations = count_calls(embeddings.validate_embedding)
-    searches = count_calls(graphs.connected_components)
+    walks = count_calls(graphs.components)
     code, out, _ = run(capsys, "verify", str(out_dir))
     assert code == 0 and "certificate-match" in out
-    assert (len(traces), len(colourings)) == (1, 1)
+    assert (len(traces), len(walks)) == (1, 1)
     assert len(validations) == 1  # the trace's; the loader checks types only
-    assert len(searches) == 1
 
 
 def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
     gdir = tmp_path / "g"
     run(capsys, "build", "K(3,3)", "--out", str(gdir))
-    searches = count_calls(graphs.connected_components)
-    colourings = count_calls(graphs.is_bipartite)
+    walks = count_calls(graphs.components)
     code, _, _ = run(capsys, "oracle", str(gdir / "graph.json"))
     assert code == 0
-    # one component search, the exhaustive search's own refusal of
-    # disconnected graphs; one colouring, for the bound the search stops
-    # at and reports
-    assert (len(searches), len(colourings)) == (1, 1)
+    # one walk, the exhaustive search's: it refuses a disconnected graph
+    # and gives the bipartite flag of the bound the search stops at and
+    # reports
+    assert len(walks) == 1
 
 
 # sha256 of embedding.json, certificate.json and handles.json from
@@ -618,6 +615,36 @@ def test_faces_summary_and_json(capsys, tmp_path):
                        "--json")
     payload = json.loads(out)
     assert payload["count"] == 8 and payload["lengths"] == {"4": 8}
+
+
+def test_faces_refuses_the_empty_graph_as_verify_does(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"graph": {"n": 0}, "rotation": []}')
+    for command in ("faces", "verify"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, ""), command
+        assert "empty graph" in err and "Traceback" not in err
+
+
+def test_faces_counts_an_isolated_vertex_as_one_face(capsys, tmp_path):
+    # as the certificate does: a lone vertex lies on one face, the sphere
+    path = tmp_path / "lone.json"
+    path.write_text('{"graph": {"n": 1}, "rotation": [[]]}')
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and " f=1 " in out
+    assert run(capsys, "faces", str(path)) == (0, "1 faces: 1x0-gon\n", "")
+    code, out, _ = run(capsys, "faces", str(path), "--json")
+    assert json.loads(out) == {"count": 1, "lengths": {"0": 1},
+                               "faces": [[]]}
+    # beside a 4-cycle, which the plane splits into two faces
+    path.write_text('{"graph": {"n": 5}, "rotation": '
+                    '[[1, 3], [0, 2], [1, 3], [0, 2], []]}')
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "total genus=0" in out
+    code, out, _ = run(capsys, "faces", str(path), "--json")
+    payload = json.loads(out)
+    assert payload["count"] == 3 and payload["lengths"] == {"0": 1, "4": 2}
+    assert payload["faces"][2] == []
 
 
 def test_genus_command(capsys):

@@ -414,12 +414,12 @@ def test_full_traces_per_build_stay_a_few(count_calls):
     # One certificate per construction step: the base block, the cube
     # step, the cycle step and the path step, plus the closed cycle the
     # removal route opens up.  Each certificate builds one successor list
-    # in the trace core, validates the rotation system once, and
-    # searches components and 2-colours the graph once each.
+    # in the trace core, validates the rotation system once, and walks
+    # the graph once for its components and their 2-colouring.
     counted = {real.__name__: count_calls(real)
                for real in (embeddings.face_successors,
                             embeddings.validate_embedding,
-                            graphs.connected_components, graphs.is_bipartite)}
+                            graphs.components)}
     for expr, route, certificates in (
             ("Q(2,4) x C(4) x P(4)", "direct", 4),
             ("Q(2,4) x C(4) x P(4)", "removal", 5),

@@ -2,7 +2,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadgenus import embeddings, graphs
 from quadgenus.embeddings import (Embedding, _orbits, canonical_json_bytes,
@@ -185,7 +185,8 @@ def rotations_of_labelled_graphs(draw):
     return Embedding(g, rot)
 
 
-@settings(derandomize=True, max_examples=200)
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(rotations_of_labelled_graphs())
 def test_embedding_json_round_trips_from_the_rows(e):
     data = json.loads(canonical_json_bytes(embedding_to_json_dict(e)))
@@ -306,7 +307,8 @@ def test_trace_faces_matches_tuple_tracer(e):
     assert trace_faces(e).faces == tuple_trace(e)
 
 
-@settings(derandomize=True)
+@settings(derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(rotations_of_small_graphs())
 def test_face_lengths_are_the_traced_face_lengths(e):
     # the certificates' orbit lengths and trace_faces walk one successor
@@ -334,7 +336,8 @@ def broken_rotations_of_small_graphs(draw):
     return Embedding(e.graph, tuple(rotation))
 
 
-@settings(derandomize=True)
+@settings(derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(broken_rotations_of_small_graphs())
 def test_broken_rotation_is_refused_alike_on_both_paths(e):
     with pytest.raises(EmbeddingError) as by_lengths:

@@ -15,18 +15,18 @@ from quadgenus.graphs import build_family
 
 @pytest.mark.parametrize("r,want", [(1, 0), (2, 1), (3, 4), (4, 9)])
 def test_ringel_values(r, want):
-    assert int(ringel_genus(r)) == want
+    assert ringel_genus(r) == want
 
 
 @pytest.mark.parametrize("n,want", [(2, 0), (3, 0), (4, 1), (5, 5), (6, 17)])
 def test_hypercube_values(n, want):
-    assert int(hypercube_genus(n)) == want
+    assert hypercube_genus(n) == want
 
 
 @pytest.mark.parametrize("j,t,want", [(2, 2, 1), (2, 4, 33), (1, 4, 1),
                                       (3, 2, 17), (2, 3, 10)])
 def test_cube_values(j, t, want):
-    assert int(cube_genus(j, t)) == want
+    assert cube_genus(j, t) == want
 
 
 def test_cube_domain():
@@ -41,44 +41,44 @@ def test_cube_domain():
 @pytest.mark.parametrize("i,r,s,want", [(1, 2, 3, 13), (1, 2, 2, 9),
                                         (1, 1, 2, 1), (2, 2, 2, 193)])
 def test_cube_cycle_values(i, r, s, want):
-    assert int(cube_cycle_genus(i, r, s)) == want
+    assert cube_cycle_genus(i, r, s) == want
 
 
 @pytest.mark.parametrize("i,r,ml,want", [(1, 1, [2, 2], 17), (1, 2, [2], 9),
                                          (1, 2, [2, 2], 65),
                                          (2, 2, [2], 193)])
 def test_main_cycles_values(i, r, ml, want):
-    assert int(main_cycles_genus(i, r, ml)) == want
+    assert main_cycles_genus(i, r, ml) == want
 
 
 @pytest.mark.parametrize("r,ml,want", [(2, [2], 9), (1, [2], 1),
                                        (2, [2, 2], 65)])
 def test_corollary_values(r, ml, want):
-    assert int(corollary_genus(r, ml)) == want
+    assert corollary_genus(r, ml) == want
 
 
 @pytest.mark.parametrize("i,r,s,want", [(1, 2, 2, 7), (1, 1, 2, 0),
                                         (1, 2, 1, 3), (2, 2, 1, 81)])
 def test_cube_path_values(i, r, s, want):
-    assert int(cube_path_genus(i, r, s)) == want
+    assert cube_path_genus(i, r, s) == want
 
 
 @pytest.mark.parametrize("i,r,ml,want", [(1, 2, [2, 2], 49), (1, 2, [1], 3),
                                          (1, 1, [2], 0)])
 def test_main_paths_values(i, r, ml, want):
-    assert int(main_paths_genus(i, r, ml)) == want
+    assert main_paths_genus(i, r, ml) == want
 
 
 @pytest.mark.parametrize("ml,want", [([2, 2], 1), ([3, 2], 1),
                                      ([2, 2, 2], 17)])
 def test_white_cycle_values(ml, want):
-    assert int(white_cycle_genus(ml)) == want
+    assert white_cycle_genus(ml) == want
 
 
 @pytest.mark.parametrize("ml,want", [([4, 4, 4], 5), ([2, 2, 2], 0),
                                      ([2, 2, 2, 2], 1)])
 def test_white_path_values(ml, want):
-    assert int(white_path_genus(ml)) == want
+    assert white_path_genus(ml) == want
 
 
 def test_white_path_domain():
@@ -109,7 +109,7 @@ def test_uncorrected_cube_form_is_wrong_at_smallest_even_case():
     # squares plainly embeds on the torus
     assert _cube_genus_as_printed(2, 2) == Fraction(-3)
     assert _cube_genus_as_printed(2, 4) == Fraction(-15)
-    assert int(cube_genus(2, 2)) == 1
+    assert cube_genus(2, 2) == 1
     g = build_family("Q(2,2)")
     euler = Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
     assert euler == 1
@@ -119,11 +119,11 @@ def test_uncorrected_cube_form_is_wrong_at_smallest_even_case():
 def test_uncorrected_form_agrees_only_at_t_equal_one():
     # both variants collapse to the hypercube formula at t=1; for every
     # even t >= 2 they part ways
-    assert all(_cube_genus_as_printed(j, 1) == int(hypercube_genus(j))
+    assert all(_cube_genus_as_printed(j, 1) == hypercube_genus(j)
                for j in range(2, 8))
-    assert all(int(cube_genus(j, 1)) == int(hypercube_genus(j))
+    assert all(cube_genus(j, 1) == hypercube_genus(j)
                for j in range(2, 8))
-    assert all(_cube_genus_as_printed(j, t) != cube_genus(j, t).value
+    assert all(_cube_genus_as_printed(j, t) != cube_genus(j, t)
                for j in range(2, 7) for t in (2, 4, 6))
 
 
@@ -132,28 +132,28 @@ def test_uncorrected_form_agrees_only_at_t_equal_one():
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(2, 50))
 def test_identity_single_cycle(i, r, s):
-    assert main_cycles_genus(i, r, [s]).value == cube_cycle_genus(i, r, s).value
+    assert main_cycles_genus(i, r, [s]) == cube_cycle_genus(i, r, s)
 
 
 @given(st.integers(1, 8),
        st.lists(st.integers(2, 12), min_size=1, max_size=5))
 def test_identity_single_cube(r, ml):
-    assert corollary_genus(r, ml).value == main_cycles_genus(1, r, ml).value
+    assert corollary_genus(r, ml) == main_cycles_genus(1, r, ml)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 50))
 def test_identity_single_path(i, r, s):
-    assert main_paths_genus(i, r, [s]).value == cube_path_genus(i, r, s).value
+    assert main_paths_genus(i, r, [s]) == cube_path_genus(i, r, s)
 
 
 @given(st.integers(2, 60))
 def test_identity_hypercube(j):
-    assert cube_genus(j, 1).value == hypercube_genus(j).value
+    assert cube_genus(j, 1) == hypercube_genus(j)
 
 
 @given(st.integers(1, 60))
 def test_identity_ringel(r):
-    assert cube_genus(1, 2 * r).value == ringel_genus(r).value
+    assert cube_genus(1, 2 * r) == ringel_genus(r)
 
 
 @given(st.integers(1, 2), st.integers(1, 2),
@@ -162,7 +162,7 @@ def test_identity_euler_count_cycles(i, r, ml):
     g = build_family(f"Q({i},{2 * r}) x "
                      + " x ".join(f"C({2 * m})" for m in ml))
     euler = Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
-    assert euler == main_cycles_genus(i, r, ml).value
+    assert euler == main_cycles_genus(i, r, ml)
 
 
 @given(st.integers(1, 2), st.integers(1, 2),
@@ -171,14 +171,14 @@ def test_identity_euler_count_paths(i, r, ml):
     g = build_family(f"Q({i},{2 * r}) x "
                      + " x ".join(f"P({2 * m})" for m in ml))
     euler = Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
-    assert euler == main_paths_genus(i, r, ml).value
+    assert euler == main_paths_genus(i, r, ml)
 
 
 @given(st.lists(st.integers(2, 4), min_size=2, max_size=3))
 def test_identity_euler_count_cycle_only(ml):
     g = build_family(" x ".join(f"C({2 * m})" for m in ml))
     euler = Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
-    assert euler == white_cycle_genus(ml).value
+    assert euler == white_cycle_genus(ml)
 
 
 @given(st.lists(st.sampled_from([2, 4]), min_size=3, max_size=3),
@@ -187,12 +187,12 @@ def test_identity_euler_count_path_only(head, tail):
     ml = head + tail
     g = build_family(" x ".join(f"P({m})" for m in ml))
     euler = Fraction(1) + Fraction(g.m, 4) - Fraction(g.n, 2)
-    assert euler == white_path_genus(ml).value
+    assert euler == white_path_genus(ml)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 20))
 def test_outputs_are_nonnegative_integers(i, r, s):
-    for value in (cube_cycle_genus(i, r, s).value,
-                  cube_path_genus(i, r, s).value,
-                  ringel_genus(r).value):
+    for value in (cube_cycle_genus(i, r, s),
+                  cube_path_genus(i, r, s),
+                  ringel_genus(r)):
         assert value == int(value) and value >= 0

@@ -1,17 +1,18 @@
 import json
+from collections import deque
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadgenus import graphs
 from quadgenus.errors import ExprSyntaxError, InvalidParameterError
 from quadgenus.graphs import (MAX_DARTS, CubeAtom, CycleAtom, KAtom, PathAtom,
-                              build_family, connected_components,
-                              family_factors, from_edges,
-                              graph_from_json_dict, graph_to_json_dict,
-                              is_bipartite, is_connected,
-                              make_complete_bipartite, make_cycle, make_path,
-                              parse_family_expr, product_graph)
+                              build_family, components, family_factors,
+                              from_edges, graph_from_json_dict,
+                              graph_to_json_dict, make_complete_bipartite,
+                              make_cycle, make_path, parse_family_expr,
+                              product_graph)
 
 
 def test_path_basic():
@@ -50,7 +51,7 @@ def test_from_edges_permits_unbalanced_and_odd_structures():
     k23 = from_edges(5, [(u, v + 2) for u in range(2) for v in range(3)])
     assert k23.m == 6
     c5 = from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
-    assert is_bipartite(c5) is None
+    assert components(c5) == [([0, 1, 2, 3, 4], False)]
 
 
 def test_from_edges_rejects_bad_input():
@@ -85,18 +86,67 @@ def test_product_graph_refuses_an_empty_factor():
 
 
 def test_connectivity_helpers():
+    # components come in order of their least vertex
     g = from_edges(5, [(0, 1), (2, 3)])
-    comps = connected_components(g)
-    assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
-    assert not is_connected(g)
-    assert is_connected(make_cycle(4))
+    assert components(g) == [([0, 1], True), ([2, 3], True), ([4], True)]
+    assert components(make_cycle(4)) == [([0, 1, 2, 3], True)]
+    assert components(from_edges(0, [])) == []
 
 
 def test_bipartite_coloring_is_proper():
     g = make_complete_bipartite(3, 4)
-    color = is_bipartite(g)
-    assert color is not None
-    assert all(color[u] != color[v] for u, v in g.edges())
+    assert components(g) == [(list(range(7)), True)]
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)
+                 if pairs else st.just([]))
+    return from_edges(n, edges)
+
+
+def reference_components(g):
+    """Vertex sets by breadth-first search, in order of least vertex."""
+    seen, comps = set(), []
+    for start in range(g.n):
+        if start not in seen:
+            seen.add(start)
+            queue, comp = deque([start]), [start]
+            while queue:
+                for v in g.adj[queue.popleft()]:
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+                        comp.append(v)
+            comps.append(sorted(comp))
+    return comps
+
+
+def two_colourable(g, vertices):
+    """Some 0/1 colouring of `vertices` gives no edge among them one
+    colour at both ends: tried over all 2^k colourings."""
+    edges = [(u, v) for u, v in g.edges() if u in vertices]
+    for bits in product((0, 1), repeat=len(vertices)):
+        colour = dict(zip(vertices, bits))
+        if all(colour[u] != colour[v] for u, v in edges):
+            return True
+    return False
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_graphs())
+# always tried: no vertex, isolated vertices, C(5) beside C(4)
+@example(from_edges(0, []))
+@example(from_edges(4, [(1, 2)]))
+@example(from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                        (5, 6), (6, 7), (7, 8), (8, 5)]))
+def test_components_match_a_search_and_a_brute_force_colouring(g):
+    comps = components(g)
+    assert [vertices for vertices, _ in comps] == reference_components(g)
+    assert [flag for _, flag in comps] == [
+        two_colourable(g, vertices) for vertices, _ in comps]
 
 
 # expression parsing
@@ -224,9 +274,8 @@ def test_product_matches_the_definition(a, b):
 
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_bipartite_parts_sizes(s, t):
-    color = is_bipartite(make_complete_bipartite(s, t))
-    assert color is not None
-    assert sorted([color.count(0), color.count(1)]) == sorted([s, t])
+    assert components(make_complete_bipartite(s, t)) == [
+        (list(range(s + t)), True)]
 
 
 def test_size_guard_is_arithmetic_only(monkeypatch):

@@ -5,8 +5,6 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
-from quadgenus.formulas import GenusValue
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -35,7 +33,7 @@ def test_genus_table_exits_1_on_a_closed_form_off_by_one(monkeypatch,
     script = load("genus_table")
     real = script.cube_genus
     monkeypatch.setattr(script, "cube_genus",
-                        lambda i, n: GenusValue(real(i, n).value + 1))
+                        lambda i, n: real(i, n) + 1)
     argv = ["--families", "cube", "--max-i", "1", "--max-r", "2"]
     assert script.main(argv) == 1
     assert capsys.readouterr().out.count("MISMATCH") == 2
