@@ -14,7 +14,7 @@ from .constructions import (ConstructionResult, classify_family, embed_cube,
                             embed_family, embed_K2r2r)
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          components_certificate, euler_genus, face_lengths,
-                         genus_lower_bound, trace_faces, validate_embedding)
+                         genus_lower_bound, trace_faces)
 from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,
                      ExprSyntaxError, InvalidParameterError, LocalProofError,
                      NotApplicableError, SurgeryError, ToolError,
@@ -26,7 +26,6 @@ from .formulas import (FORMULAS, corollary_genus, cube_cycle_genus,
 from .graphs import (Graph, build_family, components, from_edges,
                      make_complete_bipartite, make_cycle, make_path,
                      parse_family_expr, product_graph)
-from .oracle import (OracleResult, SearchBudget, certify_minimum,
-                     exhaustive_min_genus, rotation_space_size,
-                     stochastic_search)
+from .oracle import (OracleResult, SearchBudget, exhaustive_min_genus,
+                     rotation_space_size, stochastic_search)
 from .surgery import Surgery, check_reservoir, handle_faces

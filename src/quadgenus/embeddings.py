@@ -14,16 +14,20 @@ Face tracing runs on integer dart ids (DartIndex): dart (v, u) gets the
 next id in the order v = 0..n-1, u in graph.adj[v].  Adjacency is sorted,
 so id order is sorted dart order.  A rotation becomes a flat successor
 list succ[id(u, v)] = id(v, w), w the neighbour after u at v, and faces
-are the orbits of that list.  face_successors is the one trace core: the
-one place a rotation system is validated, and the only builder of the
-successor list of an Embedding.  Two readers walk its orbits:
+are the orbits of that list.  face_successors is the one trace core and
+the only code that builds the successor list of an Embedding, and that
+build is the one check of a rotation system: DartIndex.successors
+refuses a wrong row count or length, a non-neighbour and a repeated
+neighbour as it writes the list (EmbeddingError names the first bad
+row), so no row is sorted again.  Two readers walk its orbits:
 
   * face_lengths counts each orbit's length and builds nothing else.
     Every certificate reads it: certify_faces takes the lengths (one
     walk of the graph, graphs.components, for connectivity and
     bipartiteness at once, then the quadrilateral bound), and
-    euler_genus, components_certificate and every construction step
-    certify that way.
+    euler_genus and every construction step certify that way.
+    components_certificate reads the same orbits of one trace and files
+    each length under the component of its least dart's tail.
   * trace_faces turns each orbit into a face of (u, v) dart tuples, for
     the readers that need the faces themselves.
 
@@ -77,27 +81,6 @@ class EmbeddingCertificate:
     construction_tag: str = ""
 
 
-def validate_embedding(e: Embedding) -> list[str]:
-    """Return a list of violations; empty means the rotation system is a
-    permutation of each vertex's neighbourhood."""
-    if len(e.rotation) != e.graph.n:
-        return [f"rotation table has {len(e.rotation)} rows, graph has "
-                f"{e.graph.n} vertices"]
-    # adjacency is sorted and repeat-free, so one sort decides; the
-    # reason is looked for only on failure
-    return [f"vertex {v}: repeated neighbour in rotation"
-            if len(set(rot)) != len(rot) else
-            f"vertex {v}: rotation is not a permutation of its neighbourhood"
-            for v, (rot, nbrs) in enumerate(zip(e.rotation, e.graph.adj))
-            if tuple(sorted(rot)) != nbrs]
-
-
-def _require_valid(e: Embedding) -> None:
-    problems = validate_embedding(e)
-    if problems:
-        raise EmbeddingError("; ".join(problems))
-
-
 class DartIndex:
     """Integer ids for the darts of a graph: ``out[v][u]`` is the id of
     (v, u) and ``size`` the number of darts."""
@@ -129,17 +112,39 @@ class DartIndex:
 
     def successors(self, rotation) -> list[int]:
         """Flat face-successor list of a rotation system: the entries
-        of every vertex's patch, written in place."""
+        of every vertex's patch, written in place.  This is the one check
+        of the system: if every entry is a neighbour, every dart is
+        written (no -1 is left) and there are n rows of one entry per
+        dart in all, each row is a permutation of its neighbours."""
         out = self.out
-        succ = [0] * self.size
-        for v, rot in enumerate(rotation):
-            if rot:
-                ov = out[v]
-                prev = rot[-1]
-                for w in rot:
-                    succ[out[prev][v]] = ov[w]
-                    prev = w
+        succ = [-1] * self.size
+        try:
+            for v, rot in enumerate(rotation):
+                if rot:
+                    ov = out[v]
+                    prev = rot[-1]
+                    for w in rot:
+                        succ[out[prev][v]] = ov[w]
+                        prev = w
+        except (KeyError, IndexError):  # no neighbour, or a row too many
+            raise EmbeddingError(_refusal(rotation, out)) from None
+        if (-1 in succ or len(rotation) != len(out)
+                or sum(map(len, rotation)) != self.size):
+            raise EmbeddingError(_refusal(rotation, out))
         return succ
+
+
+def _refusal(rotation, out: list[dict[int, int]]) -> str:
+    """Why DartIndex.successors refused ``rotation``: the row count, or
+    the first row that is not a permutation of its vertex's neighbours."""
+    if len(rotation) != len(out):
+        return (f"rotation table has {len(rotation)} rows, graph has "
+                f"{len(out)} vertices")
+    v, rot = next((v, rot) for v, (rot, ov) in enumerate(zip(rotation, out))
+                  if sorted(rot) != list(ov))
+    why = ("repeated neighbour in rotation" if len(set(rot)) != len(rot)
+           else "rotation is not a permutation of its neighbourhood")
+    return f"vertex {v}: {why}"
 
 
 def count_orbits(succ: list[int], starts, seen: list[int], stamp: int) -> int:
@@ -162,9 +167,8 @@ def count_orbits(succ: list[int], starts, seen: list[int], stamp: int) -> int:
 
 
 def face_successors(e: Embedding) -> list[int]:
-    """The face-successor list of a validated rotation system, on
-    DartIndex ids: the one trace core (see the module docstring)."""
-    _require_valid(e)
+    """The face-successor list of a rotation system, on DartIndex ids:
+    the one trace core, and the one check (see the module docstring)."""
     return DartIndex(e.graph).successors(e.rotation)
 
 
@@ -248,26 +252,27 @@ def certify_faces(g: Graph, lengths: list[int],
     if len(comps) != 1:
         raise InvalidParameterError(
             "euler_genus needs a connected graph; use components_certificate")
-    return _certify_connected(g, lengths, comps[0][1], construction_tag)
+    return _certify_connected(g.n, g.m, lengths, comps[0][1],
+                              construction_tag)
 
 
-def _certify_connected(g: Graph, lengths: list[int], bip: bool,
+def _certify_connected(n: int, m: int, lengths: list[int], bip: bool,
                        construction_tag: str = "") -> EmbeddingCertificate:
-    """certify_faces for a g already known to be connected and non-empty,
-    and to be bipartite or not as bip says.  A lone vertex traces no dart
-    but lies on one face, the sphere."""
-    f = len(lengths) if g.m else 1
-    chi = g.n - g.m + f
+    """certify_faces for n vertices and m edges already known to be
+    connected and non-empty, and to be bipartite or not as bip says.  A
+    lone vertex traces no dart but lies on one face, the sphere."""
+    f = len(lengths) if m else 1
+    chi = n - m + f
     if chi % 2 != 0:
         raise EmbeddingError(
             f"Euler characteristic {chi} is odd; rotation system corrupt")
     genus = (2 - chi) // 2
     if genus < 0:
         raise EmbeddingError(f"negative genus {genus}; rotation system corrupt")
-    lb = _quad_bound(g.n, g.m) if bip else 0
+    lb = _quad_bound(n, m) if bip else 0
     return EmbeddingCertificate(
-        n=g.n, m=g.m, f=f, genus=genus,
-        quadrilateral=bool(g.m) and lengths.count(4) == len(lengths),
+        n=n, m=m, f=f, genus=genus,
+        quadrilateral=bool(m) and lengths.count(4) == len(lengths),
         bipartite=bip,
         lower_bound=lb,
         minimal=bip and genus == lb,
@@ -281,34 +286,27 @@ def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificat
     return certify_faces(e.graph, face_lengths(e), construction_tag)
 
 
-def subembedding(e: Embedding, vertices: list[int]) -> Embedding:
-    """Restriction to a union of components, vertices renumbered in the
-    given (sorted) order.  Rotations must not point outside the set."""
-    index = {v: i for i, v in enumerate(vertices)}
-    if any(w not in index for v in vertices for w in e.graph.adj[v]):
-        raise InvalidParameterError("subembedding must take whole components")
-    adj = tuple(tuple(sorted(index[w] for w in e.graph.adj[v]))
-                for v in vertices)
-    labels = e.graph.labels
-    if labels is not None:
-        labels = tuple(labels[v] for v in vertices)
-    return Embedding(Graph(len(vertices), adj, labels), tuple(
-        tuple(index[w] for w in e.rotation[v]) for v in vertices))
-
-
 def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
-    """Per-component certificates, from one walk of the graph.  The total
-    genus of a disconnected embedding is the sum over components; a
-    connected one gets the single certificate euler_genus would give."""
-    if e.graph.n == 0:
+    """Per-component certificates, from one walk of the graph and one
+    trace of the whole embedding: each orbit's length is filed under the
+    component of its least dart's tail.  The total genus of a
+    disconnected embedding is the sum over components; a connected one
+    gets the single certificate euler_genus would give."""
+    g = e.graph
+    if g.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
-    comps = components(e.graph)
+    comps = components(g)
+    starts, lengths = _orbits(face_successors(e))
     if len(comps) == 1:
-        return [_certify_connected(e.graph, face_lengths(e), comps[0][1])]
-    _require_valid(e)
-    subs = ((subembedding(e, comp), bip) for comp, bip in comps)
-    return [_certify_connected(sub.graph, face_lengths(sub), bip)
-            for sub, bip in subs]
+        return [_certify_connected(g.n, g.m, lengths, comps[0][1])]
+    which = {v: i for i, (comp, _) in enumerate(comps) for v in comp}
+    tails = [v for v, nbrs in enumerate(g.adj) for _ in nbrs]
+    per_comp: list[list[int]] = [[] for _ in comps]
+    for start, length in zip(starts, lengths):
+        per_comp[which[tails[start]]].append(length)
+    # each dart lies on one face, so a component's lengths sum to 2m
+    return [_certify_connected(len(comp), sum(per) // 2, per, bip)
+            for (comp, bip), per in zip(comps, per_comp)]
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,8 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Callable, Optional
 
-from .errors import (BudgetExceededError, InvalidParameterError,
-                     NotApplicableError)
-from .embeddings import (DartIndex, Embedding, EmbeddingCertificate,
-                         _quad_bound, count_orbits, euler_genus)
+from .errors import BudgetExceededError, InvalidParameterError
+from .embeddings import DartIndex, Embedding, _quad_bound, count_orbits
 from .graphs import Graph, components, is_json_int
 
 
@@ -193,12 +191,8 @@ def exhaustive_min_genus(graph: Graph,
     the bound would stop the search early; callers wanting an answer
     anyway should drop to stochastic_search.  The space is multiplied up
     vertex by vertex only until half of it passes the cap, so a refusal
-    costs no more than the vertices read before it.
+    costs no more than the vertices read before it, and no graph walk.
     """
-    comps = components(graph)
-    if len(comps) != 1:
-        raise InvalidParameterError("need a non-empty connected graph")
-    quad = _quad_bound(graph.n, graph.m) if comps[0][1] else None
     cap, space = budget.max_rotation_systems, 1
     for v in range(graph.n):
         for k in range(2, graph.degree(v)):
@@ -207,6 +201,10 @@ def exhaustive_min_genus(graph: Graph,
         if space // 2 > cap:
             raise BudgetExceededError(
                 f"rotation space exceeds cap {cap} by vertex {v}")
+    comps = components(graph)
+    if len(comps) != 1:
+        raise InvalidParameterError("need a non-empty connected graph")
+    quad = _quad_bound(graph.n, graph.m) if comps[0][1] else None
     f_cap = _face_cap(graph, quad)
 
     root = _root(graph)
@@ -528,15 +526,3 @@ def stochastic_search(graph: Graph,
         quad_bound=quad,
     )
 
-
-def certify_minimum(graph: Graph, e: Embedding) -> EmbeddingCertificate:
-    """Certificate for an embedding of a bipartite graph: minimal is True
-    exactly when the embedding's genus meets the quadrilateral bound."""
-    if e.graph.n != graph.n or e.graph.adj != graph.adj:
-        raise InvalidParameterError("embedding does not embed this graph")
-    cert = euler_genus(e)
-    if not cert.bipartite:
-        raise NotApplicableError(
-            "certify_minimum uses the quadrilateral bound; graph must be "
-            "bipartite")
-    return cert

@@ -162,12 +162,30 @@ def test_verify_traces_and_colours_once(capsys, tmp_path, count_calls):
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(4,4) x C(6)", "--out", str(out_dir))
     traces = count_calls(embeddings.face_successors)
-    validations = count_calls(embeddings.validate_embedding)
     walks = count_calls(graphs.components)
     code, out, _ = run(capsys, "verify", str(out_dir))
     assert code == 0 and "certificate-match" in out
+    # the successor build is the one check of the rotation system; the
+    # loader checks types and simplicity only
     assert (len(traces), len(walks)) == (1, 1)
-    assert len(validations) == 1  # the trace's; the loader checks types only
+
+
+def test_verify_of_two_components_traces_and_walks_once(capsys, tmp_path,
+                                                       count_calls):
+    out_dir = tmp_path / "e"
+    run(capsys, "embed", "K(2,2)", "--out", str(out_dir))
+    data = json.loads((out_dir / "embedding.json").read_text())
+    rows = data["rotation"]
+    data["rotation"] = rows + [[w + 4 for w in row] for row in rows]
+    data["graph"] = {"n": 8}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(data))
+    traces = count_calls(embeddings.face_successors)
+    walks = count_calls(graphs.components)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "disconnected, total genus=0" in out
+    # one trace of the whole embedding, its faces filed by component
+    assert (len(traces), len(walks)) == (1, 1)
 
 
 def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
@@ -179,6 +197,19 @@ def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
     # one walk, the exhaustive search's: it refuses a disconnected graph
     # and gives the bipartite flag of the bound the search stops at and
     # reports
+    assert len(walks) == 1
+
+
+def test_oracle_past_the_budget_checks_the_graph_once(capsys, tmp_path,
+                                                      count_calls):
+    gdir = tmp_path / "g"
+    run(capsys, "build", "K(4,4)", "--out", str(gdir))
+    walks = count_calls(graphs.components)
+    code, out, _ = run(capsys, "oracle", str(gdir / "graph.json"),
+                       "--budget", "20000", "--target", "1")
+    assert code == 0 and out.startswith("stochastic:")
+    # the exhaustive search refuses the space before it walks, so the
+    # only walk is the stochastic search's
     assert len(walks) == 1
 
 

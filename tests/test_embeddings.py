@@ -2,7 +2,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from quadgenus import embeddings, graphs
 from quadgenus.embeddings import (Embedding, _orbits, canonical_json_bytes,
@@ -11,9 +11,8 @@ from quadgenus.embeddings import (Embedding, _orbits, canonical_json_bytes,
                                   components_certificate,
                                   embedding_from_json_dict,
                                   embedding_to_json_dict, euler_genus,
-                                  face_lengths, genus_lower_bound,
-                                  subembedding, trace_faces,
-                                  validate_embedding)
+                                  face_lengths, face_successors,
+                                  genus_lower_bound, trace_faces)
 from quadgenus.errors import (EmbeddingError, InvalidParameterError,
                               NotApplicableError)
 from quadgenus.graphs import (from_edges, make_complete_bipartite,
@@ -54,7 +53,8 @@ def test_each_dart_used_exactly_once():
 def test_validate_catches_rotation_mismatch():
     g = make_complete_bipartite(2, 2)
     bad = Embedding(g, ((2, 3), (3, 2), (0, 1), (1, 1)))
-    assert validate_embedding(bad)
+    with pytest.raises(EmbeddingError, match="vertex 3: repeated"):
+        face_successors(bad)
     with pytest.raises(EmbeddingError):
         trace_faces(bad)
 
@@ -62,7 +62,8 @@ def test_validate_catches_rotation_mismatch():
 def test_validate_catches_missing_neighbor():
     g = make_complete_bipartite(2, 2)
     bad = Embedding(g, ((2, 3), (3, 2), (0, 1), (0,)))
-    assert validate_embedding(bad)
+    with pytest.raises(EmbeddingError, match="vertex 3: rotation is not"):
+        face_successors(bad)
 
 
 def test_euler_genus_k22_sphere():
@@ -111,14 +112,51 @@ def test_components_certificate_of_connected_embedding_is_euler_genus():
     assert components_certificate(e) == [euler_genus(e)]
 
 
-def test_subembedding_requires_whole_components():
-    g = from_edges(4, [(0, 1), (2, 3)])
-    rot = ((1,), (0,), (3,), (2,))
-    e = Embedding(g, rot)
-    sub = subembedding(e, [2, 3])
-    assert sub.graph.n == 2 and sub.graph.m == 1
-    with pytest.raises(InvalidParameterError):
-        subembedding(e, [0, 2])
+def restrict(e: Embedding, vertices: list[int]) -> Embedding:
+    """The embedding of the component on ``vertices`` (sorted) on its
+    own, its vertices renumbered in that order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    g = from_edges(len(vertices), [(index[v], index[w]) for v in vertices
+                                   for w in e.graph.adj[v] if v < w])
+    return Embedding(g, tuple(tuple(index[w] for w in e.rotation[v])
+                              for v in vertices))
+
+
+@st.composite
+def rotations_with_components(draw):
+    """An embedding of 2-4 connected pieces (a lone vertex among them,
+    sometimes), their vertices interleaved by a random numbering, and
+    the pieces' vertex sets in order of their least vertex."""
+    pieces = []
+    for _ in range(draw(st.integers(2, 4))):
+        k = draw(st.integers(1, 5))
+        # a random spanning tree, then random extra edges
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+        if k > 1:
+            pairs = [(u, v) for v in range(k) for u in range(v)]
+            edges += draw(st.lists(st.sampled_from(pairs), max_size=6))
+        pieces.append((k, edges))
+    n = sum(k for k, _ in pieces)
+    number = draw(st.permutations(range(n)))
+    edges, parts, first = [], [], 0
+    for k, piece in pieces:
+        edges += {(min(number[first + u], number[first + v]),
+                   max(number[first + u], number[first + v]))
+                  for u, v in piece}
+        parts.append(sorted(number[first:first + k]))
+        first += k
+    g = from_edges(n, sorted(set(edges)))
+    rot = tuple(tuple(draw(st.permutations(g.adj[v]))) for v in range(n))
+    return Embedding(g, rot), sorted(parts)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rotations_with_components())
+def test_components_certificate_is_each_component_on_its_own(drawn):
+    e, parts = drawn
+    assert components_certificate(e) == [euler_genus(restrict(e, part))
+                                         for part in parts]
 
 
 def reversed_rotations(e: Embedding) -> Embedding:
@@ -316,24 +354,89 @@ def test_face_lengths_are_the_traced_face_lengths(e):
     assert face_lengths(e) == [len(face) for face in trace_faces(e).faces]
 
 
+def reference_refusal(e: Embedding):
+    """In-test reference for the check of a rotation system: n rows, and
+    every row, sorted, its vertex's adjacency.  None if it holds, else
+    the refusal, naming the row count or the first row that fails."""
+    n, adj = e.graph.n, e.graph.adj
+    if len(e.rotation) != n:
+        return (f"rotation table has {len(e.rotation)} rows, graph has "
+                f"{n} vertices")
+    for v, row in enumerate(e.rotation):
+        if sorted(row) != list(adj[v]):
+            if len(set(row)) != len(row):
+                return f"vertex {v}: repeated neighbour in rotation"
+            return (f"vertex {v}: rotation is not a permutation of its "
+                    "neighbourhood")
+    return None
+
+
+BREAKS = ("repeat", "insert", "drop", "self", "non-neighbour", "too large",
+          "minus one", "extra row", "missing row")
+
+
 @st.composite
 def broken_rotations_of_small_graphs(draw):
-    """A rotation system with one row that is not a permutation of its
-    vertex's neighbours: a neighbour repeated, one left out, or one
-    replaced by the vertex itself."""
-    e = draw(rotations_of_small_graphs().filter(lambda e: e.graph.m > 0))
-    v = draw(st.sampled_from([v for v in range(e.graph.n) if e.graph.adj[v]]))
-    row = list(e.rotation[v])
-    kind = draw(st.sampled_from(["repeat", "drop", "self"]))
-    if kind == "repeat":
-        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(row)))
-    elif kind == "drop":
-        row.pop(draw(st.integers(0, len(row) - 1)))
-    else:
-        row[draw(st.integers(0, len(row) - 1))] = v
+    """A rotation system broken one way.  In one row: a neighbour put in
+    place of another or inserted again, one left out, or one replaced by
+    the vertex itself, by a non-neighbour, by an index >= n, or by -1 at
+    a vertex adjacent to n-1 (where indexing a list by -1 would read that
+    vertex's darts).  Or a row too many, or one too few."""
+    e = draw(rotations_of_small_graphs())
+    n, adj = e.graph.n, e.graph.adj
     rotation = list(e.rotation)
+    kind = draw(st.sampled_from(BREAKS))
+    if kind == "extra row":
+        rotation.append(tuple(draw(st.lists(st.integers(0, n - 1),
+                                            max_size=3))))
+        return Embedding(e.graph, tuple(rotation))
+    if kind == "missing row":
+        rotation.pop(draw(st.integers(0, n - 1)))
+        return Embedding(e.graph, tuple(rotation))
+    if kind == "minus one":
+        where = [v for v in range(n) if n - 1 in adj[v]]
+    elif kind == "non-neighbour":
+        where = [v for v in range(n) if 0 < len(adj[v]) < n - 1]
+    elif kind == "repeat":
+        where = [v for v in range(n) if len(adj[v]) >= 2]
+    else:
+        where = [v for v in range(n) if adj[v]]
+    assume(where)
+    v = draw(st.sampled_from(where))
+    row = list(rotation[v])
+    at = draw(st.integers(0, len(row) - 1))
+    if kind == "repeat":
+        row[at] = draw(st.sampled_from(row[:at] + row[at + 1:]))
+    elif kind == "insert":
+        row.insert(draw(st.integers(0, len(row))), row[at])
+    elif kind == "drop":
+        row.pop(at)
+    elif kind == "self":
+        row[at] = v
+    elif kind == "non-neighbour":
+        row[at] = draw(st.sampled_from(
+            [u for u in range(n) if u != v and u not in adj[v]]))
+    elif kind == "too large":
+        row[at] = draw(st.integers(n, n + 3))
+    else:
+        row[at] = -1
     rotation[v] = tuple(row)
     return Embedding(e.graph, tuple(rotation))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rotations_of_small_graphs() | broken_rotations_of_small_graphs())
+def test_successor_build_refuses_exactly_what_the_reference_refuses(e):
+    refusal = reference_refusal(e)
+    if refusal is None:
+        succ = face_successors(e)
+        assert sorted(succ) == list(range(2 * e.graph.m))
+    else:
+        with pytest.raises(EmbeddingError) as refused:
+            face_successors(e)
+        # the same decision, and the same vertex named (or the row count)
+        assert str(refused.value).split(":")[0] == refusal.split(":")[0]
 
 
 @settings(derandomize=True, deadline=None,
@@ -345,7 +448,7 @@ def test_broken_rotation_is_refused_alike_on_both_paths(e):
     with pytest.raises(EmbeddingError) as by_faces:
         trace_faces(e)
     assert str(by_lengths.value) == str(by_faces.value)
-    assert str(by_lengths.value) == "; ".join(validate_embedding(e))
+    assert str(by_lengths.value) == reference_refusal(e)
 
 
 @pytest.mark.parametrize("succ", [[1, 1], [0, 0, 1], [1, 2, 1]])

@@ -8,13 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from quadgenus.constructions import embed_K2r2r
 from quadgenus.embeddings import (DartIndex, Embedding, count_orbits,
                                   euler_genus, genus_lower_bound,
-                                  trace_faces, validate_embedding)
-from quadgenus.errors import (BudgetExceededError, InvalidParameterError,
-                              NotApplicableError)
+                                  trace_faces)
+from quadgenus.errors import BudgetExceededError, InvalidParameterError
 from quadgenus.graphs import (Graph, build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
 from quadgenus.oracle import (SearchBudget, _below, _block_size, _chunk_rng,
-                              _orbit_labels, _positions, certify_minimum,
+                              _orbit_labels, _positions,
                               exhaustive_min_genus, rotation_space_size,
                               stochastic_search)
 
@@ -59,8 +58,7 @@ def test_exhaustive_minimum(g, want, explored):
     assert res.best_genus == want
     assert res.exhaustive
     assert res.explored == explored < rotation_space_size(g)
-    assert validate_embedding(res.witness) == []
-    assert euler_genus(res.witness).genus == want
+    assert euler_genus(res.witness).genus == want  # the trace checks it
 
 
 def test_exhaustive_refuses_oversized_space():
@@ -165,22 +163,23 @@ def test_stochastic_never_beats_lower_bound():
 
 def test_certify_minimum_constructed():
     res = embed_K2r2r(3)
-    cert = certify_minimum(res.embedding.graph, res.embedding)
-    assert cert.minimal and cert.genus == 4
+    cert = euler_genus(res.embedding)
+    assert cert.bipartite and cert.minimal and cert.genus == 4
 
 
 def test_certify_minimum_rejects_nonbipartite():
+    # the quadrilateral bound does not apply, and the certificate says so
     g = complete(5)
     rot = tuple(tuple(sorted(g.adj[v])) for v in range(5))
-    with pytest.raises(NotApplicableError):
-        certify_minimum(g, Embedding(g, rot))
+    cert = euler_genus(Embedding(g, rot))
+    assert not cert.bipartite and not cert.minimal and cert.lower_bound == 0
 
 
 def test_certify_minimum_flags_scrambled_witness():
     g = make_complete_bipartite(4, 4)
     e = Embedding(g, K44_SCRAMBLED_G3)
-    cert = certify_minimum(g, e)
-    assert cert.genus == 3 and not cert.minimal
+    cert = euler_genus(e)
+    assert cert.bipartite and cert.genus == 3 and not cert.minimal
 
 
 def test_oracle_agrees_with_formula_on_tiny_family():
