@@ -58,21 +58,23 @@ must and do agree on every certificate.
 
 One driver, embed_family(expr, route="direct"), runs every step of
 every supported family Q(i,2r) x C(2m)* x P(2m)* in one loop over its
-levels: level 0 is the base block K(2r,2r), levels 1..i-1 are K steps
-(the cube folds), and one ring step follows per cycle or path factor in
-the expression's order; route="removal" takes the subtractive route for
-every path factor with m >= 2.  embed_cube(i, r) is embed_family on
+levels.  classify_family gives them as one parsed atom per level:
+("K", 2r, 2r) for the base block K(2r,2r) and for each of the i - 1 cube
+folds (K steps), then the C(2m) and P(2m) atoms in the expression's
+order, one ring step each; route="removal" takes the subtractive route
+for every path factor with m >= 2.  embed_cube(i, r) is embed_family on
 Q(i,2r).  Every level, the base block included, is checked once, by
-_check_level: the certificate's n, m and genus must equal the shape
-prefix's n and m (one graphs.product_sizes stream, from the parameters
-alone) and its Euler count 1 + m/4 - n/2, and the genus must equal the
-closed form wherever the prefix is all cube, all cycles or all paths.
+_check_level: the certificate's n, m and genus must equal the n and m
+of the levels up to it (one graphs.product_sizes stream over the levels,
+from the parameters alone) and its Euler count 1 + m/4 - n/2, and the
+genus must equal the closed form wherever those levels are all cube,
+cube and cycles, or cube and paths.
 
 No step checks its own genus or face count, because the level check
 implies both.  The certificate refuses any face that is not a
 quadrilateral, so it has f = m/2 faces and genus 1 + m/4 - n/2 of the
 graph it traced, and the level check pins that graph's n and m to the
-prefix.  So K(2r,2r) has Ringel's genus (r-1)^2, each cube fold meets
+levels up to it.  So K(2r,2r) has Ringel's genus (r-1)^2, each cube fold meets
 cube_genus, a link step adds exactly two faces per handle, and a removal
 takes out exactly the closing link's handles, each lowering the genus by
 one and the faces by two: a handle left in place keeps its four edges
@@ -96,9 +98,9 @@ from .errors import (ConstructionError, InvalidParameterError,
 from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          certify_faces, face_lengths, trace_faces)
 from .formulas import cube_genus, main_cycles_genus, main_paths_genus
-from .graphs import (CubeAtom, CycleAtom, FamilyExpr, Graph, KAtom, PathAtom,
-                     family_factors, make_complete_bipartite,
-                     parse_family_expr, product_sizes, product_vertices)
+from .graphs import (FamilyExpr, Graph, family_factors,
+                     make_complete_bipartite, parse_family_expr,
+                     product_sizes, product_vertices)
 from .surgery import (Surgery, check_reservoir, handle_faces,
                       rotate_to_least)
 
@@ -331,21 +333,19 @@ def _path_removal_step(base: ConstructionResult, m: int,
 
 @dataclass(frozen=True)
 class FamilyShape:
-    """Normalized form of a supported expression: all K/Q factors first
-    (they must share one even order), then cycle and path factors in
-    their original relative order."""
+    """A supported expression as the levels embed_family runs, one atom
+    per level: ("K", 2r, 2r) for the base block and for each cube fold,
+    then the cycle and path atoms in their original order."""
 
-    i: int
-    r: int
-    steps: tuple[tuple[str, int], ...]  # ("C"|"P", m)
-    factor_order: tuple[int, ...]  # normalized position -> original index
+    levels: FamilyExpr
+    # the original atom indices in normalized order, the cube atoms first
+    factor_order: tuple[int, ...]
 
     @property
     def normalized_expr(self) -> str:
-        parts = [f"Q({self.i},{2 * self.r})"]
-        for kind, m in self.steps:
-            parts.append(f"{kind}({2 * m})")
-        return " x ".join(parts)
+        i = sum(atom[0] == "K" for atom in self.levels)
+        return str(FamilyExpr([("Q", i, self.levels[0][1]),
+                               *self.levels[i:]]))
 
 
 def classify_family(expr: FamilyExpr | str) -> FamilyShape:
@@ -356,45 +356,32 @@ def classify_family(expr: FamilyExpr | str) -> FamilyShape:
     if isinstance(expr, str):
         expr = parse_family_expr(expr)
     family_factors(expr)  # validates every atom; builds no product
-    cube_positions: list[int] = []
-    step_positions: list[int] = []
-    steps: list[tuple[str, int]] = []
-    i = 0
-    r: int | None = None
-    for pos, atom in enumerate(expr):
-        if isinstance(atom, (KAtom, CubeAtom)):
-            if isinstance(atom, KAtom):
-                if atom.s != atom.t:
-                    raise UnsupportedFamilyError(
-                        f"{atom}: only balanced complete bipartite factors "
-                        f"are supported")
-                t, folds = atom.s, 1
-            else:
-                t, folds = atom.t, atom.i
+    cubes: list[tuple] = []
+    for atom in expr:
+        letter, *params = atom
+        name = FamilyExpr([atom])
+        if letter == "K" and params[0] != params[1]:
+            raise UnsupportedFamilyError(
+                f"{name}: only balanced complete bipartite factors "
+                f"are supported")
+        if letter == "P" and params[0] % 2 != 0:
+            raise UnsupportedFamilyError(
+                f"{name}: only even-order path factors are supported")
+        if letter in "KQ":
+            folds, t = (1, params[0]) if letter == "K" else params
             if t % 2 != 0 or t < 2:
                 raise UnsupportedFamilyError(
-                    f"{atom}: factor order must be even and >= 2")
-            if r is None:
-                r = t // 2
-            elif r != t // 2:
+                    f"{name}: factor order must be even and >= 2")
+            if cubes and cubes[0][1] != t:
                 raise UnsupportedFamilyError(
                     "all complete bipartite factors must share one order")
-            i += folds
-            cube_positions.append(pos)
-        elif isinstance(atom, CycleAtom):
-            steps.append(("C", atom.n // 2))
-            step_positions.append(pos)
-        elif isinstance(atom, PathAtom):
-            if atom.n % 2 != 0:
-                raise UnsupportedFamilyError(
-                    f"{atom}: only even-order path factors are supported")
-            steps.append(("P", atom.n // 2))
-            step_positions.append(pos)
-    if r is None:
+            cubes += [("K", t, t)] * folds
+    if not cubes:
         raise UnsupportedFamilyError(
             "expression has no K(2r,2r) factor; nothing to build on")
-    return FamilyShape(i=i, r=r, steps=tuple(steps),
-                       factor_order=tuple(cube_positions + step_positions))
+    rings = [atom for atom in expr if atom[0] in "CP"]
+    order = sorted(range(len(expr)), key=lambda pos: expr[pos][0] in "CP")
+    return FamilyShape(FamilyExpr(cubes + rings), tuple(order))
 
 
 def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
@@ -428,21 +415,22 @@ def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
 def _check_level(shape: FamilyShape, level: int, size: tuple[int, int],
                  cert: EmbeddingCertificate) -> None:
     """The certificate of `level` (0 the base block, then each cube fold,
-    then each cycle or path factor) must have the shape prefix's n and m,
-    size = (n, m) from the parameters alone, its Euler count
-    1 + m/4 - n/2 as genus and, where the prefix is all cube, all cycles
-    or all paths, the closed form."""
+    then each cycle or path factor) must have the n and m of the levels
+    up to it, size = (n, m) from the parameters alone, its Euler count
+    1 + m/4 - n/2 as genus and, where those levels are all cube, cube and
+    cycles or cube and paths, the closed form."""
     n, m = size
     euler = 1 + Fraction(m, 4) - Fraction(n, 2)
-    prefix = shape.steps[:max(0, level + 1 - shape.i)]
-    kinds = {kind for kind, _ in prefix}
-    ms = [s for _, s in prefix]
-    if not prefix:
-        closed = cube_genus(level + 1, 2 * shape.r)
-    elif kinds == {"C"}:
-        closed = main_cycles_genus(shape.i, shape.r, ms)
-    elif kinds == {"P"}:
-        closed = main_paths_genus(shape.i, shape.r, ms)
+    prefix = shape.levels[:level + 1]
+    kinds = {atom[0] for atom in prefix}
+    i, t = sum(atom[0] == "K" for atom in prefix), prefix[0][1]
+    ms = [atom[1] // 2 for atom in prefix[i:]]
+    if kinds == {"K"}:
+        closed = cube_genus(i, t)
+    elif kinds == {"K", "C"}:
+        closed = main_cycles_genus(i, t // 2, ms)
+    elif kinds == {"K", "P"}:
+        closed = main_paths_genus(i, t // 2, ms)
     else:
         closed = None  # mixed cycles and paths: no closed form
     if (cert.n, cert.m, cert.genus) != (n, m, euler) or \
@@ -457,13 +445,14 @@ def embed_family(expr: FamilyExpr | str,
                  route: str = "direct") -> tuple[ConstructionResult,
                                                  FamilyShape]:
     """Construct a certified minimum-genus embedding for a supported
-    expression, one level at a time: the base block K(2r,2r), i - 1 cube
-    folds, then one ring step per cycle or path factor, each level
-    checked by _check_level.  The result graph is the product of the
-    factors of shape.normalized_expr, numbered with the first factor as
-    the least significant digit (check_family_graph proves label and
-    neighbours of every vertex); shape.factor_order records how the
-    factors were permuted.
+    expression, one level of shape.levels at a time: the base block
+    K(2r,2r), a K step per cube fold, then a ring step per cycle or path
+    factor, each level checked by _check_level.  The result graph is the
+    product of the levels, which is the product of the factors of
+    shape.normalized_expr, numbered with the first factor as the least
+    significant digit (check_family_graph proves label and neighbours of
+    every vertex).  shape.factor_order lists the original atom indices in
+    normalized order, the cube atoms first.
 
     route="direct" runs an open ring step for every path factor;
     route="removal" opens up the cycle for every path factor P(2m) with
@@ -472,22 +461,24 @@ def embed_family(expr: FamilyExpr | str,
     if route not in ("removal", "direct"):
         raise InvalidParameterError(f"unknown route {route!r}")
     shape = classify_family(expr)
-    sizes = product_sizes(parse_family_expr(shape.normalized_expr))
-    for level, size in enumerate(sizes):
+    family = shape.normalized_expr
+    r = shape.levels[0][1] // 2
+    ring = 0
+    for level, (atom, size) in enumerate(zip(shape.levels,
+                                             product_sizes(shape.levels))):
+        letter, m = atom[0], atom[1] // 2
         if level == 0:
-            result = embed_K2r2r(shape.r)
-        elif level < shape.i:
-            result = _k_step(result, shape.r,
-                             tag=f"cube(i={level + 1},r={shape.r})")
+            result = embed_K2r2r(r)
+        elif letter == "K":
+            result = _k_step(result, r, tag=f"cube(i={level + 1},r={r})")
         else:
-            step = level + 1 - shape.i
-            kind, m = shape.steps[step - 1]
-            tag = f"family({shape.normalized_expr})#step{step}"
-            if kind == "P" and route == "removal" and m >= 2:
+            ring += 1
+            tag = f"family({family})#step{ring}"
+            if letter == "P" and route == "removal" and m >= 2:
                 result = _path_removal_step(result, m, tag)
             else:
-                result, _ = _ring_step(result, m, closed=(kind == "C"),
+                result, _ = _ring_step(result, m, closed=(letter == "C"),
                                        tag=tag)
         _check_level(shape, level, size, result.certificate)
-    check_family_graph(result.embedding.graph, shape.normalized_expr)
+    check_family_graph(result.embedding.graph, shape.levels)
     return result, shape

@@ -17,6 +17,7 @@ materialises it and constructions.check_family_graph compares against it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -222,135 +223,74 @@ def components(g: Graph) -> list[tuple[list[int], bool]]:
 #       | Q '(' int ',' int ')'
 #
 # Q(i, t) abbreviates the i-fold product of K(t,t).  Whitespace is free.
-# Parameter validation happens in family_factors, not in the parser, so
-# that syntax errors and semantic errors stay distinguishable.
+# An atom is its letter followed by its integers: ("K", s, t), ("Q", i, t),
+# ("C", n) or ("P", n); the levels of constructions.FamilyShape are atoms
+# too.  Parameter validation happens in family_factors, not in the parser,
+# so that syntax errors and semantic errors stay distinguishable.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KAtom:
-    s: int
-    t: int
-
-    def __str__(self) -> str:
-        return f"K({self.s},{self.t})"
-
-
-@dataclass(frozen=True)
-class CycleAtom:
-    n: int
-
-    def __str__(self) -> str:
-        return f"C({self.n})"
-
-
-@dataclass(frozen=True)
-class PathAtom:
-    n: int
-
-    def __str__(self) -> str:
-        return f"P({self.n})"
-
-
-@dataclass(frozen=True)
-class CubeAtom:
-    i: int
-    t: int
-
-    def __str__(self) -> str:
-        return f"Q({self.i},{self.t})"
-
-
-Atom = Union[KAtom, CycleAtom, PathAtom, CubeAtom]
 
 
 class FamilyExpr(tuple):
     """A parsed expression: its atoms, left to right."""
 
     def __str__(self) -> str:
-        return " x ".join(map(str, self))
+        return " x ".join(f"{letter}({','.join(map(str, params))})"
+                          for letter, *params in self)
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One term and the whitespace after it.  \s and \d match exactly what
+# str.isspace and str.isdecimal accept.
+_TERM = re.compile(r"\s*([KQCP])\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*")
+# The integers a left-to-right reading of a term reaches before it can
+# refuse the rest: one past the digit limit is reported first.
+_TERM_HEAD = re.compile(
+    r"\s*(?:[KQ]\s*\(\s*(\d+)(?:\s*,\s*(\d+))?|[CP]\s*\(\s*(\d+))")
 
-    def error(self, message: str) -> ExprSyntaxError:
-        return ExprSyntaxError(message, self.pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError as exc:  # past Python's int <- str digit limit
-            raise InvalidParameterError(f"integer too large: {exc}")
-
-    def term(self) -> Atom:
-        self.skip_ws()
-        head = self.peek()
-        if head not in ("K", "C", "P", "Q"):
-            raise self.error("expected one of K, C, P, Q")
-        self.pos += 1
-        self.expect("(")
-        first = self.integer()
-        if head in ("K", "Q"):
-            self.expect(",")
-            second = self.integer()
-            self.expect(")")
-            return KAtom(first, second) if head == "K" else CubeAtom(first, second)
-        self.expect(")")
-        return CycleAtom(first) if head == "C" else PathAtom(first)
-
-    def expr(self) -> FamilyExpr:
-        atoms = [self.term()]
-        while True:
-            self.skip_ws()
-            if self.peek() == "x":
-                self.pos += 1
-                atoms.append(self.term())
-            else:
-                break
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
-        return FamilyExpr(atoms)
+def _integers(digits: Iterable[Optional[str]]) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in digits if x is not None)
+    except ValueError as exc:  # past Python's int <- str digit limit
+        raise InvalidParameterError(f"integer too large: {exc}")
 
 
 def parse_family_expr(text: str) -> FamilyExpr:
-    """Parse a family expression such as ``"K(4,4) x C(6)"``."""
-    return _ExprParser(text).expr()
+    """Parse a family expression such as ``"K(4,4) x C(6)"``: one match of
+    the term pattern per term, with 'x' between terms.  K and Q take two
+    integers, C and P one; a refused term is reported at its first
+    non-space character."""
+    atoms = []
+    pos = 0
+    while True:
+        term = _TERM.match(text, pos)
+        if term is None or (term[3] is None) != (term[1] in "CP"):
+            head = _TERM_HEAD.match(text, pos)
+            if head:
+                _integers(head.groups())
+            raise ExprSyntaxError(
+                "expected a term K(s,t), Q(i,t), C(n) or P(n)",
+                len(text) - len(text[pos:].lstrip()))
+        atoms.append((term[1],) + _integers(term.groups()[1:]))
+        pos = term.end()
+        if pos == len(text):
+            return FamilyExpr(atoms)
+        if text[pos] != "x":
+            raise ExprSyntaxError("unexpected trailing input", pos)
+        pos += 1
 
 
-def _atom_graph(atom: Atom) -> Graph:
+def _atom_graph(atom: tuple) -> Graph:
     """The graph of one atom; for Q(i,t), its factor K(t,t)."""
-    if isinstance(atom, CubeAtom):
-        if atom.i < 1:
+    letter, *params = atom
+    if letter == "Q":
+        i, t = params
+        if i < 1:
             raise InvalidParameterError(
-                f"Q needs at least one factor, got i={atom.i}")
-        return make_complete_bipartite(atom.t, atom.t)
-    if isinstance(atom, KAtom):
-        return make_complete_bipartite(atom.s, atom.t)
-    if isinstance(atom, CycleAtom):
-        return make_cycle(atom.n)
-    return make_path(atom.n)
+                f"Q needs at least one factor, got i={i}")
+        return make_complete_bipartite(t, t)
+    if letter == "K":
+        return make_complete_bipartite(*params)
+    return (make_cycle if letter == "C" else make_path)(*params)
 
 
 # Largest product, in darts (twice the edges), that family_factors admits:
@@ -358,18 +298,20 @@ def _atom_graph(atom: Atom) -> Graph:
 MAX_DARTS = 1 << 23
 
 
-def _atom_size(atom: Atom) -> tuple[int, int]:
+def _atom_size(atom: tuple) -> tuple[int, int]:
     """Vertex and edge counts of one atom (one fold of a Q)."""
-    if isinstance(atom, KAtom):
-        return atom.s + atom.t, atom.s * atom.t
-    if isinstance(atom, CubeAtom):
-        return 2 * atom.t, atom.t * atom.t
-    if isinstance(atom, CycleAtom):
-        return atom.n, atom.n
-    return atom.n, atom.n - 1
+    letter, *params = atom
+    if letter == "K":
+        s, t = params
+        return s + t, s * t
+    if letter == "Q":
+        t = params[1]
+        return 2 * t, t * t
+    n = params[0]
+    return n, (n if letter == "C" else n - 1)
 
 
-def product_sizes(atoms: Iterable[Atom]) -> Iterator[tuple[int, int]]:
+def product_sizes(atoms: Iterable[tuple]) -> Iterator[tuple[int, int]]:
     """Vertex and edge counts of the product so far, after each factor
     (Q(i,t) is i factors K(t,t)), from the parameters alone: a product
     has n1*n2 vertices and m1*n2 + m2*n1 edges.  Lazy, so a caller may
@@ -377,7 +319,7 @@ def product_sizes(atoms: Iterable[Atom]) -> Iterator[tuple[int, int]]:
     n, m = 1, 0
     for atom in atoms:
         an, am = _atom_size(atom)
-        for _ in range(atom.i if isinstance(atom, CubeAtom) else 1):
+        for _ in range(atom[1] if atom[0] == "Q" else 1):
             n, m = n * an, m * an + am * n
             yield n, m
 
@@ -400,7 +342,7 @@ def family_factors(expr: Union[str, FamilyExpr]) -> list[tuple[Graph, int]]:
                 f"refused before building it")
         if n == 0:
             break  # an empty factor, which its builder refuses below
-    return [(_atom_graph(atom), atom.i if isinstance(atom, CubeAtom) else 1)
+    return [(_atom_graph(atom), atom[1] if atom[0] == "Q" else 1)
             for atom in expr]
 
 

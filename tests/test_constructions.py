@@ -450,6 +450,14 @@ def test_embed_family_builds_the_product_once(count_calls):
         assert (len(calls), len(products)) == (0, 0), route
 
 
+def test_embed_family_parses_its_expression_once(count_calls):
+    # the shape's levels are the parsed atoms from then on: the level
+    # sizes and the family check read them, not the normalized text
+    calls = count_calls(graphs.parse_family_expr)
+    embed_family("Q(2,4) x C(4) x P(4)")
+    assert calls == [("Q(2,4) x C(4) x P(4)",)]
+
+
 def accepts(graph: Graph, expr: str) -> bool:
     try:
         check_family_graph(graph, expr)
@@ -547,12 +555,15 @@ def test_classify_family_normalizes_order():
     shape = classify_family("C(4) x K(4,4) x P(2)")
     assert shape.normalized_expr == "Q(1,4) x C(4) x P(2)"
     assert shape.factor_order == (1, 0, 2)
-    assert shape.i == 1 and shape.r == 2
+    assert shape.levels == (("K", 4, 4), ("C", 4), ("P", 2))
 
 
 def test_classify_family_merges_cube_factors():
     shape = classify_family("K(4,4) x Q(2,4)")
-    assert shape.i == 3 and shape.r == 2
+    assert shape.levels == (("K", 4, 4),) * 3
+    # one normalized position, but both original atoms, the cubes first
+    assert shape.normalized_expr == "Q(3,4)"
+    assert shape.factor_order == (0, 1)
 
 
 @pytest.mark.parametrize("expr", ["P(4) x P(4)", "C(4) x C(6)", "K(2,3)",
@@ -585,4 +596,4 @@ def test_embed_family_mixed_interleaving():
 
 def test_embed_family_path_then_cycle_order_kept():
     _, shape = embed_family("K(2,2) x P(2) x C(4)")
-    assert shape.steps == (("P", 1), ("C", 2))
+    assert shape.levels[1:] == (("P", 2), ("C", 4))

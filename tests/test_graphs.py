@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from collections import deque
 from itertools import product
 
@@ -7,12 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from quadgenus import graphs
 from quadgenus.errors import ExprSyntaxError, InvalidParameterError
-from quadgenus.graphs import (MAX_DARTS, CubeAtom, CycleAtom, KAtom, PathAtom,
-                              build_family, components, family_factors,
-                              from_edges, graph_from_json_dict,
-                              graph_to_json_dict, make_complete_bipartite,
-                              make_cycle, make_path, parse_family_expr,
-                              product_graph)
+from quadgenus.graphs import (MAX_DARTS, build_family, components,
+                              family_factors, from_edges,
+                              graph_from_json_dict, graph_to_json_dict,
+                              make_complete_bipartite, make_cycle, make_path,
+                              parse_family_expr, product_graph)
 
 
 def test_path_basic():
@@ -154,13 +155,13 @@ def test_components_match_a_search_and_a_brute_force_colouring(g):
 
 def test_parse_product_expression():
     ast = parse_family_expr("K(4,4) x C(6) x P(4)")
-    assert ast == (KAtom(4, 4), CycleAtom(6), PathAtom(4))
+    assert ast == (("K", 4, 4), ("C", 6), ("P", 4))
     assert str(ast) == "K(4,4) x C(6) x P(4)"
 
 
 def test_parse_cube_shorthand():
     ast = parse_family_expr("Q(2,4)")
-    assert ast == (CubeAtom(2, 4),)
+    assert ast == (("Q", 2, 4),)
     assert str(ast) == "Q(2,4)"
 
 
@@ -191,6 +192,144 @@ def test_parse_error_reports_offset():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_family_expr("K(4,4) ! C(4)")
     assert "offset" in str(exc.value)
+
+
+class ReferenceParser:
+    """A character-by-character reader of the family grammar, kept to
+    test parse_family_expr against: the same atoms, or the same error
+    class.  term_start is the first non-space character of the term
+    being read."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.term_start = 0
+
+    def error(self, message: str) -> ExprSyntaxError:
+        return ExprSyntaxError(message, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str) -> None:
+        self.skip_ws()
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an integer")
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # past Python's int <- str digit limit
+            raise InvalidParameterError(f"integer too large: {exc}")
+
+    def term(self) -> tuple:
+        self.skip_ws()
+        self.term_start = self.pos
+        head = self.peek()
+        if head not in ("K", "C", "P", "Q"):
+            raise self.error("expected one of K, C, P, Q")
+        self.pos += 1
+        self.expect("(")
+        first = self.integer()
+        if head in ("K", "Q"):
+            self.expect(",")
+            second = self.integer()
+            self.expect(")")
+            return (head, first, second)
+        self.expect(")")
+        return (head, first)
+
+    def expr(self) -> tuple:
+        atoms = [self.term()]
+        while True:
+            self.skip_ws()
+            if self.peek() == "x":
+                self.pos += 1
+                atoms.append(self.term())
+            else:
+                break
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input")
+        return tuple(atoms)
+
+
+# Unicode spaces and digits; "\u200b" is not a space and "\u00b2" not a
+# decimal digit, for either parser
+SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u3000",
+          "\u200b"]
+DIGITS = "\u0660\u0669\u06f4\u0967\uff10\uff19\U0001d7ce\u00b2"
+
+
+@st.composite
+def mutated_expressions(draw):
+    """Text drawn from the grammar, then with characters dropped or
+    doubled.  An integer may use Unicode digits or be past Python's
+    4300-digit limit."""
+    space = st.one_of(st.sampled_from(["", "", " "]),
+                      st.text(st.sampled_from(SPACES), max_size=2))
+    plain = st.integers(0, 99).map(str)
+    integer = st.one_of(plain, plain,
+                        st.text(st.sampled_from("1" + DIGITS), min_size=1,
+                                max_size=3),
+                        st.integers(4301, 4400).map(lambda k: "7" * k))
+    text = ""
+    for t in range(draw(st.integers(1, 3))):
+        if t:
+            text += draw(space) + draw(st.sampled_from("xxxy"))
+        letter = draw(st.sampled_from("KQCPk"))
+        count = draw(st.sampled_from([1, 2] + [1 + (letter in "KQ")] * 4))
+        params = [draw(space) + draw(integer) + draw(space)
+                  for _ in range(count)]
+        text += (draw(space) + letter + draw(space) + "(" + ",".join(params)
+                 + ")" + draw(space))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        if text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + text[at] * draw(st.sampled_from([0, 2])) + \
+                text[at + 1:]
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mutated_expressions())
+@example("K(4,4) x C(6)")
+@example("K(\u0664,\uff14)\u3000x\u00a0C(\u0666)")
+@example(" K ( 4 , 4 )x C(6")
+@example("C(1" + "0" * 5000 + ",2)")
+@example("K(1" + "0" * 5000 + ")")
+def test_parser_agrees_with_the_reference_reader(text):
+    reference = ReferenceParser(text)
+    try:
+        expected = reference.expr()
+    except (ExprSyntaxError, InvalidParameterError) as exc:
+        with pytest.raises((ExprSyntaxError, InvalidParameterError)) as got:
+            parse_family_expr(text)
+        assert type(got.value) is type(exc)
+        if isinstance(exc, ExprSyntaxError):
+            # a refused term is reported at its first non-space character
+            assert got.value.offset in (exc.offset, reference.term_start)
+    else:
+        assert parse_family_expr(text) == expected
+
+
+def test_term_pattern_reads_spaces_and_digits_as_str_does():
+    # the reference reader uses str.isspace and str.isdecimal
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [
+        c for c in everything if c.isspace()]
+    assert re.findall(r"\d", everything) == [
+        c for c in everything if c.isdecimal()]
 
 
 def test_build_family_counts():
