@@ -15,24 +15,10 @@ evaluations.
 Faces are counted on the flat dart successor list of
 :class:`~quadgenus.embeddings.DartIndex`, never on Embedding objects.
 Exhaustive enumeration precomputes each cyclic order's successor patch.
-The wheels (vertices with more than one cyclic order) are split by a
-fixed rule: the block grows from the innermost wheel while its
-combinations times its in-darts stay within sixteen times the darts of
-the graph.  The outer wheels run on an odometer, each step writing the
-patches of the vertices whose order changed (a suffix of the product).
-Per outer setting one walk follows the successors from every out-dart o
-of a block vertex to the first in-dart of a block vertex, ret(o), and
-counts f_avoid, the orbits that meet no block in-dart; no dart it reads
-has its successor set by the block, and it visits each dart once.  A
-combination of block orders sends each block in-dart a to an out-dart
-s(a), and P(a) = ret(s(a)) is a permutation of the block in-darts.  An
-orbit through a block in-dart a runs a, s(a), ..., P(a) with no block
-in-dart between, so its block in-darts are one cycle of P; every other
-orbit is one of the f_avoid.  The system therefore has exactly
-f_avoid + cycles(P) faces, counted in one step per block in-dart.
-Combinations are scored in itertools.product order and the first best
-is kept, so the result is the one a full recount of every system in
-product order would give.
+The wheels (vertices with more than one cyclic order) run on one
+odometer in product order: each step writes the patches of the wheels
+whose order changed (a suffix of the product) and counts every orbit of
+the system, and the first system with the most faces is kept.
 
 Enumeration stops at the first system that meets the Euler lower bound,
 because no system can have more faces.  In a connected simple graph
@@ -58,17 +44,20 @@ through one ``below(n)`` per restart (see ``_below``), which replays the
 draws ``randrange``, ``choice``, ``shuffle`` and ``sample`` would make.
 A swap of two neighbours at v changes the successors of the changed
 darts C, the at most four darts entering v from the positions i-1, i,
-j-1 and j.  Each restart walks every orbit once and labels each
-dart d with its orbit id fid[d] and position fpos[d], and each orbit
-with its length.  The same block argument scores a swap with no walk:
-each new successor t(c) of a dart c in C is an out-dart of v, never in
-C, and reach(t), the dart of C on t's orbit at the least positive
-offset (fpos[reach] - fpos[t]) mod length, is reached from t along
-successors the swap keeps.  The orbits through C after the swap are
-the cycles of c -> reach(t(c)), the orbits before are the distinct fid
-values over C, and the face count moves by the difference.  The old
-and the new successors of C are the same out-darts of v, so when every
-dart of C lies on its own orbit, reach(t(c)) is the dart of C whose old
+j-1 and j, and of no other dart.  Each restart walks every orbit once
+and labels each dart d with its orbit id fid[d] and position fpos[d],
+and each orbit with its length.  A swap is then scored with no walk.
+An orbit that meets no dart of C keeps all its successors, so it is a
+face before the swap and after.  The old and the new successors of C
+are the same out-darts of v, none of them in C, so each new successor
+t(c) of a dart c in C lies on an old orbit through C, and reach(t),
+the dart of C on t's orbit at the least positive offset
+(fpos[reach] - fpos[t]) mod length, is reached from t along successors
+the swap keeps.  After the swap an orbit through c runs c, t(c), ...,
+reach(t(c)) with no dart of C between, so the orbits through C are the
+cycles of c -> reach(t(c)); before it they are the distinct fid values
+over C, and the face count moves by the difference.  When every dart
+of C lies on its own orbit, reach(t(c)) is the dart of C whose old
 successor was t(c).  Writing (p) for the dart from neighbour p into v
 and p_k for the neighbour at position k before the swap, that map
 exchanges (p_{i-1}) with (p_{j-1}) and (p_i) with (p_j), two cycles on
@@ -79,10 +68,12 @@ entries of v's rotation back and writes nothing else; an accepted one
 writes the new successors and relabels the orbits through C in one
 walk.
 
-Both searchers are deterministic for a fixed seed.  Restarts draw their
-generators from per-chunk seeds, so chunks could run in any order (or in
-parallel) and the merged outcome would not change: the best face count
-wins, ties broken by chunk index.
+Both searchers are deterministic for a fixed seed.  Each restart of
+the stochastic search draws from its own generator, seeded from the
+search seed and the restart's index; one ``explored`` counter and one
+cap run across the restarts in order, so where the last restart is cut
+depends on the restarts before it.  The first system with the most
+faces is kept.
 """
 
 from __future__ import annotations
@@ -163,21 +154,6 @@ def rotation_space_size(graph: Graph) -> int:
     return size // 2 if _root(graph) >= 0 else size
 
 
-def _block_size(wheels: list[tuple[int, int]], darts: int) -> int:
-    """How many of the innermost wheels form the block.  ``wheels`` are
-    (cyclic orders, degree) pairs, outermost first.  The block grows from
-    the innermost wheel while its combinations times its in-darts stay
-    within sixteen times the darts of the graph."""
-    combos, in_darts, size = 1, 0, 0
-    for orders, degree in reversed(wheels):
-        combos *= orders
-        in_darts += degree
-        if combos * in_darts > 16 * darts:
-            break
-        size += 1
-    return size
-
-
 def exhaustive_min_genus(graph: Graph,
                          budget: SearchBudget = SearchBudget()) -> OracleResult:
     """True minimum genus by enumerating rotation systems in product
@@ -225,79 +201,33 @@ def exhaustive_min_genus(graph: Graph,
             yield (first,) + perm
 
     index = DartIndex(graph)
-    out = index.out
     # One (rotation, successor patch) entry per cyclic order.  The
-    # vertices with more than one order are the wheels; the innermost
-    # few form the block, the others run on the odometer, whose steps
-    # change exactly a suffix of its positions.
+    # vertices with more than one order are the wheels; they run on an
+    # odometer, whose steps change exactly a suffix of its positions.
     entries = [[(rot, index.patch(v, rot)) for rot in cyclic_orders(v)]
                for v in range(graph.n)]
     rotation = [orders[0][0] for orders in entries]
     succ = index.successors(rotation)
     wheels = [v for v in range(graph.n) if len(entries[v]) > 1]
-    split = len(wheels) - _block_size(
-        [(len(entries[v]), graph.degree(v)) for v in wheels], index.size)
-    outer, block = wheels[:split], wheels[split:]
-    # The block's in-darts get local ids 0, 1, ... grouped by vertex, and
-    # ``local[d]`` is the local id of dart d, -1 off the block.  For each
-    # order of a block vertex, ``targets`` lists the out-dart its patch
-    # sends each of the vertex's in-darts to, in local id order.
-    block_in: list[int] = []
-    targets = []
-    for v in block:
-        ins = [out[u][v] for u in graph.adj[v]]
-        block_in += ins
-        targets.append([list(map(dict(patch).__getitem__, ins))
-                        for _, patch in entries[v]])
-    local = [-1] * index.size
-    for i, dart in enumerate(block_in):
-        local[dart] = i
-    block_out = [out[v][u] for v in block for u in graph.adj[v]]
-    others = [d for d in range(index.size) if local[d] < 0]
-    block_ids = range(len(block_in))
-    ret = [0] * index.size
+    darts = range(index.size)
     seen = [0] * index.size
-    mark = [0] * len(block_in)
-    current = tuple(entries[v][0] for v in outer)
+    current = tuple(entries[v][0] for v in wheels)
     best_f = -1
     best: tuple = ()
     explored = 0
-    for combo in itertools.product(*(entries[v] for v in outer)):
+    for combo in itertools.product(*(entries[v] for v in wheels)):
         k = len(combo) - 1
         while k >= 0 and combo[k] is not current[k]:
             for dart, nxt in combo[k][1]:
                 succ[dart] = nxt
             k -= 1
         current = combo
-        # One walk over the darts off the block: ret[o] is the first
-        # block in-dart reached from the block out-dart o, and f_avoid
-        # counts the orbits that never meet the block.
-        stamp = explored + 1
-        for start in block_out:
-            dart = start
-            while local[dart] < 0:
-                seen[dart] = stamp
-                dart = succ[dart]
-            ret[start] = local[dart]
-        f_avoid = count_orbits(succ, others, seen, stamp)
-        # P of every block combination in itertools.product order, each
-        # the concatenation of its vertices' segments
-        perms = [()]
-        for orders in targets:
-            segments = [tuple(map(ret.__getitem__, outs)) for outs in orders]
-            perms = [perm + segment for perm in perms for segment in segments]
-        cycles = [count_orbits(perm, block_ids, mark, tick)
-                  for tick, perm in enumerate(perms, explored + 1)]
-        most = max(cycles)
-        if f_avoid + most > best_f:
-            best_f = f_avoid + most
-            at = cycles.index(most)
-            best = combo + next(itertools.islice(
-                itertools.product(*(entries[v] for v in block)), at, None))
-            if best_f == f_cap:  # no system has more faces
-                explored += at + 1
+        explored += 1
+        f = count_orbits(succ, darts, seen, explored)
+        if f > best_f:
+            best_f, best = f, combo
+            if f == f_cap:  # no system has more faces
                 break
-        explored += len(cycles)
     for v, (rot, _) in zip(wheels, best):
         rotation[v] = rot
     witness = Embedding(graph, tuple(rotation))

@@ -12,10 +12,9 @@ from quadgenus.embeddings import (DartIndex, Embedding, count_orbits,
 from quadgenus.errors import BudgetExceededError, InvalidParameterError
 from quadgenus.graphs import (Graph, build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
-from quadgenus.oracle import (SearchBudget, _below, _block_size, _chunk_rng,
-                              _orbit_labels, _positions,
-                              exhaustive_min_genus, rotation_space_size,
-                              stochastic_search)
+from quadgenus.oracle import (SearchBudget, _below, _chunk_rng, _orbit_labels,
+                              _positions, exhaustive_min_genus,
+                              rotation_space_size, stochastic_search)
 
 # frozen: a rotation system of K(4,4) landing on genus 3, found once by
 # seeded perturbation of three vertices of the quadrilateral scheme
@@ -233,10 +232,16 @@ def test_stochastic_scores_the_first_system_when_no_move_is_possible():
 # frozen: (best_genus, explored, sha256 of the witness rotation as JSON)
 # for each search, captured from the tuple-based face counter that the
 # dart-indexed one replaced; both searchers must reproduce them exactly.
-# Every exhaustive case here meets its Euler lower bound, so its explored
-# is the witness's position in product order, not the whole space.
+# Every exhaustive case here but TWO_K33 meets its Euler lower bound, so
+# its explored is the witness's position in product order, not the whole
+# space.
 WHEEL = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4),
                        (1, 3), (3, 2), (2, 4), (4, 1)])
+# (0,1,2) x (3,4,5) and (0,6,7) x (8,9,10): two K(3,3) sharing vertex 0,
+# genus 2 against a quadrilateral bound of 0
+TWO_K33 = from_edges(11, [(u, v) for part, other in (((0, 1, 2), (3, 4, 5)),
+                                                    ((0, 6, 7), (8, 9, 10)))
+                          for u in part for v in other])
 PINNED = [
     ("K4", exhaustive_min_genus, complete(4), SearchBudget(), 0, 6,
      "520500ac88248251a51f25ab0631135ee7862da499d9ebb6c4c31ed088527c65"),
@@ -250,6 +255,14 @@ PINNED = [
      "40fb836b8345364537e02e3bc7f800c4e5c7ad0f5506279b8cf7e795a70d7c0e"),
     ("wheel", exhaustive_min_genus, WHEEL, SearchBudget(), 0, 42,
      "c4c79ad723e7dc6f60e6b1606daf71abeb6d0a0c6b93496632ba828258629439"),
+    # spaces of many wheels, captured from the block-scored enumeration
+    # that the plain recount replaced: K(3,5) meets its bound at system
+    # 5867, and TWO_K33 misses its bound, so all 61440 are counted
+    ("K(3,5)", exhaustive_min_genus, make_complete_bipartite(3, 5),
+     SearchBudget(), 1, 5867,
+     "abbffc72834f65026e8d80cfdf1475141951780abb17308de97274033e3b8e2a"),
+    ("two K(3,3)", exhaustive_min_genus, TWO_K33, SearchBudget(), 2, 61440,
+     "6661c411c52ac4208b13a2a79ddde4aa5cbaa7f0b2f730c47c1ec432c92127eb"),
     ("C4xC4 seed 0", stochastic_search, build_family("C(4) x C(4)"),
      SearchBudget(seed=0, target_genus=1), 1, 23391,
      "350b2134af1e0ee09d5ff2ce479dae5b263f485d3d567efa47fe496cab99142b"),
@@ -549,20 +562,12 @@ def reference_exhaustive(g):
     return (2 - g.n + g.m - best_f) // 2, explored, best
 
 
-# a hub of degree 6 has more orders than the rule lets into a block;
-# K4's three wheels all fit in one
+# a hub of degree 6 with all 120 of its orders enumerated, vertex 1 (the
+# first of degree 3) being the root
 HUB = from_edges(7, [(0, 1), (1, 2)] + [(v, 6) for v in range(6)])
-# the same graph with the hub as vertex 0 (and old vertex 0 as 6)
+# the same graph with the hub as vertex 0, the root, taken up to reversal
+# (and old vertex 0 as 6)
 HUB_AT_0 = from_edges(7, [(1, 6), (1, 2)] + [(0, v) for v in range(1, 7)])
-
-
-def test_block_rule_covers_no_block_and_every_wheel():
-    # (cyclic orders, degree) of each wheel, outermost first: HUB's only
-    # wheel is the hub (vertex 1, the first of degree 3, is the root and
-    # has one order up to reversal), K4's are vertices 1-3 (its root is
-    # vertex 0)
-    assert _block_size([(120, 6)], 2 * HUB.m) == 0
-    assert _block_size([(2, 3)] * 3, 2 * complete(4).m) == 3
 
 
 @pytest.mark.parametrize("g", [K33_SUBDIVIDED, K33_SUBDIVIDED_AT_0],

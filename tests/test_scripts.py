@@ -46,4 +46,4 @@ def test_oracle_demo_exits_1_on_a_witness_genus_off_by_one(monkeypatch,
     monkeypatch.setattr(script, "euler_genus", lambda e: dataclasses.replace(
         real(e), genus=real(e).genus + 1))
     assert script.main([]) == 1
-    assert capsys.readouterr().out.count("MISMATCH") == 5
+    assert capsys.readouterr().out.count("MISMATCH") == 6
