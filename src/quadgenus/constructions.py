@@ -18,29 +18,31 @@ repeatable.
 Every step runs that blueprint through one link-step body; a step only
 chooses which copies are mirrored, their coordinates, the schedule of
 (left copy, right copy, family) links and its harvest rule.  The body
-lays the copies straight into one surgery working state (Surgery.copies,
-from the base block's rotation, the mirrored flags and the coordinates;
-no union Embedding is built first).  A base face
-appears in both copies of a link, so each handle joins the face's image
-in one copy to its own image in the other: the base face's vertex tuple
-shifted to the copy's block, reversed in a mirrored copy.  The body
-refuses a link between copies that are not mirrored against each other
-before it lays any handle.  It runs every link on that state in place
-(each handle checked and proved locally, see surgery), freezes it once,
-and then runs the step's one full retrace: the certificate, which must
-be quadrilateral and meet the lower bound.  The body then harvests the
-new reservoir once, by the step's rule: a list of (links, j) entries,
-each of which makes one family from the faces j and j + 2 of those
-links' handles, in order, each from its least vertex as a traced face
-is.  That start is where the face's images start in the next step, so
-it fixes which of that step's handle faces are j and j + 2.  The links
-of one entry must form a perfect matching on the copies, and
-surgery.check_reservoir proves every reservoir that is made.  The base
-block is K(2r,2r) under one fixed rotation scheme (_scheme_rotation),
-certified like any step; its 2r face families are read off the
-certificate's trace by the scheme's own family rule
-(_scheme_reservoir), with no search.  Three step shapes cover the
-families:
+builds the step's rotation rows directly, by a row rule: vertex
+t * n_base + v gets v's base row shifted by t * n_base, reversed where
+copy t is mirrored.  A link joins each face of its family in one copy to
+the face's own image in the other: v is the face shifted to the left
+copy, read as (a, d, c, b) if that copy is mirrored, and w is v shifted
+on to the right copy, which is mirrored against it.  The handle (v, w)
+inserts wi after v(i-1) at vi and vi after w(i+1) at wi, in the corners
+of the consumed faces (see surgery).  The inserts commute: a family
+covers each vertex once and a copy meets each family at most once, so
+every insert at a vertex has a corner of its own.  The body refuses a
+link between copies that are not mirrored against each other before it
+builds any row, and runs the step's one full retrace: the certificate,
+which must be quadrilateral and meet the lower bound.  It then harvests
+the new reservoir once, by the step's rule: a list of (links, j)
+entries, each of which makes one family from the faces j and j + 2 of
+those links' handles, in order, each from its least vertex as a traced
+face is.  That start is where the face's images start in the next step,
+so it fixes which of that step's handle faces are j and j + 2.  The
+links of one entry must form a perfect matching on the copies.  Every
+harvested face's four corners must follow the new rows, and
+check_reservoir proves every reservoir that is made.  The base block is
+K(2r,2r) under one fixed rotation scheme (_scheme_rotation), certified
+like any step; its 2r face families are read off the certificate's trace
+by the scheme's own family rule (_scheme_reservoir), with no search.
+Three step shapes cover the families:
 
   * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
     "a" side, mirrored copies the "b" side; copy a_j links to copy
@@ -82,7 +84,7 @@ and is refused as a wrong m.
 
 Each step leaves one row in the result's steps: its tag, how many links
 and handles it laid, and how many handles the removal route took out
-again.  The handles themselves (surgery.add's vertex tuple pairs) live
+again.  The handles themselves (aligned (v, w) vertex tuple pairs) live
 only as long as the step that harvests its reservoir from them; the
 certificate proves the embedding whatever built it.
 """
@@ -132,14 +134,9 @@ def _scheme_rotation(r: int) -> tuple[tuple[int, ...], ...]:
     order for even i and reversed for odd i, and symmetrically on the b
     side.  Verified by tracing, never assumed."""
     two_r = 2 * r
-    ascending_b = tuple(range(two_r, 2 * two_r))
-    ascending_a = tuple(range(two_r))
-    rot = []
-    for i in range(two_r):
-        rot.append(ascending_b if i % 2 == 0 else tuple(reversed(ascending_b)))
-    for j in range(two_r):
-        rot.append(ascending_a if j % 2 == 0 else tuple(reversed(ascending_a)))
-    return tuple(rot)
+    a_side, b_side = tuple(range(two_r)), tuple(range(two_r, 2 * two_r))
+    return tuple(row[::-1] if i % 2 else row
+                 for row in (b_side, a_side) for i in range(two_r))
 
 
 def _scheme_reservoir(emb: Embedding, faces: FaceSet
@@ -205,19 +202,31 @@ def _certify_step(graph: Graph, lengths: list[int],
     return cert
 
 
+def _copies(base: Embedding, mirrored: list[bool], coords: list
+            ) -> tuple[list[list[int]], tuple[tuple, ...]]:
+    """Rows and labels of one copy of `base` per entry of `mirrored`: copy
+    t's vertex v is t * n_base + v, its row is v's shifted, reversed where
+    mirrored[t], and its label is v's with coords[t] appended."""
+    nb = base.graph.n
+    rows = [[x + t * nb for x in (rot[::-1] if flip else rot)]
+            for t, flip in enumerate(mirrored) for rot in base.rotation]
+    labels = list(map(base.graph.label_of, range(nb)))
+    return rows, tuple(lab + (c,) for c in coords for lab in labels)
+
+
 def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
                schedule: list[tuple[int, int, int]],
                harvest: list[tuple[range, int]], tag: str
                ) -> tuple[ConstructionResult, list[list[Handle]]]:
     """The body every step shares: one copy of the base per entry of
-    `mirrored`, one link per (left, right, k) schedule entry in order,
-    all on one working state, then one freeze, the certificate and the
-    harvest.  A link joins every face of base.reservoir[k] in copy `left`
-    to its own image in copy `right` by one handle; the two copies must
-    be mirrored against each other.  Each (links, j) entry of `harvest`
-    makes one family of the new reservoir: the faces j and j + 2 of every
-    handle of those links (schedule positions), in order, each from its
-    least vertex.  Returns the step's result and each link's handles."""
+    `mirrored`, one link per (left, right, k) schedule entry, all by the
+    row rule, then the certificate and the harvest.  A link joins every
+    face of base.reservoir[k] in copy `left` to its own image in copy
+    `right` by one handle; the two copies must be mirrored against each
+    other.  Each (links, j) entry of `harvest` makes one family of the
+    new reservoir: the faces j and j + 2 of every handle of those links
+    (schedule positions), in order, each from its least vertex.  Returns
+    the step's result and each link's handles."""
     nb = base.embedding.graph.n
     n_fams = 1 + max(k for _, _, k in schedule)
     if len(base.reservoir) < n_fams:
@@ -229,22 +238,26 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
             raise ConstructionError(
                 f"{tag}: copies {left} and {right} are not mirrored against "
                 f"each other, so no handle carries the product edges")
-    work = Surgery.copies(base.embedding, mirrored, coords)
+    rows, labels = _copies(base.embedding, mirrored, coords)
 
-    def image(face: Face, t: int) -> Face:
-        # a mirrored copy traces the boundary backwards: (d, c, b, a),
-        # which read from a is (a, d, c, b)
-        a, b, c, d = (x + t * nb for x in face)
-        return (a, d, c, b) if mirrored[t] else (a, b, c, d)
+    def join(face: Face, left: int, right: int) -> Handle:
+        # a mirrored copy traces the face backwards, (a, d, c, b) from a;
+        # the right copy is mirrored against the left, so w, its image
+        # walked backwards from a, is v shifted: vi - wi are product edges
+        a, b, c, d = (x + left * nb for x in face)
+        v = (a, d, c, b) if mirrored[left] else (a, b, c, d)
+        w = tuple(x + (right - left) * nb for x in v)
+        # wi goes in after v(i-1) at vi, and vi after w(i+1) at wi
+        for x, p, u in zip(v + w, v[3:] + v[:3] + w[1:] + w[:1], w + v):
+            row = rows[x]
+            row.insert(row.index(p) + 1, u)
+        return v, w
 
-    # Both images start at the base face's first vertex and run opposite
-    # ways round, so pairing 0 (the right face walked backwards from its
-    # first vertex) joins every vertex to its own image: the four new
-    # edges are product edges.  add refuses a face that is not current.
-    links = [[work.add(image(face, left), image(face, right), 0)
-              for face in base.reservoir[k]]
+    links = [[join(face, left, right) for face in base.reservoir[k]]
              for left, right, k in schedule]
-    emb = work.freeze()
+    rotation = tuple(map(tuple, rows))
+    adj = tuple(tuple(sorted(row)) for row in rotation)
+    emb = Embedding(Graph(len(rotation), adj, labels), rotation)
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
     # the links of one entry form a perfect matching on the copies, so
     # their handles' opposite-face pairs tile every vertex
@@ -252,9 +265,24 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
                             for t in ids for handle in links[t]
                             for face in handle_faces(*handle)[j::2])
                       for ids, j in harvest)
+    _check_faces(emb.rotation, reservoir, tag)
     check_reservoir(emb, reservoir)
     steps = base.steps + (_step_row(tag, links, 0),)
     return ConstructionResult(emb, reservoir, cert, steps), links
+
+
+def _check_faces(rotation: tuple[tuple[int, ...], ...],
+                 reservoir: tuple[tuple[Face, ...], ...], tag: str) -> None:
+    """Every reservoir face is a face of the rotation: at each vertex x of
+    its cycle, between neighbours p and q, q follows p at x."""
+    for fam in reservoir:
+        for face in fam:
+            a, b, c, d = face
+            for p, x, q in ((d, a, b), (a, b, c), (b, c, d), (c, d, a)):
+                row = rotation[x]
+                if p not in row or row[(row.index(p) + 1) % len(row)] != q:
+                    raise ConstructionError(
+                        f"{tag}: reservoir face {face} is not a face")
 
 
 def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
@@ -310,18 +338,14 @@ def _path_removal_step(base: ConstructionResult, m: int,
     The removals run on one working state, each proved locally, and the
     result is certified once.  The harvested reservoir survives because
     it came from even links and the closing link is odd; each of its
-    faces is checked against the working state."""
+    faces is checked against the new rows."""
     cycle_result, links = _ring_step(base, m, closed=True, tag=tag)
     work = Surgery(cycle_result.embedding)
     for handle in links[-1]:
         work.remove(handle)
     emb = work.freeze()
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
-    for fam in cycle_result.reservoir:
-        for face in fam:
-            if not work.is_face(face):
-                raise ConstructionError(
-                    f"{tag}: reservoir face {face} lost in removal")
+    _check_faces(emb.rotation, cycle_result.reservoir, tag)
     steps = base.steps + (_step_row(tag, links, len(links[-1])),)
     return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
 

@@ -43,15 +43,12 @@ of the handle faces.  remove still proves that v and w reversed close.
 
 Faces not involved stay faces, so callers may keep faces and handles
 across many operations as long as each face is consumed at most once,
-and freeze the state into an Embedding only when they need one.  A
-construction step lays its copies of a block straight into one working
-state (Surgery.copies), adds one handle per face of each link it runs,
-and freezes the state once, after its last link.
+and freeze the state into an Embedding only when they need one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (ConstructionError, InvalidParameterError,
                      LocalProofError, SurgeryError)
@@ -96,44 +93,20 @@ class Surgery:
     that follows u at x, one dict per vertex; the neighbour each frozen
     rotation row starts at; and the labels.  add and remove change only
     the entries of the eight vertices they touch, and freeze() walks each
-    vertex's cycle into the Embedding's rows.  Build it from an Embedding,
-    or lay copies of one straight into it with Surgery.copies.  add and
-    remove check their preconditions before changing anything, so a
-    refused handle leaves the state as it was.  A failed local proof
-    raises LocalProofError, a SurgeryError, with the state half changed;
-    discard it then.
+    vertex's cycle into the Embedding's rows.  Build it from an
+    Embedding.  add and remove check their preconditions before changing
+    anything, so a refused handle leaves the state as it was.  A failed
+    local proof raises LocalProofError, a SurgeryError, with the state
+    half changed; discard it then.
     """
 
     def __init__(self, e: Embedding):
-        self._adopt(e.graph.n, e.graph.labels, e.rotation)
-
-    @classmethod
-    def copies(cls, base: Embedding, mirrored: Sequence[bool],
-               coords: Sequence) -> Surgery:
-        """Disjoint copies of `base` in contiguous index blocks, one per
-        entry of `mirrored`: copy t's vertex v is t * n_base + v, its
-        rotation is v's in `base`, reversed where mirrored[t], and its
-        label is v's label with coords[t] appended."""
-        nb = base.graph.n
-        base_labels = [base.graph.label_of(v) for v in range(nb)]
-        labels: list[tuple] = []
-        for t in range(len(mirrored)):
-            coord = (coords[t],)
-            labels += [label + coord for label in base_labels]
-        rows = ([x + t * nb for x in (reversed(rot) if flip else rot)]
-                for t, flip in enumerate(mirrored) for rot in base.rotation)
-        work = cls.__new__(cls)
-        work._adopt(nb * len(mirrored), tuple(labels), rows)
-        return work
-
-    def _adopt(self, n: int, labels, rows: Iterable[Sequence[int]]) -> None:
-        """Take the rotation rows, read once in vertex order, as successor
-        entries; each row's first neighbour is where freeze starts it."""
-        self.n = n
-        self.labels = labels
+        # each row's first neighbour is where freeze starts it
+        self.n = e.graph.n
+        self.labels = e.graph.labels
         self.after: list[dict[int, int]] = []
         self.first: list[int | None] = []
-        for rot in rows:
+        for rot in e.rotation:
             self.after.append(dict(zip(rot, rot[1:] + rot[:1])))
             self.first.append(rot[0] if rot else None)
 

@@ -2,6 +2,9 @@ import sys
 
 import pytest
 
+from quadgenus.embeddings import Embedding
+from quadgenus.graphs import Graph
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -23,3 +26,31 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+def _assemble_copies(base: Embedding, mirrored: list[bool],
+                     coords: list) -> Embedding:
+    nb = base.graph.n
+    rotation: list[tuple[int, ...]] = []
+    labels: list[tuple] = []
+    for t, flip in enumerate(mirrored):
+        off = t * nb
+        for v in range(nb):
+            rot = base.rotation[v]
+            if flip:
+                rot = tuple(reversed(rot))
+            rotation.append(tuple(x + off for x in rot))
+            labels.append(base.graph.label_of(v) + (coords[t],))
+    adj = tuple(tuple(sorted(rot)) for rot in rotation)
+    graph = Graph(nb * len(mirrored), adj, tuple(labels))
+    return Embedding(graph, tuple(rotation))
+
+
+@pytest.fixture
+def assemble_copies():
+    """``assemble_copies(base, mirrored, coords)`` is the disjoint union
+    of copies of the Embedding ``base`` in contiguous index blocks, one
+    per entry of ``mirrored``: copy t's vertex v is t * n_base + v, its
+    rotation is v's reversed where mirrored[t], and its label gains
+    coords[t] as a final coordinate."""
+    return _assemble_copies

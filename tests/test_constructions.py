@@ -14,7 +14,8 @@ from quadgenus.embeddings import (Embedding, euler_genus, genus_lower_bound,
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError, UnsupportedFamilyError)
 from quadgenus.graphs import Graph, build_family, make_complete_bipartite
-from quadgenus.surgery import Surgery, check_reservoir
+from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
+                               rotate_to_least)
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
@@ -121,30 +122,18 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
         _scheme_reservoir(emb, faces)
 
 
-def assemble_copies(base: Embedding, count: int, mirrored: list[bool],
-                    coords: list) -> Embedding:
-    """Reference for Surgery.copies: disjoint copies in contiguous index
-    blocks; copy t's vertex v is t * n_base + v, its label gains coords[t]
-    as a final coordinate."""
-    nb = base.graph.n
-    rotation: list[tuple[int, ...]] = []
-    labels: list[tuple] = []
-    for t in range(count):
-        off = t * nb
-        for v in range(nb):
-            rot = base.rotation[v]
-            if mirrored[t]:
-                rot = tuple(reversed(rot))
-            rotation.append(tuple(x + off for x in rot))
-            labels.append(base.graph.label_of(v) + (coords[t],))
-    adj = tuple(tuple(sorted(rot)) for rot in rotation)
-    graph = Graph(nb * count, adj, tuple(labels))
-    return Embedding(graph, tuple(rotation))
+COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2),
+              "K(6,6)": lambda: embed_K2r2r(3),
+              "Q(2,2)": lambda: embed_cube(2, 1)}
 
-
-COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2).embedding,
-              "K(6,6)": lambda: embed_K2r2r(3).embedding,
-              "Q(2,2)": lambda: embed_cube(2, 1).embedding}
+# a K step folds in the base's own K(2r,2r), whose reservoir has 2r
+# families
+STEPS = {"K": lambda base: constructions._k_step(
+             base, len(base.reservoir) // 2, "k"),
+         "closed ring": lambda base: constructions._ring_step(
+             base, 2, closed=True, tag="c"),
+         "open ring": lambda base: constructions._ring_step(
+             base, 3, closed=False, tag="p")}
 
 
 @pytest.mark.parametrize("name", sorted(COPY_BASES))
@@ -155,13 +144,51 @@ COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2).embedding,
     ([False, False, True, True], ["a0", "a1", "b0", "b1"]),
     ([True, True, False], ["x", 7, "y"]),
 ])
-def test_copies_lay_out_the_reference_union(name, mirrored, coords):
+def test_copies_lay_out_the_reference_union(name, mirrored, coords,
+                                            assemble_copies):
+    # the row rule's copies before any link: rows and labels of the union
+    base = COPY_BASES[name]().embedding
+    rows, labels = constructions._copies(base, mirrored, coords)
+    union = assemble_copies(base, mirrored, coords)
+    assert tuple(map(tuple, rows)) == union.rotation
+    assert labels == union.graph.labels
+
+
+@pytest.mark.parametrize("name", sorted(COPY_BASES))
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_link_step_equals_the_surgery_reference(name, step, monkeypatch,
+                                                assemble_copies):
+    # the row rule against the handle-by-handle path it replaces: the
+    # copies as one Surgery state, one add per face of each link, freeze
     base = COPY_BASES[name]()
-    work = Surgery.copies(base, mirrored, coords)
-    union = assemble_copies(base, len(mirrored), mirrored, coords)
-    assert work.freeze() == union
-    reference = Surgery(union)
-    assert (work.after, work.first) == (reference.after, reference.first)
+    calls = []
+    real = constructions._link_step
+
+    def record(base, **kwargs):
+        calls.append((kwargs, real(base, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(constructions, "_link_step", record)
+    STEPS[step](base)
+    [(args, (result, links))] = calls
+    mirrored, schedule = args["mirrored"], args["schedule"]
+    nb = base.embedding.graph.n
+
+    def image(face, t):
+        a, b, c, d = (x + t * nb for x in face)
+        return (a, d, c, b) if mirrored[t] else (a, b, c, d)
+
+    work = Surgery(assemble_copies(base.embedding, mirrored, args["coords"]))
+    handles = [[work.add(image(face, left), image(face, right), 0)
+                for face in base.reservoir[k]]
+               for left, right, k in schedule]
+    reservoir = tuple(tuple(rotate_to_least(face)
+                            for t in ids for handle in handles[t]
+                            for face in handle_faces(*handle)[j::2])
+                      for ids, j in args["harvest"])
+    assert result.embedding == work.freeze()
+    assert result.reservoir == reservoir
+    assert links == handles
 
 
 def test_link_step_requires_mirroring(monkeypatch):
@@ -178,23 +205,52 @@ def test_link_step_requires_mirroring(monkeypatch):
                for v, w in zip(*handle))
 
     # copies traced the same way round carry no product handle; the step
-    # refuses them before it lays any
-    def no_add(*args):
-        raise AssertionError("add called for an unmirrored link")
+    # refuses them before it lays out any row
+    def no_rows(*args):
+        raise AssertionError("rows laid out for an unmirrored link")
 
-    monkeypatch.setattr(Surgery, "add", no_add)
+    monkeypatch.setattr(constructions, "_copies", no_rows)
     for flags in ([False, False], [True, True]):
         with pytest.raises(ConstructionError, match="not mirrored"):
             _link_step(base, flags, [0, 1], [(0, 1, 0)], [(range(1), 0)],
                        "link")
 
 
-def test_transfer_refuses_a_family_moved_with_the_wrong_flag():
+def test_direct_route_builds_no_surgery_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route touched Surgery")
+
+    monkeypatch.setattr(Surgery, "__init__", refuse)
+    monkeypatch.setattr(Surgery, "add", refuse)
+    res, _ = embed_family("Q(2,4) x C(4) x P(4)", route="direct")
+    assert res.certificate.minimal
+    with pytest.raises(AssertionError, match="touched Surgery"):
+        embed_family("Q(1,4) x P(4)", route="removal")
+
+
+def test_a_harvested_cycle_that_is_not_a_face_is_refused(monkeypatch):
+    # swapping a face's first two vertices keeps its vertex set, so
+    # check_reservoir alone would pass the harvest; the corner check
+    # names the face
+    real = constructions.handle_faces
+
+    def swapped(v, w):
+        return tuple((b, a, c, d) for a, b, c, d in real(v, w))
+
+    monkeypatch.setattr(constructions, "handle_faces", swapped)
+    for expr in ("Q(2,4)", "Q(1,4) x C(4)", "Q(1,4) x P(4)"):
+        with pytest.raises(ConstructionError,
+                           match=r"reservoir face \(.*\) is not a face"):
+            embed_family(expr)
+
+
+def test_transfer_refuses_a_family_moved_with_the_wrong_flag(
+        assemble_copies):
     # a family face placed in a copy the wrong way round, or in the wrong
     # copy, is not a face of the copies; add refuses it before any splice
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
-    work = Surgery.copies(base.embedding, [False, True], [0, 1])
+    work = Surgery(assemble_copies(base.embedding, [False, True], [0, 1]))
     before = (copy.deepcopy(work.after), list(work.first))
 
     def moved(face, offset, flip):
@@ -265,18 +321,24 @@ def test_path_routes_agree():
                         ("Q(1,4) x P(6)", 11),
                         ("Q(1,4) x C(4) x P(4)", 57),
                         ("Q(1,4) x P(4) x C(4)", 57)):
-        direct = embed_family(expr, route="direct")[0].certificate
-        removal = embed_family(expr, route="removal")[0].certificate
-        assert direct == removal
-        assert direct.genus == genus
+        direct = embed_family(expr, route="direct")[0]
+        removal = embed_family(expr, route="removal")[0]
+        assert direct.certificate == removal.certificate
+        assert direct.embedding == removal.embedding
+        assert direct.reservoir == removal.reservoir
+        assert direct.certificate.genus == genus
 
 
 def test_removal_route_multi_level_agrees():
-    direct = embed_family("Q(1,2) x P(4) x P(4)", route="direct")[0]
-    removal = embed_family("Q(1,2) x P(4) x P(4)", route="removal")[0]
-    assert direct.certificate == removal.certificate
-    # both P(4) steps open a ring of four links by its closing link, one
-    # handle per link on K(2,2) and four on K(2,2) x P(4)
+    for expr in ("Q(2,4) x C(4) x P(4)", "Q(1,2) x P(4) x P(4)"):
+        direct = embed_family(expr, route="direct")[0]
+        removal = embed_family(expr, route="removal")[0]
+        assert direct.certificate == removal.certificate
+        assert direct.embedding == removal.embedding
+        assert direct.reservoir == removal.reservoir
+    # both P(4) steps of the last family open a ring of four links by its
+    # closing link, one handle per link on K(2,2) and four on
+    # K(2,2) x P(4)
     assert [row["removed"] for row in removal.steps] == [1, 4]
     assert [row["removed"] for row in direct.steps] == [0, 0]
 

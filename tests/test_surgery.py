@@ -206,7 +206,7 @@ def test_every_rotation_of_a_face_is_accepted():
         assert removed(e2, (turn(v, j), turn(w, j))) == e
 
 
-def test_link_copies_requires_mirroring():
+def test_link_copies_requires_mirroring(assemble_copies):
     base = embed_K2r2r(2)
     e, fam = base.embedding, base.reservoir[0]
     n = e.graph.n
@@ -219,7 +219,7 @@ def test_link_copies_requires_mirroring():
 
     # mirrored copies: each face joined to its own image by pairing 0, one
     # handle per face of the family (n/4 = 2 for K(4,4)), product edges only
-    work = Surgery.copies(e, [False, True], [0, 1])
+    work = Surgery(assemble_copies(e, [False, True], [0, 1]))
     handles = [work.add(shifted(face, 0, False), shifted(face, n, True), 0)
                for face in fam]
     assert len(handles) == len(fam) == 2
@@ -230,7 +230,7 @@ def test_link_copies_requires_mirroring():
     # vertex to a vertex other than its own image
     for face in fam:
         for pairing in range(4):
-            plain = Surgery.copies(e, [False, False], [0, 1])
+            plain = Surgery(assemble_copies(e, [False, False], [0, 1]))
             rec = plain.add(shifted(face, 0, False),
                             shifted(face, n, False), pairing)
             assert any(y != x + n for x, y in zip(*rec))
