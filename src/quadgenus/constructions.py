@@ -103,8 +103,8 @@ from .formulas import cube_genus, main_cycles_genus, main_paths_genus
 from .graphs import (FamilyExpr, Graph, family_factors,
                      make_complete_bipartite, parse_family_expr,
                      product_sizes, product_vertices)
-from .surgery import (Surgery, check_reservoir, handle_faces,
-                      rotate_to_least)
+from .surgery import (Surgery, check_reservoir, handle_faces, is_face,
+                      rotate_to_least, splice)
 
 Face = tuple[int, ...]
 Handle = tuple[Face, Face]
@@ -247,10 +247,7 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
         a, b, c, d = (x + left * nb for x in face)
         v = (a, d, c, b) if mirrored[left] else (a, b, c, d)
         w = tuple(x + (right - left) * nb for x in v)
-        # wi goes in after v(i-1) at vi, and vi after w(i+1) at wi
-        for x, p, u in zip(v + w, v[3:] + v[:3] + w[1:] + w[:1], w + v):
-            row = rows[x]
-            row.insert(row.index(p) + 1, u)
+        splice(rows, v, w)
         return v, w
 
     links = [[join(face, left, right) for face in base.reservoir[k]]
@@ -277,12 +274,9 @@ def _check_faces(rotation: tuple[tuple[int, ...], ...],
     its cycle, between neighbours p and q, q follows p at x."""
     for fam in reservoir:
         for face in fam:
-            a, b, c, d = face
-            for p, x, q in ((d, a, b), (a, b, c), (b, c, d), (c, d, a)):
-                row = rotation[x]
-                if p not in row or row[(row.index(p) + 1) % len(row)] != q:
-                    raise ConstructionError(
-                        f"{tag}: reservoir face {face} is not a face")
+            if not is_face(rotation, face):
+                raise ConstructionError(
+                    f"{tag}: reservoir face {face} is not a face")
 
 
 def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str

@@ -23,23 +23,26 @@ construction's mirrored copies make consistent with the product edges.
 The rotation splice is local: each new edge enters the rotation at its
 endpoint between the two boundary darts of the consumed face there, so
 only the sixteen darts of the four created faces change their successor
-(the eight consumed darts and the eight new ones).  Surgery is the working
-state that exploits this.  It holds each rotation as successor entries,
-one neighbour -> next neighbour dict per vertex, so a splice is two dict
-writes per endpoint and a face corner is one lookup.  It edits the
-entries of the eight touched vertices in place and proves each handle
-locally instead of retracing: each of the four created faces must close
-as the expected quadrilateral.  Those faces hold the sixteen darts the
-splice changed, so that pins the deltas at m +4, f +2, chi -2.
+(the eight consumed darts and the eight new ones).  A mutable rotation
+is one list row per vertex, its neighbours in rotation order; splice
+makes the eight inserts, each after an existing neighbour, so a row
+keeps the neighbour it starts at.  is_face is the one corner test: at
+each corner p, x, q of a cycle, q follows p in x's row.  The link steps
+splice their rows and check their harvest with these two.  Surgery, the
+working state for a run of handle operations, proves each handle
+locally with them instead of retracing: each of the four created faces
+must close.  Those faces hold the sixteen darts the splice changed, so
+that pins the deltas at m +4, f +2, chi -2.
 
 remove needs no search and no dart bookkeeping: the handle's eight
-vertices are distinct, so each vertex's entries are edited once, and its
-four faces must be current.  Faces k-1 and k then put wk between v(k-1)
-and v(k+1) at vk, and vk between w(k+1) and w(k-1) at wk.  So each edge
-comes out at the predecessor the handle names, and the darts whose
-successor changes are exactly (v(k-1), vk) and (w(k+1), wk), the darts
-of v and w reversed; with the eight removed darts they are the sixteen
-of the handle faces.  remove still proves that v and w reversed close.
+vertices are distinct, so each row loses one entry, and its four faces
+must be current.  Faces k-1 and k then put wk between v(k-1) and v(k+1)
+at vk, and vk between w(k+1) and w(k-1) at wk, so taking wk out of vk's
+row and vk out of wk's changes the successor of exactly the darts
+(v(k-1), vk) and (w(k+1), wk), the darts of v and w reversed; with the
+eight removed darts they are the sixteen of the handle faces.  A row
+that loses its front entry starts at the one that followed it.  remove
+still proves that v and w reversed close.
 
 Faces not involved stay faces, so callers may keep faces and handles
 across many operations as long as each face is consumed at most once,
@@ -74,65 +77,48 @@ def rotate_to_least(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[i:] + cycle[:i]
 
 
-def _closes(after: list[dict[int, int]], quad: tuple[int, ...]) -> bool:
-    """Each corner of the vertex cycle `quad` follows the rotation: the
-    dart after (a, b) is (b, c) for consecutive vertices a, b, c, that is,
-    c follows a at b."""
-    a, b = quad[-2], quad[-1]
-    for c in quad:
-        if after[b].get(a) != c:
+def splice(rows: Sequence[list[int]], v: tuple[int, ...],
+           w: tuple[int, ...]) -> None:
+    """Lay the handle's edges vk - wk into the rows, each between the
+    consumed faces' boundary darts at its ends: wk after v(k-1) at vk,
+    and vk after w(k+1) at wk.  Each insertion changes the successor of
+    one dart, the one into the endpoint from the neighbour the new edge
+    now follows: a consumed dart."""
+    for x, p, u in zip(v + w, v[3:] + v[:3] + w[1:] + w[:1], w + v):
+        row = rows[x]
+        row.insert(row.index(p) + 1, u)
+
+
+def is_face(rows: Sequence[Sequence[int]], cycle: Sequence[int]) -> bool:
+    """Whether the vertex cycle `cycle`, from any start, is a face of the
+    rows: at each corner p, x, q, the wrap-around one included, q
+    follows p in x's row."""
+    p, x = cycle[-2], cycle[-1]
+    for q in cycle:
+        row = rows[x]
+        if p not in row or row[(row.index(p) + 1) % len(row)] != q:
             return False
-        a, b = b, c
+        p, x = x, q
     return True
 
 
 class Surgery:
     """A mutable embedding for a run of handle operations.
 
-    Holds the rotation as successor entries, after[x][u] = the neighbour
-    that follows u at x, one dict per vertex; the neighbour each frozen
-    rotation row starts at; and the labels.  add and remove change only
-    the entries of the eight vertices they touch, and freeze() walks each
-    vertex's cycle into the Embedding's rows.  Build it from an
-    Embedding.  add and remove check their preconditions before changing
-    anything, so a refused handle leaves the state as it was.  A failed
-    local proof raises LocalProofError, a SurgeryError, with the state
-    half changed; discard it then.
+    Holds the rotation as list rows, rows[x] = x's neighbours in
+    rotation order, one list per vertex; its vertex count; and the
+    labels.  add and remove change only the rows of the eight vertices
+    they touch, and freeze() turns the rows into the Embedding's
+    rotation.  Build it from an Embedding.  add and remove check their
+    preconditions before changing anything, so a refused handle leaves
+    the state as it was.  A failed local proof raises LocalProofError, a
+    SurgeryError, with the state half changed; discard it then.
     """
 
     def __init__(self, e: Embedding):
-        # each row's first neighbour is where freeze starts it
         self.n = e.graph.n
         self.labels = e.graph.labels
-        self.after: list[dict[int, int]] = []
-        self.first: list[int | None] = []
-        for rot in e.rotation:
-            self.after.append(dict(zip(rot, rot[1:] + rot[:1])))
-            self.first.append(rot[0] if rot else None)
-
-    def is_face(self, face: Sequence[int]) -> bool:
-        """Whether the vertex cycle `face`, from any start, is a face."""
-        return _closes(self.after, face)
-
-    def _splice(self, v: tuple[int, ...], w: tuple[int, ...]) -> None:
-        """Lay the handle's edges vk - wk into the rotations, each between
-        the consumed faces' boundary darts at its ends: after v(k-1) at
-        vk, and after w(k+1) at wk.  Each insertion changes the successor
-        of one dart, the one into the endpoint from the neighbour the new
-        edge now follows: a consumed dart."""
-        after = self.after
-        v0, v1, v2, v3 = v
-        w0, w1, w2, w3 = w
-        for x, p, u in zip(v + w, (v3, v0, v1, v2, w1, w2, w3, w0), w + v):
-            at = after[x]
-            at[u], at[p] = at[p], u
-
-    def _delete(self, x: int, u: int, p: int) -> None:
-        """Take u out of the rotation at x, where p precedes it."""
-        at = self.after[x]
-        at[p] = at.pop(u)
-        if self.first[x] == u:
-            self.first[x] = at[p]
+        self.rows = [list(rot) for rot in e.rotation]
 
     def add(self, f1: Sequence[int], f2: Sequence[int],
             pairing: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -163,20 +149,20 @@ class Surgery:
         if not set(v).isdisjoint(x):
             raise SurgeryError(
                 f"faces share vertices {sorted(set(v) & set(x))}")
-        after = self.after
+        rows = self.rows
         for face in (v, x):
-            if not _closes(after, face):
+            if not is_face(rows, face):
                 raise SurgeryError(f"face {face} is not a face of the "
                                    f"current embedding")
         # wk = f2[(pairing - k) mod 4]: f2 walked backwards
         w = (x[pairing], x[pairing - 1], x[pairing - 2], x[pairing - 3])
         for k in range(4):
-            if w[k] in after[v[k]]:
+            if w[k] in rows[v[k]]:
                 raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
 
-        self._splice(v, w)
+        splice(rows, v, w)
         for quad in handle_faces(v, w):
-            if not _closes(after, quad):
+            if not is_face(rows, quad):
                 raise LocalProofError(
                     f"face {quad} did not close after the splice")
         return v, w
@@ -189,32 +175,23 @@ class Surgery:
         v, w = tuple(handle[0]), tuple(handle[1])
         if len(v) != 4 or len(w) != 4 or len(set(v + w)) != 8:
             raise SurgeryError(f"handle {v}, {w} is not 8 distinct vertices")
-        after = self.after
+        rows = self.rows
         for face in handle_faces(v, w):
-            if not _closes(after, face):
+            if not is_face(rows, face):
                 raise SurgeryError(f"handle face {face} no longer current")
-        for k in range(4):
-            self._delete(v[k], w[k], v[k - 1])
-            self._delete(w[k], v[k], w[(k + 1) % 4])
+        for a, b in zip(v + w, w + v):
+            rows[a].remove(b)
         for face in (v, w[::-1]):
-            if not _closes(after, face):
+            if not is_face(rows, face):
                 raise LocalProofError(
                     f"face {face} did not close after the removal")
 
     def freeze(self) -> Embedding:
-        """The Embedding of the current state.  A vertex's rotation row
-        starts where its row started when the state was made (or, once
-        that neighbour is removed, at the one that followed it), and its
-        adjacency is the sorted neighbours its successor entries name."""
-        rotation = []
-        for u, at in zip(self.first, self.after):
-            row = []
-            for _ in range(len(at)):
-                row.append(u)
-                u = at[u]
-            rotation.append(tuple(row))
-        adj = tuple(tuple(sorted(at)) for at in self.after)
-        return Embedding(Graph(self.n, adj, self.labels), tuple(rotation))
+        """The Embedding of the current state: its rotation is the rows
+        as they stand, and its adjacency their sorted neighbours."""
+        rotation = tuple(map(tuple, self.rows))
+        adj = tuple(tuple(sorted(row)) for row in rotation)
+        return Embedding(Graph(self.n, adj, self.labels), rotation)
 
 
 def check_reservoir(e: Embedding,

@@ -15,7 +15,7 @@ from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError, UnsupportedFamilyError)
 from quadgenus.graphs import Graph, build_family, make_complete_bipartite
 from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
-                               rotate_to_least)
+                               is_face, rotate_to_least)
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
@@ -251,22 +251,23 @@ def test_transfer_refuses_a_family_moved_with_the_wrong_flag(
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
     work = Surgery(assemble_copies(base.embedding, [False, True], [0, 1]))
-    before = (copy.deepcopy(work.after), list(work.first))
+    before = copy.deepcopy(work.rows)
 
     def moved(face, offset, flip):
         a, b, c, d = (x + offset for x in face)
         return (a, d, c, b) if flip else (a, b, c, d)
 
     for face in base.reservoir[0]:
-        assert work.is_face(moved(face, 0, False))
-        assert work.is_face(moved(face, nb, True))
+        assert is_face(work.rows, moved(face, 0, False))
+        assert is_face(work.rows, moved(face, nb, True))
         # the wrong flag in copy 1, and copy 1's flag in copy 0
         for left, right in ((moved(face, 0, False), moved(face, nb, False)),
                             (moved(face, 0, True), moved(face, nb, True))):
-            assert not (work.is_face(left) and work.is_face(right))
+            assert not (is_face(work.rows, left)
+                        and is_face(work.rows, right))
             with pytest.raises(SurgeryError, match="not a face"):
                 work.add(left, right, 0)
-    assert (work.after, work.first) == before
+    assert work.rows == before
 
 
 def test_cube_two_levels_frozen():

@@ -3,14 +3,14 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadgenus import constructions, selftest
+from quadgenus import constructions, selftest, surgery
 from quadgenus.constructions import embed_cube, embed_K2r2r
 from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError)
 from quadgenus.graphs import make_complete_bipartite
 from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
-                               rotate_to_least)
+                               is_face, rotate_to_least)
 
 K44_ROT = ((4, 5, 6, 7), (7, 6, 5, 4), (4, 5, 6, 7), (7, 6, 5, 4),
            (0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3), (3, 2, 1, 0))
@@ -194,7 +194,7 @@ def test_every_rotation_of_a_face_is_accepted():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     work = Surgery(e)
-    assert all(work.is_face(turn(face, j)) for face in quads(e)
+    assert all(is_face(work.rows, turn(face, j)) for face in quads(e)
                for j in range(4))
     e2, (v, w) = added(e, f1, f2, 0)
     for j in range(4):
@@ -204,6 +204,33 @@ def test_every_rotation_of_a_face_is_accepted():
             assert again == e2
             assert handle == (turn(v, j), turn(w, j))
         assert removed(e2, (turn(v, j), turn(w, j))) == e
+
+
+def test_is_face_checks_every_corner():
+    # every rotation of a traced face passes; a cycle through two
+    # non-neighbours, a face read backwards, and a face whose rows are
+    # turned at one corner fail, the wrap-around corners included: the
+    # corner at face[j] is the only wrong one when q, which follows p
+    # there, is moved one slot further round x's row
+    e = k44()
+    rows = e.rotation
+    faces = quads(e)
+    assert all(is_face(rows, face[j:] + face[:j])
+               for face in faces for j in range(4))
+    assert not is_face(rows, (0, 1, 2, 3))  # 0 and 1 are not adjacent
+    assert not any(is_face(rows, face[::-1]) for face in faces)
+    face = faces[0]
+    for j in range(4):
+        p, x, q = face[j - 1], face[j], face[(j + 1) % 4]
+        turned = [list(row) for row in rows]
+        row = turned[x]
+        i = row.index(q)
+        k = (i + 1) % len(row)
+        row[i], row[k] = row[k], row[i]
+        assert row[(row.index(p) + 1) % len(row)] != q
+        assert not is_face(turned, face)
+        assert all(is_face(turned, other) for other in faces
+                   if x not in other)
 
 
 def test_link_copies_requires_mirroring(assemble_copies):
@@ -367,13 +394,13 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
         f = len(faces)
 
 
-def misplace(after, v, w):
+def misplace(rows, v, w):
     """Put the edge a splice just laid in at v[0] one slot too far round:
     it went in after p = v[3], so turn p, u, c, d into p, c, u, d."""
-    at = after[v[0]]
-    p, u = v[3], w[0]
-    c = at[u]
-    at[p], at[c], at[u] = c, u, at[c]
+    row = rows[v[0]]
+    i = row.index(w[0])
+    j = (i + 1) % len(row)
+    row[i], row[j] = row[j], row[i]
 
 
 def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
@@ -383,13 +410,13 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     work = Surgery(e)
-    splice = Surgery._splice
+    splice = surgery.splice
 
-    def misplaced(self, v, w):
-        splice(self, v, w)
-        misplace(self.after, v, w)
+    def misplaced(rows, v, w):
+        splice(rows, v, w)
+        misplace(rows, v, w)
 
-    monkeypatch.setattr(Surgery, "_splice", misplaced)
+    monkeypatch.setattr(surgery, "splice", misplaced)
     with pytest.raises(SurgeryError):
         work.add(f1, f2, 0)
     monkeypatch.undo()
@@ -402,18 +429,18 @@ def test_criterion_6_fails_at_once_on_a_failed_local_proof(monkeypatch):
     # stops at the first one instead of drawing proposals until 1000
     # handles apply, which would never happen here.
     # The splice is broken only in the working states criterion 6 makes,
-    # not in the constructions that build its bases.
+    # not in the constructions that build its bases, which bind their own.
     calls = []
+    splice = surgery.splice
 
-    class Misplacing(Surgery):
-        def _splice(self, v, w):
-            calls.append(v)
-            if len(calls) > 1:
-                raise RuntimeError("proposal drawn after a failed proof")
-            super()._splice(v, w)
-            misplace(self.after, v, w)
+    def misplacing(rows, v, w):
+        calls.append(v)
+        if len(calls) > 1:
+            raise RuntimeError("proposal drawn after a failed proof")
+        splice(rows, v, w)
+        misplace(rows, v, w)
 
-    monkeypatch.setattr(selftest, "Surgery", Misplacing)
+    monkeypatch.setattr(surgery, "splice", misplacing)
     passed, details = selftest.criterion_6(0)
     assert not passed and len(calls) == 1
     assert details["applications"] == 0
@@ -440,8 +467,8 @@ def handle_proposals(r: int):
 
 def successors(work: Surgery) -> dict:
     """The dart after each dart (u, x) of a working state."""
-    return {(u, x): (x, nxt) for x, at in enumerate(work.after)
-            for u, nxt in at.items()}
+    return {(u, x): (x, nxt) for x, row in enumerate(work.rows)
+            for u, nxt in zip(row, row[1:] + row[:1])}
 
 
 @settings(derandomize=True, max_examples=60)
