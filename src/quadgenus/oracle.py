@@ -39,12 +39,12 @@ graph that is not one component and says which bound applies.
 A stochastic restart holds each rotation as a row of local positions,
 k for the k-th neighbour in v's adjacency, and reads the darts into and
 out of v at position k from two lists indexed by position; the witness
-is mapped back to neighbours once, at the end.  Every random draw goes
-through one ``below(n)`` per restart (see ``_below``), which replays the
-draws ``randrange``, ``choice``, ``shuffle`` and ``sample`` would make.
-A swap of two neighbours at v changes the successors of the changed
-darts C, the at most four darts entering v from the positions i-1, i,
-j-1 and j, and of no other dart.  Each restart walks every orbit once
+is mapped back to neighbours once, at the end.  Every random draw is
+``random``'s own, replayed on ``getrandbits``: by ``below(n)`` (see
+``_below``) in a restart's shuffle and inline in a swap.  A swap of two
+neighbours at v changes the successors of the changed darts C, the at
+most four darts entering v from the positions i-1, i, j-1 and j, and of
+no other dart.  Each restart walks every orbit once
 and labels each dart d with its orbit id fid[d] and position fpos[d],
 and each orbit with its length.  A swap is then scored with no walk.
 An orbit that meets no dart of C keeps all its successors, so it is a
@@ -62,11 +62,11 @@ successor was t(c).  Writing (p) for the dart from neighbour p into v
 and p_k for the neighbour at position k before the swap, that map
 exchanges (p_{i-1}) with (p_{j-1}) and (p_i) with (p_j), two cycles on
 four darts, or is one cycle on three when i and j are adjacent; either
-way the swap loses two faces, so it is rejected as soon as the fid
-values over C are seen to be distinct.  A rejected swap swaps the two
-entries of v's rotation back and writes nothing else; an accepted one
-writes the new successors and relabels the orbits through C in one
-walk.
+way the swap loses two faces.  The swap only permutes the neighbours at
+those positions, so C's fids are read before it is made, and when they
+are distinct it is rejected unmade, with no list built.  Any other swap
+is made and scored, and undone if it loses faces; an accepted one writes
+the new successors and relabels the orbits through C in one walk.
 
 Both searchers are deterministic for a fixed seed.  Each restart of
 the stochastic search draws from its own generator, seeded from the
@@ -250,8 +250,8 @@ def _below(rng: random.Random) -> Callable[[int], int]:
     takes ``getrandbits(n.bit_length())`` until the value is below n;
     ``choice(seq)`` draws ``seq[below(len(seq))]``, ``shuffle`` swaps
     position k with ``below(k + 1)`` for k from the last down to 1, and
-    ``sample`` draws as ``_positions`` shows.  Calling the public
-    ``getrandbits`` directly replays those draws without their wrappers."""
+    ``sample`` draws as ``_positions`` shows.  The public ``getrandbits``
+    replays them without their wrappers; the swap loop inlines ``below``."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -268,7 +268,7 @@ def _positions(below: Callable[[int], int], d: int) -> tuple[int, int]:
     """Two distinct positions below d, drawn through ``below`` (see
     ``_below``) exactly as ``rng.sample(range(d), 2)`` draws them (the
     CPython 3.10-3.13 code: a pool below 22 items, rejection above)
-    without building a sample."""
+    without building a sample, as the swap loop draws them inline."""
     i = below(d)
     if d <= 21:
         j = below(d - 1)
@@ -328,6 +328,9 @@ def stochastic_search(graph: Graph,
         target_f = 2 - 2 * budget.target_genus - graph.n + graph.m
     cap, restart_stall = budget.max_rotation_systems, budget.restart_stall
     movable = [v for v in range(graph.n) if graph.degree(v) >= 3]
+    # bit lengths of the draws below len(movable) and below each degree
+    nmov, mbits = len(movable), len(movable).bit_length()
+    bits = [k.bit_length() for k in range(max(map(len, graph.adj)) + 1)]
     index = DartIndex(graph)
     out = index.out
     # Rows hold local positions: k stands for the k-th neighbour of v in
@@ -340,7 +343,8 @@ def stochastic_search(graph: Graph,
     explored = 0
     chunk = 0
     while explored < cap:
-        below = _below(_chunk_rng(budget.seed, chunk))
+        rng = _chunk_rng(budget.seed, chunk)
+        below, getrandbits = _below(rng), rng.getrandbits
         chunk += 1
         rows = []
         succ = [0] * index.size
@@ -367,28 +371,44 @@ def stochastic_search(graph: Graph,
         stall = 0
         local_best = current_f
         while stall < restart_stall and explored < cap:
-            v = movable[below(len(movable))]  # rng.choice(movable)
+            v = getrandbits(mbits)  # v, i, j as choice and _positions draw
+            while v >= nmov:
+                v = getrandbits(mbits)
+            v = movable[v]
             row = rows[v]
             d = len(row)
-            i, j = _positions(below, d)
-            iv, ov = into[v], outof[v]
-            row[i], row[j] = a, b = row[j], row[i]
-            # the changed darts and their new successors; when i and j
-            # are neighbours one dart is listed twice, and goes once
-            changed = [iv[row[i - 1]], iv[a], iv[row[j - 1]], iv[b]]
-            targets = [ov[a], ov[row[(i + 1) % d]], ov[b],
-                       ov[row[(j + 1) % d]]]
-            if (j - i) % d == 1:
-                del changed[2], targets[2]
-            elif (i - j) % d == 1:
-                del changed[3], targets[3]
-            ids = [fid[c] for c in changed]
-            free = set(ids)
+            k = bits[d]
+            i = getrandbits(k)
+            while i >= d:
+                i = getrandbits(k)
+            n = d - 1 if d <= 21 else d  # sample's pool, or rejection
+            k = bits[n]
+            j = getrandbits(k)
+            while j >= n or j == i and n == d:
+                j = getrandbits(k)
+            if j == i:
+                j = d - 1
+            # the changed darts, read before the swap (c1 is c2 when j
+            # follows i, c0 is c3 when i follows j; no others coincide)
+            iv, a, b = into[v], row[j], row[i]
+            c0, c1, c2, c3 = iv[row[i - 1]], iv[b], iv[row[j - 1]], iv[a]
+            f0, f1, f2, f3 = fid[c0], fid[c1], fid[c2], fid[c3]
             explored += 1
-            if len(free) == len(ids):  # loses two faces (module docstring)
-                row[i], row[j] = b, a
-                stall += 1
+            if (f0 != f1 and f0 != f2 and f1 != f3 and f2 != f3
+                    and (f1 != f2 or c1 == c2) and (f0 != f3 or c0 == c3)):
+                stall += 1  # on distinct orbits: loses two faces
                 continue
+            row[i], row[j] = a, b
+            # each changed dart once, with its id and its new successor
+            ov = outof[v]
+            changed, ids = [c0, c1, c2, c3], [f0, f1, f2, f3]
+            targets = [ov[a], ov[row[(j + 1) % d]], ov[b],
+                       ov[row[(i + 1) % d]]]
+            if c1 == c2:
+                del changed[2], ids[2], targets[2]
+            elif c0 == c3:
+                del changed[0], ids[0], targets[0]
+            free = set(ids)
             # link[x]: the changed dart reached first from changed dart
             # x's new successor t, along successors the swap keeps: the
             # one changed dart on t's orbit, or of several the one at the

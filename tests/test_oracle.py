@@ -288,6 +288,11 @@ PINNED = [
      build_family("C(4) x K(4,4)"),
      SearchBudget(seed=0, max_rotation_systems=2000), 22, 2000,
      "86c8c874a8d94cea7b579d9ace666dd78cfb6418a5147e49b367d635f082f481"),
+    # the benchmark's own job graph and budget, over many restarts
+    ("K(4,4) x C(4) budget 20000", stochastic_search,
+     build_family("K(4,4) x C(4)"),
+     SearchBudget(seed=0, max_rotation_systems=20000), 19, 20000,
+     "e1371ddaa78d57bed893e6399e15f2ed7e98fd037bd851956b4cac81cbfb1184"),
 ]
 
 
@@ -500,6 +505,13 @@ STAR23 = from_edges(24, [(0, v) for v in range(1, 24)])
 @settings(max_examples=60, deadline=None)
 @given(stochastic_cases())
 @example((STAR23, SearchBudget(seed=3, max_rotation_systems=2000)))
+# hubs of degree 21, 22 and 23, either side of sample's switch from a pool
+# to rejection; unlike a star's, whose every system has one face, their
+# swap draws decide the result
+@example((make_complete_bipartite(21, 3),
+          SearchBudget(seed=3, max_rotation_systems=2000)))
+@example((make_complete_bipartite(22, 3),
+          SearchBudget(seed=3, max_rotation_systems=2000)))
 @example((make_complete_bipartite(23, 3),
           SearchBudget(seed=7, max_rotation_systems=3000, restart_stall=50)))
 def test_stochastic_matches_the_walk_based_loop(case):

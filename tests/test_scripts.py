@@ -25,7 +25,12 @@ def test_genus_table_exits_0_on_the_ci_arguments(capsys):
 def test_oracle_demo_exits_0_on_the_ci_arguments(capsys):
     script = load("oracle_demo")
     assert script.main([]) == 0
-    assert "MISMATCH" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out
+    stochastic = [line for line in out.splitlines() if "stochastic:" in line]
+    assert len(stochastic) == 2
+    assert all(" explored, " in line and " systems/s, " in line
+               for line in stochastic)
 
 
 def test_genus_table_exits_1_on_a_closed_form_off_by_one(monkeypatch,
