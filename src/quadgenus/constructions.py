@@ -15,10 +15,27 @@ the handles of links that form a perfect matching on the copies (their
 opposite-face pairs tile everything), which is what makes the process
 repeatable.
 
-Every step runs that blueprint through one link-step body; a step only
-chooses which copies are mirrored, their coordinates, the schedule of
-(left copy, right copy, family) links and its harvest rule.  The body
-builds the step's rotation rows directly, by a row rule: vertex
+Every step runs that blueprint through one factor step, _link_step,
+which reads its copies, labels and links off the new factor's graph H.
+Copy t of the base, one per vertex t of H, has the base labels followed
+by H's label of t, and is mirrored where t lies on the far side of H's
+2-colouring from vertex 0.  Each edge (t, u) of H, t < u, is one link,
+in edge order, by reservoir family colour(t, u), and each (c, j) harvest
+entry makes one family of the faces j and j + 2 of every handle of the
+colour-c links, in link order.  The data must meet three conditions: H
+is bipartite (the step refuses it otherwise, before it lays any row),
+colour is a proper edge colouring of H that needs no more families than
+the base reservoir has, and every harvested colour class is a perfect
+matching on the copies, so that its handles' opposite-face pairs tile
+every vertex.  The factors are data (_factor):
+
+  * K(2r,2r), make_complete_bipartite(2r, 2r): edge (j, 2r + l) uses
+    family (l - j) mod 2r; harvest (k, 0) for every k < 2r.
+  * C(2m) and P(2m), make_cycle and make_path(2m): edge (t, t + 1) uses
+    family t mod 2, the cycle's closing edge (0, 2m - 1) family 1;
+    harvest (0, 0) and (0, 1).
+
+The step builds its rotation rows directly, by a row rule: vertex
 t * n_base + v gets v's base row shifted by t * n_base, reversed where
 copy t is mirrored.  A link joins each face of its family in one copy to
 the face's own image in the other: v is the face shifted to the left
@@ -27,50 +44,39 @@ on to the right copy, which is mirrored against it.  The handle (v, w)
 inserts wi after v(i-1) at vi and vi after w(i+1) at wi, in the corners
 of the consumed faces (see surgery).  The inserts commute: a family
 covers each vertex once and a copy meets each family at most once, so
-every insert at a vertex has a corner of its own.  The body refuses a
-link between copies that are not mirrored against each other before it
-builds any row, and runs the step's one full retrace: the certificate,
-which must be quadrilateral and meet the lower bound.  It then harvests
-the new reservoir once, by the step's rule: a list of (links, j)
-entries, each of which makes one family from the faces j and j + 2 of
-those links' handles, in order, each from its least vertex as a traced
-face is.  That start is where the face's images start in the next step,
-so it fixes which of that step's handle faces are j and j + 2.  The
-links of one entry must form a perfect matching on the copies.  Every
-harvested face's four corners must follow the new rows, and
-check_reservoir proves every reservoir that is made.  The base block is
-K(2r,2r) under one fixed rotation scheme (_scheme_rotation), certified
-like any step; its 2r face families are read off the certificate's trace
-by the scheme's own family rule (_scheme_reservoir), with no search.
-Three step shapes cover the families:
-
-  * K step: 4r copies, the new factor K(2r,2r).  Plain copies are the
-    "a" side, mirrored copies the "b" side; copy a_j links to copy
-    b_(j+k mod 2r) using reservoir family k at both ends.
-  * ring step (closed): 2m copies round an even cycle, alternately
-    mirrored, 2m links; link t consumes family (t mod 2) at both ends.
-  * ring step (open): the same on a path, with the closing link left out;
-    end copies make one link each.
+every insert at a vertex has a corner of its own, and the rows do not
+depend on the link order.  The step runs its one full retrace: the
+certificate, which must be quadrilateral and meet the lower bound.  It
+then harvests the new reservoir once, each face from its least vertex as
+a traced face is.  That start is where the face's images start in the
+next step, so it fixes which of that step's handle faces are j and
+j + 2.  check_reservoir proves every reservoir that is made, each face
+against the rows of its embedding.  The base block is K(2r,2r) under one
+fixed rotation scheme (_scheme_rotation), certified like any step; its
+2r face families are read off the certificate's trace by the scheme's
+own family rule (_scheme_reservoir), with no search.
 
 Paths are also built by the subtractive route: build the cycle, then
-remove the closing link's handles on a working state of the cycle,
-which lowers the genus by one per handle and reinstates the consumed
-faces, and certify the result with one more full retrace.  Both routes
-must and do agree on every certificate.
+remove the handles of its edge (0, 2m - 1), the one edge C(2m) has and
+P(2m) lacks, on a working state of the cycle, which lowers the genus by
+one per handle and reinstates the consumed faces, and certify the
+result with one more full retrace.  Both routes must and do agree on
+every certificate.
 
 One driver, embed_family(expr, route="direct"), runs every step of
 every supported family Q(i,2r) x C(2m)* x P(2m)* in one loop over its
 levels.  classify_family gives them as one parsed atom per level:
 ("K", 2r, 2r) for the base block K(2r,2r) and for each of the i - 1 cube
-folds (K steps), then the C(2m) and P(2m) atoms in the expression's
-order, one ring step each; route="removal" takes the subtractive route
-for every path factor with m >= 2.  embed_cube(i, r) is embed_family on
-Q(i,2r).  Every level, the base block included, is checked once, by
-_check_level: the certificate's n, m and genus must equal the n and m
-of the levels up to it (one graphs.product_sizes stream over the levels,
-from the parameters alone) and its Euler count 1 + m/4 - n/2, and the
-genus must equal the closed form wherever those levels are all cube,
-cube and cycles, or cube and paths.
+folds, then the C(2m) and P(2m) atoms in the expression's order; every
+level after the base block is one factor step.  route="removal" takes
+the subtractive route for every path factor with m >= 2.
+embed_cube(i, r) is embed_family on Q(i,2r).  Every level, the base
+block included, is checked once, by _check_level: the certificate's n,
+m and genus must equal the n and m of the levels up to it (one
+graphs.product_sizes stream over the levels, from the parameters alone)
+and its Euler count 1 + m/4 - n/2, and the genus must equal the closed
+form wherever those levels are all cube, cube and cycles, or cube and
+paths.
 
 No step checks its own genus or face count, because the level check
 implies both.  The certificate refuses any face that is not a
@@ -94,6 +100,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import Callable
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
@@ -101,13 +108,14 @@ from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
                          certify_faces, face_lengths, trace_faces)
 from .formulas import cube_genus, main_cycles_genus, main_paths_genus
 from .graphs import (FamilyExpr, Graph, family_factors,
-                     make_complete_bipartite, parse_family_expr,
-                     product_sizes, product_vertices)
-from .surgery import (Surgery, check_reservoir, handle_faces, is_face,
+                     make_complete_bipartite, make_cycle, make_path,
+                     parse_family_expr, product_sizes, product_vertices)
+from .surgery import (Surgery, check_reservoir, handle_faces,
                       rotate_to_least, splice)
 
 Face = tuple[int, ...]
 Handle = tuple[Face, Face]
+Links = dict[tuple[int, int], list[Handle]]
 
 
 @dataclass(frozen=True)
@@ -182,10 +190,9 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
 
 
-def _step_row(tag: str, links: list[list[Handle]],
-              removed: int) -> dict:
+def _step_row(tag: str, links: Links, removed: int) -> dict:
     return {"step": tag, "links": len(links),
-            "handles": sum(map(len, links)), "removed": removed}
+            "handles": sum(map(len, links.values())), "removed": removed}
 
 
 def _certify_step(graph: Graph, lengths: list[int],
@@ -202,43 +209,57 @@ def _certify_step(graph: Graph, lengths: list[int],
     return cert
 
 
-def _copies(base: Embedding, mirrored: list[bool], coords: list
+def _copies(base: Embedding, factor: Graph, mirrored: list[bool]
             ) -> tuple[list[list[int]], tuple[tuple, ...]]:
-    """Rows and labels of one copy of `base` per entry of `mirrored`: copy
-    t's vertex v is t * n_base + v, its row is v's shifted, reversed where
-    mirrored[t], and its label is v's with coords[t] appended."""
+    """Rows and labels of one copy of `base` per vertex t of `factor`:
+    copy t's vertex v is t * n_base + v, its row is v's shifted, reversed
+    where mirrored[t], and its label is v's followed by factor's of t."""
     nb = base.graph.n
     rows = [[x + t * nb for x in (rot[::-1] if flip else rot)]
             for t, flip in enumerate(mirrored) for rot in base.rotation]
     labels = list(map(base.graph.label_of, range(nb)))
-    return rows, tuple(lab + (c,) for c in coords for lab in labels)
+    return rows, tuple(lab + factor.label_of(t) for t in range(factor.n)
+                       for lab in labels)
 
 
-def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
-               schedule: list[tuple[int, int, int]],
-               harvest: list[tuple[range, int]], tag: str
-               ) -> tuple[ConstructionResult, list[list[Handle]]]:
-    """The body every step shares: one copy of the base per entry of
-    `mirrored`, one link per (left, right, k) schedule entry, all by the
-    row rule, then the certificate and the harvest.  A link joins every
-    face of base.reservoir[k] in copy `left` to its own image in copy
-    `right` by one handle; the two copies must be mirrored against each
-    other.  Each (links, j) entry of `harvest` makes one family of the
-    new reservoir: the faces j and j + 2 of every handle of those links
-    (schedule positions), in order, each from its least vertex.  Returns
-    the step's result and each link's handles."""
+def _mirrored(factor: Graph, tag: str) -> list[bool]:
+    """Whether each copy is mirrored: its vertex lies on the far side of
+    the factor's 2-colouring from vertex 0, by one walk from vertex 0
+    (every factor is connected).  A factor that is not bipartite is
+    refused."""
+    far: list = [False] + [None] * (factor.n - 1)
+    queue = [0]
+    for t in queue:
+        for u in factor.adj[t]:
+            if far[u] is None:
+                far[u] = not far[t]
+                queue.append(u)
+            elif far[u] == far[t]:
+                raise ConstructionError(
+                    f"{tag}: factor is not bipartite, so no copies are "
+                    f"mirrored against each other along all its edges")
+    return far
+
+
+def _link_step(base: ConstructionResult, factor: Graph,
+               colour: Callable[[int, int], int],
+               harvest: list[tuple[int, int]], tag: str
+               ) -> tuple[ConstructionResult, Links]:
+    """The one factor step of the module docstring: the copies, mirrored
+    by _mirrored, and one link per factor edge, all by the row rule,
+    then the certificate and the harvest.  The link of edge (t, u) joins
+    every face of base.reservoir[colour(t, u)] in copy t to its own
+    image in copy u.  Returns the step's result and each edge's
+    handles."""
     nb = base.embedding.graph.n
+    mirrored = _mirrored(factor, tag)
+    schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
     n_fams = 1 + max(k for _, _, k in schedule)
     if len(base.reservoir) < n_fams:
         raise ConstructionError(
             f"{tag}: step needs {n_fams} families, reservoir has "
             f"{len(base.reservoir)}")
-    for left, right, _ in schedule:
-        if mirrored[left] == mirrored[right]:
-            raise ConstructionError(
-                f"{tag}: copies {left} and {right} are not mirrored against "
-                f"each other, so no handle carries the product edges")
-    rows, labels = _copies(base.embedding, mirrored, coords)
+    rows, labels = _copies(base.embedding, factor, mirrored)
 
     def join(face: Face, left: int, right: int) -> Handle:
         # a mirrored copy traces the face backwards, (a, d, c, b) from a;
@@ -250,68 +271,36 @@ def _link_step(base: ConstructionResult, mirrored: list[bool], coords: list,
         splice(rows, v, w)
         return v, w
 
-    links = [[join(face, left, right) for face in base.reservoir[k]]
-             for left, right, k in schedule]
+    links = {(t, u): [join(face, t, u) for face in base.reservoir[k]]
+             for t, u, k in schedule}
     rotation = tuple(map(tuple, rows))
     adj = tuple(tuple(sorted(row)) for row in rotation)
     emb = Embedding(Graph(len(rotation), adj, labels), rotation)
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
-    # the links of one entry form a perfect matching on the copies, so
-    # their handles' opposite-face pairs tile every vertex
+    # a harvested colour class is a perfect matching on the copies, so
+    # its handles' opposite-face pairs tile every vertex
     reservoir = tuple(tuple(rotate_to_least(face)
-                            for t in ids for handle in links[t]
+                            for t, u, k in schedule if k == c
+                            for handle in links[t, u]
                             for face in handle_faces(*handle)[j::2])
-                      for ids, j in harvest)
-    _check_faces(emb.rotation, reservoir, tag)
+                      for c, j in harvest)
     check_reservoir(emb, reservoir)
     steps = base.steps + (_step_row(tag, links, 0),)
     return ConstructionResult(emb, reservoir, cert, steps), links
 
 
-def _check_faces(rotation: tuple[tuple[int, ...], ...],
-                 reservoir: tuple[tuple[Face, ...], ...], tag: str) -> None:
-    """Every reservoir face is a face of the rotation: at each vertex x of
-    its cycle, between neighbours p and q, q follows p at x."""
-    for fam in reservoir:
-        for face in fam:
-            if not is_face(rotation, face):
-                raise ConstructionError(
-                    f"{tag}: reservoir face {face} is not a face")
-
-
-def _ring_step(base: ConstructionResult, m: int, closed: bool, tag: str
-               ) -> tuple[ConstructionResult, list[list[Handle]]]:
-    """One cycle factor C(2m) (closed) or path factor P(2m) (open).
-
-    The even-numbered links form a perfect matching on the copies (there
-    are 2m links round the cycle, 2m - 1 along the path), so their
-    handles give two families: faces {0, 2} and faces {1, 3}."""
-    count = 2 * m
-    link_count = count if closed else count - 1
-    even = range(0, link_count, 2)
-    return _link_step(
-        base, mirrored=[t % 2 == 1 for t in range(count)],
-        coords=list(range(count)),
-        schedule=[(t, (t + 1) % count, t % 2) for t in range(link_count)],
-        harvest=[(even, 0), (even, 1)], tag=tag)
-
-
-def _k_step(base: ConstructionResult, r: int,
-            tag: str) -> ConstructionResult:
-    """One K(2r,2r) factor: 4r copies, 4r^2 links, family k at both ends
-    of the link from a_j to b_(j+k mod 2r).  The links of one family k
-    form a perfect matching on the copies; their handles' faces {0, 2}
-    make family k of the new reservoir."""
-    two_r = 2 * r
-    count = 4 * r
-    return _link_step(
-        base, mirrored=[t >= two_r for t in range(count)],
-        coords=[f"a{t}" if t < two_r else f"b{t - two_r}"
-                for t in range(count)],
-        schedule=[(j, two_r + (j + k) % two_r, k)
-                  for j in range(two_r) for k in range(two_r)],
-        harvest=[(range(k, two_r * two_r, two_r), 0) for k in range(two_r)],
-        tag=tag)[0]
+def _factor(letter: str, order: int
+            ) -> tuple[Graph, Callable[[int, int], int],
+                       list[tuple[int, int]]]:
+    """The factor graph of a K(order,order), C(order) or P(order) level,
+    its link colouring and its harvest, as the module docstring lists
+    them."""
+    if letter == "K":
+        return (make_complete_bipartite(order, order),
+                lambda j, b: (b - j) % order,
+                [(k, 0) for k in range(order)])
+    return ((make_cycle if letter == "C" else make_path)(order),
+            lambda t, u: t % 2 if u == t + 1 else 1, [(0, 0), (0, 1)])
 
 
 def embed_cube(i: int, r: int) -> ConstructionResult:
@@ -323,24 +312,25 @@ def embed_cube(i: int, r: int) -> ConstructionResult:
     return embed_family(f"Q({i},{2 * r})")[0]
 
 
-def _path_removal_step(base: ConstructionResult, m: int,
+def _path_removal_step(base: ConstructionResult, order: int,
                        tag: str) -> ConstructionResult:
-    """Path factor P(2m), m >= 2, the subtractive way: run the closed ring
-    step, then undo the closing link handle by handle.  Every removal
-    lowers the genus by one and reinstates two quadrilateral faces,
-    landing exactly on the path product, which the level check proves.
-    The removals run on one working state, each proved locally, and the
-    result is certified once.  The harvested reservoir survives because
-    it came from even links and the closing link is odd; each of its
-    faces is checked against the new rows."""
-    cycle_result, links = _ring_step(base, m, closed=True, tag=tag)
+    """Path factor P(order), order >= 4, the subtractive way: run the
+    C(order) step, then undo its edge (0, order - 1) handle by handle.
+    Every removal lowers the genus by one and reinstates two
+    quadrilateral faces, landing exactly on the path product, which the
+    level check proves.  The removals run on one working state, each
+    proved locally, and the result is certified once.  The harvested
+    reservoir survives because it came from colour 0 and that edge has
+    colour 1; check_reservoir proves it against the new rows."""
+    cycle_result, links = _link_step(base, *_factor("C", order), tag)
+    closing = links[0, order - 1]
     work = Surgery(cycle_result.embedding)
-    for handle in links[-1]:
+    for handle in closing:
         work.remove(handle)
     emb = work.freeze()
     cert = _certify_step(emb.graph, face_lengths(emb), tag)
-    _check_faces(emb.rotation, cycle_result.reservoir, tag)
-    steps = base.steps + (_step_row(tag, links, len(links[-1])),)
+    check_reservoir(emb, cycle_result.reservoir)
+    steps = base.steps + (_step_row(tag, links, len(closing)),)
     return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
 
 
@@ -464,7 +454,7 @@ def embed_family(expr: FamilyExpr | str,
                                                  FamilyShape]:
     """Construct a certified minimum-genus embedding for a supported
     expression, one level of shape.levels at a time: the base block
-    K(2r,2r), a K step per cube fold, then a ring step per cycle or path
+    K(2r,2r), then one factor step per cube fold and per cycle or path
     factor, each level checked by _check_level.  The result graph is the
     product of the levels, which is the product of the factors of
     shape.normalized_expr, numbered with the first factor as the least
@@ -472,7 +462,7 @@ def embed_family(expr: FamilyExpr | str,
     every vertex).  shape.factor_order lists the original atom indices in
     normalized order, the cube atoms first.
 
-    route="direct" runs an open ring step for every path factor;
+    route="direct" runs the P(2m) factor step for every path factor;
     route="removal" opens up the cycle for every path factor P(2m) with
     m >= 2 (P(2), a single link, has no cycle to open and is always
     direct).  Both routes give identical certificates."""
@@ -481,22 +471,18 @@ def embed_family(expr: FamilyExpr | str,
     shape = classify_family(expr)
     family = shape.normalized_expr
     r = shape.levels[0][1] // 2
-    ring = 0
+    i = sum(atom[0] == "K" for atom in shape.levels)
     for level, (atom, size) in enumerate(zip(shape.levels,
                                              product_sizes(shape.levels))):
-        letter, m = atom[0], atom[1] // 2
+        letter, order = atom[0], atom[1]
+        tag = (f"cube(i={level + 1},r={r})" if letter == "K" else
+               f"family({family})#step{level + 1 - i}")
         if level == 0:
             result = embed_K2r2r(r)
-        elif letter == "K":
-            result = _k_step(result, r, tag=f"cube(i={level + 1},r={r})")
+        elif letter == "P" and route == "removal" and order >= 4:
+            result = _path_removal_step(result, order, tag)
         else:
-            ring += 1
-            tag = f"family({family})#step{ring}"
-            if letter == "P" and route == "removal" and m >= 2:
-                result = _path_removal_step(result, m, tag)
-            else:
-                result, _ = _ring_step(result, m, closed=(letter == "C"),
-                                       tag=tag)
+            result = _link_step(result, *_factor(letter, order), tag)[0]
         _check_level(shape, level, size, result.certificate)
     check_family_graph(result.embedding.graph, shape.levels)
     return result, shape

@@ -27,12 +27,13 @@ only the sixteen darts of the four created faces change their successor
 is one list row per vertex, its neighbours in rotation order; splice
 makes the eight inserts, each after an existing neighbour, so a row
 keeps the neighbour it starts at.  is_face is the one corner test: at
-each corner p, x, q of a cycle, q follows p in x's row.  The link steps
-splice their rows and check their harvest with these two.  Surgery, the
-working state for a run of handle operations, proves each handle
-locally with them instead of retracing: each of the four created faces
-must close.  Those faces hold the sixteen darts the splice changed, so
-that pins the deltas at m +4, f +2, chi -2.
+each corner p, x, q of a cycle, q follows p in x's row.  The factor
+step splices its rows with splice, and check_reservoir proves every
+reservoir face with is_face.  Surgery, the working state for a run of
+handle operations, proves each handle locally with these two instead of
+retracing: each of the four created faces must close.  Those faces hold
+the sixteen darts the splice changed, so that pins the deltas at m +4,
+f +2, chi -2.
 
 remove needs no search and no dart bookkeeping: the handle's eight
 vertices are distinct, so each row loses one entry, and its four faces
@@ -198,12 +199,14 @@ def check_reservoir(e: Embedding,
                     reservoir: Sequence[tuple[tuple[int, ...], ...]]
                     ) -> None:
     """Families must be pairwise face-disjoint; within a family, faces are
-    vertex-disjoint and tile the whole vertex set.
+    vertex-disjoint and tile the whole vertex set; and every face must be
+    a face of e's rotation.
 
     A face is keyed by its vertex tuple rotated to the least vertex, and
     each family marks the vertices it covers in one bytearray; a vertex
     outside 0..n-1 covers nothing and is kept apart, so it is refused as
-    a cover that misses the vertex set."""
+    a cover that misses the vertex set.  Only a reservoir that passes
+    these structural checks has its faces proved, by is_face."""
     n = e.graph.n
     seen_faces: set[tuple[int, ...]] = set()
     for fam in reservoir:
@@ -234,3 +237,8 @@ def check_reservoir(e: Embedding,
             raise ConstructionError(
                 f"family covers {covered.count(1) + len(outside)} of {n} "
                 f"vertices (first missing: {missing})")
+    for fam in reservoir:
+        for quad in fam:
+            if not is_face(e.rotation, quad):
+                raise ConstructionError(
+                    f"reservoir face {quad} is not a face")

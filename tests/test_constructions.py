@@ -127,13 +127,23 @@ COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2),
               "Q(2,2)": lambda: embed_cube(2, 1)}
 
 # a K step folds in the base's own K(2r,2r), whose reservoir has 2r
-# families
-STEPS = {"K": lambda base: constructions._k_step(
-             base, len(base.reservoir) // 2, "k"),
-         "closed ring": lambda base: constructions._ring_step(
-             base, 2, closed=True, tag="c"),
-         "open ring": lambda base: constructions._ring_step(
-             base, 3, closed=False, tag="p")}
+# families; each step is the (letter, order) of its factor
+STEPS = {"K": lambda base: ("K", len(base.reservoir)),
+         "closed ring": lambda base: ("C", 4),
+         "open ring": lambda base: ("P", 6)}
+
+
+def far_side(factor: Graph) -> list[bool]:
+    """Reference 2-colouring of a connected factor: whether each vertex
+    lies at odd distance from vertex 0, by breadth-first search."""
+    dist = {0: 0}
+    queue = [0]
+    for t in queue:
+        for u in factor.adj[t]:
+            if u not in dist:
+                dist[u] = dist[t] + 1
+                queue.append(u)
+    return [dist[t] % 2 == 1 for t in range(factor.n)]
 
 
 @pytest.mark.parametrize("name", sorted(COPY_BASES))
@@ -146,9 +156,12 @@ STEPS = {"K": lambda base: constructions._k_step(
 ])
 def test_copies_lay_out_the_reference_union(name, mirrored, coords,
                                             assemble_copies):
-    # the row rule's copies before any link: rows and labels of the union
+    # the row rule's copies before any link: rows and labels of the
+    # union; the copies' coordinates are the factor's labels
     base = COPY_BASES[name]().embedding
-    rows, labels = constructions._copies(base, mirrored, coords)
+    factor = graphs.from_edges(len(coords), [],
+                               labels=[(c,) for c in coords])
+    rows, labels = constructions._copies(base, factor, mirrored)
     union = assemble_copies(base, mirrored, coords)
     assert tuple(map(tuple, rows)) == union.rotation
     assert labels == union.graph.labels
@@ -156,64 +169,104 @@ def test_copies_lay_out_the_reference_union(name, mirrored, coords,
 
 @pytest.mark.parametrize("name", sorted(COPY_BASES))
 @pytest.mark.parametrize("step", sorted(STEPS))
-def test_link_step_equals_the_surgery_reference(name, step, monkeypatch,
+def test_link_step_equals_the_surgery_reference(name, step,
                                                 assemble_copies):
     # the row rule against the handle-by-handle path it replaces: the
-    # copies as one Surgery state, one add per face of each link, freeze
+    # copies as one Surgery state, one add per face of each link, freeze;
+    # the mirror flags and the link schedule are read off the factor here
     base = COPY_BASES[name]()
-    calls = []
-    real = constructions._link_step
-
-    def record(base, **kwargs):
-        calls.append((kwargs, real(base, **kwargs)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(constructions, "_link_step", record)
-    STEPS[step](base)
-    [(args, (result, links))] = calls
-    mirrored, schedule = args["mirrored"], args["schedule"]
+    factor, colour, harvest = constructions._factor(*STEPS[step](base))
+    result, links = _link_step(base, factor, colour, harvest, "step")
+    mirrored = far_side(factor)
+    schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
     nb = base.embedding.graph.n
 
     def image(face, t):
         a, b, c, d = (x + t * nb for x in face)
         return (a, d, c, b) if mirrored[t] else (a, b, c, d)
 
-    work = Surgery(assemble_copies(base.embedding, mirrored, args["coords"]))
-    handles = [[work.add(image(face, left), image(face, right), 0)
-                for face in base.reservoir[k]]
-               for left, right, k in schedule]
+    coords = [lab for (lab,) in factor.labels]
+    work = Surgery(assemble_copies(base.embedding, mirrored, coords))
+    handles = {(left, right): [work.add(image(face, left),
+                                        image(face, right), 0)
+                               for face in base.reservoir[k]]
+               for left, right, k in schedule}
     reservoir = tuple(tuple(rotate_to_least(face)
-                            for t in ids for handle in handles[t]
+                            for left, right, k in schedule if k == c
+                            for handle in handles[left, right]
                             for face in handle_faces(*handle)[j::2])
-                      for ids, j in args["harvest"])
+                      for c, j in harvest)
     assert result.embedding == work.freeze()
     assert result.reservoir == reservoir
-    assert links == handles
+    assert list(links.items()) == list(handles.items())
 
 
-def test_link_step_requires_mirroring(monkeypatch):
-    # one link of two K(4,4) copies by family 0: a handle per face, each
-    # joining a vertex to its own image in the other copy
+def test_link_step_requires_mirroring():
+    # one link of two K(4,4) copies by family 0, along the one edge of
+    # P(2): copy 1 is mirrored, and a handle per face joins each vertex
+    # to its own image in the other copy
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
-    res, links = _link_step(base, [False, True], [0, 1], [(0, 1, 0)],
-                            [(range(1), 0)], "link")
+    res, links = _link_step(base, graphs.make_path(2), lambda t, u: 0,
+                            [(0, 0)], "link")
     cert = res.certificate
-    assert [len(handles) for handles in links] == [2]
+    assert list(links) == [(0, 1)]
+    assert [len(handles) for handles in links.values()] == [2]
     assert cert.quadrilateral and cert.minimal
-    assert all(w == v + nb for handles in links for handle in handles
-               for v, w in zip(*handle))
+    assert all(w == v + nb for handles in links.values()
+               for handle in handles for v, w in zip(*handle))
 
-    # copies traced the same way round carry no product handle; the step
-    # refuses them before it lays out any row
+
+def test_a_factor_the_step_cannot_link_is_refused_before_any_row(
+        monkeypatch):
+    # a triangle has no 2-colouring, so no copies are mirrored against
+    # each other along all its edges; and K(6,6) needs six families,
+    # which K(4,4)'s reservoir does not have.  Both are refused before
+    # the step lays out any row
     def no_rows(*args):
-        raise AssertionError("rows laid out for an unmirrored link")
+        raise AssertionError("rows laid out for a factor it cannot link")
 
     monkeypatch.setattr(constructions, "_copies", no_rows)
-    for flags in ([False, False], [True, True]):
-        with pytest.raises(ConstructionError, match="not mirrored"):
-            _link_step(base, flags, [0, 1], [(0, 1, 0)], [(range(1), 0)],
-                       "link")
+    base = embed_K2r2r(2)
+    triangle = graphs.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ConstructionError, match="not bipartite"):
+        _link_step(base, triangle, lambda t, u: (t + u) % 3, [], "tri")
+    with pytest.raises(ConstructionError,
+                       match="step needs 6 families, reservoir has 4"):
+        _link_step(base, *constructions._factor("K", 6), "k6")
+
+
+FACTORS = [("K", 2 * r) for r in (1, 2, 3)] + \
+    [("C", n) for n in (4, 6, 8, 10)] + [("P", n) for n in (2, 4, 6, 8, 10)]
+
+
+@pytest.mark.parametrize("letter,order", FACTORS, ids=[
+    f"K({n},{n})" if a == "K" else f"{a}({n})" for a, n in FACTORS])
+def test_factor_data_meets_the_step_conditions(letter, order):
+    # the three conditions of the module docstring, on each factor's data
+    factor, colour, harvest = constructions._factor(letter, order)
+    base = embed_K2r2r(order // 2 if letter == "K" else 1)
+    result, links = _link_step(base, factor, colour, harvest, "step")
+    nb = base.embedding.graph.n
+    # the links are exactly the factor's edges, in edge order, and each
+    # joins every base vertex of copy t to its image in copy u
+    assert list(links) == list(factor.edges())
+    for (t, u), handles in links.items():
+        ends = sorted((v, w) for v_face, w_face in handles
+                      for v, w in zip(v_face, w_face))
+        assert ends == [(x + t * nb, x + u * nb) for x in range(nb)]
+    # colour is a proper edge colouring within the base's families
+    colours = {edge: colour(*edge) for edge in factor.edges()}
+    assert set(colours.values()) <= set(range(len(base.reservoir)))
+    for t in range(factor.n):
+        at_t = [k for edge, k in colours.items() if t in edge]
+        assert len(at_t) == len(set(at_t)) == factor.degree(t)
+    # every harvested colour class is a perfect matching on the copies
+    for c, _ in harvest:
+        ends = sorted(t for edge, k in colours.items() if k == c
+                      for t in edge)
+        assert ends == list(range(factor.n))
+    assert len(result.reservoir) == len(harvest)
 
 
 def test_direct_route_builds_no_surgery_state(monkeypatch):
@@ -229,9 +282,9 @@ def test_direct_route_builds_no_surgery_state(monkeypatch):
 
 
 def test_a_harvested_cycle_that_is_not_a_face_is_refused(monkeypatch):
-    # swapping a face's first two vertices keeps its vertex set, so
-    # check_reservoir alone would pass the harvest; the corner check
-    # names the face
+    # swapping a face's first two vertices keeps its vertex set, so the
+    # structural checks alone would pass the harvest; check_reservoir's
+    # face check names the face
     real = constructions.handle_faces
 
     def swapped(v, w):
@@ -430,8 +483,8 @@ def test_removal_left_incomplete_is_refused_at_its_level(monkeypatch):
 def test_fold_that_adds_nothing_is_refused_at_its_level(monkeypatch):
     # a K step that hands back its base leaves level 1 with level 0's
     # graph
-    monkeypatch.setattr(constructions, "_k_step",
-                        lambda base, r, tag: base)
+    monkeypatch.setattr(constructions, "_link_step",
+                        lambda base, *args: (base, {}))
     with pytest.raises(ConstructionError, match="level 1: .* n=8 m=16"):
         embed_family("Q(2,4)")
 

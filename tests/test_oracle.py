@@ -498,7 +498,10 @@ def stochastic_cases(draw):
     return g, budget
 
 
-# a star with 23 leaves: positions at the hub are drawn by rejection
+# a star with 23 leaves, whose hub positions take the rejection path; a
+# star is a tree, so every rotation system has one face and no swap draw
+# changes the result.  K(23,3) below is the example that binds the
+# rejection draws
 STAR23 = from_edges(24, [(0, v) for v in range(1, 24)])
 
 

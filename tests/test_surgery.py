@@ -261,9 +261,6 @@ def test_link_copies_requires_mirroring(assemble_copies):
             rec = plain.add(shifted(face, 0, False),
                             shifted(face, n, False), pairing)
             assert any(y != x + n for x, y in zip(*rec))
-    with pytest.raises(ConstructionError, match="not mirrored"):
-        constructions._link_step(base, [False, False], [0, 1], [(0, 1, 0)],
-                                 [(range(1), 0)], "link")
 
 
 def test_partition_faces_k44():
@@ -317,6 +314,19 @@ def test_check_reservoir_refuses_a_vertex_outside_the_graph():
     with pytest.raises(ConstructionError, match=r"family covers 8 of 8 "
                        r"vertices \(first missing: \[7\]\)"):
         check_reservoir(k44(), (bad,))
+
+
+def test_check_reservoir_refuses_a_cycle_that_is_not_a_face():
+    # a family face read backwards keeps its vertex set, so it passes the
+    # disjointness and cover checks, but it is not a face of the rotation
+    reservoir = embed_K2r2r(2).reservoir
+    assert (0, 4, 1, 7) in reservoir[0]
+    assert not is_face(k44().rotation, (0, 7, 1, 4))
+    reversed_face = tuple((0, 7, 1, 4) if f == (0, 4, 1, 7) else f
+                          for f in reservoir[0])
+    with pytest.raises(ConstructionError,
+                       match=r"reservoir face \(0, 7, 1, 4\) is not a face"):
+        check_reservoir(k44(), (reversed_face,) + reservoir[1:])
 
 
 def test_check_reservoir_flags_partial_cover():
