@@ -1,11 +1,12 @@
 """Explicit minimum-genus embeddings for repeated Cartesian products of
 balanced complete bipartite graphs with even cycles and even paths.
 
-The package builds the embeddings constructively, one handle at a time,
-and certifies minimality by tracing every face and matching the genus
-against the quadrilateral lower bound for bipartite graphs.  Closed-form
-genus formulas, an independent brute-force oracle for tiny graphs, and a
-CLI with reproducible JSON artifacts round out the toolkit.
+The package builds the embeddings constructively, one factor at a time,
+and certifies every level's minimality by tracing every face and
+matching the genus against the quadrilateral lower bound for bipartite
+graphs.  Closed-form genus formulas, an independent brute-force oracle
+for tiny graphs, and a CLI with reproducible JSON artifacts round out
+the toolkit.
 """
 
 __version__ = "0.1.0"

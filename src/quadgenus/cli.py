@@ -8,6 +8,11 @@ bit-identical artifacts apart from the manifest's wall clock.
 
 Exit codes: 0 success, 2 parse errors, 3 invalid parameters or data,
 4 unsupported family shapes, 5 verification failures.
+
+verify, faces and oracle refuse unread, with exit 3, a file past
+MAX_FILE_BYTES, 32 bytes per dart at graphs.MAX_DARTS (256 MiB),
+whitespace included: a rotation entry takes at most 8 bytes, so every
+file embed writes fits (Q(6,4)'s embedding.json is 50.3 MB).
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .embeddings import (canonical_json_bytes, certificate_from_json_dict,
 from .errors import (BudgetExceededError, ExprSyntaxError,
                      InvalidParameterError, ToolError, VerificationError)
 from .formulas import FORMULAS
-from .graphs import (build_family, components, graph_from_json_dict,
-                     graph_to_json_dict, is_json_int, parse_family_expr)
+from .graphs import (MAX_DARTS, build_family, components,
+                     graph_from_json_dict, graph_to_json_dict, is_json_int,
+                     parse_family_expr)
 from .oracle import SearchBudget, exhaustive_min_genus, stochastic_search
 from .selftest import run_selftest
 
@@ -76,8 +82,17 @@ def _finish_manifest(out_dir: Path, manifest: RunManifest, t0: float):
         canonical_json_bytes(asdict(manifest)))
 
 
+MAX_FILE_BYTES = 32 * MAX_DARTS
+
+
 def _load_json(path: str) -> dict:
+    """The parsed JSON file at path, unread if past MAX_FILE_BYTES."""
     try:
+        size = Path(path).stat().st_size
+        if size > MAX_FILE_BYTES:
+            raise InvalidParameterError(
+                f"{path} has {size} bytes, past the {MAX_FILE_BYTES}-byte "
+                f"input cap; refused before it is read")
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:

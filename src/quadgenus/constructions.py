@@ -45,23 +45,21 @@ inserts wi after v(i-1) at vi and vi after w(i+1) at wi, in the corners
 of the consumed faces (see surgery).  The inserts commute: a family
 covers each vertex once and a copy meets each family at most once, so
 every insert at a vertex has a corner of its own, and the rows do not
-depend on the link order.  The step runs its one full retrace: the
-certificate, which must be quadrilateral and meet the lower bound.  It
-then harvests the new reservoir once, each face from its least vertex as
-a traced face is.  That start is where the face's images start in the
-next step, so it fixes which of that step's handle faces are j and
-j + 2.  check_reservoir proves every reservoir that is made, each face
-against the rows of its embedding.  The base block is K(2r,2r) under one
-fixed rotation scheme (_scheme_rotation), certified like any step; its
-2r face families are read off the certificate's trace by the scheme's
-own family rule (_scheme_reservoir), with no search.
+depend on the link order.  The step then harvests the new reservoir,
+each face from its least vertex as a traced face is.  That start is
+where the face's images start in the next step, so it fixes which of
+that step's handle faces are j and j + 2.  The base block is K(2r,2r)
+under one fixed rotation scheme (_scheme_rotation), and its 2r face
+families come from a rule on the vertex indices alone
+(_scheme_reservoir), r = 1 included: no step reads a face.
 
 Paths are also built by the subtractive route: build the cycle, then
 remove the handles of its edge (0, 2m - 1), the one edge C(2m) has and
 P(2m) lacks, on a working state of the cycle, which lowers the genus by
-one per handle and reinstates the consumed faces, and certify the
-result with one more full retrace.  Both routes must and do agree on
-every certificate.
+one per handle and reinstates the consumed faces.  Each removal is
+proved locally; the closed cycle is never certified, because the level
+proof certifies what the removals leave.  Both routes must and do agree
+on every certificate.
 
 One driver, embed_family(expr, route="direct"), runs every step of
 every supported family Q(i,2r) x C(2m)* x P(2m)* in one loop over its
@@ -70,29 +68,30 @@ levels.  classify_family gives them as one parsed atom per level:
 folds, then the C(2m) and P(2m) atoms in the expression's order; every
 level after the base block is one factor step.  route="removal" takes
 the subtractive route for every path factor with m >= 2.
-embed_cube(i, r) is embed_family on Q(i,2r).  Every level, the base
-block included, is checked once, by _check_level: the certificate's n,
-m and genus must equal the n and m of the levels up to it (one
-graphs.product_sizes stream over the levels, from the parameters alone)
-and its Euler count 1 + m/4 - n/2, and the genus must equal the closed
-form wherever those levels are all cube, cube and cycles, or cube and
-paths.
+embed_cube(i, r) and embed_K2r2r(r) are embed_family on Q(i,2r) and
+K(2r,2r).
 
-No step checks its own genus or face count, because the level check
-implies both.  The certificate refuses any face that is not a
-quadrilateral, so it has f = m/2 faces and genus 1 + m/4 - n/2 of the
-graph it traced, and the level check pins that graph's n and m to the
-levels up to it.  So K(2r,2r) has Ringel's genus (r-1)^2, each cube fold meets
-cube_genus, a link step adds exactly two faces per handle, and a removal
-takes out exactly the closing link's handles, each lowering the genus by
-one and the faces by two: a handle left in place keeps its four edges
-and is refused as a wrong m.
+The steps only build.  The driver proves every level, the base block
+included, once, in _prove_level, the only code that certifies a
+construction.  One trace's face lengths give the certificate, which must
+be quadrilateral and minimal, so it has f = m/2 faces and genus
+1 + m/4 - n/2 of the graph it traced.  Its n, m and genus must equal the
+counts of the levels up to it (graphs.product_sizes, from the parameters
+alone), their Euler count and, where those levels are all cube, cube and
+cycles, or cube and paths, the closed form.  check_family_graph must
+find the graph to be the product of those levels, vertex by vertex, and
+a product of connected bipartite factors is connected and bipartite
+(criterion 9's law), so no build walks a graph; verify, which reads a
+graph it does not know, keeps its walk.  Last, check_reservoir proves
+every reservoir face against the rows.  So K(2r,2r) has Ringel's genus
+(r-1)^2, each cube fold meets cube_genus, a link step adds exactly two
+faces per handle, and a removal takes out exactly the closing link's
+handles: a handle left in place keeps its four edges and is refused as
+a wrong m.
 
-Each step leaves one row in the result's steps: its tag, how many links
-and handles it laid, and how many handles the removal route took out
-again.  The handles themselves (aligned (v, w) vertex tuple pairs) live
-only as long as the step that harvests its reservoir from them; the
-certificate proves the embedding whatever built it.
+Each link step leaves one row in the result's steps: its tag, how many
+links and handles it laid, and how many handles the removal route took
+out again.  The certificate proves the embedding whatever built it.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ from typing import Callable
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
-from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
-                         certify_faces, face_lengths, trace_faces)
+from .embeddings import (Embedding, EmbeddingCertificate, certify_faces,
+                         face_lengths)
 from .formulas import cube_genus, main_cycles_genus, main_paths_genus
 from .graphs import (FamilyExpr, Graph, family_factors,
                      make_complete_bipartite, make_cycle, make_path,
@@ -116,6 +115,7 @@ from .surgery import (Surgery, check_reservoir, handle_faces,
 Face = tuple[int, ...]
 Handle = tuple[Face, Face]
 Links = dict[tuple[int, int], list[Handle]]
+Reservoir = tuple[tuple[Face, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,11 @@ class ConstructionResult:
     The reservoir is a tuple of face families, each a tuple of
     quadrilateral faces of the embedding.  No face lies in two families,
     and the faces of one family are vertex-disjoint and cover every
-    vertex exactly once; check_reservoir enforces this wherever a
-    reservoir is made."""
+    vertex exactly once; the level proof's check_reservoir enforces
+    this."""
 
     embedding: Embedding
-    reservoir: tuple[tuple[Face, ...], ...]
+    reservoir: Reservoir
     certificate: EmbeddingCertificate
     steps: tuple[dict, ...]
 
@@ -147,66 +147,41 @@ def _scheme_rotation(r: int) -> tuple[tuple[int, ...], ...]:
                  for row in (b_side, a_side) for i in range(two_r))
 
 
-def _scheme_reservoir(emb: Embedding, faces: FaceSet
-                      ) -> tuple[tuple[Face, ...], ...]:
-    """The 2r face families in the traced faces of K(2r,2r), by rule.
+def _scheme_reservoir(r: int) -> Reservoir:
+    """The 2r face families of _scheme_rotation(r), by rule alone.
 
-    With a_s = vertex s, b_s = vertex 2r+s and indices mod 2r, each face
-    {a_p, a_(p+1), b_q, b_(q+1)} joins family (p + q + 1 + p % 2) mod 2r:
-    family 2t holds {a_2s, a_2s+1, b_(2t-2s-1), b_(2t-2s)} and family
-    2t+1 holds {a_2s+1, a_2s+2, b_(2t-2s-2), b_(2t-2s-1)}, s = 0..r-1.
-    For r = 1 both faces share one vertex set; each is its own family.
-    Faces join in trace order, each as its vertex tuple from its least
-    dart.  check_reservoir proves the result."""
-    two_r = emb.graph.n // 2
-    quads = [tuple(u for u, _ in face) for face in faces.faces]
-    if two_r == 2:
-        reservoir = tuple((face,) for face in quads)
-    else:
-        members: list[list[Face]] = [[] for _ in range(two_r)]
-        for face in quads:
-            a = [v for v in face if v < two_r]
-            b = [v - two_r for v in face if v >= two_r]
-            p, q = (x if (x + 1) % two_r == y else y for x, y in (a, b))
-            members[(p + q + 1 + p % 2) % two_r].append(face)
-        reservoir = tuple(tuple(fam) for fam in members)
-    check_reservoir(emb, reservoir)
-    return reservoir
+    With a_s = vertex s, b_s = vertex 2r+s, indices mod 2r and
+    q = (f - p - 1 - p % 2) mod 2r, family f holds one face for each
+    p = f (mod 2): (a_p, b_(q+1), a_(p+1), b_q) for even p and
+    (a_p, b_q, a_(p+1), b_(q+1)) for odd p, each rotated to its least
+    vertex as a traced face starts, and the family sorted.  For r = 1
+    that is the two faces of the 4-cycle on the sphere, one per family.
+    The level proof checks every face against the rotation."""
+    two_r = 2 * r
+
+    def face(p: int, f: int) -> Face:
+        q = (f - p - 1 - p % 2) % two_r
+        a, a1 = p, (p + 1) % two_r
+        b, b1 = two_r + q, two_r + (q + 1) % two_r
+        return rotate_to_least((a, b1, a1, b) if p % 2 == 0
+                               else (a, b, a1, b1))
+
+    return tuple(tuple(sorted(face(p, f) for p in range(f % 2, two_r, 2)))
+                 for f in range(two_r))
+
+
+def _base_step(r: int) -> tuple[Embedding, Reservoir]:
+    """K(2r,2r) under the rotation scheme, and its 2r families, by rule."""
+    return (Embedding(make_complete_bipartite(2 * r, 2 * r),
+                      _scheme_rotation(r)), _scheme_reservoir(r))
 
 
 def embed_K2r2r(r: int) -> ConstructionResult:
     """Quadrilateral embedding of K(2r,2r) on its genus-(r-1)^2 surface,
-    with the full 2r-family face reservoir."""
+    with the full 2r-family face reservoir: embed_family on K(2r,2r)."""
     if r < 1:
         raise InvalidParameterError(f"need r >= 1, got {r}")
-    graph = make_complete_bipartite(2 * r, 2 * r)
-    emb = Embedding(graph, _scheme_rotation(r))
-    # one trace gives the faces the reservoir is read from and the
-    # certificate, which refuses anything but a quadrilateral embedding:
-    # 2r^2 faces, so genus 1 + r^2 - 2r = (r-1)^2
-    faces = trace_faces(emb)
-    cert = _certify_step(graph, [len(face) for face in faces.faces],
-                         f"K({2*r},{2*r})")
-    return ConstructionResult(emb, _scheme_reservoir(emb, faces), cert, ())
-
-
-def _step_row(tag: str, links: Links, removed: int) -> dict:
-    return {"step": tag, "links": len(links),
-            "handles": sum(map(len, links.values())), "removed": removed}
-
-
-def _certify_step(graph: Graph, lengths: list[int],
-                  tag: str) -> EmbeddingCertificate:
-    """The certificate of one full trace's face lengths, which must be
-    quadrilateral and minimal."""
-    cert = certify_faces(graph, lengths, construction_tag=tag)
-    if not cert.quadrilateral:
-        raise ConstructionError(f"{tag}: embedding has a non-quad face")
-    if not cert.minimal:
-        raise ConstructionError(
-            f"{tag}: genus {cert.genus} misses lower bound "
-            f"{cert.lower_bound}")
-    return cert
+    return embed_family(f"K({2 * r},{2 * r})")[0]
 
 
 def _copies(base: Embedding, factor: Graph, mirrored: list[bool]
@@ -244,13 +219,13 @@ def _mirrored(factor: Graph, tag: str) -> list[bool]:
 def _link_step(base: ConstructionResult, factor: Graph,
                colour: Callable[[int, int], int],
                harvest: list[tuple[int, int]], tag: str
-               ) -> tuple[ConstructionResult, Links]:
+               ) -> tuple[Embedding, Reservoir, Links]:
     """The one factor step of the module docstring: the copies, mirrored
     by _mirrored, and one link per factor edge, all by the row rule,
-    then the certificate and the harvest.  The link of edge (t, u) joins
-    every face of base.reservoir[colour(t, u)] in copy t to its own
-    image in copy u.  Returns the step's result and each edge's
-    handles."""
+    then the harvest.  The link of edge (t, u) joins every face of
+    base.reservoir[colour(t, u)] in copy t to its own image in copy u.
+    Returns the embedding, the harvested reservoir and each edge's
+    handles, unproved: embed_family proves the level."""
     nb = base.embedding.graph.n
     mirrored = _mirrored(factor, tag)
     schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
@@ -276,7 +251,6 @@ def _link_step(base: ConstructionResult, factor: Graph,
     rotation = tuple(map(tuple, rows))
     adj = tuple(tuple(sorted(row)) for row in rotation)
     emb = Embedding(Graph(len(rotation), adj, labels), rotation)
-    cert = _certify_step(emb.graph, face_lengths(emb), tag)
     # a harvested colour class is a perfect matching on the copies, so
     # its handles' opposite-face pairs tile every vertex
     reservoir = tuple(tuple(rotate_to_least(face)
@@ -284,9 +258,7 @@ def _link_step(base: ConstructionResult, factor: Graph,
                             for handle in links[t, u]
                             for face in handle_faces(*handle)[j::2])
                       for c, j in harvest)
-    check_reservoir(emb, reservoir)
-    steps = base.steps + (_step_row(tag, links, 0),)
-    return ConstructionResult(emb, reservoir, cert, steps), links
+    return emb, reservoir, links
 
 
 def _factor(letter: str, order: int
@@ -312,26 +284,20 @@ def embed_cube(i: int, r: int) -> ConstructionResult:
     return embed_family(f"Q({i},{2 * r})")[0]
 
 
-def _path_removal_step(base: ConstructionResult, order: int,
-                       tag: str) -> ConstructionResult:
-    """Path factor P(order), order >= 4, the subtractive way: run the
-    C(order) step, then undo its edge (0, order - 1) handle by handle.
-    Every removal lowers the genus by one and reinstates two
-    quadrilateral faces, landing exactly on the path product, which the
-    level check proves.  The removals run on one working state, each
-    proved locally, and the result is certified once.  The harvested
-    reservoir survives because it came from colour 0 and that edge has
-    colour 1; check_reservoir proves it against the new rows."""
-    cycle_result, links = _link_step(base, *_factor("C", order), tag)
-    closing = links[0, order - 1]
-    work = Surgery(cycle_result.embedding)
-    for handle in closing:
+def _path_removal_step(base: ConstructionResult, order: int, tag: str
+                       ) -> tuple[Embedding, Reservoir, Links]:
+    """Path factor P(order), order >= 4, the subtractive way: the
+    C(order) step, then its edge (0, order - 1) undone handle by handle
+    on one working state, each removal proved locally.  Each lowers the
+    genus by one and reinstates two quadrilateral faces, landing on the
+    path product; the closed cycle is never certified.  The reservoir
+    survives: it came from colour 0, and that edge has colour 1.
+    Returns what _link_step returns, the closing link included."""
+    emb, reservoir, links = _link_step(base, *_factor("C", order), tag)
+    work = Surgery(emb)
+    for handle in links[0, order - 1]:
         work.remove(handle)
-    emb = work.freeze()
-    cert = _certify_step(emb.graph, face_lengths(emb), tag)
-    check_reservoir(emb, cycle_result.reservoir)
-    steps = base.steps + (_step_row(tag, links, len(closing)),)
-    return ConstructionResult(emb, cycle_result.reservoir, cert, steps)
+    return work.freeze(), reservoir, links
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +386,26 @@ def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
                 f"has neighbours {adj[p]}, expected {nbrs}")
 
 
-def _check_level(shape: FamilyShape, level: int, size: tuple[int, int],
-                 cert: EmbeddingCertificate) -> None:
-    """The certificate of `level` (0 the base block, then each cube fold,
-    then each cycle or path factor) must have the n and m of the levels
-    up to it, size = (n, m) from the parameters alone, its Euler count
-    1 + m/4 - n/2 as genus and, where those levels are all cube, cube and
-    cycles or cube and paths, the closed form."""
+def _prove_level(shape: FamilyShape, level: int, size: tuple[int, int],
+                 emb: Embedding, reservoir: Reservoir,
+                 tag: str) -> EmbeddingCertificate:
+    """The one proof of `level` (0 the base block, then each cube fold,
+    then each cycle or path factor) of the module docstring, run on what
+    its step built, with size = (n, m) of the levels up to it from the
+    parameters alone: the certificate, which takes the graph as connected
+    and bipartite, the counts, the product check that proves it so, and
+    the reservoir.  Returns the certificate."""
+    graph = emb.graph
+    cert = certify_faces(graph.n, graph.m, face_lengths(emb), True, tag)
+    if not cert.quadrilateral:
+        raise ConstructionError(f"{tag}: embedding has a non-quad face")
+    if not cert.minimal:
+        raise ConstructionError(
+            f"{tag}: genus {cert.genus} misses lower bound "
+            f"{cert.lower_bound}")
     n, m = size
     euler = 1 + Fraction(m, 4) - Fraction(n, 2)
-    prefix = shape.levels[:level + 1]
+    prefix = FamilyExpr(shape.levels[:level + 1])
     kinds = {atom[0] for atom in prefix}
     i, t = sum(atom[0] == "K" for atom in prefix), prefix[0][1]
     ms = [atom[1] // 2 for atom in prefix[i:]]
@@ -447,6 +423,9 @@ def _check_level(shape: FamilyShape, level: int, size: tuple[int, int],
             f"{shape.normalized_expr} level {level}: certificate n={cert.n} "
             f"m={cert.m} genus={cert.genus}, expected n={n} m={m} "
             f"genus={euler}, closed form {closed}")
+    check_family_graph(graph, prefix)
+    check_reservoir(emb, reservoir)
+    return cert
 
 
 def embed_family(expr: FamilyExpr | str,
@@ -455,8 +434,9 @@ def embed_family(expr: FamilyExpr | str,
     """Construct a certified minimum-genus embedding for a supported
     expression, one level of shape.levels at a time: the base block
     K(2r,2r), then one factor step per cube fold and per cycle or path
-    factor, each level checked by _check_level.  The result graph is the
-    product of the levels, which is the product of the factors of
+    factor, each level proved once by _prove_level.  The steps only
+    build.  Each level's graph is the product of the levels up to it,
+    which at the last level is the product of the factors of
     shape.normalized_expr, numbered with the first factor as the least
     significant digit (check_family_graph proves label and neighbours of
     every vertex).  shape.factor_order lists the original atom indices in
@@ -472,17 +452,23 @@ def embed_family(expr: FamilyExpr | str,
     family = shape.normalized_expr
     r = shape.levels[0][1] // 2
     i = sum(atom[0] == "K" for atom in shape.levels)
+    steps: tuple[dict, ...] = ()
     for level, (atom, size) in enumerate(zip(shape.levels,
                                              product_sizes(shape.levels))):
         letter, order = atom[0], atom[1]
-        tag = (f"cube(i={level + 1},r={r})" if letter == "K" else
-               f"family({family})#step{level + 1 - i}")
         if level == 0:
-            result = embed_K2r2r(r)
-        elif letter == "P" and route == "removal" and order >= 4:
-            result = _path_removal_step(result, order, tag)
+            tag = f"K({2 * r},{2 * r})"
+            emb, reservoir = _base_step(r)
         else:
-            result = _link_step(result, *_factor(letter, order), tag)[0]
-        _check_level(shape, level, size, result.certificate)
-    check_family_graph(result.embedding.graph, shape.levels)
+            tag = (f"cube(i={level + 1},r={r})" if letter == "K" else
+                   f"family({family})#step{level + 1 - i}")
+            removal = letter == "P" and route == "removal" and order >= 4
+            emb, reservoir, links = (
+                _path_removal_step(result, order, tag) if removal else
+                _link_step(result, *_factor(letter, order), tag))
+            steps += ({"step": tag, "links": len(links),
+                       "handles": sum(map(len, links.values())),
+                       "removed": len(links[0, order - 1]) if removal else 0},)
+        cert = _prove_level(shape, level, size, emb, reservoir, tag)
+        result = ConstructionResult(emb, reservoir, cert, steps)
     return result, shape

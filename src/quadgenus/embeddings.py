@@ -22,12 +22,12 @@ neighbour as it writes the list (EmbeddingError names the first bad
 row), so no row is sorted again.  Two readers walk its orbits:
 
   * face_lengths counts each orbit's length and builds nothing else.
-    Every certificate reads it: certify_faces takes the lengths (one
-    walk of the graph, graphs.components, for connectivity and
-    bipartiteness at once, then the quadrilateral bound), and
-    euler_genus and every construction step certify that way.
-    components_certificate reads the same orbits of one trace and files
-    each length under the component of its least dart's tail.
+    certify_faces certifies the lengths of a connected graph whose n, m
+    and bipartiteness it is given: euler_genus learns them with one walk,
+    graphs.components, and the construction's level proof from the
+    product it checks.  components_certificate reads the same orbits of
+    one trace and files each length under the component of its least
+    dart's tail.
   * trace_faces turns each orbit into a face of (u, v) dart tuples, for
     the readers that need the faces themselves.
 
@@ -242,25 +242,13 @@ def genus_lower_bound(g: Graph) -> int:
     return _quad_bound(g.n, g.m)
 
 
-def certify_faces(g: Graph, lengths: list[int],
+def certify_faces(n: int, m: int, lengths: list[int], bipartite: bool,
                   construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate of a connected embedding of g from its face lengths as
-    face_lengths gave them (having validated it), via n + f - m = 2 - 2g."""
-    if g.n == 0:
-        raise InvalidParameterError("empty graph has no certificate")
-    comps = components(g)
-    if len(comps) != 1:
-        raise InvalidParameterError(
-            "euler_genus needs a connected graph; use components_certificate")
-    return _certify_connected(g.n, g.m, lengths, comps[0][1],
-                              construction_tag)
-
-
-def _certify_connected(n: int, m: int, lengths: list[int], bip: bool,
-                       construction_tag: str = "") -> EmbeddingCertificate:
-    """certify_faces for n vertices and m edges already known to be
-    connected and non-empty, and to be bipartite or not as bip says.  A
-    lone vertex traces no dart but lies on one face, the sphere."""
+    """Certificate of an embedding of a graph with n >= 1 vertices and m
+    edges, known to be connected, and to be bipartite or not as
+    `bipartite` says, from its face lengths as face_lengths gave them
+    (having validated it), via n + f - m = 2 - 2g.  A lone vertex traces
+    no dart but lies on one face, the sphere."""
     f = len(lengths) if m else 1
     chi = n - m + f
     if chi % 2 != 0:
@@ -269,21 +257,30 @@ def _certify_connected(n: int, m: int, lengths: list[int], bip: bool,
     genus = (2 - chi) // 2
     if genus < 0:
         raise EmbeddingError(f"negative genus {genus}; rotation system corrupt")
-    lb = _quad_bound(n, m) if bip else 0
+    lb = _quad_bound(n, m) if bipartite else 0
     return EmbeddingCertificate(
         n=n, m=m, f=f, genus=genus,
         quadrilateral=bool(m) and lengths.count(4) == len(lengths),
-        bipartite=bip,
+        bipartite=bipartite,
         lower_bound=lb,
-        minimal=bip and genus == lb,
+        minimal=bipartite and genus == lb,
         construction_tag=construction_tag,
     )
 
 
 def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate for a connected embedding: face_lengths, then
-    certify_faces."""
-    return certify_faces(e.graph, face_lengths(e), construction_tag)
+    """Certificate for a connected embedding: face_lengths, then one
+    walk of the graph, graphs.components, for connectivity and
+    bipartiteness, then certify_faces."""
+    g = e.graph
+    lengths = face_lengths(e)
+    if g.n == 0:
+        raise InvalidParameterError("empty graph has no certificate")
+    comps = components(g)
+    if len(comps) != 1:
+        raise InvalidParameterError(
+            "euler_genus needs a connected graph; use components_certificate")
+    return certify_faces(g.n, g.m, lengths, comps[0][1], construction_tag)
 
 
 def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
@@ -298,14 +295,14 @@ def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
     comps = components(g)
     starts, lengths = _orbits(face_successors(e))
     if len(comps) == 1:
-        return [_certify_connected(g.n, g.m, lengths, comps[0][1])]
+        return [certify_faces(g.n, g.m, lengths, comps[0][1])]
     which = {v: i for i, (comp, _) in enumerate(comps) for v in comp}
     tails = [v for v, nbrs in enumerate(g.adj) for _ in nbrs]
     per_comp: list[list[int]] = [[] for _ in comps]
     for start, length in zip(starts, lengths):
         per_comp[which[tails[start]]].append(length)
     # each dart lies on one face, so a component's lengths sum to 2m
-    return [_certify_connected(len(comp), sum(per) // 2, per, bip)
+    return [certify_faces(len(comp), sum(per) // 2, per, bip)
             for (comp, bip), per in zip(comps, per_comp)]
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from quadgenus import constructions, embeddings, formulas, graphs
+from quadgenus import cli, constructions, embeddings, formulas, graphs
 from quadgenus.cli import main
 from quadgenus.errors import InvalidParameterError
 
@@ -222,7 +222,9 @@ def test_oracle_past_the_budget_checks_the_graph_once(capsys, tmp_path,
 # list (the rotation rows are the adjacency); the other two did not move.
 # The two five-level families guard where a harvested face starts: the
 # start decides which handle faces the next step harvests, and that
-# reaches an embedding only from the fifth level on.
+# reaches an embedding only from the fifth level on.  Q(3,2) x P(4)
+# folds and extends the r = 1 base, whose two one-face families the
+# base rule gives like any other r.
 EMBED_DIGESTS = {
     "Q(3,4)": (
         "196a2d08b5216cb772c78b9dd1cf67e708261c9ea9c44d324a40d70a70e505f7",
@@ -252,6 +254,10 @@ EMBED_DIGESTS = {
         "579f647e1020de4fc702fbfa811f279df5c5388699e7a46066b2ab6d0dcf1639",
         "9b4a94f304a61791f133953f356a889c079ec27098e7844edeb7c41fd1924321",
         "3b69a1b51b57280b36d3fbf7e2cac658cb7f77b025561dd6068359685e7c7a37"),
+    "Q(3,2) x P(4)": (
+        "618fa81938bec152fc0db7fd03ba5a47cf592972eeed64462efda81d3e2f8d71",
+        "b9cfd26ba00424fde28e57a3b8147077f456e34c2b7b3d2c340a20ebbc48e288",
+        "bdeeb2e641dacfcfbcc45f3c5fdfcb8de5bbfbf7a65be3f14a042a5de3a4651a"),
     "Q(1,2) x C(4) x C(4) x C(4) x C(4)": (
         "87fdd5e19bb844bc9dccf4b6671bfcfdb1a04cf33e3a51b23ab4de40936bb98a",
         "66b4b30ffc24049bd13dfae382cef147fd69ae3a18e464992b83e36d3ffa7425",
@@ -635,6 +641,33 @@ def test_unreadable_json_file_is_refused(capsys, tmp_path, command, content,
     path.write_bytes(content)
     code, out, err = run(capsys, command, str(path))
     assert code == want and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
+@pytest.mark.parametrize("extra", [1, 0], ids=["past-cap", "at-cap"])
+def test_file_past_the_byte_cap_is_refused_before_reading(
+        capsys, tmp_path, monkeypatch, command, extra):
+    # a sparse file (truncate) of the cap's size, or one byte more, takes
+    # no room on disk, and json.load is replaced so that a file that gets
+    # past the guard is not parsed either: it exits 2 as unreadable JSON
+    parsed = []
+
+    def load(fh):
+        parsed.append(fh.name)
+        raise json.JSONDecodeError("faked parser", "", 0)
+
+    monkeypatch.setattr(json, "load", load)
+    path = tmp_path / "input.json"
+    with open(path, "wb") as fh:
+        fh.truncate(cli.MAX_FILE_BYTES + extra)
+    assert cli.MAX_FILE_BYTES == 32 * graphs.MAX_DARTS == 256 << 20
+    code, out, err = run(capsys, command, str(path))
+    assert out == "" and "Traceback" not in err
+    if extra:
+        assert (code, parsed) == (3, [])
+        assert "refused before it is read" in err
+    else:
+        assert (code, parsed) == (2, [str(path)])
 
 
 def test_faces_summary_and_json(capsys, tmp_path):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from quadgenus import constructions, embeddings, graphs
-from quadgenus.constructions import (_check_level, _link_step,
+from quadgenus.constructions import (_link_step, _prove_level,
                                      _scheme_reservoir, _scheme_rotation,
                                      check_family_graph, classify_family,
                                      embed_cube, embed_family, embed_K2r2r)
@@ -67,6 +67,37 @@ def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
     check_reservoir(res.embedding, res.reservoir)
 
 
+def traced_reservoir(e: Embedding) -> tuple:
+    """Reference for _scheme_reservoir: the traced faces of the rotation
+    scheme, sorted into families by the family of their vertex set.  With
+    a_s = vertex s, b_s = vertex 2r+s and indices mod 2r, the face
+    {a_p, a_(p+1), b_q, b_(q+1)} joins family (p + q + 1 + p % 2) mod 2r;
+    for r = 1 both faces share one vertex set, and each is its own
+    family.  Faces join in trace order, each as its vertex tuple from its
+    least dart."""
+    two_r = e.graph.n // 2
+    quads = [tuple(u for u, _ in face) for face in trace_faces(e).faces]
+    if two_r == 2:
+        return tuple((face,) for face in quads)
+    members = [[] for _ in range(two_r)]
+    for face in quads:
+        a = [v for v in face if v < two_r]
+        b = [v - two_r for v in face if v >= two_r]
+        p, q = (x if (x + 1) % two_r == y else y for x, y in (a, b))
+        members[(p + q + 1 + p % 2) % two_r].append(face)
+    return tuple(tuple(fam) for fam in members)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_scheme_reservoir_is_the_traced_classifier_up_to_r16(r):
+    # the rule builds, tuple for tuple and in order, the families the
+    # base block once read off its trace, r = 1 included
+    emb = Embedding(make_complete_bipartite(2 * r, 2 * r),
+                    _scheme_rotation(r))
+    assert _scheme_reservoir(r) == traced_reservoir(emb)
+    assert embed_K2r2r(r).reservoir == _scheme_reservoir(r)
+
+
 def reference_partition(e: Embedding) -> tuple:
     """Face families of a quadrilateral K(2r,2r) embedding by search:
     deterministic backtracking over the trace order, where the first face
@@ -119,7 +150,7 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
     faces = trace_faces(emb)
     assert all(len(f) == 4 for f in faces.faces)
     with pytest.raises(ConstructionError):
-        _scheme_reservoir(emb, faces)
+        check_reservoir(emb, _scheme_reservoir(3))
 
 
 COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2),
@@ -176,7 +207,8 @@ def test_link_step_equals_the_surgery_reference(name, step,
     # the mirror flags and the link schedule are read off the factor here
     base = COPY_BASES[name]()
     factor, colour, harvest = constructions._factor(*STEPS[step](base))
-    result, links = _link_step(base, factor, colour, harvest, "step")
+    emb, reservoir, links = _link_step(base, factor, colour, harvest,
+                                       "step")
     mirrored = far_side(factor)
     schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
     nb = base.embedding.graph.n
@@ -191,13 +223,13 @@ def test_link_step_equals_the_surgery_reference(name, step,
                                         image(face, right), 0)
                                for face in base.reservoir[k]]
                for left, right, k in schedule}
-    reservoir = tuple(tuple(rotate_to_least(face)
-                            for left, right, k in schedule if k == c
-                            for handle in handles[left, right]
-                            for face in handle_faces(*handle)[j::2])
-                      for c, j in harvest)
-    assert result.embedding == work.freeze()
-    assert result.reservoir == reservoir
+    expected = tuple(tuple(rotate_to_least(face)
+                           for left, right, k in schedule if k == c
+                           for handle in handles[left, right]
+                           for face in handle_faces(*handle)[j::2])
+                     for c, j in harvest)
+    assert emb == work.freeze()
+    assert reservoir == expected
     assert list(links.items()) == list(handles.items())
 
 
@@ -207,9 +239,9 @@ def test_link_step_requires_mirroring():
     # to its own image in the other copy
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
-    res, links = _link_step(base, graphs.make_path(2), lambda t, u: 0,
-                            [(0, 0)], "link")
-    cert = res.certificate
+    emb, _, links = _link_step(base, graphs.make_path(2), lambda t, u: 0,
+                               [(0, 0)], "link")
+    cert = euler_genus(emb)
     assert list(links) == [(0, 1)]
     assert [len(handles) for handles in links.values()] == [2]
     assert cert.quadrilateral and cert.minimal
@@ -246,7 +278,8 @@ def test_factor_data_meets_the_step_conditions(letter, order):
     # the three conditions of the module docstring, on each factor's data
     factor, colour, harvest = constructions._factor(letter, order)
     base = embed_K2r2r(order // 2 if letter == "K" else 1)
-    result, links = _link_step(base, factor, colour, harvest, "step")
+    emb, reservoir, links = _link_step(base, factor, colour, harvest,
+                                       "step")
     nb = base.embedding.graph.n
     # the links are exactly the factor's edges, in edge order, and each
     # joins every base vertex of copy t to its image in copy u
@@ -266,7 +299,8 @@ def test_factor_data_meets_the_step_conditions(letter, order):
         ends = sorted(t for edge, k in colours.items() if k == c
                       for t in edge)
         assert ends == list(range(factor.n))
-    assert len(result.reservoir) == len(harvest)
+    assert len(reservoir) == len(harvest)
+    check_reservoir(emb, reservoir)
 
 
 def test_direct_route_builds_no_surgery_state(monkeypatch):
@@ -414,40 +448,50 @@ def level_sizes(shape) -> list:
         graphs.parse_family_expr(shape.normalized_expr)))
 
 
-def test_level_check_covers_mixed_products():
+def test_level_check_covers_mixed_products(monkeypatch):
     shape = classify_family("Q(1,4) x C(4) x P(4)")
     sizes = level_sizes(shape)
-    cert = embed_family(shape.normalized_expr)[0].certificate
-    _check_level(shape, 2, sizes[2], cert)
+    res = embed_family(shape.normalized_expr)[0]
+    built = (res.embedding, res.reservoir, res.certificate.construction_tag)
+    assert _prove_level(shape, 2, sizes[2], *built) == res.certificate
     with pytest.raises(ConstructionError):
-        _check_level(shape, 2, sizes[2],
-                     dataclasses.replace(cert, genus=cert.genus + 1))
-    with pytest.raises(ConstructionError):
-        _check_level(shape, 1, sizes[1], cert)
-    # a cube fold is a level too: the Q(2,4) certificate is level 1 of
+        _prove_level(shape, 1, sizes[1], *built)
+    # a certificate whose genus is not the Euler count is refused
+    real = constructions.certify_faces
+
+    def off_by_one(*args):
+        cert = real(*args)
+        return dataclasses.replace(cert, genus=cert.genus + 1)
+
+    monkeypatch.setattr(constructions, "certify_faces", off_by_one)
+    with pytest.raises(ConstructionError, match="level 2:"):
+        _prove_level(shape, 2, sizes[2], *built)
+    monkeypatch.undo()
+    # a cube fold is a level too: the Q(2,4) build is level 1 of
     # Q(2,4) x C(4), and neither the base block's level nor the cycle's
     shape = classify_family("Q(2,4) x C(4)")
     sizes = level_sizes(shape)
-    cert = embed_family("Q(2,4)")[0].certificate
-    _check_level(shape, 1, sizes[1], cert)
+    res = embed_family("Q(2,4)")[0]
+    built = (res.embedding, res.reservoir, "fold")
+    _prove_level(shape, 1, sizes[1], *built)
     for level in (0, 2):
         with pytest.raises(ConstructionError, match=f"level {level}:"):
-            _check_level(shape, level, sizes[level], cert)
+            _prove_level(shape, level, sizes[level], *built)
 
 
 @pytest.mark.parametrize("route", ["direct", "removal"])
 def test_every_level_is_checked_once(route, monkeypatch):
     # Q(3,4) x C(4) x P(4): the base block, two cube folds, the cycle and
-    # the path, each checked once with its own product_sizes pair
+    # the path, each proved once with its own product_sizes pair
     shape = classify_family("Q(3,4) x C(4) x P(4)")
     checked = []
-    real = constructions._check_level
+    real = constructions._prove_level
 
-    def record(shape, level, size, cert):
-        checked.append((level, size, (cert.n, cert.m)))
-        real(shape, level, size, cert)
+    def record(shape, level, size, emb, reservoir, tag):
+        checked.append((level, size, (emb.graph.n, emb.graph.m)))
+        return real(shape, level, size, emb, reservoir, tag)
 
-    monkeypatch.setattr(constructions, "_check_level", record)
+    monkeypatch.setattr(constructions, "_prove_level", record)
     embed_family(shape.normalized_expr, route=route)
     sizes = level_sizes(shape)
     assert len(sizes) == 5
@@ -484,9 +528,47 @@ def test_fold_that_adds_nothing_is_refused_at_its_level(monkeypatch):
     # a K step that hands back its base leaves level 1 with level 0's
     # graph
     monkeypatch.setattr(constructions, "_link_step",
-                        lambda base, *args: (base, {}))
+                        lambda base, *args: (base.embedding, base.reservoir,
+                                             {}))
     with pytest.raises(ConstructionError, match="level 1: .* n=8 m=16"):
         embed_family("Q(2,4)")
+
+
+def test_a_level_with_the_right_counts_but_the_wrong_graph_is_refused_there(
+        monkeypatch):
+    # the first fold's copies with two vertices' labels swapped: its n,
+    # m, faces and genus are all right, so only the product check can see
+    # it, and it refuses that level before the cycle step runs
+    real_copies, real_step = constructions._copies, constructions._link_step
+    stepped = []
+
+    def swapped(base, factor, mirrored):
+        rows, labels = real_copies(base, factor, mirrored)
+        return rows, (labels[1], labels[0]) + labels[2:]
+
+    def step(base, *args):
+        stepped.append(args[-1])
+        return real_step(base, *args)
+
+    monkeypatch.setattr(constructions, "_copies", swapped)
+    monkeypatch.setattr(constructions, "_link_step", step)
+    with pytest.raises(ConstructionError,
+                       match=r"does not match K\(4,4\) x K\(4,4\): vertex 0 "
+                             r"has label"):
+        embed_family("Q(2,4) x C(4)")
+    assert stepped == ["cube(i=2,r=2)"]
+
+
+def test_base_block_past_the_dart_cap_is_refused_before_building(
+        monkeypatch):
+    # K(2050,2050) has 8,405,000 darts, past MAX_DARTS: refused from its
+    # parameters, before any graph is built
+    def no_build(*args):
+        raise AssertionError("K(2r,2r) built past the dart cap")
+
+    monkeypatch.setattr(constructions, "make_complete_bipartite", no_build)
+    with pytest.raises(InvalidParameterError, match="darts"):
+        embed_K2r2r(1025)
 
 
 def test_reservoirs_survive_every_route():
@@ -527,26 +609,29 @@ def test_step_rows_count_links_and_handles(route):
 
 
 def test_full_traces_per_build_stay_a_few(count_calls):
-    # One certificate per construction step: the base block, the cube
-    # step, the cycle step and the path step, plus the closed cycle the
-    # removal route opens up.  Each certificate builds one successor list
-    # in the trace core, which checks the rotation system as it goes, and
-    # walks the graph once for its components and their 2-colouring.
+    # One proof per level: the base block, the cube fold, the cycle and
+    # the path; the closed cycle the removal route opens up is never
+    # proved.  Each proof builds one successor list in the trace core,
+    # which checks the rotation system as it goes, and streams the
+    # product of the levels up to it once, which proves the graph
+    # connected and bipartite, so no build walks a graph.
     counted = {real.__name__: count_calls(real)
-               for real in (embeddings.face_successors, graphs.components)}
-    for expr, route, certificates in (
+               for real in (embeddings.face_successors,
+                            graphs.product_vertices, graphs.components)}
+    for expr, route, levels in (
             ("Q(2,4) x C(4) x P(4)", "direct", 4),
-            ("Q(2,4) x C(4) x P(4)", "removal", 5),
-            ("Q(3,4)", "direct", 3)):  # one per level: base and two folds
+            ("Q(2,4) x C(4) x P(4)", "removal", 4),
+            ("Q(3,4)", "direct", 3)):  # base and two folds
         for calls in counted.values():
             calls.clear()
         embed_family(expr, route=route)
         assert {name: len(calls) for name, calls in counted.items()} == {
-            name: certificates for name in counted}, (expr, route)
+            "face_successors": levels, "product_vertices": levels,
+            "components": 0}, (expr, route)
 
 
 def test_base_block_is_traced_once(count_calls):
-    # _scheme_reservoir reads the families off the certificate's trace
+    # the families come by rule; the one trace is the level proof's
     calls = count_calls(embeddings.face_successors)
     for r in (2, 14):
         calls.clear()

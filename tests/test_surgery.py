@@ -275,8 +275,8 @@ def test_partition_faces_k44():
 
 
 def test_partition_rejects_non_conforming_input(monkeypatch):
-    # a rotation scheme that is not quadrilateral never reaches the
-    # family rule: embed_K2r2r certifies the base block first
+    # a rotation scheme that is not quadrilateral is refused by the
+    # level proof's certificate, before it checks the reservoir
     h = make_complete_bipartite(4, 4)
     rot = tuple(tuple(sorted(h.adj[v])) for v in range(8))
     assert not euler_genus(Embedding(h, rot)).quadrilateral
