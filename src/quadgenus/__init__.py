@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .constructions import (ConstructionResult, classify_family, embed_cube,
                             embed_family, embed_K2r2r)
-from .embeddings import (Embedding, EmbeddingCertificate, FaceSet,
+from .embeddings import (Embedding, EmbeddingCertificate,
                          components_certificate, euler_genus, face_lengths,
                          genus_lower_bound, trace_faces)
 from .errors import (BudgetExceededError, ConstructionError, EmbeddingError,

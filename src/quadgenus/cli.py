@@ -213,7 +213,7 @@ def cmd_faces(args) -> int:
     emb = embedding_from_json_dict(_load_json(args.path))
     if emb.graph.n == 0:
         raise InvalidParameterError("empty graph has no faces")
-    faces = [[list(d) for d in fc] for fc in trace_faces(emb).faces]
+    faces = [[list(d) for d in fc] for fc in trace_faces(emb)]
     faces += [[] for row in emb.graph.adj if not row]
     hist = Counter(map(len, faces))
     if args.json:

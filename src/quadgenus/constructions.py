@@ -16,18 +16,17 @@ opposite-face pairs tile everything), which is what makes the process
 repeatable.
 
 Every step runs that blueprint through one factor step, _link_step,
-which reads its copies, labels and links off the new factor's graph H.
-Copy t of the base, one per vertex t of H, has the base labels followed
-by H's label of t, and is mirrored where t lies on the far side of H's
-2-colouring from vertex 0.  Each edge (t, u) of H, t < u, is one link,
-in edge order, by reservoir family colour(t, u), and each (c, j) harvest
-entry makes one family of the faces j and j + 2 of every handle of the
-colour-c links, in link order.  The data must meet three conditions: H
-is bipartite (the step refuses it otherwise, before it lays any row),
-colour is a proper edge colouring of H that needs no more families than
-the base reservoir has, and every harvested colour class is a perfect
-matching on the copies, so that its handles' opposite-face pairs tile
-every vertex.  The factors are data (_factor):
+which reads its copies and links off the new factor's graph H.  Copy t
+of the base, one per vertex t of H, is mirrored where t lies on the far
+side of H's 2-colouring from vertex 0.  Each edge (t, u) of H, t < u, is
+one link, in edge order, by reservoir family colour(t, u), and each
+(c, j) harvest entry makes one family of the faces j and j + 2 of every
+handle of the colour-c links, in link order.  The data must meet three
+conditions: H is bipartite (the step refuses it otherwise, before it
+lays any row), colour is a proper edge colouring of H that needs no more
+families than the base reservoir has, and every harvested colour class
+is a perfect matching on the copies, so that its handles' opposite-face
+pairs tile every vertex.  The factors are data (_factor):
 
   * K(2r,2r), make_complete_bipartite(2r, 2r): edge (j, 2r + l) uses
     family (l - j) mod 2r; harvest (k, 0) for every k < 2r.
@@ -35,31 +34,32 @@ every vertex.  The factors are data (_factor):
     family t mod 2, the cycle's closing edge (0, 2m - 1) family 1;
     harvest (0, 0) and (0, 1).
 
-The step builds its rotation rows directly, by a row rule: vertex
-t * n_base + v gets v's base row shifted by t * n_base, reversed where
-copy t is mirrored.  A link joins each face of its family in one copy to
-the face's own image in the other: v is the face shifted to the left
-copy, read as (a, d, c, b) if that copy is mirrored, and w is v shifted
-on to the right copy, which is mirrored against it.  The handle (v, w)
-inserts wi after v(i-1) at vi and vi after w(i+1) at wi, in the corners
-of the consumed faces (see surgery).  The inserts commute: a family
-covers each vertex once and a copy meets each family at most once, so
-every insert at a vertex has a corner of its own, and the rows do not
-depend on the link order.  The step then harvests the new reservoir,
-each face from its least vertex as a traced face is.  That start is
-where the face's images start in the next step, so it fixes which of
-that step's handle faces are j and j + 2.  The base block is K(2r,2r)
-under one fixed rotation scheme (_scheme_rotation), and its 2r face
-families come from a rule on the vertex indices alone
+The step lays its rotation rows directly, one plain list per vertex, by
+a row rule: vertex t * n_base + v gets v's base row shifted by
+t * n_base, reversed where copy t is mirrored.  It builds no label, no
+sorted adjacency and no Embedding.  A link joins each face of its family
+in one copy to the face's own image in the other: v is the face shifted
+to the left copy, read as (a, d, c, b) if that copy is mirrored, and w
+is v shifted on to the right copy, which is mirrored against it.  The
+handle (v, w) inserts wi after v(i-1) at vi and vi after w(i+1) at wi,
+in the corners of the consumed faces (see surgery).  The inserts
+commute: a family covers each vertex once and a copy meets each family
+at most once, so every insert at a vertex has a corner of its own, and
+the rows do not depend on the link order.  The step then harvests the
+new reservoir, each face from its least vertex as a traced face is.
+That start is where the face's images start in the next step, so it
+fixes which of that step's handle faces are j and j + 2.  The base block
+is K(2r,2r) under one fixed rotation scheme (_scheme_rotation), and its
+2r face families come from a rule on the vertex indices alone
 (_scheme_reservoir), r = 1 included: no step reads a face.
 
 Paths are also built by the subtractive route: build the cycle, then
 remove the handles of its edge (0, 2m - 1), the one edge C(2m) has and
-P(2m) lacks, on a working state of the cycle, which lowers the genus by
-one per handle and reinstates the consumed faces.  Each removal is
-proved locally; the closed cycle is never certified, because the level
-proof certifies what the removals leave.  Both routes must and do agree
-on every certificate.
+P(2m) lacks, from the cycle step's own rows by surgery.remove, which
+lowers the genus by one per handle and reinstates the consumed faces.
+Each removal is proved locally; the closed cycle is never certified,
+because the level proof certifies what the removals leave.  Both routes
+must and do agree on every certificate.
 
 One driver, embed_family(expr, route="direct"), runs every step of
 every supported family Q(i,2r) x C(2m)* x P(2m)* in one loop over its
@@ -71,23 +71,26 @@ the subtractive route for every path factor with m >= 2.
 embed_cube(i, r) and embed_K2r2r(r) are embed_family on Q(i,2r) and
 K(2r,2r).
 
-The steps only build.  The driver proves every level, the base block
-included, once, in _prove_level, the only code that certifies a
+The steps only build.  embed_family freezes every level, the base block
+included, once, by family_graph(rows, levels up to it): one stream of
+graphs.product_vertices, in which each vertex's sorted row must be the
+product's neighbours, gives the graph, its adjacency the sorted rows and
+its labels the stream's.  A wrong row count or a wrong row is refused
+there, before any trace.  A product of connected bipartite factors is
+connected and bipartite (criterion 9's law), so no build walks a graph;
+verify, which reads a graph it does not know, keeps its walk.  Then it
+proves the level once, in _prove_level, the only code that certifies a
 construction.  One trace's face lengths give the certificate, which must
 be quadrilateral and minimal, so it has f = m/2 faces and genus
 1 + m/4 - n/2 of the graph it traced.  Its n, m and genus must equal the
 counts of the levels up to it (graphs.product_sizes, from the parameters
 alone), their Euler count and, where those levels are all cube, cube and
-cycles, or cube and paths, the closed form.  check_family_graph must
-find the graph to be the product of those levels, vertex by vertex, and
-a product of connected bipartite factors is connected and bipartite
-(criterion 9's law), so no build walks a graph; verify, which reads a
-graph it does not know, keeps its walk.  Last, check_reservoir proves
-every reservoir face against the rows.  So K(2r,2r) has Ringel's genus
-(r-1)^2, each cube fold meets cube_genus, a link step adds exactly two
-faces per handle, and a removal takes out exactly the closing link's
-handles: a handle left in place keeps its four edges and is refused as
-a wrong m.
+cycles, or cube and paths, the closed form.  Last, check_reservoir
+proves every reservoir face against the rows.  So K(2r,2r) has Ringel's
+genus (r-1)^2, each cube fold meets cube_genus, a link step adds exactly
+two faces per handle, and a removal takes out exactly the closing link's
+handles: a handle left in place keeps its four edges in its vertices'
+rows, and family_graph refuses them.
 
 Each link step leaves one row in the result's steps: its tag, how many
 links and handles it laid, and how many handles the removal route took
@@ -99,7 +102,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (ConstructionError, InvalidParameterError,
                      UnsupportedFamilyError)
@@ -109,10 +112,11 @@ from .formulas import cube_genus, main_cycles_genus, main_paths_genus
 from .graphs import (FamilyExpr, Graph, family_factors,
                      make_complete_bipartite, make_cycle, make_path,
                      parse_family_expr, product_sizes, product_vertices)
-from .surgery import (Surgery, check_reservoir, handle_faces,
+from .surgery import (check_reservoir, handle_faces, remove,
                       rotate_to_least, splice)
 
 Face = tuple[int, ...]
+Rows = list[list[int]]
 Handle = tuple[Face, Face]
 Links = dict[tuple[int, int], list[Handle]]
 Reservoir = tuple[tuple[Face, ...], ...]
@@ -170,12 +174,6 @@ def _scheme_reservoir(r: int) -> Reservoir:
                  for f in range(two_r))
 
 
-def _base_step(r: int) -> tuple[Embedding, Reservoir]:
-    """K(2r,2r) under the rotation scheme, and its 2r families, by rule."""
-    return (Embedding(make_complete_bipartite(2 * r, 2 * r),
-                      _scheme_rotation(r)), _scheme_reservoir(r))
-
-
 def embed_K2r2r(r: int) -> ConstructionResult:
     """Quadrilateral embedding of K(2r,2r) on its genus-(r-1)^2 surface,
     with the full 2r-family face reservoir: embed_family on K(2r,2r)."""
@@ -184,17 +182,14 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     return embed_family(f"K({2 * r},{2 * r})")[0]
 
 
-def _copies(base: Embedding, factor: Graph, mirrored: list[bool]
-            ) -> tuple[list[list[int]], tuple[tuple, ...]]:
-    """Rows and labels of one copy of `base` per vertex t of `factor`:
-    copy t's vertex v is t * n_base + v, its row is v's shifted, reversed
-    where mirrored[t], and its label is v's followed by factor's of t."""
-    nb = base.graph.n
-    rows = [[x + t * nb for x in (rot[::-1] if flip else rot)]
-            for t, flip in enumerate(mirrored) for rot in base.rotation]
-    labels = list(map(base.graph.label_of, range(nb)))
-    return rows, tuple(lab + factor.label_of(t) for t in range(factor.n)
-                       for lab in labels)
+def _copies(rotation: tuple[tuple[int, ...], ...], mirrored: list[bool]
+            ) -> Rows:
+    """Rows of one copy of `rotation` per entry of `mirrored`: copy t's
+    vertex v is t * n_base + v, and its row is v's shifted, reversed
+    where mirrored[t]."""
+    nb = len(rotation)
+    return [[x + t * nb for x in (rot[::-1] if flip else rot)]
+            for t, flip in enumerate(mirrored) for rot in rotation]
 
 
 def _mirrored(factor: Graph, tag: str) -> list[bool]:
@@ -219,13 +214,13 @@ def _mirrored(factor: Graph, tag: str) -> list[bool]:
 def _link_step(base: ConstructionResult, factor: Graph,
                colour: Callable[[int, int], int],
                harvest: list[tuple[int, int]], tag: str
-               ) -> tuple[Embedding, Reservoir, Links]:
+               ) -> tuple[Rows, Reservoir, Links]:
     """The one factor step of the module docstring: the copies, mirrored
     by _mirrored, and one link per factor edge, all by the row rule,
     then the harvest.  The link of edge (t, u) joins every face of
     base.reservoir[colour(t, u)] in copy t to its own image in copy u.
-    Returns the embedding, the harvested reservoir and each edge's
-    handles, unproved: embed_family proves the level."""
+    Returns the rows, the harvested reservoir and each edge's handles,
+    unproved: embed_family proves the level."""
     nb = base.embedding.graph.n
     mirrored = _mirrored(factor, tag)
     schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
@@ -234,7 +229,7 @@ def _link_step(base: ConstructionResult, factor: Graph,
         raise ConstructionError(
             f"{tag}: step needs {n_fams} families, reservoir has "
             f"{len(base.reservoir)}")
-    rows, labels = _copies(base.embedding, factor, mirrored)
+    rows = _copies(base.embedding.rotation, mirrored)
 
     def join(face: Face, left: int, right: int) -> Handle:
         # a mirrored copy traces the face backwards, (a, d, c, b) from a;
@@ -248,9 +243,6 @@ def _link_step(base: ConstructionResult, factor: Graph,
 
     links = {(t, u): [join(face, t, u) for face in base.reservoir[k]]
              for t, u, k in schedule}
-    rotation = tuple(map(tuple, rows))
-    adj = tuple(tuple(sorted(row)) for row in rotation)
-    emb = Embedding(Graph(len(rotation), adj, labels), rotation)
     # a harvested colour class is a perfect matching on the copies, so
     # its handles' opposite-face pairs tile every vertex
     reservoir = tuple(tuple(rotate_to_least(face)
@@ -258,7 +250,7 @@ def _link_step(base: ConstructionResult, factor: Graph,
                             for handle in links[t, u]
                             for face in handle_faces(*handle)[j::2])
                       for c, j in harvest)
-    return emb, reservoir, links
+    return rows, reservoir, links
 
 
 def _factor(letter: str, order: int
@@ -285,19 +277,18 @@ def embed_cube(i: int, r: int) -> ConstructionResult:
 
 
 def _path_removal_step(base: ConstructionResult, order: int, tag: str
-                       ) -> tuple[Embedding, Reservoir, Links]:
+                       ) -> tuple[Rows, Reservoir, Links]:
     """Path factor P(order), order >= 4, the subtractive way: the
     C(order) step, then its edge (0, order - 1) undone handle by handle
-    on one working state, each removal proved locally.  Each lowers the
+    on the step's own rows, each removal proved locally.  Each lowers the
     genus by one and reinstates two quadrilateral faces, landing on the
     path product; the closed cycle is never certified.  The reservoir
     survives: it came from colour 0, and that edge has colour 1.
     Returns what _link_step returns, the closing link included."""
-    emb, reservoir, links = _link_step(base, *_factor("C", order), tag)
-    work = Surgery(emb)
+    rows, reservoir, links = _link_step(base, *_factor("C", order), tag)
     for handle in links[0, order - 1]:
-        work.remove(handle)
-    return work.freeze(), reservoir, links
+        remove(rows, handle)
+    return rows, reservoir, links
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +349,34 @@ def classify_family(expr: FamilyExpr | str) -> FamilyShape:
     return FamilyShape(FamilyExpr(cubes + rings), tuple(order))
 
 
-def check_family_graph(graph: Graph, expr: FamilyExpr | str) -> None:
-    """Refuse a graph that is not the product of expr's factors in the
-    construction's own numbering.
+def family_graph(rows: Sequence[Sequence[int]],
+                 expr: FamilyExpr | str) -> Graph:
+    """The graph of the rotation rows `rows`, which must be the product
+    of expr's factors in the construction's own numbering, or a refusal.
 
-    A step puts copy t of its base at vertices t * n_base + v and gives
-    them the new factor's label of t as a final coordinate, which is the
-    product numbering of graphs.product_vertices.  The expected label and
-    sorted neighbours of each vertex are streamed from it; no product
-    graph is built."""
+    A step puts copy t of its base at vertices t * n_base + v, which is
+    the product numbering of graphs.product_vertices.  One stream of it
+    gives each vertex's label and sorted neighbours, and vertex p's row,
+    sorted, must be those neighbours.  The graph's adjacency is the
+    sorted rows, which share the rows' ints, and its labels are the
+    stream's; no product graph is built."""
     factors = [g for g, repeats in family_factors(expr)
                for _ in range(repeats)]
     n = prod(g.n for g in factors)
-    if graph.n != n or graph.labels is None:
+    if len(rows) != n:
         raise ConstructionError(
-            f"constructed graph has {graph.n} vertices"
-            f"{'' if graph.labels else ' and no labels'}; {expr} has {n}")
-    labels, adj = graph.labels, graph.adj
-    for p, (label, nbrs) in enumerate(product_vertices(factors)):
-        if labels[p] != label:
+            f"{len(rows)} rotation rows; {expr} has {n} vertices")
+    adj, labels = [], []
+    for p, (row, (label, nbrs)) in enumerate(
+            zip(rows, product_vertices(factors))):
+        row = tuple(sorted(row))
+        if row != nbrs:
             raise ConstructionError(
-                f"constructed graph does not match {expr}: vertex {p} "
-                f"has label {labels[p]}, expected {label}")
-        if adj[p] != nbrs:
-            raise ConstructionError(
-                f"constructed graph does not match {expr}: vertex {p} "
-                f"has neighbours {adj[p]}, expected {nbrs}")
+                f"rows do not match {expr}: vertex {p} has neighbours "
+                f"{row}, expected {nbrs}")
+        adj.append(row)
+        labels.append(label)
+    return Graph(n, tuple(adj), tuple(labels))
 
 
 def _prove_level(shape: FamilyShape, level: int, size: tuple[int, int],
@@ -391,10 +384,11 @@ def _prove_level(shape: FamilyShape, level: int, size: tuple[int, int],
                  tag: str) -> EmbeddingCertificate:
     """The one proof of `level` (0 the base block, then each cube fold,
     then each cycle or path factor) of the module docstring, run on what
-    its step built, with size = (n, m) of the levels up to it from the
-    parameters alone: the certificate, which takes the graph as connected
-    and bipartite, the counts, the product check that proves it so, and
-    the reservoir.  Returns the certificate."""
+    its step built as family_graph froze it, with size = (n, m) of the
+    levels up to it from the parameters alone: the certificate, which
+    takes the graph as connected and bipartite because family_graph found
+    it the product of those levels, the counts and the reservoir.
+    Returns the certificate."""
     graph = emb.graph
     cert = certify_faces(graph.n, graph.m, face_lengths(emb), True, tag)
     if not cert.quadrilateral:
@@ -423,7 +417,6 @@ def _prove_level(shape: FamilyShape, level: int, size: tuple[int, int],
             f"{shape.normalized_expr} level {level}: certificate n={cert.n} "
             f"m={cert.m} genus={cert.genus}, expected n={n} m={m} "
             f"genus={euler}, closed form {closed}")
-    check_family_graph(graph, prefix)
     check_reservoir(emb, reservoir)
     return cert
 
@@ -438,9 +431,9 @@ def embed_family(expr: FamilyExpr | str,
     build.  Each level's graph is the product of the levels up to it,
     which at the last level is the product of the factors of
     shape.normalized_expr, numbered with the first factor as the least
-    significant digit (check_family_graph proves label and neighbours of
-    every vertex).  shape.factor_order lists the original atom indices in
-    normalized order, the cube atoms first.
+    significant digit (family_graph proves the neighbours of every
+    vertex and gives its label).  shape.factor_order lists the original
+    atom indices in normalized order, the cube atoms first.
 
     route="direct" runs the P(2m) factor step for every path factor;
     route="removal" opens up the cycle for every path factor P(2m) with
@@ -458,17 +451,22 @@ def embed_family(expr: FamilyExpr | str,
         letter, order = atom[0], atom[1]
         if level == 0:
             tag = f"K({2 * r},{2 * r})"
-            emb, reservoir = _base_step(r)
+            rows, reservoir = _scheme_rotation(r), _scheme_reservoir(r)
         else:
             tag = (f"cube(i={level + 1},r={r})" if letter == "K" else
                    f"family({family})#step{level + 1 - i}")
             removal = letter == "P" and route == "removal" and order >= 4
-            emb, reservoir, links = (
+            rows, reservoir, links = (
                 _path_removal_step(result, order, tag) if removal else
                 _link_step(result, *_factor(letter, order), tag))
             steps += ({"step": tag, "links": len(links),
                        "handles": sum(map(len, links.values())),
                        "removed": len(links[0, order - 1]) if removal else 0},)
+            del links  # the ledger's only: freed before the trace peaks
+        # frozen once, which frees the list rows before the trace
+        rows = tuple(map(tuple, rows))
+        emb = Embedding(
+            family_graph(rows, FamilyExpr(shape.levels[:level + 1])), rows)
         cert = _prove_level(shape, level, size, emb, reservoir, tag)
         result = ConstructionResult(emb, reservoir, cert, steps)
     return result, shape

@@ -59,16 +59,6 @@ class Embedding:
 
 
 @dataclass(frozen=True)
-class FaceSet:
-    """Faces of an embedding, each a tuple of darts in trace order."""
-
-    faces: tuple[tuple[Dart, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
-@dataclass(frozen=True)
 class EmbeddingCertificate:
     n: int
     m: int
@@ -201,8 +191,9 @@ def face_lengths(e: Embedding) -> list[int]:
     return _orbits(face_successors(e))[1]
 
 
-def trace_faces(e: Embedding) -> FaceSet:
-    """Orbit decomposition of the dart set under the face successor map."""
+def trace_faces(e: Embedding) -> tuple[tuple[Dart, ...], ...]:
+    """Orbit decomposition of the dart set under the face successor map:
+    the faces, each a tuple of darts in trace order."""
     succ = face_successors(e)
     darts = [(v, u) for v, nbrs in enumerate(e.graph.adj) for u in nbrs]
     faces: list[tuple[Dart, ...]] = []
@@ -214,7 +205,7 @@ def trace_faces(e: Embedding) -> FaceSet:
             face.append(darts[dart])
             dart = succ[dart]
         faces.append(tuple(face))
-    return FaceSet(tuple(faces))
+    return tuple(faces)
 
 
 def _quad_bound(n: int, m: int) -> int:

@@ -12,7 +12,8 @@ factor is the least significant digit, so vertex ``(x_1, ..., x_k)`` of
 factors with n_1, ..., n_k vertices is ``x_1 + n_1 * (x_2 + n_2 * (...))``,
 and its label concatenates the factor labels from the first factor on.
 product_vertices is the only place this is spelled out; build_family
-materialises it and constructions.check_family_graph compares against it.
+materialises it, and constructions.family_graph reads a construction's
+rotation rows against it, one stream per level, and labels them from it.
 """
 
 from __future__ import annotations

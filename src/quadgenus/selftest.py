@@ -30,7 +30,7 @@ from .formulas import (_cube_genus_as_printed, corollary_genus,
                        ringel_genus, white_cycle_genus, white_path_genus)
 from .graphs import (Graph, build_family, components, from_edges,
                      make_complete_bipartite, make_cycle, make_path,
-                     product_graph)
+                     parse_family_expr, product_graph, product_sizes)
 from .oracle import (SearchBudget, _below, _positions, exhaustive_min_genus,
                      stochastic_search)
 from .surgery import Surgery
@@ -242,11 +242,11 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
     pool = []
     for base in (embed_K2r2r(2), embed_K2r2r(3), embed_cube(2, 1)):
         e = base.embedding
-        fs = trace_faces(e)
-        faces = [tuple(u for u, _ in fc) for fc in fs.faces if len(fc) == 4]
+        traced = trace_faces(e)
+        faces = [tuple(u for u, _ in fc) for fc in traced if len(fc) == 4]
         g = e.graph
         pool.append((e, Surgery(e), faces, [set(f) for f in faces],
-                     g.n - g.m + len(fs.faces), g.m, len(faces)))
+                     g.n - g.m + len(traced), g.m, len(faces)))
     applications = 0
     rejected = 0
     while applications < 1000:
@@ -321,15 +321,12 @@ def criterion_7(seed: int) -> tuple[bool, dict]:
     return checks.passed, {**details, "failure": checks.failure}
 
 
-def _euler_value(expr: str, memo: dict[str, Fraction]) -> Fraction:
+def _euler_value(expr: str) -> Fraction:
     """1 + m/4 - n/2 of the family ``expr``, its genus if it has a
-    quadrilateral embedding; each expression is built once per memo."""
-    value = memo.get(expr)
-    if value is None:
-        g = build_family(expr)
-        value = memo[expr] = (Fraction(1) + Fraction(g.m, 4)
-                              - Fraction(g.n, 2))
-    return value
+    quadrilateral embedding, with n and m from graphs.product_sizes:
+    the parameters alone, no graph built."""
+    *_, (n, m) = product_sizes(parse_family_expr(expr))
+    return Fraction(1) + Fraction(m, 4) - Fraction(n, 2)
 
 
 def criterion_8(seed: int) -> tuple[bool, dict]:
@@ -338,7 +335,6 @@ def criterion_8(seed: int) -> tuple[bool, dict]:
     form contradicts the Euler count at its smallest even case."""
     checks = _Checks()
     rng = random.Random(seed * 100003 + 8)
-    euler = {}  # expression -> its Euler count, for this call only
     for _ in range(200):
         i, r, s = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 30)
         checks.add("(a) single cycle specialization",
@@ -411,7 +407,7 @@ def criterion_8(seed: int) -> tuple[bool, dict]:
     for _ in range(200):
         value, expr = sample_f()
         checks.add(f"(f) euler count of {expr}",
-                   _euler_value(expr, euler) == value)
+                   _euler_value(expr) == value)
 
     checks.add("pinned cube_genus(2,2) == 1", cube_genus(2, 2) == 1)
     checks.add("pinned cube_genus(2,4) == 33", cube_genus(2, 4) == 33)
@@ -419,11 +415,11 @@ def criterion_8(seed: int) -> tuple[bool, dict]:
     checks.add("negative control: uncorrected form gives -3 at (2,2)",
                printed == Fraction(-3))
     checks.add("negative control: contradicts euler count",
-               printed != _euler_value("Q(2,2)", euler)
-               and _euler_value("Q(2,2)", euler) == cube_genus(2, 2))
+               printed != _euler_value("Q(2,2)")
+               and _euler_value("Q(2,2)") == cube_genus(2, 2))
     checks.add("negative control: also wrong at part size 4",
-               _cube_genus_as_printed(2, 4) != _euler_value("Q(2,4)", euler)
-               and _euler_value("Q(2,4)", euler) == cube_genus(2, 4))
+               _cube_genus_as_printed(2, 4) != _euler_value("Q(2,4)")
+               and _euler_value("Q(2,4)") == cube_genus(2, 4))
     return checks.passed, {"checks_run": checks.count,
                            "uncorrected_value_at_2_2": str(printed),
                            "failure": checks.failure}

@@ -27,13 +27,14 @@ only the sixteen darts of the four created faces change their successor
 is one list row per vertex, its neighbours in rotation order; splice
 makes the eight inserts, each after an existing neighbour, so a row
 keeps the neighbour it starts at.  is_face is the one corner test: at
-each corner p, x, q of a cycle, q follows p in x's row.  The factor
-step splices its rows with splice, and check_reservoir proves every
-reservoir face with is_face.  Surgery, the working state for a run of
-handle operations, proves each handle locally with these two instead of
-retracing: each of the four created faces must close.  Those faces hold
-the sixteen darts the splice changed, so that pins the deltas at m +4,
-f +2, chi -2.
+each corner p, x, q of a cycle, q follows p in x's row, and remove
+takes a handle out of the rows again.  The factor step splices its rows
+with splice, the removal route takes the closing link's handles out of
+those same rows with remove, and check_reservoir proves every reservoir
+face with is_face.  Surgery, the working state for a run of handle
+operations, proves each handle locally with these instead of retracing:
+each of the four created faces must close.  Those faces hold the sixteen
+darts the splice changed, so that pins the deltas at m +4, f +2, chi -2.
 
 remove needs no search and no dart bookkeeping: the handle's eight
 vertices are distinct, so each row loses one entry, and its four faces
@@ -103,6 +104,26 @@ def is_face(rows: Sequence[Sequence[int]], cycle: Sequence[int]) -> bool:
     return True
 
 
+def remove(rows: Sequence[list[int]],
+           handle: tuple[Sequence[int], Sequence[int]]) -> None:
+    """Inverse of a splice: delete the edges of the handle (v, w), whose
+    eight vertices must be distinct and four faces current, and prove
+    that the faces it consumed, v and w reversed, close again (face
+    count -2).  The module docstring says why this is exact."""
+    v, w = tuple(handle[0]), tuple(handle[1])
+    if len(v) != 4 or len(w) != 4 or len(set(v + w)) != 8:
+        raise SurgeryError(f"handle {v}, {w} is not 8 distinct vertices")
+    for face in handle_faces(v, w):
+        if not is_face(rows, face):
+            raise SurgeryError(f"handle face {face} no longer current")
+    for a, b in zip(v + w, w + v):
+        rows[a].remove(b)
+    for face in (v, w[::-1]):
+        if not is_face(rows, face):
+            raise LocalProofError(
+                f"face {face} did not close after the removal")
+
+
 class Surgery:
     """A mutable embedding for a run of handle operations.
 
@@ -169,23 +190,8 @@ class Surgery:
         return v, w
 
     def remove(self, handle: tuple[Sequence[int], Sequence[int]]) -> None:
-        """Inverse of add: delete the edges of the handle (v, w), whose
-        eight vertices must be distinct and four faces current, and prove
-        that the faces it consumed, v and w reversed, close again (face
-        count -2).  The module docstring says why this is exact."""
-        v, w = tuple(handle[0]), tuple(handle[1])
-        if len(v) != 4 or len(w) != 4 or len(set(v + w)) != 8:
-            raise SurgeryError(f"handle {v}, {w} is not 8 distinct vertices")
-        rows = self.rows
-        for face in handle_faces(v, w):
-            if not is_face(rows, face):
-                raise SurgeryError(f"handle face {face} no longer current")
-        for a, b in zip(v + w, w + v):
-            rows[a].remove(b)
-        for face in (v, w[::-1]):
-            if not is_face(rows, face):
-                raise LocalProofError(
-                    f"face {face} did not close after the removal")
+        """Inverse of add: the module's remove on this state's rows."""
+        remove(self.rows, handle)
 
     def freeze(self) -> Embedding:
         """The Embedding of the current state: its rotation is the rows

@@ -7,8 +7,8 @@ import pytest
 from quadgenus import constructions, embeddings, graphs
 from quadgenus.constructions import (_link_step, _prove_level,
                                      _scheme_reservoir, _scheme_rotation,
-                                     check_family_graph, classify_family,
-                                     embed_cube, embed_family, embed_K2r2r)
+                                     classify_family, embed_cube,
+                                     embed_family, embed_K2r2r, family_graph)
 from quadgenus.embeddings import (Embedding, euler_genus, genus_lower_bound,
                                   trace_faces)
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
@@ -19,7 +19,7 @@ from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
-    """Reference for check_family_graph: isomorphic by label identity,
+    """Reference for family_graph: isomorphic by label identity,
     that is, the label sets coincide and matching labels carry the same
     adjacency, whatever the vertex numbering."""
     if a.n != b.n or a.m != b.m:
@@ -48,7 +48,7 @@ def test_base_block_certificates(r, genus, f):
 def test_base_scheme_is_quadrilateral_up_to_r6(r):
     res = embed_K2r2r(r)
     faces = trace_faces(res.embedding)
-    assert all(len(f) == 4 for f in faces.faces)
+    assert all(len(f) == 4 for f in faces)
     assert len(faces) == 2 * r * r
     assert len(res.reservoir) == 2 * r
     check_reservoir(res.embedding, res.reservoir)
@@ -60,7 +60,7 @@ def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
     # quadrilaterals and the family rule must give a valid reservoir
     res = embed_K2r2r(r)
     faces = trace_faces(res.embedding)
-    assert all(len(f) == 4 for f in faces.faces)
+    assert all(len(f) == 4 for f in faces)
     assert len(faces) == 2 * r * r
     assert len(res.reservoir) == 2 * r
     assert all(len(fam) == r for fam in res.reservoir)
@@ -76,7 +76,7 @@ def traced_reservoir(e: Embedding) -> tuple:
     family.  Faces join in trace order, each as its vertex tuple from its
     least dart."""
     two_r = e.graph.n // 2
-    quads = [tuple(u for u, _ in face) for face in trace_faces(e).faces]
+    quads = [tuple(u for u, _ in face) for face in trace_faces(e)]
     if two_r == 2:
         return tuple((face,) for face in quads)
     members = [[] for _ in range(two_r)]
@@ -103,7 +103,7 @@ def reference_partition(e: Embedding) -> tuple:
     deterministic backtracking over the trace order, where the first face
     opens the first family and a new family may open only when all
     earlier ones are in use.  Exponential; a reference for small r."""
-    quads = [tuple(u for u, _ in face) for face in trace_faces(e).faces]
+    quads = [tuple(u for u, _ in face) for face in trace_faces(e)]
     r = e.graph.n // 4
     assignment = [-1] * len(quads)
     used = [set() for _ in range(2 * r)]
@@ -148,7 +148,7 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
         rot[swap.get(v, v)] = tuple(swap.get(u, u) for u in row)
     emb = Embedding(make_complete_bipartite(6, 6), tuple(rot))
     faces = trace_faces(emb)
-    assert all(len(f) == 4 for f in faces.faces)
+    assert all(len(f) == 4 for f in faces)
     with pytest.raises(ConstructionError):
         check_reservoir(emb, _scheme_reservoir(3))
 
@@ -162,6 +162,13 @@ COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2),
 STEPS = {"K": lambda base: ("K", len(base.reservoir)),
          "closed ring": lambda base: ("C", 4),
          "open ring": lambda base: ("P", 6)}
+
+
+def frozen(rows, expr: str) -> Embedding:
+    """The embedding of a step's rows, its graph as family_graph gives
+    it for the product expr."""
+    rotation = tuple(map(tuple, rows))
+    return Embedding(family_graph(rotation, expr), rotation)
 
 
 def far_side(factor: Graph) -> list[bool]:
@@ -187,15 +194,13 @@ def far_side(factor: Graph) -> list[bool]:
 ])
 def test_copies_lay_out_the_reference_union(name, mirrored, coords,
                                             assemble_copies):
-    # the row rule's copies before any link: rows and labels of the
-    # union; the copies' coordinates are the factor's labels
+    # the row rule's copies before any link are the rows of the union;
+    # the step lays no labels
     base = COPY_BASES[name]().embedding
-    factor = graphs.from_edges(len(coords), [],
-                               labels=[(c,) for c in coords])
-    rows, labels = constructions._copies(base, factor, mirrored)
+    rows = constructions._copies(base.rotation, mirrored)
     union = assemble_copies(base, mirrored, coords)
+    assert all(type(row) is list for row in rows)
     assert tuple(map(tuple, rows)) == union.rotation
-    assert labels == union.graph.labels
 
 
 @pytest.mark.parametrize("name", sorted(COPY_BASES))
@@ -207,8 +212,8 @@ def test_link_step_equals_the_surgery_reference(name, step,
     # the mirror flags and the link schedule are read off the factor here
     base = COPY_BASES[name]()
     factor, colour, harvest = constructions._factor(*STEPS[step](base))
-    emb, reservoir, links = _link_step(base, factor, colour, harvest,
-                                       "step")
+    rows, reservoir, links = _link_step(base, factor, colour, harvest,
+                                        "step")
     mirrored = far_side(factor)
     schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
     nb = base.embedding.graph.n
@@ -228,7 +233,7 @@ def test_link_step_equals_the_surgery_reference(name, step,
                            for handle in handles[left, right]
                            for face in handle_faces(*handle)[j::2])
                      for c, j in harvest)
-    assert emb == work.freeze()
+    assert tuple(map(tuple, rows)) == work.freeze().rotation
     assert reservoir == expected
     assert list(links.items()) == list(handles.items())
 
@@ -239,9 +244,9 @@ def test_link_step_requires_mirroring():
     # to its own image in the other copy
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
-    emb, _, links = _link_step(base, graphs.make_path(2), lambda t, u: 0,
-                               [(0, 0)], "link")
-    cert = euler_genus(emb)
+    rows, _, links = _link_step(base, graphs.make_path(2), lambda t, u: 0,
+                                [(0, 0)], "link")
+    cert = euler_genus(frozen(rows, "K(4,4) x P(2)"))
     assert list(links) == [(0, 1)]
     assert [len(handles) for handles in links.values()] == [2]
     assert cert.quadrilateral and cert.minimal
@@ -278,8 +283,8 @@ def test_factor_data_meets_the_step_conditions(letter, order):
     # the three conditions of the module docstring, on each factor's data
     factor, colour, harvest = constructions._factor(letter, order)
     base = embed_K2r2r(order // 2 if letter == "K" else 1)
-    emb, reservoir, links = _link_step(base, factor, colour, harvest,
-                                       "step")
+    rows, reservoir, links = _link_step(base, factor, colour, harvest,
+                                        "step")
     nb = base.embedding.graph.n
     # the links are exactly the factor's edges, in edge order, and each
     # joins every base vertex of copy t to its image in copy u
@@ -300,19 +305,24 @@ def test_factor_data_meets_the_step_conditions(letter, order):
                       for t in edge)
         assert ends == list(range(factor.n))
     assert len(reservoir) == len(harvest)
-    check_reservoir(emb, reservoir)
+    atom = f"K({order},{order})" if letter == "K" else f"{letter}({order})"
+    check_reservoir(
+        frozen(rows, f"{base.certificate.construction_tag} x {atom}"),
+        reservoir)
 
 
 def test_direct_route_builds_no_surgery_state(monkeypatch):
+    # neither route: the direct route splices list rows, and the removal
+    # route takes the closing link's handles out of those same rows
     def refuse(*args, **kwargs):
-        raise AssertionError("the direct route touched Surgery")
+        raise AssertionError("a route touched Surgery")
 
-    monkeypatch.setattr(Surgery, "__init__", refuse)
-    monkeypatch.setattr(Surgery, "add", refuse)
-    res, _ = embed_family("Q(2,4) x C(4) x P(4)", route="direct")
-    assert res.certificate.minimal
-    with pytest.raises(AssertionError, match="touched Surgery"):
-        embed_family("Q(1,4) x P(4)", route="removal")
+    for method in ("__init__", "add", "remove", "freeze"):
+        monkeypatch.setattr(Surgery, method, refuse)
+    for route in ("direct", "removal"):
+        res, _ = embed_family("Q(2,4) x C(4) x P(4)", route=route)
+        assert res.certificate.minimal
+        assert res.steps[-1]["removed"] == (64 if route == "removal" else 0)
 
 
 def test_a_harvested_cycle_that_is_not_a_face_is_refused(monkeypatch):
@@ -505,58 +515,78 @@ def test_cube_is_the_family_driver_on_a_cube(i, r):
 
 
 def test_removal_left_incomplete_is_refused_at_its_level(monkeypatch):
-    # a handle of the closing link left in place keeps its four edges,
-    # and the level check refuses the extra edges and the extra genus
-    real = Surgery.remove
+    # a handle of the closing link left in place keeps its four edges in
+    # its vertices' rows, and the level's graph, built before its trace,
+    # refuses the first of them: vertex 0 keeps its edge to 24 = 0 + 3 * 8
+    real = constructions.remove
     skipped = []
 
-    def remove(self, handle):
+    def remove(rows, handle):
         if not skipped:
             skipped.append(handle)
             return
-        real(self, handle)
+        real(rows, handle)
 
-    monkeypatch.setattr(Surgery, "remove", remove)
+    monkeypatch.setattr(constructions, "remove", remove)
+    traced = []
+    real_lengths = constructions.face_lengths
+    monkeypatch.setattr(constructions, "face_lengths",
+                        lambda emb: traced.append(emb) or real_lengths(emb))
     with pytest.raises(ConstructionError,
-                       match="level 1: .* m=92 genus=8, expected n=32 m=88 "
-                             "genus=7"):
+                       match=r"rows do not match K\(4,4\) x P\(4\): vertex 0 "
+                             r"has neighbours \(4, 5, 6, 7, 8, 24\), "
+                             r"expected \(4, 5, 6, 7, 8\)"):
         embed_family("Q(1,4) x P(4)", route="removal")
     assert len(skipped) == 1
+    assert len(traced) == 1  # the base block's; level 1 is never traced
 
 
 def test_fold_that_adds_nothing_is_refused_at_its_level(monkeypatch):
-    # a K step that hands back its base leaves level 1 with level 0's
-    # graph
+    # a K step that hands back its base's rows leaves level 1 with level
+    # 0's eight rows
     monkeypatch.setattr(constructions, "_link_step",
-                        lambda base, *args: (base.embedding, base.reservoir,
-                                             {}))
-    with pytest.raises(ConstructionError, match="level 1: .* n=8 m=16"):
+                        lambda base, *args: (
+                            [list(row) for row in base.embedding.rotation],
+                            base.reservoir, {}))
+    with pytest.raises(ConstructionError,
+                       match=r"^8 rotation rows; K\(4,4\) x K\(4,4\) has 64 "
+                             r"vertices$"):
         embed_family("Q(2,4)")
 
 
 def test_a_level_with_the_right_counts_but_the_wrong_graph_is_refused_there(
         monkeypatch):
-    # the first fold's copies with two vertices' labels swapped: its n,
-    # m, faces and genus are all right, so only the product check can see
-    # it, and it refuses that level before the cycle step runs
-    real_copies, real_step = constructions._copies, constructions._link_step
-    stepped = []
-
-    def swapped(base, factor, mirrored):
-        rows, labels = real_copies(base, factor, mirrored)
-        return rows, (labels[1], labels[0]) + labels[2:]
+    # the first fold's rows, and its reservoir, with vertices 0 and 1
+    # renumbered throughout: an isomorphic embedding, so n, m, faces,
+    # genus and reservoir are all right, and only the product comparison
+    # sees it; it refuses that level before the cycle step runs
+    real_step = constructions._link_step
+    stepped, renumbered = [], []
+    swap = {0: 1, 1: 0}
 
     def step(base, *args):
         stepped.append(args[-1])
-        return real_step(base, *args)
+        rows, reservoir, links = real_step(base, *args)
+        rows = [[swap.get(x, x) for x in row] for row in rows]
+        rows[0], rows[1] = rows[1], rows[0]
+        reservoir = tuple(tuple(tuple(swap.get(x, x) for x in face)
+                                for face in fam) for fam in reservoir)
+        renumbered.append((tuple(map(tuple, rows)), reservoir))
+        return rows, reservoir, links
 
-    monkeypatch.setattr(constructions, "_copies", swapped)
     monkeypatch.setattr(constructions, "_link_step", step)
     with pytest.raises(ConstructionError,
-                       match=r"does not match K\(4,4\) x K\(4,4\): vertex 0 "
-                             r"has label"):
+                       match=r"rows do not match K\(4,4\) x K\(4,4\): "
+                             r"vertex 0 has neighbours"):
         embed_family("Q(2,4) x C(4)")
     assert stepped == ["cube(i=2,r=2)"]
+    # the level proof itself passes the renumbered level
+    shape = classify_family("Q(2,4) x C(4)")
+    rotation, reservoir = renumbered[0]
+    emb = Embedding(graphs.from_rows(len(rotation), rotation), rotation)
+    cert = _prove_level(shape, 1, level_sizes(shape)[1], emb, reservoir,
+                        "fold")
+    assert cert.minimal and cert.genus == 33
 
 
 def test_base_block_past_the_dart_cap_is_refused_before_building(
@@ -611,10 +641,11 @@ def test_step_rows_count_links_and_handles(route):
 def test_full_traces_per_build_stay_a_few(count_calls):
     # One proof per level: the base block, the cube fold, the cycle and
     # the path; the closed cycle the removal route opens up is never
-    # proved.  Each proof builds one successor list in the trace core,
-    # which checks the rotation system as it goes, and streams the
-    # product of the levels up to it once, which proves the graph
-    # connected and bipartite, so no build walks a graph.
+    # proved.  Each level's rows are frozen against one stream of the
+    # product of the levels up to it, which proves the graph connected
+    # and bipartite, so no build walks a graph; then its proof builds one
+    # successor list in the trace core, which checks the rotation system
+    # as it goes.
     counted = {real.__name__: count_calls(real)
                for real in (embeddings.face_successors,
                             graphs.product_vertices, graphs.components)}
@@ -641,8 +672,8 @@ def test_base_block_is_traced_once(count_calls):
 
 def test_embed_family_builds_the_product_once(count_calls):
     # classify_family validates the atoms without building the product,
-    # and check_family_graph streams the expected product vertex by
-    # vertex: no product graph is ever built
+    # and family_graph streams the expected product vertex by vertex: no
+    # product graph is ever built
     calls = count_calls(graphs.build_family)
     products = count_calls(graphs.product_graph)
     for route in ("direct", "removal"):
@@ -659,9 +690,9 @@ def test_embed_family_parses_its_expression_once(count_calls):
     assert calls == [("Q(2,4) x C(4) x P(4)",)]
 
 
-def accepts(graph: Graph, expr: str) -> bool:
+def accepts(rows, expr: str) -> bool:
     try:
-        check_family_graph(graph, expr)
+        family_graph(rows, expr)
     except ConstructionError:
         return False
     return True
@@ -672,84 +703,94 @@ def accepts(graph: Graph, expr: str) -> bool:
     "Q(1,2) x P(2)", "Q(1,4) x P(4) x C(4)", "Q(1,2) x C(4) x P(2) x C(6)",
     "Q(2,6) x C(4)", "Q(1,6) x P(6)"])
 def test_family_check_agrees_with_the_label_reference(expr):
-    # r = 1, mixed cycles and paths, and Q(2,6) x C(4); both routes
-    # build_family gives the constructed graph itself, labels included
+    # r = 1, mixed cycles and paths, and Q(2,6) x C(4); both routes.
+    # family_graph of the built rows is build_family's graph itself,
+    # labels included
     built = build_family(expr)
     for route in ("direct", "removal"):
-        graph = embed_family(expr, route=route)[0].embedding.graph
-        assert accepts(graph, expr)
+        emb = embed_family(expr, route=route)[0].embedding
+        graph = family_graph(emb.rotation, expr)
         assert same_labeled_graph(graph, built)
-        assert built == graph
+        assert built == graph == emb.graph
+        # the adjacency shares the rows' ints
+        assert all(x is y for row, nbrs in zip(emb.rotation, graph.adj)
+                   for x, y in zip(sorted(row), nbrs))
 
 
-def _renumbered(g: Graph, to) -> Graph:
-    """g with vertex v renamed to(v), labels and edges carried along."""
-    adj, labels = [None] * g.n, [None] * g.n
-    for v in range(g.n):
-        adj[to(v)] = tuple(sorted(to(u) for u in g.adj[v]))
-        labels[to(v)] = g.labels[v]
-    return Graph(g.n, tuple(adj), tuple(labels))
+def _renumbered(rows, to) -> tuple:
+    """rows with vertex v renamed to(v), row entries carried along."""
+    out = [None] * len(rows)
+    for v, row in enumerate(rows):
+        out[to(v)] = tuple(to(u) for u in row)
+    return tuple(out)
 
 
 def test_family_check_pins_the_numbering():
-    # build_family's numbering is the construction's, so the check
-    # accepts it; the same labelled graph in another numbering, which
-    # the label reference accepts, is refused
+    # the built rows are in the product numbering, so family_graph
+    # accepts them; renumbered with the first factor most significant,
+    # which the label reference takes for the same labelled product, they
+    # are refused
     expr = "Q(1,4) x C(4)"
-    graph = build_family(expr)
-    assert accepts(graph, expr)
-    for to in (lambda v: 4 * (v % 8) + v // 8,  # first factor most significant
-               lambda v: graph.n - 1 - v):
-        renumbered = _renumbered(graph, to)
-        assert renumbered != graph
-        assert same_labeled_graph(renumbered, graph)
-        assert not accepts(renumbered, expr)
-    assert accepts(build_family("K(4,4)"), "K(4,4)")  # one factor agrees
+    rows = embed_family(expr)[0].embedding.rotation
+    built = build_family(expr)
+    assert accepts(rows, expr)
+    transposed = _renumbered(rows, lambda v: 4 * (v % 8) + v // 8)
+    labels = [None] * built.n
+    for v in range(built.n):
+        labels[4 * (v % 8) + v // 8] = built.labels[v]
+    graph = graphs.from_rows(built.n, transposed, tuple(labels))
+    assert same_labeled_graph(graph, built)
+    with pytest.raises(ConstructionError, match="vertex 0 has neighbours"):
+        family_graph(transposed, expr)
+    # reversed, x -> n - 1 - x in every digit at once, which is an
+    # automorphism of K(2r,2r), C(2m) and P(2m) and so of their products:
+    # the reversed rows embed the product itself and are accepted
+    reverse = (lambda n: lambda v: n - 1 - v)(len(rows))
+    assert family_graph(_renumbered(rows, reverse), expr) == built
+    # K(2,3) reversed swaps a0 with b2, so there the reversal is refused
+    rows = build_family("K(2,3) x C(4)").adj
+    assert accepts(rows, "K(2,3) x C(4)")
+    with pytest.raises(ConstructionError, match="vertex 0 has neighbours"):
+        family_graph(_renumbered(rows, lambda v: 19 - v), "K(2,3) x C(4)")
+    k44 = embed_K2r2r(2).embedding.rotation
+    assert accepts(k44, "K(4,4)")  # one factor agrees
 
 
-def _moved_edge(g: Graph) -> Graph:
-    """g with its first edge (u, v) replaced by (u, w), w the least
-    vertex not adjacent to u."""
-    (u, v) = next(g.edges())
-    w = min(set(range(g.n)) - set(g.adj[u]) - {u})
-    adj = [set(nbrs) for nbrs in g.adj]
-    adj[u] -= {v}
-    adj[v] -= {u}
-    adj[u] |= {w}
-    adj[w] |= {u}
-    return Graph(g.n, tuple(tuple(sorted(a)) for a in adj), g.labels)
+def _moved_edge(rows: tuple) -> list:
+    """rows with the edge (0, v), v the first entry of row 0, moved to
+    (0, w), w the least vertex not adjacent to 0: w takes v's place in
+    row 0, and 0 leaves row v for the end of row w."""
+    rows = [list(row) for row in rows]
+    v = rows[0][0]
+    w = min(set(range(len(rows))) - set(rows[0]) - {0})
+    rows[0][0] = w
+    rows[v].remove(0)
+    rows[w].append(0)
+    return rows
 
 
-def _swapped_labels(g: Graph) -> Graph:
-    labels = list(g.labels)
-    labels[0], labels[1] = labels[1], labels[0]
-    return dataclasses.replace(g, labels=tuple(labels))
+def _vertex_dropped(rows: tuple) -> list:
+    last = len(rows) - 1
+    return [[u for u in row if u != last] for row in rows[:last]]
 
 
-def _vertex_dropped(g: Graph) -> Graph:
-    last = g.n - 1
-    return Graph(last, tuple(tuple(u for u in g.adj[v] if u != last)
-                             for v in range(last)), g.labels[:last])
-
-
-def _vertex_added(g: Graph) -> Graph:
+def _vertex_added(rows: tuple) -> list:
     # an extra isolated vertex after the product's own
-    return Graph(g.n + 1, g.adj + ((),), g.labels + (("extra",),))
+    return [*map(list, rows), []]
 
 
 @pytest.mark.parametrize("mutate,refusal", [
-    (_moved_edge, "has neighbours"), (_swapped_labels, "has label"),
-    (_vertex_dropped, "vertices"), (_vertex_added, "vertices")])
+    (_moved_edge, "has neighbours"), (_vertex_dropped, "vertices"),
+    (_vertex_added, "vertices")])
 @pytest.mark.parametrize("expr", ["Q(1,4) x C(4) x P(2)", "Q(2,2)"])
 def test_family_check_refuses_a_mutated_graph(mutate, refusal, expr):
-    # each mutation is refused by its own check: the vertex count, the
-    # label or the sorted neighbours of one vertex
-    original = embed_family(expr)[0].embedding.graph
-    graph = mutate(original)
-    assert graph != original
+    # each mutation of the built rows is refused by its own check: the
+    # row count, or the sorted row of one vertex
+    original = embed_family(expr)[0].embedding.rotation
+    rows = mutate(original)
+    assert tuple(map(tuple, rows)) != original
     with pytest.raises(ConstructionError, match=refusal):
-        check_family_graph(graph, expr)
-    assert not same_labeled_graph(graph, build_family(expr))
+        family_graph(rows, expr)
 
 
 def test_classify_family_normalizes_order():

@@ -339,6 +339,30 @@ def test_build_family_counts():
     assert (g.n, g.m) == (64, 256)
 
 
+def test_product_sizes_are_build_family_counts_on_every_criterion_8_draw(
+        monkeypatch):
+    # criterion 8 reads its Euler counts off product_sizes, so the last
+    # pair must be build_family's (n, m) on every expression its sampler
+    # draws: each kind, odd Q(j,1) and Q(j,3) and odd-order P(m) included
+    from quadgenus import selftest
+    drawn = set()
+    real = selftest._euler_value
+    monkeypatch.setattr(selftest, "_euler_value",
+                        lambda expr: drawn.add(expr) or real(expr))
+    for seed in range(3):
+        assert selftest.criterion_8(seed)[0]
+    for expr in sorted(drawn):
+        *_, last = graphs.product_sizes(parse_family_expr(expr))
+        g = build_family(expr)
+        assert last == (g.n, g.m), expr
+    kinds = {re.sub(r"\(\d+(,\d+)?\)", "", expr) for expr in drawn}
+    assert {"K", "P x P x P", "Q", "Q x C", "Q x C x C", "K x C", "Q x P",
+            "Q x P x P", "C x C", "C x C x C", "P x P x P x P"} <= kinds
+    assert any(re.search(r"Q\(\d+,1\)", expr) for expr in drawn)
+    assert any(re.search(r"Q\(\d+,3\)", expr) for expr in drawn)
+    assert any(re.search(r"P\([35]\)", expr) for expr in drawn)
+
+
 def test_build_family_rejects_odd_cycle():
     with pytest.raises(InvalidParameterError):
         build_family("C(5)")

@@ -340,7 +340,7 @@ def test_orbit_labels_name_every_face(case):
     succ = DartIndex(g).successors(rotation)
     fid, fpos, flen = _orbit_labels(succ)
     assert labels_describe(succ, fid, fpos, flen)
-    faces = trace_faces(Embedding(g, tuple(rotation))).faces
+    faces = trace_faces(Embedding(g, tuple(rotation)))
     assert sorted(flen) == sorted(map(len, faces))
 
 

@@ -35,7 +35,7 @@ def k44() -> Embedding:
 def quads(e: Embedding) -> list:
     """The quadrilateral faces of a full trace, as vertex tuples from the
     least dart, in trace order."""
-    return [tuple(u for u, _ in face) for face in trace_faces(e).faces
+    return [tuple(u for u, _ in face) for face in trace_faces(e)
             if len(face) == 4]
 
 
@@ -182,6 +182,23 @@ def test_remove_refuses_a_repeated_vertex_or_stale_handle():
     with pytest.raises(SurgeryError, match="no longer current"):
         work.remove((v, w))
     assert work.freeze() == e
+
+
+def test_remove_on_plain_rows_undoes_a_splice():
+    # the module's remove works on plain list rows, as the removal route
+    # holds them: it takes out exactly what splice laid, and Surgery's
+    # remove is that same function on the state's rows
+    e = k44()
+    f1, f2 = disjoint_quad_pair(e)
+    v, w = Surgery(e).add(f1, f2, 0)
+    rows = [list(row) for row in e.rotation]
+    surgery.splice(rows, v, w)
+    assert all(is_face(rows, face) for face in handle_faces(v, w))
+    surgery.remove(rows, (v, w))
+    assert rows == [list(row) for row in e.rotation]
+    with pytest.raises(SurgeryError, match="no longer current"):
+        surgery.remove(rows, (v, w))
+    assert rows == [list(row) for row in e.rotation]
 
 
 def test_every_rotation_of_a_face_is_accepted():
@@ -397,7 +414,7 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
         frozen = work.freeze()
         assert frozen == chain
         faces = trace_faces(frozen)
-        traced = set(faces.faces)
+        traced = set(faces)
         assert all(canonical_face(darts(face)) in traced
                    for face in recorded)
         assert len(faces) - f == delta
