@@ -29,4 +29,4 @@ from .graphs import (Graph, build_family, components, from_edges,
                      parse_family_expr, product_graph)
 from .oracle import (OracleResult, SearchBudget, exhaustive_min_genus,
                      rotation_space_size, stochastic_search)
-from .surgery import Surgery, check_reservoir, handle_faces
+from .surgery import check_reservoir, handle_faces

@@ -417,7 +417,7 @@ def _prove_level(shape: FamilyShape, level: int, size: tuple[int, int],
             f"{shape.normalized_expr} level {level}: certificate n={cert.n} "
             f"m={cert.m} genus={cert.genus}, expected n={n} m={m} "
             f"genus={euler}, closed form {closed}")
-    check_reservoir(emb, reservoir)
+    check_reservoir(emb.rotation, reservoir)
     return cert
 
 

@@ -23,11 +23,11 @@ row), so no row is sorted again.  Two readers walk its orbits:
 
   * face_lengths counts each orbit's length and builds nothing else.
     certify_faces certifies the lengths of a connected graph whose n, m
-    and bipartiteness it is given: euler_genus learns them with one walk,
-    graphs.components, and the construction's level proof from the
-    product it checks.  components_certificate reads the same orbits of
-    one trace and files each length under the component of its least
-    dart's tail.
+    and bipartiteness it is given: components_certificate learns them
+    with one walk, graphs.components, and files each length under the
+    component of its least dart's tail, and the construction's level
+    proof knows them from the product it checks.  euler_genus is the
+    connected case of components_certificate.
   * trace_faces turns each orbit into a face of (u, v) dart tuples, for
     the readers that need the faces themselves.
 
@@ -43,7 +43,7 @@ counts orbits with count_orbits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain
 
 from .errors import EmbeddingError, InvalidParameterError, NotApplicableError
@@ -259,27 +259,12 @@ def certify_faces(n: int, m: int, lengths: list[int], bipartite: bool,
     )
 
 
-def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate for a connected embedding: face_lengths, then one
-    walk of the graph, graphs.components, for connectivity and
-    bipartiteness, then certify_faces."""
-    g = e.graph
-    lengths = face_lengths(e)
-    if g.n == 0:
-        raise InvalidParameterError("empty graph has no certificate")
-    comps = components(g)
-    if len(comps) != 1:
-        raise InvalidParameterError(
-            "euler_genus needs a connected graph; use components_certificate")
-    return certify_faces(g.n, g.m, lengths, comps[0][1], construction_tag)
-
-
 def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
     """Per-component certificates, from one walk of the graph and one
     trace of the whole embedding: each orbit's length is filed under the
     component of its least dart's tail.  The total genus of a
     disconnected embedding is the sum over components; a connected one
-    gets the single certificate euler_genus would give."""
+    gets a single certificate, euler_genus's."""
     g = e.graph
     if g.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
@@ -295,6 +280,16 @@ def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
     # each dart lies on one face, so a component's lengths sum to 2m
     return [certify_faces(len(comp), sum(per) // 2, per, bip)
             for (comp, bip), per in zip(comps, per_comp)]
+
+
+def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
+    """Certificate for a connected embedding, tagged: the connected case
+    of components_certificate."""
+    certs = components_certificate(e)
+    if len(certs) != 1:
+        raise InvalidParameterError(
+            "euler_genus needs a connected graph; use components_certificate")
+    return replace(certs[0], construction_tag=construction_tag)
 
 
 # ---------------------------------------------------------------------------

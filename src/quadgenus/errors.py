@@ -54,7 +54,7 @@ class SurgeryError(ToolError):
 
 class LocalProofError(SurgeryError):
     """A handle's local proof failed after its splice.  That is a fault,
-    not a refused handle, and it leaves the working state half changed."""
+    not a refused handle, and it leaves the rows half changed."""
 
 
 class ConstructionError(ToolError):

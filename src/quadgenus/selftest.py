@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import surgery
 from .constructions import embed_K2r2r, embed_cube, embed_family
 from .embeddings import (Embedding, canonical_json_bytes, euler_genus,
                          face_lengths, genus_lower_bound, trace_faces)
@@ -28,12 +29,11 @@ from .formulas import (_cube_genus_as_printed, corollary_genus,
                        cube_cycle_genus, cube_genus, cube_path_genus,
                        hypercube_genus, main_cycles_genus, main_paths_genus,
                        ringel_genus, white_cycle_genus, white_path_genus)
-from .graphs import (Graph, build_family, components, from_edges,
+from .graphs import (Graph, build_family, components, from_edges, from_rows,
                      make_complete_bipartite, make_cycle, make_path,
                      parse_family_expr, product_graph, product_sizes)
 from .oracle import (SearchBudget, _below, _positions, exhaustive_min_genus,
                      stochastic_search)
-from .surgery import Surgery
 
 
 @dataclass
@@ -231,12 +231,13 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
     the Euler characteristic drops by exactly 2, four edges appear, and
     the quadrilateral face count rises by exactly 2 every single time.
 
-    Each base gets one working state.  Every applied handle is checked
-    on a full retrace of the frozen state and then removed again, and at
-    the end each working state must freeze back to its base exactly.  A
-    proposal add refuses before its splice (an edge of the handle already
-    present) changes nothing and counts as rejected; a failed local proof
-    after the splice is a fault and fails the criterion at once."""
+    Each base gets one copy of its rotation as list rows.  Every applied
+    handle is checked on a full retrace of the rows, frozen by
+    graphs.from_rows, and then removed again, and at the end each copy
+    must equal its base's rotation exactly.  A proposal add refuses
+    before its splice (an edge of the handle already present) changes
+    nothing and counts as rejected; a failed local proof after the
+    splice is a fault and fails the criterion at once."""
     checks = _Checks()
     below = _below(random.Random(seed * 100003 + 6))
     pool = []
@@ -245,12 +246,13 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         traced = trace_faces(e)
         faces = [tuple(u for u, _ in fc) for fc in traced if len(fc) == 4]
         g = e.graph
-        pool.append((e, Surgery(e), faces, [set(f) for f in faces],
+        pool.append((e, [list(r) for r in e.rotation], faces,
+                     [set(f) for f in faces],
                      g.n - g.m + len(traced), g.m, len(faces)))
     applications = 0
     rejected = 0
     while applications < 1000:
-        e, work, faces, vertex_sets, chi0, m0, quads0 = pool[
+        e, rows, faces, vertex_sets, chi0, m0, quads0 = pool[
             below(len(pool))]
         f1, f2 = _positions(below, len(faces))  # rng.sample(range(...), 2)
         pairing = below(4)
@@ -258,7 +260,7 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             rejected += 1
             continue
         try:
-            handle = work.add(faces[f1], faces[f2], pairing)
+            handle = surgery.add(rows, faces[f1], faces[f2], pairing)
         except LocalProofError:
             checks.add(f"application {applications + 1} local proof", False)
             break
@@ -266,9 +268,11 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             rejected += 1
             continue
         applications += 1
-        e2 = work.freeze()
-        # A full retrace, not Surgery's local proof: this is the
-        # independent check of the handle deltas.
+        rotation = tuple(map(tuple, rows))
+        e2 = Embedding(from_rows(e.graph.n, rotation, e.graph.labels),
+                       rotation)
+        # A full retrace, not add's local proof: this is the independent
+        # check of the handle deltas.
         lengths = face_lengths(e2)
         chi1 = e2.graph.n - e2.graph.m + len(lengths)
         quads1 = lengths.count(4)
@@ -277,10 +281,11 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         if not ok:
             checks.add(f"application {applications} deltas", False)
             break
-        work.remove(handle)
+        surgery.remove(rows, handle)
     checks.add("1000 applications completed", applications == 1000)
-    for k, (e, work, *_) in enumerate(pool):
-        checks.add(f"base {k} restored", work.freeze() == e)
+    for k, (e, rows, *_) in enumerate(pool):
+        checks.add(f"base {k} restored",
+                   tuple(map(tuple, rows)) == e.rotation)
     return checks.passed, {"applications": applications,
                            "rejected_proposals": rejected,
                            "failure": checks.failure}

@@ -31,10 +31,11 @@ each corner p, x, q of a cycle, q follows p in x's row, and remove
 takes a handle out of the rows again.  The factor step splices its rows
 with splice, the removal route takes the closing link's handles out of
 those same rows with remove, and check_reservoir proves every reservoir
-face with is_face.  Surgery, the working state for a run of handle
-operations, proves each handle locally with these instead of retracing:
-each of the four created faces must close.  Those faces hold the sixteen
-darts the splice changed, so that pins the deltas at m +4, f +2, chi -2.
+face with is_face.  add, the checked handle of criterion 6 and the
+tests, splices the rows and proves the handle locally instead of
+retracing: each of the four created faces must close.  Those faces hold
+the sixteen darts the splice changed, so that pins the deltas at m +4,
+f +2, chi -2.
 
 remove needs no search and no dart bookkeeping: the handle's eight
 vertices are distinct, so each row loses one entry, and its four faces
@@ -47,8 +48,8 @@ that loses its front entry starts at the one that followed it.  remove
 still proves that v and w reversed close.
 
 Faces not involved stay faces, so callers may keep faces and handles
-across many operations as long as each face is consumed at most once,
-and freeze the state into an Embedding only when they need one.
+across many operations on the same rows as long as each face is
+consumed at most once.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ from typing import Sequence
 
 from .errors import (ConstructionError, InvalidParameterError,
                      LocalProofError, SurgeryError)
-from .embeddings import Embedding
-from .graphs import Graph
 
 
 def handle_faces(v: Sequence[int], w: Sequence[int]
@@ -124,96 +123,64 @@ def remove(rows: Sequence[list[int]],
                 f"face {face} did not close after the removal")
 
 
-class Surgery:
-    """A mutable embedding for a run of handle operations.
+def add(rows: Sequence[list[int]], f1: Sequence[int], f2: Sequence[int],
+        pairing: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Join two vertex-disjoint quadrilateral faces of the rows by a
+    handle carrying four edges vk - wk, and return it as (v, w): v is f1
+    and w is f2 aligned by `pairing`, as the module docstring says.
 
-    Holds the rotation as list rows, rows[x] = x's neighbours in
-    rotation order, one list per vertex; its vertex count; and the
-    labels.  add and remove change only the rows of the eight vertices
-    they touch, and freeze() turns the rows into the Embedding's
-    rotation.  Build it from an Embedding.  add and remove check their
-    preconditions before changing anything, so a refused handle leaves
-    the state as it was.  A failed local proof raises LocalProofError, a
-    SurgeryError, with the state half changed; discard it then.
+    Checks, on every call and in this order: the pairing is 0..3, each
+    face is four distinct vertices, the faces share no vertex, both are
+    current, and none of the four edges exists.  After the splice comes
+    the local proof: each face of handle_faces(v, w) closes.  The splice
+    changes only the successors of the consumed and the added darts,
+    which those faces cover, so they are the only faces changed: edge
+    count +4, face count +2, Euler characteristic -2.  A failed check
+    before the splice leaves the rows as they were; a failed local proof
+    raises LocalProofError.  If the two faces lie in different
+    components the components merge and total genus adds; within one
+    component the genus rises by one.
     """
-
-    def __init__(self, e: Embedding):
-        self.n = e.graph.n
-        self.labels = e.graph.labels
-        self.rows = [list(rot) for rot in e.rotation]
-
-    def add(self, f1: Sequence[int], f2: Sequence[int],
-            pairing: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Join two vertex-disjoint quadrilateral faces by a handle carrying
-        four edges vk - wk, and return it as (v, w): v is f1 and w is f2
-        aligned by `pairing`, as the module docstring says.
-
-        Checks, on every call and in this order: the pairing is 0..3, each
-        face is four distinct vertices, the faces share no vertex, both
-        are current, and none of the four edges exists.  After the splice
-        comes the local proof: each face of handle_faces(v, w) closes.
-        The splice changes only the successors of the consumed and the
-        added darts, which those faces cover, so they are the only faces
-        changed: edge count +4, face count +2, Euler characteristic -2.
-        A failed check before the splice changes nothing; a failed local
-        proof raises LocalProofError.  If the two faces lie in different
-        components the components merge and total genus adds; within one
-        component the genus rises by one.
-        """
-        if pairing not in (0, 1, 2, 3):
+    if pairing not in (0, 1, 2, 3):
+        raise InvalidParameterError(f"pairing must be 0..3, got {pairing}")
+    v, x = tuple(f1), tuple(f2)
+    for face in (v, x):
+        if len(face) != 4 or len(set(face)) != 4:
             raise InvalidParameterError(
-                f"pairing must be 0..3, got {pairing}")
-        v, x = tuple(f1), tuple(f2)
-        for face in (v, x):
-            if len(face) != 4 or len(set(face)) != 4:
-                raise InvalidParameterError(
-                    f"quadrilateral face needs 4 distinct vertices: {face}")
-        if not set(v).isdisjoint(x):
-            raise SurgeryError(
-                f"faces share vertices {sorted(set(v) & set(x))}")
-        rows = self.rows
-        for face in (v, x):
-            if not is_face(rows, face):
-                raise SurgeryError(f"face {face} is not a face of the "
-                                   f"current embedding")
-        # wk = f2[(pairing - k) mod 4]: f2 walked backwards
-        w = (x[pairing], x[pairing - 1], x[pairing - 2], x[pairing - 3])
-        for k in range(4):
-            if w[k] in rows[v[k]]:
-                raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
+                f"quadrilateral face needs 4 distinct vertices: {face}")
+    if not set(v).isdisjoint(x):
+        raise SurgeryError(f"faces share vertices {sorted(set(v) & set(x))}")
+    for face in (v, x):
+        if not is_face(rows, face):
+            raise SurgeryError(f"face {face} is not a face of the "
+                               f"current embedding")
+    # wk = f2[(pairing - k) mod 4]: f2 walked backwards
+    w = (x[pairing], x[pairing - 1], x[pairing - 2], x[pairing - 3])
+    for k in range(4):
+        if w[k] in rows[v[k]]:
+            raise SurgeryError(f"edge ({v[k]},{w[k]}) already present")
 
-        splice(rows, v, w)
-        for quad in handle_faces(v, w):
-            if not is_face(rows, quad):
-                raise LocalProofError(
-                    f"face {quad} did not close after the splice")
-        return v, w
-
-    def remove(self, handle: tuple[Sequence[int], Sequence[int]]) -> None:
-        """Inverse of add: the module's remove on this state's rows."""
-        remove(self.rows, handle)
-
-    def freeze(self) -> Embedding:
-        """The Embedding of the current state: its rotation is the rows
-        as they stand, and its adjacency their sorted neighbours."""
-        rotation = tuple(map(tuple, self.rows))
-        adj = tuple(tuple(sorted(row)) for row in rotation)
-        return Embedding(Graph(self.n, adj, self.labels), rotation)
+    splice(rows, v, w)
+    for quad in handle_faces(v, w):
+        if not is_face(rows, quad):
+            raise LocalProofError(
+                f"face {quad} did not close after the splice")
+    return v, w
 
 
-def check_reservoir(e: Embedding,
+def check_reservoir(rows: Sequence[Sequence[int]],
                     reservoir: Sequence[tuple[tuple[int, ...], ...]]
                     ) -> None:
     """Families must be pairwise face-disjoint; within a family, faces are
-    vertex-disjoint and tile the whole vertex set; and every face must be
-    a face of e's rotation.
+    vertex-disjoint and tile the whole vertex set of the n = len(rows)
+    vertices; and every face must be a face of the rows.
 
     A face is keyed by its vertex tuple rotated to the least vertex, and
     each family marks the vertices it covers in one bytearray; a vertex
     outside 0..n-1 covers nothing and is kept apart, so it is refused as
     a cover that misses the vertex set.  Only a reservoir that passes
     these structural checks has its faces proved, by is_face."""
-    n = e.graph.n
+    n = len(rows)
     seen_faces: set[tuple[int, ...]] = set()
     for fam in reservoir:
         covered = bytearray(n)
@@ -245,6 +212,6 @@ def check_reservoir(e: Embedding,
                 f"vertices (first missing: {missing})")
     for fam in reservoir:
         for quad in fam:
-            if not is_face(e.rotation, quad):
+            if not is_face(rows, quad):
                 raise ConstructionError(
                     f"reservoir face {quad} is not a face")

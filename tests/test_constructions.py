@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quadgenus import constructions, embeddings, graphs
+from quadgenus import constructions, embeddings, graphs, surgery
 from quadgenus.constructions import (_link_step, _prove_level,
                                      _scheme_reservoir, _scheme_rotation,
                                      classify_family, embed_cube,
@@ -14,8 +14,8 @@ from quadgenus.embeddings import (Embedding, euler_genus, genus_lower_bound,
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError, UnsupportedFamilyError)
 from quadgenus.graphs import Graph, build_family, make_complete_bipartite
-from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
-                               is_face, rotate_to_least)
+from quadgenus.surgery import (check_reservoir, handle_faces, is_face,
+                               rotate_to_least)
 
 
 def same_labeled_graph(a: Graph, b: Graph) -> bool:
@@ -51,7 +51,7 @@ def test_base_scheme_is_quadrilateral_up_to_r6(r):
     assert all(len(f) == 4 for f in faces)
     assert len(faces) == 2 * r * r
     assert len(res.reservoir) == 2 * r
-    check_reservoir(res.embedding, res.reservoir)
+    check_reservoir(res.embedding.rotation, res.reservoir)
 
 
 @pytest.mark.parametrize("r", range(1, 17))
@@ -64,7 +64,7 @@ def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
     assert len(faces) == 2 * r * r
     assert len(res.reservoir) == 2 * r
     assert all(len(fam) == r for fam in res.reservoir)
-    check_reservoir(res.embedding, res.reservoir)
+    check_reservoir(res.embedding.rotation, res.reservoir)
 
 
 def traced_reservoir(e: Embedding) -> tuple:
@@ -150,7 +150,7 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
     faces = trace_faces(emb)
     assert all(len(f) == 4 for f in faces)
     with pytest.raises(ConstructionError):
-        check_reservoir(emb, _scheme_reservoir(3))
+        check_reservoir(emb.rotation, _scheme_reservoir(3))
 
 
 COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2),
@@ -208,8 +208,8 @@ def test_copies_lay_out_the_reference_union(name, mirrored, coords,
 def test_link_step_equals_the_surgery_reference(name, step,
                                                 assemble_copies):
     # the row rule against the handle-by-handle path it replaces: the
-    # copies as one Surgery state, one add per face of each link, freeze;
-    # the mirror flags and the link schedule are read off the factor here
+    # copies' rows, one add on them per face of each link; the mirror
+    # flags and the link schedule are read off the factor here
     base = COPY_BASES[name]()
     factor, colour, harvest = constructions._factor(*STEPS[step](base))
     rows, reservoir, links = _link_step(base, factor, colour, harvest,
@@ -223,9 +223,10 @@ def test_link_step_equals_the_surgery_reference(name, step,
         return (a, d, c, b) if mirrored[t] else (a, b, c, d)
 
     coords = [lab for (lab,) in factor.labels]
-    work = Surgery(assemble_copies(base.embedding, mirrored, coords))
-    handles = {(left, right): [work.add(image(face, left),
-                                        image(face, right), 0)
+    union = assemble_copies(base.embedding, mirrored, coords)
+    work = [list(row) for row in union.rotation]
+    handles = {(left, right): [surgery.add(work, image(face, left),
+                                           image(face, right), 0)
                                for face in base.reservoir[k]]
                for left, right, k in schedule}
     expected = tuple(tuple(rotate_to_least(face)
@@ -233,7 +234,7 @@ def test_link_step_equals_the_surgery_reference(name, step,
                            for handle in handles[left, right]
                            for face in handle_faces(*handle)[j::2])
                      for c, j in harvest)
-    assert tuple(map(tuple, rows)) == work.freeze().rotation
+    assert rows == work
     assert reservoir == expected
     assert list(links.items()) == list(handles.items())
 
@@ -307,18 +308,18 @@ def test_factor_data_meets_the_step_conditions(letter, order):
     assert len(reservoir) == len(harvest)
     atom = f"K({order},{order})" if letter == "K" else f"{letter}({order})"
     check_reservoir(
-        frozen(rows, f"{base.certificate.construction_tag} x {atom}"),
+        frozen(rows, f"{base.certificate.construction_tag} x {atom}").rotation,
         reservoir)
 
 
 def test_direct_route_builds_no_surgery_state(monkeypatch):
-    # neither route: the direct route splices list rows, and the removal
-    # route takes the closing link's handles out of those same rows
+    # neither route calls add, the checked handle: the direct route
+    # splices list rows, and the removal route takes the closing link's
+    # handles out of those same rows
     def refuse(*args, **kwargs):
-        raise AssertionError("a route touched Surgery")
+        raise AssertionError("a route called surgery.add")
 
-    for method in ("__init__", "add", "remove", "freeze"):
-        monkeypatch.setattr(Surgery, method, refuse)
+    monkeypatch.setattr(surgery, "add", refuse)
     for route in ("direct", "removal"):
         res, _ = embed_family("Q(2,4) x C(4) x P(4)", route=route)
         assert res.certificate.minimal
@@ -347,24 +348,24 @@ def test_transfer_refuses_a_family_moved_with_the_wrong_flag(
     # copy, is not a face of the copies; add refuses it before any splice
     base = embed_K2r2r(2)
     nb = base.embedding.graph.n
-    work = Surgery(assemble_copies(base.embedding, [False, True], [0, 1]))
-    before = copy.deepcopy(work.rows)
+    union = assemble_copies(base.embedding, [False, True], [0, 1])
+    rows = [list(row) for row in union.rotation]
+    before = copy.deepcopy(rows)
 
     def moved(face, offset, flip):
         a, b, c, d = (x + offset for x in face)
         return (a, d, c, b) if flip else (a, b, c, d)
 
     for face in base.reservoir[0]:
-        assert is_face(work.rows, moved(face, 0, False))
-        assert is_face(work.rows, moved(face, nb, True))
+        assert is_face(rows, moved(face, 0, False))
+        assert is_face(rows, moved(face, nb, True))
         # the wrong flag in copy 1, and copy 1's flag in copy 0
         for left, right in ((moved(face, 0, False), moved(face, nb, False)),
                             (moved(face, 0, True), moved(face, nb, True))):
-            assert not (is_face(work.rows, left)
-                        and is_face(work.rows, right))
+            assert not (is_face(rows, left) and is_face(rows, right))
             with pytest.raises(SurgeryError, match="not a face"):
-                work.add(left, right, 0)
-    assert work.rows == before
+                surgery.add(rows, left, right, 0)
+    assert rows == before
 
 
 def test_cube_two_levels_frozen():
@@ -606,7 +607,7 @@ def test_reservoirs_survive_every_route():
                         ("Q(1,4) x P(4)", "removal"),
                         ("Q(1,4) x P(4)", "direct")):
         res, _ = embed_family(expr, route=route)
-        check_reservoir(res.embedding, res.reservoir)
+        check_reservoir(res.embedding.rotation, res.reservoir)
         assert len(res.reservoir) == 2
 
 

@@ -19,7 +19,7 @@ from quadgenus.graphs import (MAX_DARTS, build_family, components,
 def test_path_basic():
     g = make_path(4)
     assert g.n == 4 and g.m == 3
-    assert g.has_edge(0, 1) and g.has_edge(2, 3) and not g.has_edge(0, 3)
+    assert 1 in g.adj[0] and 3 in g.adj[2] and 3 not in g.adj[0]
     assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
 
 
@@ -32,7 +32,7 @@ def test_cycle_basic():
     g = make_cycle(6)
     assert g.n == 6 and g.m == 6
     assert all(g.degree(v) == 2 for v in range(6))
-    assert g.has_edge(5, 0)
+    assert 0 in g.adj[5]
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 2])
@@ -45,7 +45,7 @@ def test_complete_bipartite_counts_and_labels():
     g = make_complete_bipartite(4, 4)
     assert g.n == 8 and g.m == 16
     assert g.label_of(0) == ("a0",) and g.label_of(4) == ("b0",)
-    assert g.has_edge(0, 4) and not g.has_edge(0, 1)
+    assert 4 in g.adj[0] and 1 not in g.adj[0]
 
 
 def test_from_edges_permits_unbalanced_and_odd_structures():
@@ -68,8 +68,8 @@ def test_product_graph_k22_c4():
     g = product_graph([make_complete_bipartite(2, 2), make_cycle(4)])
     assert g.n == 16 and g.m == 32
     # vertex (u, v) maps to u + 4 * v; copies of K22 plus C4 rungs
-    assert g.has_edge(0, 2) and g.has_edge(0, 4) and g.has_edge(0, 12)
-    assert not g.has_edge(0, 1) and not g.has_edge(0, 8)
+    assert 2 in g.adj[0] and 4 in g.adj[0] and 12 in g.adj[0]
+    assert 1 not in g.adj[0] and 8 not in g.adj[0]
 
 
 def test_product_labels_concatenate():

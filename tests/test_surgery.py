@@ -1,4 +1,6 @@
+import ast
 import functools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,9 @@ from quadgenus.constructions import embed_cube, embed_K2r2r
 from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError)
-from quadgenus.graphs import make_complete_bipartite
-from quadgenus.surgery import (Surgery, check_reservoir, handle_faces,
-                               is_face, rotate_to_least)
+from quadgenus.graphs import from_rows, make_complete_bipartite
+from quadgenus.surgery import (check_reservoir, handle_faces, is_face,
+                               rotate_to_least)
 
 K44_ROT = ((4, 5, 6, 7), (7, 6, 5, 4), (4, 5, 6, 7), (7, 6, 5, 4),
            (0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3), (3, 2, 1, 0))
@@ -48,30 +50,49 @@ def disjoint_quad_pair(e: Embedding):
     raise AssertionError("no disjoint pair")
 
 
+def rows_of(e: Embedding) -> list:
+    """A fresh copy of e's rotation as list rows."""
+    return [list(row) for row in e.rotation]
+
+
+def freeze(rows, labels) -> Embedding:
+    """The Embedding of list rows, its graph as graphs.from_rows reads
+    it off them."""
+    rotation = tuple(map(tuple, rows))
+    return Embedding(from_rows(len(rows), rotation, labels), rotation)
+
+
 def added(e: Embedding, f1: tuple, f2: tuple, pairing: int):
-    """One handle on a fresh working state of `e`, frozen."""
-    work = Surgery(e)
-    handle = work.add(f1, f2, pairing)
-    return work.freeze(), handle
+    """One handle on a fresh copy of e's rows, frozen."""
+    rows = rows_of(e)
+    handle = surgery.add(rows, f1, f2, pairing)
+    return freeze(rows, e.graph.labels), handle
 
 
 def removed(e: Embedding, handle) -> Embedding:
-    """One handle removal on a fresh working state of `e`, frozen."""
-    work = Surgery(e)
-    work.remove(handle)
-    return work.freeze()
+    """One handle removal on a fresh copy of e's rows, frozen."""
+    rows = rows_of(e)
+    surgery.remove(rows, handle)
+    return freeze(rows, e.graph.labels)
+
+
+def test_surgery_imports_only_errors_from_the_package():
+    # every surgery function takes plain rows: no Graph, no Embedding
+    tree = ast.parse(Path(surgery.__file__).read_text())
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} == {"errors"}
 
 
 def test_add_refuses_a_face_that_is_not_four_distinct_vertices():
     # refused before anything changes, as either face of the handle
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    work = Surgery(e)
+    rows = rows_of(e)
     for bad in ((0, 1, 0, 2), (0, 1, 2), (0, 1, 2, 3, 0)):
         for pair in ((bad, f2), (f1, bad)):
             with pytest.raises(InvalidParameterError, match="4 distinct"):
-                work.add(*pair, 0)
-    assert work.freeze() == e
+                surgery.add(rows, *pair, 0)
+    assert rows == rows_of(e)
 
 
 def test_rotate_to_least_matches_the_least_dart():
@@ -111,8 +132,10 @@ def test_add_handle_all_pairings_work():
 def test_add_handle_rejects_bad_pairing_index():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
+    rows = rows_of(e)
     with pytest.raises(InvalidParameterError):
-        Surgery(e).add(f1, f2, 4)
+        surgery.add(rows, f1, f2, 4)
+    assert rows == rows_of(e)
 
 
 def test_add_handle_rejects_shared_vertices():
@@ -120,8 +143,10 @@ def test_add_handle_rejects_shared_vertices():
     faces = quads(e)
     f1 = faces[0]
     f2 = next(f for f in faces[1:] if set(f) & set(f1))
+    rows = rows_of(e)
     with pytest.raises(SurgeryError):
-        Surgery(e).add(f1, f2, 0)
+        surgery.add(rows, f1, f2, 0)
+    assert rows == rows_of(e)
 
 
 def test_add_handle_rejects_existing_edge():
@@ -133,9 +158,11 @@ def test_add_handle_rejects_existing_edge():
                 continue
             for a in range(4):
                 w = [f2[(a - k) % 4] for k in range(4)]
-                if any(e.graph.has_edge(f1[k], w[k]) for k in range(4)):
+                if any(w[k] in e.graph.adj[f1[k]] for k in range(4)):
+                    rows = rows_of(e)
                     with pytest.raises(SurgeryError):
-                        Surgery(e).add(f1, f2, a)
+                        surgery.add(rows, f1, f2, a)
+                    assert rows == rows_of(e)
                     return
     raise AssertionError("expected at least one colliding alignment")
 
@@ -144,8 +171,10 @@ def test_add_handle_rejects_stale_face():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     stale = (f1[0], f1[2], f1[1], f1[3])
+    rows = rows_of(e)
     with pytest.raises(SurgeryError):
-        Surgery(e).add(stale, f2, 0)
+        surgery.add(rows, stale, f2, 0)
+    assert rows == rows_of(e)
 
 
 def test_remove_handle_round_trips_exactly():
@@ -162,7 +191,7 @@ def test_remove_handle_rejects_missing_created_faces():
     e2, rec = added(e, f1, f2, 0)
     back = removed(e2, rec)
     with pytest.raises(SurgeryError):
-        Surgery(back).remove(rec)
+        surgery.remove(rows_of(back), rec)
 
 
 def test_remove_refuses_a_repeated_vertex_or_stale_handle():
@@ -172,27 +201,29 @@ def test_remove_refuses_a_repeated_vertex_or_stale_handle():
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
     e2, (v, w) = added(e, f1, f2, 0)
-    work = Surgery(e2)
+    rows = rows_of(e2)
     for bad in ((v, (w[0], w[1], w[2], v[0])), (v, (w[0], w[1], w[0], w[2])),
                 (v[:3], w), (v, w[1:] + w[:1])):
         with pytest.raises(SurgeryError):
-            work.remove(bad)
-        assert work.freeze() == e2
-    work.remove((v, w))
+            surgery.remove(rows, bad)
+        assert freeze(rows, e2.graph.labels) == e2
+    surgery.remove(rows, (v, w))
     with pytest.raises(SurgeryError, match="no longer current"):
-        work.remove((v, w))
-    assert work.freeze() == e
+        surgery.remove(rows, (v, w))
+    assert freeze(rows, e.graph.labels) == e
 
 
 def test_remove_on_plain_rows_undoes_a_splice():
-    # the module's remove works on plain list rows, as the removal route
-    # holds them: it takes out exactly what splice laid, and Surgery's
-    # remove is that same function on the state's rows
+    # remove works on plain list rows, as the removal route holds them:
+    # it takes out exactly what splice laid, and add's rows are that
+    # same splice, checked and proved
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    v, w = Surgery(e).add(f1, f2, 0)
+    checked = rows_of(e)
+    v, w = surgery.add(checked, f1, f2, 0)
     rows = [list(row) for row in e.rotation]
     surgery.splice(rows, v, w)
+    assert rows == checked
     assert all(is_face(rows, face) for face in handle_faces(v, w))
     surgery.remove(rows, (v, w))
     assert rows == [list(row) for row in e.rotation]
@@ -210,8 +241,8 @@ def test_every_rotation_of_a_face_is_accepted():
 
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    work = Surgery(e)
-    assert all(is_face(work.rows, turn(face, j)) for face in quads(e)
+    rows = rows_of(e)
+    assert all(is_face(rows, turn(face, j)) for face in quads(e)
                for j in range(4))
     e2, (v, w) = added(e, f1, f2, 0)
     for j in range(4):
@@ -263,20 +294,21 @@ def test_link_copies_requires_mirroring(assemble_copies):
 
     # mirrored copies: each face joined to its own image by pairing 0, one
     # handle per face of the family (n/4 = 2 for K(4,4)), product edges only
-    work = Surgery(assemble_copies(e, [False, True], [0, 1]))
-    handles = [work.add(shifted(face, 0, False), shifted(face, n, True), 0)
-               for face in fam]
+    union = assemble_copies(e, [False, True], [0, 1])
+    rows = rows_of(union)
+    handles = [surgery.add(rows, shifted(face, 0, False),
+                           shifted(face, n, True), 0) for face in fam]
     assert len(handles) == len(fam) == 2
     assert all(y == x + n for v, w in handles for x, y in zip(v, w))
-    assert euler_genus(work.freeze()).quadrilateral
+    assert euler_genus(freeze(rows, union.graph.labels)).quadrilateral
 
     # same-orientation copies admit no alignment: every pairing joins some
     # vertex to a vertex other than its own image
     for face in fam:
         for pairing in range(4):
-            plain = Surgery(assemble_copies(e, [False, False], [0, 1]))
-            rec = plain.add(shifted(face, 0, False),
-                            shifted(face, n, False), pairing)
+            plain = rows_of(assemble_copies(e, [False, False], [0, 1]))
+            rec = surgery.add(plain, shifted(face, 0, False),
+                              shifted(face, n, False), pairing)
             assert any(y != x + n for x, y in zip(*rec))
 
 
@@ -288,7 +320,7 @@ def test_partition_faces_k44():
         assert len(fam) == 2
         verts = [v for f in fam for v in f]
         assert len(set(verts)) == 8
-    check_reservoir(k44(), res.reservoir)
+    check_reservoir(K44_ROT, res.reservoir)
 
 
 def test_partition_rejects_non_conforming_input(monkeypatch):
@@ -306,7 +338,7 @@ def test_check_reservoir_flags_overlap():
     reservoir = embed_K2r2r(2).reservoir
     doubled = (reservoir[0], reservoir[0])
     with pytest.raises(ConstructionError):
-        check_reservoir(k44(), doubled)
+        check_reservoir(K44_ROT, doubled)
 
 
 def test_check_reservoir_flags_a_face_under_two_rotations():
@@ -319,7 +351,7 @@ def test_check_reservoir_flags_a_face_under_two_rotations():
     moved = (again,) + tuple(f for f in reservoir[1]
                              if set(f) != set(face))
     with pytest.raises(ConstructionError, match="appears in two families"):
-        check_reservoir(k44(), (reservoir[0], moved))
+        check_reservoir(K44_ROT, (reservoir[0], moved))
 
 
 def test_check_reservoir_refuses_a_vertex_outside_the_graph():
@@ -330,7 +362,7 @@ def test_check_reservoir_refuses_a_vertex_outside_the_graph():
     bad = tuple(wrong if f is face else f for f in fam)
     with pytest.raises(ConstructionError, match=r"family covers 8 of 8 "
                        r"vertices \(first missing: \[7\]\)"):
-        check_reservoir(k44(), (bad,))
+        check_reservoir(K44_ROT, (bad,))
 
 
 def test_check_reservoir_refuses_a_cycle_that_is_not_a_face():
@@ -343,14 +375,14 @@ def test_check_reservoir_refuses_a_cycle_that_is_not_a_face():
                           for f in reservoir[0])
     with pytest.raises(ConstructionError,
                        match=r"reservoir face \(0, 7, 1, 4\) is not a face"):
-        check_reservoir(k44(), (reversed_face,) + reservoir[1:])
+        check_reservoir(K44_ROT, (reversed_face,) + reservoir[1:])
 
 
 def test_check_reservoir_flags_partial_cover():
     reservoir = embed_K2r2r(2).reservoir
     half = (reservoir[0][:1],)
     with pytest.raises(ConstructionError):
-        check_reservoir(k44(), half)
+        check_reservoir(K44_ROT, half)
 
 
 @settings(deadline=None)
@@ -379,19 +411,19 @@ WORK_BASES = {
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(sorted(WORK_BASES)), st.data())
 def test_working_state_matches_retrace_and_wrappers(name, data):
-    """Random handles on one working state, with removals of the newest
-    handle mixed in: after every operation a full retrace of the frozen
-    state holds the faces the operation recorded, the face count moved by
-    exactly 2, and the state equals the chain that runs each operation on
-    a fresh working state."""
+    """Random handles on one working state, a copy of the rows, with
+    removals of the newest handle mixed in: after every operation a full
+    retrace of the rows, frozen, holds the faces the operation recorded,
+    the face count moved by exactly 2, and the rows equal the chain that
+    runs each operation on a fresh copy of the rows."""
     chain = WORK_BASES[name]
-    work = Surgery(chain)
+    rows, labels = rows_of(chain), chain.graph.labels
     f = len(trace_faces(chain))
     newest = []
     for _ in range(data.draw(st.integers(1, 8))):
         if newest and data.draw(st.booleans()):
             handle = newest.pop()
-            work.remove(handle)
+            surgery.remove(rows, handle)
             chain = removed(chain, handle)
             # the faces the handle (v, w) consumed: v, and w reversed
             recorded, delta = (handle[0], handle[1][::-1]), -2
@@ -401,17 +433,18 @@ def test_working_state_matches_retrace_and_wrappers(name, data):
             f2 = data.draw(st.sampled_from(faces))
             pairing = data.draw(st.integers(0, 3))
             try:
-                handle = work.add(f1, f2, pairing)
+                handle = surgery.add(rows, f1, f2, pairing)
             except SurgeryError:
                 with pytest.raises(SurgeryError):
-                    Surgery(chain).add(f1, f2, pairing)
-                assert work.freeze() == chain  # refused: nothing changed
+                    surgery.add(rows_of(chain), f1, f2, pairing)
+                # refused: nothing changed
+                assert freeze(rows, labels) == chain
                 continue
             chain, chained = added(chain, f1, f2, pairing)
             assert chained == handle
             newest.append(handle)
             recorded, delta = handle_faces(*handle), 2
-        frozen = work.freeze()
+        frozen = freeze(rows, labels)
         assert frozen == chain
         faces = trace_faces(frozen)
         traced = set(faces)
@@ -436,7 +469,7 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
     # the local proof can notice.
     e = k44()
     f1, f2 = disjoint_quad_pair(e)
-    work = Surgery(e)
+    rows = rows_of(e)
     splice = surgery.splice
 
     def misplaced(rows, v, w):
@@ -445,9 +478,9 @@ def test_add_local_proof_catches_a_misplaced_edge(monkeypatch):
 
     monkeypatch.setattr(surgery, "splice", misplaced)
     with pytest.raises(SurgeryError):
-        work.add(f1, f2, 0)
+        surgery.add(rows, f1, f2, 0)
     monkeypatch.undo()
-    v, w = Surgery(e).add(f1, f2, 0)
+    v, w = surgery.add(rows_of(e), f1, f2, 0)
     assert (v, rotate_to_least(w[::-1])) == (f1, f2)
 
 
@@ -455,8 +488,9 @@ def test_criterion_6_fails_at_once_on_a_failed_local_proof(monkeypatch):
     # A failed local proof is a fault, not a refused proposal: criterion 6
     # stops at the first one instead of drawing proposals until 1000
     # handles apply, which would never happen here.
-    # The splice is broken only in the working states criterion 6 makes,
-    # not in the constructions that build its bases, which bind their own.
+    # The splice is broken only where criterion 6's add looks it up, in
+    # the surgery module, not in the constructions that build its bases,
+    # which bind their own.
     calls = []
     splice = surgery.splice
 
@@ -485,16 +519,16 @@ def handle_proposals(r: int):
         for f2 in faces:
             for pairing in range(4):
                 try:
-                    Surgery(e).add(f1, f2, pairing)
+                    surgery.add(rows_of(e), f1, f2, pairing)
                 except SurgeryError:
                     continue
                 accepted.append((f1, f2, pairing))
     return e, accepted
 
 
-def successors(work: Surgery) -> dict:
-    """The dart after each dart (u, x) of a working state."""
-    return {(u, x): (x, nxt) for x, row in enumerate(work.rows)
+def successors(rows) -> dict:
+    """The dart after each dart (u, x) of the rows."""
+    return {(u, x): (x, nxt) for x, row in enumerate(rows)
             for u, nxt in zip(row, row[1:] + row[:1])}
 
 
@@ -503,10 +537,10 @@ def successors(work: Surgery) -> dict:
 def test_add_changes_exactly_the_consumed_and_the_new_darts(data, r):
     e, accepted = handle_proposals(r)
     f1, f2, pairing = data.draw(st.sampled_from(accepted))
-    work = Surgery(e)
-    before = successors(work)
-    handle = work.add(f1, f2, pairing)
-    after = successors(work)
+    rows = rows_of(e)
+    before = successors(rows)
+    handle = surgery.add(rows, f1, f2, pairing)
+    after = successors(rows)
     changed = {d for d in after if before.get(d) != after[d]}
     new = {d for a, b in zip(*handle) for d in ((a, b), (b, a))}
     assert len(new) == 8 and set(before) == set(after) - new
