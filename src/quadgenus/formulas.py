@@ -33,6 +33,13 @@ from .errors import InvalidParameterError, NotApplicableError
 
 
 def _as_genus(x: Fraction | int, source: str) -> int:
+    # Most formulas give an int; the exact type keeps bool on the
+    # Fraction path.
+    if type(x) is int:
+        if x < 0:
+            raise InvalidParameterError(
+                f"{source}: genus value {x} is negative")
+        return x
     frac = Fraction(x)
     if frac.denominator != 1:
         raise InvalidParameterError(

@@ -234,7 +234,11 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
     Each base gets one copy of its rotation as list rows.  Every applied
     handle is checked on a full retrace of the rows, frozen by
     graphs.from_rows, and then removed again, and at the end each copy
-    must equal its base's rotation exactly.  A proposal add refuses
+    must equal its base's rotation exactly.  Random proposals on three
+    small bases repeat handles, so each distinct frozen rotation is
+    retraced once per call: its counts are kept, keyed on the whole
+    rotation, in a dict that lives only inside the call.  Every
+    application still compares its own deltas.  A proposal add refuses
     before its splice (an edge of the handle already present) changes
     nothing and counts as rejected; a failed local proof after the
     splice is a fault and fails the criterion at once."""
@@ -249,6 +253,7 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
         pool.append((e, [list(r) for r in e.rotation], faces,
                      [set(f) for f in faces],
                      g.n - g.m + len(traced), g.m, len(faces)))
+    retraced = {}  # frozen rotation -> (chi, m, quadrilaterals)
     applications = 0
     rejected = 0
     while applications < 1000:
@@ -269,15 +274,16 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             continue
         applications += 1
         rotation = tuple(map(tuple, rows))
-        e2 = Embedding(from_rows(e.graph.n, rotation, e.graph.labels),
-                       rotation)
-        # A full retrace, not add's local proof: this is the independent
-        # check of the handle deltas.
-        lengths = face_lengths(e2)
-        chi1 = e2.graph.n - e2.graph.m + len(lengths)
-        quads1 = lengths.count(4)
-        ok = (chi1 - chi0 == -2 and e2.graph.m - m0 == 4
-              and quads1 - quads0 == 2)
+        counts = retraced.get(rotation)
+        if counts is None:
+            g2 = from_rows(e.graph.n, rotation, e.graph.labels)
+            # A full retrace, not add's local proof: this is the
+            # independent check of the handle deltas.
+            lengths = face_lengths(Embedding(g2, rotation))
+            counts = retraced[rotation] = (g2.n - g2.m + len(lengths), g2.m,
+                                           lengths.count(4))
+        chi1, m1, quads1 = counts
+        ok = chi1 - chi0 == -2 and m1 - m0 == 4 and quads1 - quads0 == 2
         if not ok:
             checks.add(f"application {applications} deltas", False)
             break

@@ -97,7 +97,13 @@ def is_face(rows: Sequence[Sequence[int]], cycle: Sequence[int]) -> bool:
     p, x = cycle[-2], cycle[-1]
     for q in cycle:
         row = rows[x]
-        if p not in row or row[(row.index(p) + 1) % len(row)] != q:
+        try:
+            i = row.index(p)
+        except ValueError:  # p is no neighbour of x
+            return False
+        # i + 1 - len(row) is the successor's index, wrapped round to 0
+        # at the end of the row without a modulo.
+        if row[i + 1 - len(row)] != q:
             return False
         p, x = x, q
     return True

@@ -4,13 +4,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadgenus.errors import InvalidParameterError, NotApplicableError
-from quadgenus.formulas import (FORMULAS, _cube_genus_as_printed,
-                                corollary_genus, cube_cycle_genus, cube_genus,
-                                cube_path_genus, hypercube_genus,
-                                main_cycles_genus, main_paths_genus,
-                                ringel_genus, white_cycle_genus,
-                                white_path_genus)
+from quadgenus.formulas import (FORMULAS, _as_genus,
+                                _cube_genus_as_printed, corollary_genus,
+                                cube_cycle_genus, cube_genus, cube_path_genus,
+                                hypercube_genus, main_cycles_genus,
+                                main_paths_genus, ringel_genus,
+                                white_cycle_genus, white_path_genus)
 from quadgenus.graphs import build_family
+
+
+def test_as_genus_refuses_negative_and_non_integer_values():
+    # An int skips the Fraction round trip; both paths refuse alike.
+    for x in (-3, Fraction(-3)):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^ringel: genus value -3 is negative$"):
+            _as_genus(x, "ringel")
+    with pytest.raises(InvalidParameterError,
+                       match=r"^ringel: genus value 7/2 is not an integer$"):
+        _as_genus(Fraction(7, 2), "ringel")
+    for x in (0, 5, Fraction(10, 2), True):
+        got = _as_genus(x, "ringel")
+        assert type(got) is int and got == int(x)
 
 
 @pytest.mark.parametrize("r,want", [(1, 0), (2, 1), (3, 4), (4, 9)])

@@ -508,6 +508,48 @@ def test_criterion_6_fails_at_once_on_a_failed_local_proof(monkeypatch):
     assert details["failure"] == "application 1 local proof"
 
 
+def test_criterion_6_retraces_each_distinct_rotation_once_per_call(
+        monkeypatch):
+    # 1000 applications at seed 0 freeze 235 distinct rotations.  Each is
+    # retraced once, and a second call retraces them all again: no count
+    # outlives the call that traced it.
+    calls = []
+    face_lengths = selftest.face_lengths
+
+    def counting(e):
+        calls.append(e.rotation)
+        return face_lengths(e)
+
+    monkeypatch.setattr(selftest, "face_lengths", counting)
+    for k in (1, 2):
+        assert selftest.criterion_6(0) == (True, {
+            "applications": 1000, "rejected_proposals": 4897,
+            "failure": None})
+        assert len(calls) == 235 * k
+    assert len(set(calls)) == 235
+
+
+def test_criterion_6_fails_when_a_handle_is_left_in_place(monkeypatch):
+    # The kept counts belong to whole rotations, so a handle that remove
+    # leaves behind changes every later rotation of that base, and no
+    # kept count can hide it.  At seed 0 the next application on that
+    # base is number 302, and its deltas are wrong: the base-restored
+    # check at the end is not needed to see it.
+    calls = []
+    remove = surgery.remove
+
+    def leaving_one(rows, handle):
+        calls.append(handle)
+        if len(calls) != 300:
+            remove(rows, handle)
+
+    monkeypatch.setattr(surgery, "remove", leaving_one)
+    passed, details = selftest.criterion_6(0)
+    assert not passed
+    assert details["failure"] == "application 302 deltas"
+    assert details["applications"] == 302 and len(calls) == 301
+
+
 @functools.cache
 def handle_proposals(r: int):
     """The K(2r,2r) base block and every (f1, f2, pairing) that add
