@@ -18,15 +18,16 @@ repeatable.
 Every step runs that blueprint through one factor step, _link_step,
 which reads its copies and links off the new factor's graph H.  Copy t
 of the base, one per vertex t of H, is mirrored where t lies on the far
-side of H's 2-colouring from vertex 0.  Each edge (t, u) of H, t < u, is
-one link, in edge order, by reservoir family colour(t, u), and each
-(c, j) harvest entry makes one family of the faces j and j + 2 of every
-handle of the colour-c links, in link order.  The data must meet three
-conditions: H is bipartite (the step refuses it otherwise, before it
-lays any row), colour is a proper edge colouring of H that needs no more
-families than the base reservoir has, and every harvested colour class
-is a perfect matching on the copies, so that its handles' opposite-face
-pairs tile every vertex.  The factors are data (_factor):
+side of H's 2-colouring from vertex 0, which graphs.components gives.
+Each edge (t, u) of H, t < u, is one link, in edge order, by reservoir
+family colour(t, u), and each (c, j) harvest entry makes one family of
+the faces j and j + 2 of every handle of the colour-c links, in link
+order.  The data must meet three conditions: H is bipartite (the step
+refuses it otherwise, before it lays any row), colour is a proper edge
+colouring of H that needs no more families than the base reservoir has,
+and every harvested colour class is a perfect matching on the copies, so
+that its handles' opposite-face pairs tile every vertex.  The factors
+are data (_factor):
 
   * K(2r,2r), make_complete_bipartite(2r, 2r): edge (j, 2r + l) uses
     family (l - j) mod 2r; harvest (k, 0) for every k < 2r.
@@ -77,20 +78,20 @@ graphs.product_vertices, in which each vertex's sorted row must be the
 product's neighbours, gives the graph, its adjacency the sorted rows and
 its labels the stream's.  A wrong row count or a wrong row is refused
 there, before any trace.  A product of connected bipartite factors is
-connected and bipartite (criterion 9's law), so no build walks a graph;
-verify, which reads a graph it does not know, keeps its walk.  Then it
-proves the level once, in _prove_level, the only code that certifies a
-construction.  One trace's face lengths give the certificate, which must
-be quadrilateral and minimal, so it has f = m/2 faces and genus
-1 + m/4 - n/2 of the graph it traced.  Its n, m and genus must equal the
-counts of the levels up to it (graphs.product_sizes, from the parameters
-alone), their Euler count and, where those levels are all cube, cube and
-cycles, or cube and paths, the closed form.  Last, check_reservoir
-proves every reservoir face against the rows.  So K(2r,2r) has Ringel's
-genus (r-1)^2, each cube fold meets cube_genus, a link step adds exactly
-two faces per handle, and a removal takes out exactly the closing link's
-handles: a handle left in place keeps its four edges in its vertices'
-rows, and family_graph refuses them.
+connected and bipartite (criterion 9's law), so no build walks a level's
+graph, only its factors; verify, which reads a graph it does not know,
+keeps its walk.  Then it proves the level once, in _prove_level, the only
+code that certifies a construction.  One trace's face lengths give the
+certificate, which must be quadrilateral and minimal, so it has f = m/2
+faces and genus 1 + m/4 - n/2 of the graph it traced.  Its n, m and genus
+must equal the counts of the levels up to it (graphs.product_sizes, from
+the parameters alone), their Euler count and, where those levels are all
+cube, cube and cycles, or cube and paths, the closed form.  Last,
+check_reservoir proves every reservoir face against the rows.  So
+K(2r,2r) has Ringel's genus (r-1)^2, each cube fold meets cube_genus, a
+link step adds exactly two faces per handle, and a removal takes out
+exactly the closing link's handles: a handle left in place keeps its
+four edges in its vertices' rows, and family_graph refuses them.
 
 Each link step leaves one row in the result's steps: its tag, how many
 links and handles it laid, and how many handles the removal route took
@@ -109,7 +110,7 @@ from .errors import (ConstructionError, InvalidParameterError,
 from .embeddings import (Embedding, EmbeddingCertificate, certify_faces,
                          face_lengths)
 from .formulas import cube_genus, main_cycles_genus, main_paths_genus
-from .graphs import (FamilyExpr, Graph, family_factors,
+from .graphs import (FamilyExpr, Graph, components, family_factors,
                      make_complete_bipartite, make_cycle, make_path,
                      parse_family_expr, product_sizes, product_vertices)
 from .surgery import (check_reservoir, handle_faces, remove,
@@ -182,7 +183,7 @@ def embed_K2r2r(r: int) -> ConstructionResult:
     return embed_family(f"K({2 * r},{2 * r})")[0]
 
 
-def _copies(rotation: tuple[tuple[int, ...], ...], mirrored: list[bool]
+def _copies(rotation: tuple[tuple[int, ...], ...], mirrored: list[int]
             ) -> Rows:
     """Rows of one copy of `rotation` per entry of `mirrored`: copy t's
     vertex v is t * n_base + v, and its row is v's shifted, reversed
@@ -192,37 +193,22 @@ def _copies(rotation: tuple[tuple[int, ...], ...], mirrored: list[bool]
             for t, flip in enumerate(mirrored) for rot in rotation]
 
 
-def _mirrored(factor: Graph, tag: str) -> list[bool]:
-    """Whether each copy is mirrored: its vertex lies on the far side of
-    the factor's 2-colouring from vertex 0, by one walk from vertex 0
-    (every factor is connected).  A factor that is not bipartite is
-    refused."""
-    far: list = [False] + [None] * (factor.n - 1)
-    queue = [0]
-    for t in queue:
-        for u in factor.adj[t]:
-            if far[u] is None:
-                far[u] = not far[t]
-                queue.append(u)
-            elif far[u] == far[t]:
-                raise ConstructionError(
-                    f"{tag}: factor is not bipartite, so no copies are "
-                    f"mirrored against each other along all its edges")
-    return far
-
-
 def _link_step(base: ConstructionResult, factor: Graph,
                colour: Callable[[int, int], int],
                harvest: list[tuple[int, int]], tag: str
                ) -> tuple[Rows, Reservoir, Links]:
     """The one factor step of the module docstring: the copies, mirrored
-    by _mirrored, and one link per factor edge, all by the row rule,
-    then the harvest.  The link of edge (t, u) joins every face of
-    base.reservoir[colour(t, u)] in copy t to its own image in copy u.
+    by the factor's 2-colouring, and one link per factor edge, all by the
+    row rule, then the harvest.  The link of edge (t, u) joins every face
+    of base.reservoir[colour(t, u)] in copy t to its own image in copy u.
     Returns the rows, the harvested reservoir and each edge's handles,
     unproved: embed_family proves the level."""
     nb = base.embedding.graph.n
-    mirrored = _mirrored(factor, tag)
+    _, mirrored, bipartite = components(factor)  # the factor is connected
+    if not all(bipartite):
+        raise ConstructionError(
+            f"{tag}: factor is not bipartite, so no copies are mirrored "
+            f"against each other along all its edges")
     schedule = [(t, u, colour(t, u)) for t, u in factor.edges()]
     n_fams = 1 + max(k for _, _, k in schedule)
     if len(base.reservoir) < n_fams:

@@ -24,10 +24,12 @@ row), so no row is sorted again.  Two readers walk its orbits:
   * face_lengths counts each orbit's length and builds nothing else.
     certify_faces certifies the lengths of a connected graph whose n, m
     and bipartiteness it is given: components_certificate learns them
-    with one walk, graphs.components, and files each length under the
-    component of its least dart's tail, and the construction's level
-    proof knows them from the product it checks.  euler_genus is the
-    connected case of components_certificate.
+    with one walk, graphs.components, and the construction's level proof
+    knows them from the product it checks.  A disconnected embedding
+    gets no certificate: components_certificate sums its genus from each
+    component's vertex, dart and face counts, a face counted in the
+    component of its least dart's tail.  euler_genus is the connected
+    case of components_certificate.
   * trace_faces turns each orbit into a face of (u, v) dart tuples, for
     the readers that need the faces themselves.
 
@@ -213,24 +215,38 @@ def _quad_bound(n: int, m: int) -> int:
     return 0 if m < n else max(0, -((2 * n - m - 4) // 4))
 
 
-def genus_lower_bound(g: Graph) -> int:
-    """Quadrilateral lower bound ceil(1 + m/4 - n/2) for connected
-    bipartite graphs, exact in integers and floored at zero.
+def _connected_quad_bound(g: Graph) -> int | None:
+    """The quadrilateral bound of g, or None when g is not bipartite,
+    from one components walk; refuses a g that is empty or disconnected."""
+    bipartite = components(g)[2]
+    if len(bipartite) != 1:
+        raise InvalidParameterError("need a non-empty connected graph")
+    return _quad_bound(g.n, g.m) if bipartite[0] else None
 
-    Any embedding of a simple bipartite graph has every face of length at
+
+def genus_lower_bound(g: Graph) -> int:
+    """Quadrilateral lower bound ceil(1 + m/4 - n/2) of a connected
+    bipartite graph, exact in integers and floored at zero (a forest gets
+    0): every face of a simple bipartite graph's embedding has length at
     least 4, so f <= m/2, and Euler's formula turns that into the bound.
-    Forests return 0.  Non-bipartite graphs are rejected: a triangle face
-    would beat the bound, so the inequality just does not apply.
-    """
-    if g.n == 0:
-        raise InvalidParameterError("empty graph has no genus")
-    comps = components(g)
-    if len(comps) != 1:
-        raise InvalidParameterError("lower bound needs a connected graph")
-    if not comps[0][1]:
+    A graph that is not bipartite is refused, as a triangle face beats it."""
+    bound = _connected_quad_bound(g)
+    if bound is None:
         raise NotApplicableError(
             "quadrilateral lower bound needs a bipartite graph")
-    return _quad_bound(g.n, g.m)
+    return bound
+
+
+def _genus(chi: int) -> int:
+    """The genus of Euler characteristic chi = 2 - 2g; an odd chi or a
+    negative genus means a corrupt rotation system."""
+    genus, odd = divmod(2 - chi, 2)
+    if odd:
+        raise EmbeddingError(
+            f"Euler characteristic {chi} is odd; rotation system corrupt")
+    if genus < 0:
+        raise EmbeddingError(f"negative genus {genus}; rotation system corrupt")
+    return genus
 
 
 def certify_faces(n: int, m: int, lengths: list[int], bipartite: bool,
@@ -241,13 +257,7 @@ def certify_faces(n: int, m: int, lengths: list[int], bipartite: bool,
     (having validated it), via n + f - m = 2 - 2g.  A lone vertex traces
     no dart but lies on one face, the sphere."""
     f = len(lengths) if m else 1
-    chi = n - m + f
-    if chi % 2 != 0:
-        raise EmbeddingError(
-            f"Euler characteristic {chi} is odd; rotation system corrupt")
-    genus = (2 - chi) // 2
-    if genus < 0:
-        raise EmbeddingError(f"negative genus {genus}; rotation system corrupt")
+    genus = _genus(n - m + f)
     lb = _quad_bound(n, m) if bipartite else 0
     return EmbeddingCertificate(
         n=n, m=m, f=f, genus=genus,
@@ -259,37 +269,41 @@ def certify_faces(n: int, m: int, lengths: list[int], bipartite: bool,
     )
 
 
-def components_certificate(e: Embedding) -> list[EmbeddingCertificate]:
-    """Per-component certificates, from one walk of the graph and one
-    trace of the whole embedding: each orbit's length is filed under the
-    component of its least dart's tail.  The total genus of a
-    disconnected embedding is the sum over components; a connected one
-    gets a single certificate, euler_genus's."""
+def components_certificate(e: Embedding
+                           ) -> tuple[EmbeddingCertificate | None, int]:
+    """The certificate of a connected embedding, or None for a
+    disconnected one, and the total genus, from one components walk and
+    one trace.  A disconnected total sums each component's genus: 2 per
+    vertex less its darts, plus 2 per face (a lone vertex's, or an orbit
+    of its least dart's tail), is twice its n - m + f, refused as
+    certify_faces refuses it."""
     g = e.graph
     if g.n == 0:
         raise InvalidParameterError("empty graph has no certificate")
-    comps = components(g)
+    comp, _, bipartite = components(g)
     starts, lengths = _orbits(face_successors(e))
-    if len(comps) == 1:
-        return [certify_faces(g.n, g.m, lengths, comps[0][1])]
-    which = {v: i for i, (comp, _) in enumerate(comps) for v in comp}
-    tails = [v for v, nbrs in enumerate(g.adj) for _ in nbrs]
-    per_comp: list[list[int]] = [[] for _ in comps]
-    for start, length in zip(starts, lengths):
-        per_comp[which[tails[start]]].append(length)
-    # each dart lies on one face, so a component's lengths sum to 2m
-    return [certify_faces(len(comp), sum(per) // 2, per, bip)
-            for (comp, bip), per in zip(comps, per_comp)]
+    if len(bipartite) == 1:
+        cert = certify_faces(g.n, g.m, lengths, bipartite[0])
+        return cert, cert.genus
+    chi2 = [0] * len(bipartite)
+    for c, nbrs in zip(comp, g.adj):
+        chi2[c] += 2 - len(nbrs) if nbrs else 4
+    v, end = -1, 0
+    for start in starts:  # increasing, so the tails are read in one pass
+        while end <= start:
+            v += 1
+            end += len(g.adj[v])
+        chi2[comp[v]] += 2
+    return None, sum(_genus(x // 2) for x in chi2)
 
 
 def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificate:
-    """Certificate for a connected embedding, tagged: the connected case
-    of components_certificate."""
-    certs = components_certificate(e)
-    if len(certs) != 1:
+    """components_certificate's certificate of a connected embedding."""
+    cert, _ = components_certificate(e)
+    if cert is None:
         raise InvalidParameterError(
             "euler_genus needs a connected graph; use components_certificate")
-    return replace(certs[0], construction_tag=construction_tag)
+    return replace(cert, construction_tag=construction_tag)
 
 
 # ---------------------------------------------------------------------------

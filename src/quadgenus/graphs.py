@@ -14,6 +14,11 @@ and its label concatenates the factor labels from the first factor on.
 product_vertices is the only place this is spelled out; build_family
 materialises it, and constructions.family_graph reads a construction's
 rotation rows against it, one stream per level, and labels them from it.
+
+components is the one graph walk.  A construction step reads from it
+the sides of its factor graph's 2-colouring, where it mirrors copies; no
+build walks a level's graph, as a product of connected bipartite factors
+is connected and bipartite.
 """
 
 from __future__ import annotations
@@ -185,32 +190,32 @@ def product_graph(factors: Sequence[Graph]) -> Graph:
     return Graph(len(adj), adj, labels)
 
 
-def components(g: Graph) -> list[tuple[list[int], bool]]:
-    """Each connected component of g, in order of its least vertex, as
-    its sorted vertices and whether it is bipartite.  One walk finds
-    both: it 2-colours each vertex as it reaches it, and a component is
-    bipartite when no edge joins two vertices of one colour.  A graph is
-    connected when it has exactly one component (none when n = 0)."""
-    colour = [-1] * g.n
-    comps: list[tuple[list[int], bool]] = []
+def components(g: Graph) -> tuple[list[int], list[int], list[bool]]:
+    """One flat walk of g: comp[v] is v's component, numbered in order of
+    least vertex; side[v] is v's colour, 0 or 1, grown from that least
+    vertex; bipartite[c] is whether no edge of component c joins a colour
+    to itself.  No list is built per component, and g is connected when
+    bipartite has one entry."""
+    comp = [-1] * g.n
+    side = [0] * g.n
+    bipartite: list[bool] = []
     for start in range(g.n):
-        if colour[start] != -1:
+        if comp[start] != -1:
             continue
-        colour[start] = 0
-        comp, stack, bipartite = [start], [start], True
+        c = comp[start] = len(bipartite)
+        stack, proper = [start], True
         while stack:
             u = stack.pop()
-            other = 1 - colour[u]
+            other = 1 - side[u]
             for v in g.adj[u]:
-                if colour[v] == -1:
-                    colour[v] = other
-                    comp.append(v)
+                if comp[v] == -1:
+                    comp[v] = c
+                    side[v] = other
                     stack.append(v)
-                elif colour[v] != other:
-                    bipartite = False
-        comp.sort()
-        comps.append((comp, bipartite))
-    return comps
+                elif side[v] != other:
+                    proper = False
+        bipartite.append(proper)
+    return comp, side, bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +378,18 @@ def is_json_int(x) -> bool:
 
 
 def json_header(data: dict, darts: int) -> tuple[int, Optional[tuple]]:
-    """n and labels of a graph or embedding file, refused with the file's
-    darts past MAX_DARTS before anything is built per vertex.  Exact type
-    tests: JSON decodes integers only to int and true/false only to bool."""
+    """n and labels of a graph or embedding file, refused before anything
+    is built per vertex past MAX_DARTS darts or MAX_DARTS // 2 + 1
+    vertices; a connected graph has 2(n - 1) darts or more, so the vertex
+    term refuses none the dart term admits.  Exact type tests: JSON
+    decodes integers only to int and true/false only to bool."""
     n, labels = data.get("n"), data.get("labels")
     if not is_json_int(n):
         raise InvalidParameterError("'n' must be an integer")
-    if n > MAX_DARTS or darts > MAX_DARTS:
+    if n > MAX_DARTS // 2 + 1 or darts > MAX_DARTS:
         raise InvalidParameterError(
             f"graph has n={n} vertices and {darts} darts; more than "
-            f"{MAX_DARTS} vertices or darts is refused")
+            f"{MAX_DARTS // 2 + 1} vertices or {MAX_DARTS} darts is refused")
     if labels is not None and not (
             isinstance(labels, (list, tuple)) and len(labels) == n
             and set(map(type, labels)) <= {list, tuple}

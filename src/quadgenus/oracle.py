@@ -33,8 +33,9 @@ lb (trees, K1 and K2 are bipartite and get 0), and no system has more
 than f_cap = 2 - n + m - 2 lb faces.  The first system with f_cap faces
 is therefore the first best, the one a full enumeration keeps, and the
 search reports its position in product order as ``explored``.  Both
-searches walk the graph once, with graphs.components, which refuses a
-graph that is not one component and says which bound applies.
+searches walk the graph once, by embeddings._connected_quad_bound: one
+graphs.components walk refuses a graph that is not one component, and
+its bipartite flag says which bound applies.
 
 A stochastic restart holds each rotation as a row of local positions,
 k for the k-th neighbour in v's adjacency, and reads the darts into and
@@ -86,8 +87,9 @@ from math import factorial, prod
 from typing import Callable, Optional
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .embeddings import DartIndex, Embedding, _quad_bound, count_orbits
-from .graphs import Graph, components, is_json_int
+from .embeddings import (DartIndex, Embedding, _connected_quad_bound,
+                         count_orbits)
+from .graphs import Graph, is_json_int
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,7 @@ def exhaustive_min_genus(graph: Graph,
         if space // 2 > cap:
             raise BudgetExceededError(
                 f"rotation space exceeds cap {cap} by vertex {v}")
-    comps = components(graph)
-    if len(comps) != 1:
-        raise InvalidParameterError("need a non-empty connected graph")
-    quad = _quad_bound(graph.n, graph.m) if comps[0][1] else None
+    quad = _connected_quad_bound(graph)
     f_cap = _face_cap(graph, quad)
 
     root = _root(graph)
@@ -319,10 +318,7 @@ def stochastic_search(graph: Graph,
     Deterministic per seed; the result never beats the true minimum, so
     pair it with a lower bound or a target to know when it has won.
     """
-    comps = components(graph)
-    if len(comps) != 1:
-        raise InvalidParameterError("need a non-empty connected graph")
-    quad = _quad_bound(graph.n, graph.m) if comps[0][1] else None
+    quad = _connected_quad_bound(graph)
     target_f: Optional[int] = None
     if budget.target_genus is not None:
         target_f = 2 - 2 * budget.target_genus - graph.n + graph.m

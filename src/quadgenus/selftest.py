@@ -454,7 +454,7 @@ def criterion_9(seed: int) -> tuple[bool, dict]:
         return make_complete_bipartite(rng.randint(1, 4), rng.randint(1, 4))
 
     def bipartite(g: Graph) -> bool:
-        return all(flag for _, flag in components(g))
+        return all(components(g)[2])
 
     for idx in range(100):
         a, b = factory(), factory()

@@ -7,7 +7,7 @@ import pytest
 
 from quadgenus import cli, constructions, embeddings, formulas, graphs
 from quadgenus.cli import main
-from quadgenus.errors import InvalidParameterError
+from quadgenus.errors import EmbeddingError, InvalidParameterError
 
 
 def run(capsys, *argv):
@@ -170,22 +170,55 @@ def test_verify_traces_and_colours_once(capsys, tmp_path, count_calls):
     assert (len(traces), len(walks)) == (1, 1)
 
 
-def test_verify_of_two_components_traces_and_walks_once(capsys, tmp_path,
-                                                       count_calls):
+def two_k22_file(capsys, tmp_path) -> str:
+    """An embedding file of two copies of K(2,2) as embed writes it."""
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(2,2)", "--out", str(out_dir))
-    data = json.loads((out_dir / "embedding.json").read_text())
-    rows = data["rotation"]
-    data["rotation"] = rows + [[w + 4 for w in row] for row in rows]
-    data["graph"] = {"n": 8}
+    rows = json.loads((out_dir / "embedding.json").read_text())["rotation"]
     path = tmp_path / "two.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps({"graph": {"n": 8}, "rotation": rows + [
+        [w + 4 for w in row] for row in rows]}))
+    return str(path)
+
+
+def test_verify_of_two_components_traces_and_walks_once(capsys, tmp_path,
+                                                       count_calls):
+    path = two_k22_file(capsys, tmp_path)
     traces = count_calls(embeddings.face_successors)
     walks = count_calls(graphs.components)
-    code, out, _ = run(capsys, "verify", str(path))
+    certified = count_calls(embeddings.certify_faces)
+    code, out, _ = run(capsys, "verify", path)
     assert code == 0 and "disconnected, total genus=0" in out
-    # one trace of the whole embedding, its faces filed by component
-    assert (len(traces), len(walks)) == (1, 1)
+    # one trace of the whole embedding, its faces counted by component;
+    # no component is certified on its own
+    assert (len(traces), len(walks), len(certified)) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("corrupt, why", [
+    pytest.param(lambda faces: faces[1:], "Euler characteristic 1 is odd",
+                 id="odd"),
+    pytest.param(lambda faces: [f for f in faces for _ in "ab"],
+                 "negative genus -1", id="negative"),
+])
+def test_verify_refuses_a_component_whose_face_count_is_corrupt(
+        capsys, tmp_path, monkeypatch, corrupt, why):
+    # the trace loses the first component's first face, or lists every
+    # face twice: that component's n - m + f is 1, or 4, which the
+    # disconnected count refuses as certify_faces would
+    path = two_k22_file(capsys, tmp_path)
+    real = embeddings._orbits
+
+    def corrupted(succ):
+        faces = corrupt(list(zip(*real(succ))))  # (start, length) pairs
+        return [start for start, _ in faces], [n for _, n in faces]
+
+    monkeypatch.setattr(embeddings, "_orbits", corrupted)
+    with open(path) as fh:
+        e = embeddings.embedding_from_json_dict(json.load(fh))
+    with pytest.raises(EmbeddingError, match=why):
+        embeddings.components_certificate(e)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 3 and out == "" and why in err and "Traceback" not in err
 
 
 def test_oracle_checks_the_graph_once(capsys, tmp_path, count_calls):
@@ -596,6 +629,8 @@ def fake_from_edges(monkeypatch):
 @pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
 @pytest.mark.parametrize("cap, graph", [
     pytest.param(None, {"n": 10_000_000_000, "edges": []}, id="n"),
+    # one vertex past 64 // 2 + 1, the vertex term at a cap of 64 darts
+    pytest.param(64, {"n": 34, "edges": []}, id="vertices"),
     pytest.param(8, {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3],
                                        [0, 2]]}, id="edges"),
 ])
@@ -612,9 +647,9 @@ def test_over_cap_graph_file_is_refused_before_building(
 
 @pytest.mark.parametrize("command", ["oracle", "verify", "faces"])
 @pytest.mark.parametrize("cap, graph", [
-    # n at a lowered cap: an embedding file at the real cap would hold
-    # 2^23 empty rows
-    pytest.param(64, {"n": 64, "edges": []}, id="n"),
+    # n at the vertex term of a lowered cap, 64 // 2 + 1: an embedding
+    # file at the real cap would hold 2^22 + 1 empty rows
+    pytest.param(64, {"n": 33, "edges": []}, id="n"),
     pytest.param(8, {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
                  id="edges"),
 ])

@@ -644,22 +644,28 @@ def test_full_traces_per_build_stay_a_few(count_calls):
     # the path; the closed cycle the removal route opens up is never
     # proved.  Each level's rows are frozen against one stream of the
     # product of the levels up to it, which proves the graph connected
-    # and bipartite, so no build walks a graph; then its proof builds one
-    # successor list in the trace core, which checks the rotation system
-    # as it goes.
+    # and bipartite, so no build walks a level's graph: the one walk of
+    # a step is of its factor, for the mirrored copies; then its proof
+    # builds one successor list in the trace core, which checks the
+    # rotation system as it goes.
     counted = {real.__name__: count_calls(real)
                for real in (embeddings.face_successors,
-                            graphs.product_vertices, graphs.components)}
-    for expr, route, levels in (
-            ("Q(2,4) x C(4) x P(4)", "direct", 4),
-            ("Q(2,4) x C(4) x P(4)", "removal", 4),
-            ("Q(3,4)", "direct", 3)):  # base and two folds
-        for calls in counted.values():
+                            graphs.product_vertices)}
+    walks = count_calls(graphs.components)
+    k44, c4, p4 = (make_complete_bipartite(4, 4), graphs.make_cycle(4),
+                   graphs.make_path(4))
+    for expr, route, levels, factors in (
+            ("Q(2,4) x C(4) x P(4)", "direct", 4, [k44, c4, p4]),
+            # the removal route's path step lays the cycle's copies
+            ("Q(2,4) x C(4) x P(4)", "removal", 4, [k44, c4, c4]),
+            ("Q(3,4)", "direct", 3, [k44, k44])):  # base and two folds
+        for calls in [*counted.values(), walks]:
             calls.clear()
         embed_family(expr, route=route)
         assert {name: len(calls) for name, calls in counted.items()} == {
-            "face_successors": levels, "product_vertices": levels,
-            "components": 0}, (expr, route)
+            "face_successors": levels, "product_vertices": levels
+        }, (expr, route)
+        assert walks == [(factor,) for factor in factors], (expr, route)
 
 
 def test_base_block_is_traced_once(count_calls):

@@ -93,23 +93,25 @@ def test_euler_genus_rejects_disconnected():
 def test_components_certificate_sums_genus():
     g = from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                        (4, 5), (5, 6), (6, 7), (7, 4)])
-    rot = tuple(tuple(sorted(g.adj[v])) for v in range(8))
-    parts = components_certificate(Embedding(g, rot))
-    assert len(parts) == 2
-    assert sum(c.genus for c in parts) == 0
+    e = Embedding(g, tuple(tuple(sorted(g.adj[v])) for v in range(8)))
+    cert, genus = components_certificate(e)
+    assert cert is None
+    assert genus == sum(euler_genus(restrict(e, part)).genus
+                        for part in ([0, 1, 2, 3], [4, 5, 6, 7])) == 0
 
 
 def test_lone_vertex_lies_on_one_face():
     cert = euler_genus(Embedding(from_edges(1, []), ((),)))
     assert (cert.n, cert.m, cert.f, cert.genus) == (1, 0, 1, 0)
     assert cert.minimal and not cert.quadrilateral
-    parts = components_certificate(Embedding(from_edges(2, []), ((), ())))
-    assert [(c.f, c.genus) for c in parts] == [(1, 0), (1, 0)]
+    # each lone vertex's face is counted: without it, n - m + f = 1
+    assert components_certificate(
+        Embedding(from_edges(2, []), ((), ()))) == (None, 0)
 
 
 def test_components_certificate_of_connected_embedding_is_euler_genus():
     e = k22_embedding()
-    assert components_certificate(e) == [euler_genus(e)]
+    assert components_certificate(e) == (euler_genus(e), 0)
 
 
 def restrict(e: Embedding, vertices: list[int]) -> Embedding:
@@ -124,11 +126,11 @@ def restrict(e: Embedding, vertices: list[int]) -> Embedding:
 
 @st.composite
 def rotations_with_components(draw):
-    """An embedding of 2-4 connected pieces (a lone vertex among them,
+    """An embedding of 1-4 connected pieces (a lone vertex among them,
     sometimes), their vertices interleaved by a random numbering, and
     the pieces' vertex sets in order of their least vertex."""
     pieces = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, 5))
         # a random spanning tree, then random extra edges
         edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
@@ -155,8 +157,12 @@ def rotations_with_components(draw):
 @given(rotations_with_components())
 def test_components_certificate_is_each_component_on_its_own(drawn):
     e, parts = drawn
-    assert components_certificate(e) == [euler_genus(restrict(e, part))
-                                         for part in parts]
+    cert, genus = components_certificate(e)
+    assert genus == sum(euler_genus(restrict(e, part)).genus
+                        for part in parts)
+    assert (cert is None) == (len(parts) >= 2)
+    if cert is not None:
+        assert cert == euler_genus(e)
 
 
 def reversed_rotations(e: Embedding) -> Embedding:

@@ -12,8 +12,9 @@ from quadgenus.errors import ExprSyntaxError, InvalidParameterError
 from quadgenus.graphs import (MAX_DARTS, build_family, components,
                               family_factors, from_edges,
                               graph_from_json_dict, graph_to_json_dict,
-                              make_complete_bipartite, make_cycle, make_path,
-                              parse_family_expr, product_graph)
+                              json_header, make_complete_bipartite,
+                              make_cycle, make_path, parse_family_expr,
+                              product_graph, product_sizes)
 
 
 def test_path_basic():
@@ -52,7 +53,8 @@ def test_from_edges_permits_unbalanced_and_odd_structures():
     k23 = from_edges(5, [(u, v + 2) for u in range(2) for v in range(3)])
     assert k23.m == 6
     c5 = from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
-    assert components(c5) == [([0, 1, 2, 3, 4], False)]
+    comp, _, bipartite = components(c5)
+    assert (comp, bipartite) == ([0] * 5, [False])
 
 
 def test_from_edges_rejects_bad_input():
@@ -87,16 +89,18 @@ def test_product_graph_refuses_an_empty_factor():
 
 
 def test_connectivity_helpers():
-    # components come in order of their least vertex
+    # components come in order of their least vertex, each coloured from
+    # it
     g = from_edges(5, [(0, 1), (2, 3)])
-    assert components(g) == [([0, 1], True), ([2, 3], True), ([4], True)]
-    assert components(make_cycle(4)) == [([0, 1, 2, 3], True)]
-    assert components(from_edges(0, [])) == []
+    assert components(g) == ([0, 0, 1, 1, 2], [0, 1, 0, 1, 0],
+                             [True, True, True])
+    assert components(make_cycle(4)) == ([0] * 4, [0, 1, 0, 1], [True])
+    assert components(from_edges(0, [])) == ([], [], [])
 
 
 def test_bipartite_coloring_is_proper():
     g = make_complete_bipartite(3, 4)
-    assert components(g) == [(list(range(7)), True)]
+    assert components(g) == ([0] * 7, [0] * 3 + [1] * 4, [True])
 
 
 @st.composite
@@ -144,10 +148,15 @@ def two_colourable(g, vertices):
 @example(from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                         (5, 6), (6, 7), (7, 8), (8, 5)]))
 def test_components_match_a_search_and_a_brute_force_colouring(g):
-    comps = components(g)
-    assert [vertices for vertices, _ in comps] == reference_components(g)
-    assert [flag for _, flag in comps] == [
-        two_colourable(g, vertices) for vertices, _ in comps]
+    comp, side, bipartite = components(g)
+    groups = [[v for v in range(g.n) if comp[v] == c]
+              for c in range(len(bipartite))]
+    assert groups == reference_components(g)
+    assert bipartite == [two_colourable(g, vertices) for vertices in groups]
+    # each colouring is grown from its component's least vertex, and is
+    # proper on every bipartite component
+    assert all(side[vertices[0]] == 0 for vertices in groups)
+    assert all(side[u] != side[v] for u, v in g.edges() if bipartite[comp[u]])
 
 
 # expression parsing
@@ -437,8 +446,27 @@ def test_product_matches_the_definition(a, b):
 
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_bipartite_parts_sizes(s, t):
-    assert components(make_complete_bipartite(s, t)) == [
-        (list(range(s + t)), True)]
+    assert components(make_complete_bipartite(s, t)) == (
+        [0] * (s + t), [0] * s + [1] * t, [True])
+
+
+def test_vertex_cap_admits_every_connected_graph_the_dart_cap_admits():
+    # header dicts only, so nothing is built per vertex.  A tree on the
+    # most vertices admitted has exactly MAX_DARTS darts, and one more
+    # vertex is refused whatever its darts
+    top = MAX_DARTS // 2 + 1
+    assert json_header({"n": top}, 2 * (top - 1)) == (top, None)
+    assert 2 * (top - 1) == MAX_DARTS
+    for darts in (0, MAX_DARTS):
+        with pytest.raises(InvalidParameterError,
+                           match=f"n={top + 1} vertices.*refused"):
+            json_header({"n": top + 1}, darts)
+    # the embeddable family with the most vertices under the dart cap,
+    # n = 2,097,152, and the next path order past it
+    sizes = list(product_sizes(parse_family_expr("K(2,2) x P(524288)")))
+    assert sizes[-1] == (2_097_152, 4_194_300) and 2_097_152 < top
+    with pytest.raises(InvalidParameterError, match="refused"):
+        family_factors("K(2,2) x P(524290)")
 
 
 def test_size_guard_is_arithmetic_only(monkeypatch):
