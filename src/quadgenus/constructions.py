@@ -70,7 +70,8 @@ folds, then the C(2m) and P(2m) atoms in the expression's order; every
 level after the base block is one factor step.  route="removal" takes
 the subtractive route for every path factor with m >= 2.
 embed_cube(i, r) and embed_K2r2r(r) are embed_family on Q(i,2r) and
-K(2r,2r).
+K(2r,2r), exported for outside callers; nothing in the package calls
+them.
 
 The steps only build.  embed_family freezes every level, the base block
 included, once, by family_graph(rows, levels up to it): one stream of

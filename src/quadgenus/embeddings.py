@@ -316,10 +316,12 @@ def euler_genus(e: Embedding, construction_tag: str = "") -> EmbeddingCertificat
 
 
 def embedding_to_json_dict(e: Embedding) -> dict:
+    """The JSON form, holding the frozen label and rotation tuples, which
+    the encoder writes as lists: no row is copied."""
     graph: dict = {"n": e.graph.n}
     if e.graph.labels is not None:
-        graph["labels"] = [list(lab) for lab in e.graph.labels]
-    return {"graph": graph, "rotation": [list(r) for r in e.rotation]}
+        graph["labels"] = e.graph.labels
+    return {"graph": graph, "rotation": e.rotation}
 
 
 def embedding_from_json_dict(data: dict) -> Embedding:

@@ -42,32 +42,34 @@ k for the k-th neighbour in v's adjacency, and reads the darts into and
 out of v at position k from two lists indexed by position; the witness
 is mapped back to neighbours once, at the end.  Every random draw is
 ``random``'s own, replayed on ``getrandbits``: by ``below(n)`` (see
-``_below``) in a restart's shuffle and inline in a swap.  A swap of two
-neighbours at v changes the successors of the changed darts C, the at
-most four darts entering v from the positions i-1, i, j-1 and j, and of
-no other dart.  Each restart walks every orbit once
-and labels each dart d with its orbit id fid[d] and position fpos[d],
-and each orbit with its length.  A swap is then scored with no walk.
-An orbit that meets no dart of C keeps all its successors, so it is a
-face before the swap and after.  The old and the new successors of C
-are the same out-darts of v, none of them in C, so each new successor
-t(c) of a dart c in C lies on an old orbit through C, and reach(t),
-the dart of C on t's orbit at the least positive offset
-(fpos[reach] - fpos[t]) mod length, is reached from t along successors
-the swap keeps.  After the swap an orbit through c runs c, t(c), ...,
-reach(t(c)) with no dart of C between, so the orbits through C are the
-cycles of c -> reach(t(c)); before it they are the distinct fid values
-over C, and the face count moves by the difference.  When every dart
-of C lies on its own orbit, reach(t(c)) is the dart of C whose old
-successor was t(c).  Writing (p) for the dart from neighbour p into v
-and p_k for the neighbour at position k before the swap, that map
-exchanges (p_{i-1}) with (p_{j-1}) and (p_i) with (p_j), two cycles on
-four darts, or is one cycle on three when i and j are adjacent; either
-way the swap loses two faces.  The swap only permutes the neighbours at
-those positions, so C's fids are read before it is made, and when they
-are distinct it is rejected unmade, with no list built.  Any other swap
-is made and scored, and undone if it loses faces; an accepted one writes
-the new successors and relabels the orbits through C in one walk.
+``_below``) in a restart's shuffle and inline in a swap.  One labeller,
+``_label``, numbers orbits: a restart numbers every orbit 0 .. f-1, so
+it counts the faces.  A swap of two neighbours at v changes the
+successors of the changed darts C, the at most four darts entering v
+from the positions i-1, i, j-1 and j, and of no other dart, so the
+orbits that miss C are faces before the swap and after, and the face
+count moves by the orbits through C after it less those before it.
+
+When every dart of C lies on its own orbit the swap loses two faces.
+Write s and t for the successors before and after the swap, (p) for
+the dart from neighbour p into v and p_k for the neighbour at position
+k before it.  The new successors of C are the old ones, permuted: t(c)
+= s(c') for one c' in C, and from s(c') the old orbit of c' runs back
+to c' along successors the swap keeps, meeting no other dart of C.  So
+after the swap the orbits through C are the cycles of c -> c' on C.
+When i and j are not adjacent that map exchanges (p_{i-1}) with
+(p_{j-1}) and (p_i) with (p_j): (p_{i-1}) now leads out to p_j, as
+(p_{j-1}) did, and (p_i), now at position j, out to p_{j+1}, as (p_j)
+did; four orbits become two.  When j = i + 1 it is the one cycle
+(p_{i-1}) -> (p_i) -> (p_{i+1}) -> (p_{i-1}) on three darts, and three
+orbits become one; the same holds with i and j exchanged.  The swap
+only permutes the neighbours at those positions, so C's ids are read
+before it is made, and when they are distinct it is rejected unmade.  Any other swap is made: the new successors of C
+are written and the orbits through C numbered from the next free id,
+and the count of new ids less the count of distinct old ids on C is the
+change in faces.  A swap that loses faces restores the successors, and
+the old orbits through C are numbered afresh the same way.  Ids are
+only compared, so none is reused.
 
 Both searchers are deterministic for a fixed seed.  Each restart of
 the stochastic search draws from its own generator, seeded from the
@@ -278,29 +280,20 @@ def _positions(below: Callable[[int], int], d: int) -> tuple[int, int]:
     return i, j
 
 
-def _walk(succ: list[int], start: int, k: int, fid: list[int],
-          fpos: list[int]) -> int:
-    """Label the orbit of ``start`` with id k and positions 0, 1, ...
-    from ``start``; return its length."""
-    fid[start], fpos[start] = k, 0
-    pos = 1
-    dart = succ[start]
-    while dart != start:
-        fid[dart], fpos[dart] = k, pos
-        pos += 1
-        dart = succ[dart]
-    return pos
-
-
-def _orbit_labels(succ: list[int]) -> tuple[list[int], list[int],
-                                            list[int]]:
-    """Orbit id and position of every dart of ``succ`` and the length of
-    every orbit, ids 0 .. faces-1, in one walk."""
-    fid, fpos, flen = [-1] * len(succ), [0] * len(succ), []
-    for dart in range(len(succ)):
-        if fid[dart] < 0:
-            flen.append(_walk(succ, dart, len(flen), fid, fpos))
-    return fid, fpos, flen
+def _label(succ: list[int], fid: list[int], starts, first: int) -> int:
+    """Give each orbit of ``succ`` through a dart of ``starts`` whose id
+    is below ``first`` a fresh id, ``first`` on; return the next free
+    id.  Every other dart keeps its id."""
+    k = first
+    for start in starts:
+        if fid[start] < first:
+            fid[start] = k
+            dart = succ[start]
+            while dart != start:
+                fid[dart] = k
+                dart = succ[dart]
+            k += 1
+    return k
 
 
 def stochastic_search(graph: Graph,
@@ -312,9 +305,11 @@ def stochastic_search(graph: Graph,
     then repeated single-vertex perturbations (swap two neighbours in one
     rotation), accepting any move that does not lose faces.  A restart
     ends after restart_stall evaluations without strict improvement.
-    Each restart labels every dart with its orbit and position in one
-    walk; a swap is scored from those labels (see the module docstring),
-    and only an accepted swap walks, along the orbits it changed.
+    Each restart numbers every orbit with ``_label``.  A swap whose
+    changed darts lie on distinct orbits loses two faces and is rejected
+    unmade; any other is made and scored by numbering the orbits through
+    its changed darts afresh, and one it rejects is undone and those
+    orbits numbered again (see the module docstring).
     Deterministic per seed; the result never beats the true minimum, so
     pair it with a lower bound or a target to know when it has won.
     """
@@ -355,8 +350,8 @@ def stochastic_search(graph: Graph,
                 for k in row:
                     succ[iv[prev]] = ov[k]
                     prev = k
-        fid, fpos, flen = _orbit_labels(succ)
-        current_f = len(flen)
+        fid = [-1] * index.size
+        current_f = top = _label(succ, fid, range(index.size), 0)
         explored += 1
         if current_f > best_f:
             best_f, best_rows = current_f, [row[:] for row in rows]
@@ -394,61 +389,25 @@ def stochastic_search(graph: Graph,
                     and (f1 != f2 or c1 == c2) and (f0 != f3 or c0 == c3)):
                 stall += 1  # on distinct orbits: loses two faces
                 continue
+            # write the new successors of C (where c1 is c2, or c0 is c3,
+            # the later write is the right one), then number the orbits
+            # through C afresh from top: the orbits that miss C keep
+            # their ids and their successors
             row[i], row[j] = a, b
-            # each changed dart once, with its id and its new successor
             ov = outof[v]
-            changed, ids = [c0, c1, c2, c3], [f0, f1, f2, f3]
-            targets = [ov[a], ov[row[(j + 1) % d]], ov[b],
-                       ov[row[(i + 1) % d]]]
-            if c1 == c2:
-                del changed[2], ids[2], targets[2]
-            elif c0 == c3:
-                del changed[0], ids[0], targets[0]
-            free = set(ids)
-            # link[x]: the changed dart reached first from changed dart
-            # x's new successor t, along successors the swap keeps: the
-            # one changed dart on t's orbit, or of several the one at the
-            # least positive offset
-            link = []
-            for t in targets:
-                k = fid[t]
-                if ids.count(k) == 1:
-                    link.append(ids.index(k))
-                    continue
-                base = fpos[t]
-                length = near = flen[k]
-                for x, c in enumerate(changed):
-                    if ids[x] == k:
-                        off = (fpos[c] - base) % length
-                        if off < near:
-                            near, reach = off, x
-                link.append(reach)
-            # one head per cycle of link, that is per orbit through the
-            # changed darts after the swap
-            heads = []
-            for x in range(len(link)):
-                if link[x] >= 0:
-                    heads.append(x)
-                    while link[x] >= 0:
-                        link[x], x = -1, link[x]
-            delta = len(heads) - len(free)
+            s0, s1, s2, s3 = succ[c0], succ[c1], succ[c2], succ[c3]
+            succ[c0], succ[c2] = ov[a], ov[b]
+            succ[c1], succ[c3] = ov[row[(j + 1) % d]], ov[row[(i + 1) % d]]
+            changed = c0, c1, c2, c3
+            new = _label(succ, fid, changed, top)
+            delta = new - top - len({f0, f1, f2, f3})
             if delta < 0:
                 row[i], row[j] = b, a
+                succ[c0], succ[c1], succ[c2], succ[c3] = s0, s1, s2, s3
+                top = _label(succ, fid, changed, new)
                 stall += 1
                 continue
-            # accepted: write the new successors and relabel the orbits
-            # through the changed darts, reusing the ids of the orbits
-            # they replace (never more than the new ones), so the ids
-            # stay 0 .. faces-1
-            for c, t in zip(changed, targets):
-                succ[c] = t
-            for x in heads:
-                if free:
-                    k = free.pop()
-                    flen[k] = _walk(succ, changed[x], k, fid, fpos)
-                else:
-                    flen.append(_walk(succ, changed[x], len(flen), fid,
-                                      fpos))
+            top = new
             current_f += delta
             if current_f > local_best:
                 local_best = current_f

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import surgery
-from .constructions import embed_K2r2r, embed_cube, embed_family
+from .constructions import embed_family
 from .embeddings import (Embedding, canonical_json_bytes, euler_genus,
                          face_lengths, genus_lower_bound, trace_faces)
 from .errors import LocalProofError, SurgeryError
@@ -107,7 +107,7 @@ def criterion_1(seed: int) -> tuple[bool, dict]:
     checks = _Checks()
     cases = []
     for r in (1, 2, 3):
-        res = embed_K2r2r(r)
+        res = embed_family(f"K({2 * r},{2 * r})")[0]
         e = res.embedding
         lengths = _independent_face_lengths(e)
         f = len(lengths)
@@ -128,7 +128,7 @@ def criterion_1(seed: int) -> tuple[bool, dict]:
 def criterion_2(seed: int) -> tuple[bool, dict]:
     """The twofold K(4,4) product: exact counts and a full reservoir."""
     checks = _Checks()
-    res = embed_cube(2, 2)
+    res = embed_family("Q(2,4)")[0]
     c = res.certificate
     checks.add("n=64", c.n == 64)
     checks.add("m=256", c.m == 256)
@@ -245,7 +245,8 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
     checks = _Checks()
     below = _below(random.Random(seed * 100003 + 6))
     pool = []
-    for base in (embed_K2r2r(2), embed_K2r2r(3), embed_cube(2, 1)):
+    for base in (embed_family(expr)[0]
+                 for expr in ("K(4,4)", "K(6,6)", "Q(2,2)")):
         e = base.embedding
         traced = trace_faces(e)
         faces = [tuple(u for u, _ in fc) for fc in traced if len(fc) == 4]

@@ -146,6 +146,20 @@ def test_embed_unsupported_family_exit_code(capsys):
     assert code == 4 and "error" in err
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("K(0,0)", "both parts need at least one vertex"),
+    ("Q(0,4)", "Q needs at least one factor, got i=0")])
+def test_empty_base_is_refused_by_the_classifier(capsys, tmp_path, expr,
+                                                 message):
+    # embed refuses an empty base through classify_family, before any
+    # file is written
+    with pytest.raises(InvalidParameterError, match=message):
+        constructions.classify_family(expr)
+    code, out, err = run(capsys, "embed", expr, "--out", str(tmp_path))
+    assert (code, out) == (3, "") and message in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
 def test_verify_detects_tampering(capsys, tmp_path):
     out_dir = tmp_path / "e"
     run(capsys, "embed", "K(2,2) x C(4)", "--out", str(out_dir))

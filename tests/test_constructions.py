@@ -36,7 +36,7 @@ def same_labeled_graph(a: Graph, b: Graph) -> bool:
 
 @pytest.mark.parametrize("r,genus,f", [(1, 0, 2), (2, 1, 8), (3, 4, 18)])
 def test_base_block_certificates(r, genus, f):
-    res = embed_K2r2r(r)
+    res = embed_family(f"K({2 * r},{2 * r})")[0]
     cert = res.certificate
     assert (cert.genus, cert.f) == (genus, f)
     assert cert.quadrilateral and cert.minimal
@@ -46,7 +46,7 @@ def test_base_block_certificates(r, genus, f):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_base_scheme_is_quadrilateral_up_to_r6(r):
-    res = embed_K2r2r(r)
+    res = embed_family(f"K({2 * r},{2 * r})")[0]
     faces = trace_faces(res.embedding)
     assert all(len(f) == 4 for f in faces)
     assert len(faces) == 2 * r * r
@@ -56,9 +56,9 @@ def test_base_scheme_is_quadrilateral_up_to_r6(r):
 
 @pytest.mark.parametrize("r", range(1, 17))
 def test_scheme_rotation_is_quadrilateral_up_to_r16(r):
-    # embed_K2r2r has no fallback: the scheme must trace to 2r^2
+    # the base block has no fallback: the scheme must trace to 2r^2
     # quadrilaterals and the family rule must give a valid reservoir
-    res = embed_K2r2r(r)
+    res = embed_family(f"K({2 * r},{2 * r})")[0]
     faces = trace_faces(res.embedding)
     assert all(len(f) == 4 for f in faces)
     assert len(faces) == 2 * r * r
@@ -95,7 +95,7 @@ def test_scheme_reservoir_is_the_traced_classifier_up_to_r16(r):
     emb = Embedding(make_complete_bipartite(2 * r, 2 * r),
                     _scheme_rotation(r))
     assert _scheme_reservoir(r) == traced_reservoir(emb)
-    assert embed_K2r2r(r).reservoir == _scheme_reservoir(r)
+    assert embed_family(f"K({2 * r},{2 * r})")[0].reservoir == _scheme_reservoir(r)
 
 
 def reference_partition(e: Embedding) -> tuple:
@@ -135,7 +135,7 @@ def reference_partition(e: Embedding) -> tuple:
 def test_scheme_reservoir_equals_the_search_for_small_r(r):
     # families and face order as the old backtracking gave them, which
     # keeps the artifacts of every r <= 3 family unchanged
-    res = embed_K2r2r(r)
+    res = embed_family(f"K({2 * r},{2 * r})")[0]
     assert res.reservoir == reference_partition(res.embedding)
 
 
@@ -153,9 +153,9 @@ def test_scheme_reservoir_refuses_a_relabelled_scheme():
         check_reservoir(emb.rotation, _scheme_reservoir(3))
 
 
-COPY_BASES = {"K(4,4)": lambda: embed_K2r2r(2),
-              "K(6,6)": lambda: embed_K2r2r(3),
-              "Q(2,2)": lambda: embed_cube(2, 1)}
+COPY_BASES = {"K(4,4)": lambda: embed_family("K(4,4)")[0],
+              "K(6,6)": lambda: embed_family("K(6,6)")[0],
+              "Q(2,2)": lambda: embed_family("Q(2,2)")[0]}
 
 # a K step folds in the base's own K(2r,2r), whose reservoir has 2r
 # families; each step is the (letter, order) of its factor
@@ -243,7 +243,7 @@ def test_link_step_requires_mirroring():
     # one link of two K(4,4) copies by family 0, along the one edge of
     # P(2): copy 1 is mirrored, and a handle per face joins each vertex
     # to its own image in the other copy
-    base = embed_K2r2r(2)
+    base = embed_family("K(4,4)")[0]
     nb = base.embedding.graph.n
     rows, _, links = _link_step(base, graphs.make_path(2), lambda t, u: 0,
                                 [(0, 0)], "link")
@@ -265,7 +265,7 @@ def test_a_factor_the_step_cannot_link_is_refused_before_any_row(
         raise AssertionError("rows laid out for a factor it cannot link")
 
     monkeypatch.setattr(constructions, "_copies", no_rows)
-    base = embed_K2r2r(2)
+    base = embed_family("K(4,4)")[0]
     triangle = graphs.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ConstructionError, match="not bipartite"):
         _link_step(base, triangle, lambda t, u: (t + u) % 3, [], "tri")
@@ -283,7 +283,8 @@ FACTORS = [("K", 2 * r) for r in (1, 2, 3)] + \
 def test_factor_data_meets_the_step_conditions(letter, order):
     # the three conditions of the module docstring, on each factor's data
     factor, colour, harvest = constructions._factor(letter, order)
-    base = embed_K2r2r(order // 2 if letter == "K" else 1)
+    base = embed_family(f"K({order},{order})" if letter == "K"
+                        else "K(2,2)")[0]
     rows, reservoir, links = _link_step(base, factor, colour, harvest,
                                         "step")
     nb = base.embedding.graph.n
@@ -346,7 +347,7 @@ def test_transfer_refuses_a_family_moved_with_the_wrong_flag(
         assemble_copies):
     # a family face placed in a copy the wrong way round, or in the wrong
     # copy, is not a face of the copies; add refuses it before any splice
-    base = embed_K2r2r(2)
+    base = embed_family("K(4,4)")[0]
     nb = base.embedding.graph.n
     union = assemble_copies(base.embedding, [False, True], [0, 1])
     rows = [list(row) for row in union.rotation]
@@ -369,7 +370,7 @@ def test_transfer_refuses_a_family_moved_with_the_wrong_flag(
 
 
 def test_cube_two_levels_frozen():
-    res = embed_cube(2, 2)
+    res = embed_family("Q(2,4)")[0]
     cert = res.certificate
     assert (cert.n, cert.m, cert.f, cert.genus) == (64, 256, 128, 33)
     assert len(res.reservoir) == 4
@@ -377,13 +378,13 @@ def test_cube_two_levels_frozen():
 
 
 def test_cube_matches_hypercube_specialization():
-    res = embed_cube(3, 1)
+    res = embed_family("Q(3,2)")[0]
     assert res.certificate.genus == 17  # the 6-dimensional hypercube
     assert res.certificate.minimal
 
 
 def test_cube_labels_match_family():
-    res = embed_cube(2, 2)
+    res = embed_family("Q(2,4)")[0]
     assert same_labeled_graph(res.embedding.graph, build_family("Q(2,4)"))
 
 
@@ -515,6 +516,11 @@ def test_cube_is_the_family_driver_on_a_cube(i, r):
     assert embed_cube(i, r) == embed_family(f"Q({i},{2 * r})")[0]
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_base_block_wrapper_is_the_family_driver(r):
+    assert embed_K2r2r(r) == embed_family(f"K({2 * r},{2 * r})")[0]
+
+
 def test_removal_left_incomplete_is_refused_at_its_level(monkeypatch):
     # a handle of the closing link left in place keeps its four edges in
     # its vertices' rows, and the level's graph, built before its trace,
@@ -599,7 +605,7 @@ def test_base_block_past_the_dart_cap_is_refused_before_building(
 
     monkeypatch.setattr(constructions, "make_complete_bipartite", no_build)
     with pytest.raises(InvalidParameterError, match="darts"):
-        embed_K2r2r(1025)
+        embed_family("K(2050,2050)")
 
 
 def test_reservoirs_survive_every_route():
@@ -612,7 +618,7 @@ def test_reservoirs_survive_every_route():
 
 
 def test_certificates_certify_via_oracle_helper():
-    res = embed_K2r2r(3)
+    res = embed_family("K(6,6)")[0]
     cert = euler_genus(res.embedding)
     assert cert.bipartite and cert.minimal and cert.genus == 4
 
@@ -673,7 +679,7 @@ def test_base_block_is_traced_once(count_calls):
     calls = count_calls(embeddings.face_successors)
     for r in (2, 14):
         calls.clear()
-        embed_K2r2r(r)
+        embed_family(f"K({2 * r},{2 * r})")[0]
         assert len(calls) == 1, (r, len(calls))
 
 
@@ -759,7 +765,7 @@ def test_family_check_pins_the_numbering():
     assert accepts(rows, "K(2,3) x C(4)")
     with pytest.raises(ConstructionError, match="vertex 0 has neighbours"):
         family_graph(_renumbered(rows, lambda v: 19 - v), "K(2,3) x C(4)")
-    k44 = embed_K2r2r(2).embedding.rotation
+    k44 = embed_family("K(4,4)")[0].embedding.rotation
     assert accepts(k44, "K(4,4)")  # one factor agrees
 
 

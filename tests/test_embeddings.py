@@ -282,7 +282,10 @@ def test_canonical_json_is_compact():
     data = canonical_json_bytes(blob)
     assert b" " not in data and b"\n" not in data[:-1]
     assert data.endswith(b"\n")
-    assert json.loads(data) == blob
+    # the dict holds the frozen tuples, which decode as lists
+    assert json.loads(data) == json.loads(json.dumps(blob))
+    assert json.loads(data)["embedding"]["rotation"] == [
+        list(row) for row in e.rotation]
 
 
 # properties over random rotation systems of fixed small graphs

@@ -5,14 +5,14 @@ import json
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quadgenus.constructions import embed_K2r2r
+from quadgenus.constructions import embed_family
 from quadgenus.embeddings import (DartIndex, Embedding, count_orbits,
                                   euler_genus, genus_lower_bound,
                                   trace_faces)
 from quadgenus.errors import BudgetExceededError, InvalidParameterError
 from quadgenus.graphs import (Graph, build_family, from_edges,
                               make_complete_bipartite, make_cycle, make_path)
-from quadgenus.oracle import (SearchBudget, _below, _chunk_rng, _orbit_labels,
+from quadgenus.oracle import (SearchBudget, _below, _chunk_rng, _label,
                               _positions, exhaustive_min_genus,
                               rotation_space_size, stochastic_search)
 
@@ -161,7 +161,7 @@ def test_stochastic_never_beats_lower_bound():
 
 
 def test_certify_minimum_constructed():
-    res = embed_K2r2r(3)
+    res = embed_family("K(6,6)")[0]
     cert = euler_genus(res.embedding)
     assert cert.bipartite and cert.minimal and cert.genus == 4
 
@@ -293,6 +293,10 @@ PINNED = [
      build_family("K(4,4) x C(4)"),
      SearchBudget(seed=0, max_rotation_systems=20000), 19, 20000,
      "e1371ddaa78d57bed893e6399e15f2ed7e98fd037bd851956b4cac81cbfb1184"),
+    # degree 8 and long faces: many scored swaps, far above the bound 33
+    ("Q(2,4) budget 5000", stochastic_search, build_family("Q(2,4)"),
+     SearchBudget(seed=0, max_rotation_systems=5000), 76, 5000,
+     "b15910930700a5be359dc54d1891589573accf57bdd139624ddcaffe5aa8b98c"),
 ]
 
 
@@ -320,28 +324,67 @@ def rotations_on_connected_graphs(draw):
     return g, rotation
 
 
-def labels_describe(succ, fid, fpos, flen):
-    """Whether the labels name the orbits of ``succ``: one id per orbit,
-    ids 0 .. faces-1, positions stepping by one along the orbit and
-    lengths matching it."""
-    orbits = {}
-    for dart, nxt in enumerate(succ):
-        k = fid[dart]
-        orbits.setdefault(k, []).append(dart)
-        if fid[nxt] != k or fpos[nxt] != (fpos[dart] + 1) % flen[k]:
-            return False
-    return (sorted(orbits) == list(range(len(flen)))
-            and all(len(orbits[k]) == flen[k] for k in orbits))
+def orbits_of(succ):
+    """The orbits of ``succ``, each as a set of darts."""
+    orbits, seen = [], set()
+    for dart in range(len(succ)):
+        if dart not in seen:
+            orbit = {dart}
+            nxt = succ[dart]
+            while nxt != dart:
+                orbit.add(nxt)
+                nxt = succ[nxt]
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def one_id_each(fid, orbits):
+    """The sorted ids of ``orbits`` if each has one id, else None."""
+    ids = [{fid[d] for d in orbit} for orbit in orbits]
+    if all(len(k) == 1 for k in ids):
+        return sorted(min(k) for k in ids)
+    return None
+
+
+def full_labels(succ):
+    """_label over every dart from scratch: the ids and the face count."""
+    fid = [-1] * len(succ)
+    return fid, _label(succ, fid, range(len(succ)), 0)
 
 
 @given(rotations_on_connected_graphs())
 def test_orbit_labels_name_every_face(case):
     g, rotation = case
     succ = DartIndex(g).successors(rotation)
-    fid, fpos, flen = _orbit_labels(succ)
-    assert labels_describe(succ, fid, fpos, flen)
+    fid, f = full_labels(succ)
+    orbits = orbits_of(succ)
+    # one id per orbit, ids 0 .. faces-1
+    assert one_id_each(fid, orbits) == list(range(f))
     faces = trace_faces(Embedding(g, tuple(rotation)))
-    assert sorted(flen) == sorted(map(len, faces))
+    assert f == len(faces)
+    assert sorted(map(len, orbits)) == sorted(map(len, faces))
+
+
+@given(rotations_on_connected_graphs(), st.data())
+def test_label_numbers_the_orbits_through_its_starts_afresh(case, data):
+    g, rotation = case
+    succ = DartIndex(g).successors(rotation)
+    fid, f = full_labels(succ)
+    old = fid[:]
+    first = f + data.draw(st.integers(0, 5))
+    starts = data.draw(st.lists(st.integers(0, len(succ) - 1), max_size=8))
+    after = _label(succ, fid, starts, first)
+    hit = [orbit for orbit in orbits_of(succ) if orbit & set(starts)]
+    # each orbit through a start gets one id, and the ids are fresh,
+    # first .. after-1, one per such orbit
+    assert after == first + len(hit)
+    assert one_id_each(fid, hit) == list(range(first, after))
+    # every other dart keeps its id
+    missed = set(range(len(succ))).difference(*hit)
+    assert all(fid[d] == old[d] for d in missed)
+    # darts already numbered from first on are not numbered again
+    assert _label(succ, fid, starts, first) == first
 
 
 @given(st.sampled_from([complete(4), complete(5),
@@ -354,7 +397,7 @@ def test_a_swap_over_distinct_faces_loses_two(g, data):
     rotation = [tuple(data.draw(st.permutations(g.adj[v])))
                 for v in range(g.n)]
     index = DartIndex(g)
-    fid, _, flen = _orbit_labels(index.successors(rotation))
+    fid, f = full_labels(index.successors(rotation))
 
     def distinct(v, i, j):
         # the darts whose successor the swap of positions i, j at v
@@ -371,7 +414,7 @@ def test_a_swap_over_distinct_faces_loses_two(g, data):
     row[i], row[j] = row[j], row[i]
     swapped = tuple(tuple(row) if u == v else rot
                     for u, rot in enumerate(rotation))
-    assert len(trace_faces(Embedding(g, swapped))) == len(flen) - 2
+    assert len(trace_faces(Embedding(g, swapped))) == f - 2
 
 
 def test_below_draws_what_randrange_choice_and_shuffle_draw():
@@ -517,6 +560,9 @@ STAR23 = from_edges(24, [(0, v) for v in range(1, 24)])
           SearchBudget(seed=3, max_rotation_systems=2000)))
 @example((make_complete_bipartite(23, 3),
           SearchBudget(seed=7, max_rotation_systems=3000, restart_stall=50)))
+# long scored sequences on a graph of degree 8 with long faces
+@example((build_family("Q(2,4)"),
+          SearchBudget(seed=0, max_rotation_systems=5000)))
 def test_stochastic_matches_the_walk_based_loop(case):
     g, budget = case
     res = stochastic_search(g, budget)

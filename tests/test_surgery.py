@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadgenus import constructions, selftest, surgery
-from quadgenus.constructions import embed_cube, embed_K2r2r
+from quadgenus.constructions import embed_family
 from quadgenus.embeddings import Embedding, euler_genus, trace_faces
 from quadgenus.errors import (ConstructionError, InvalidParameterError,
                               SurgeryError)
@@ -282,7 +282,7 @@ def test_is_face_checks_every_corner():
 
 
 def test_link_copies_requires_mirroring(assemble_copies):
-    base = embed_K2r2r(2)
+    base = embed_family("K(4,4)")[0]
     e, fam = base.embedding, base.reservoir[0]
     n = e.graph.n
 
@@ -313,7 +313,7 @@ def test_link_copies_requires_mirroring(assemble_copies):
 
 
 def test_partition_faces_k44():
-    res = embed_K2r2r(2)
+    res = embed_family("K(4,4)")[0]
     assert res.embedding == k44()
     assert len(res.reservoir) == 4
     for fam in res.reservoir:
@@ -331,11 +331,11 @@ def test_partition_rejects_non_conforming_input(monkeypatch):
     assert not euler_genus(Embedding(h, rot)).quadrilateral
     monkeypatch.setattr(constructions, "_scheme_rotation", lambda r: rot)
     with pytest.raises(ConstructionError):
-        embed_K2r2r(2)
+        embed_family("K(4,4)")[0]
 
 
 def test_check_reservoir_flags_overlap():
-    reservoir = embed_K2r2r(2).reservoir
+    reservoir = embed_family("K(4,4)")[0].reservoir
     doubled = (reservoir[0], reservoir[0])
     with pytest.raises(ConstructionError):
         check_reservoir(K44_ROT, doubled)
@@ -345,7 +345,7 @@ def test_check_reservoir_flags_a_face_under_two_rotations():
     # one face of family 0 turns up again in family 1, its vertex tuple
     # rotated to start elsewhere; the key is the tuple rotated to its
     # least vertex, so both name the same face
-    reservoir = embed_K2r2r(2).reservoir
+    reservoir = embed_family("K(4,4)")[0].reservoir
     face = reservoir[0][0]
     again = face[1:] + face[:1]
     moved = (again,) + tuple(f for f in reservoir[1]
@@ -356,7 +356,7 @@ def test_check_reservoir_flags_a_face_under_two_rotations():
 
 def test_check_reservoir_refuses_a_vertex_outside_the_graph():
     # -1 must not stand in for vertex 7 (a bytearray would read it so)
-    fam = embed_K2r2r(2).reservoir[0]
+    fam = embed_family("K(4,4)")[0].reservoir[0]
     face = next(f for f in fam if 7 in f)
     wrong = tuple(-1 if x == 7 else x for x in face)
     bad = tuple(wrong if f is face else f for f in fam)
@@ -368,7 +368,7 @@ def test_check_reservoir_refuses_a_vertex_outside_the_graph():
 def test_check_reservoir_refuses_a_cycle_that_is_not_a_face():
     # a family face read backwards keeps its vertex set, so it passes the
     # disjointness and cover checks, but it is not a face of the rotation
-    reservoir = embed_K2r2r(2).reservoir
+    reservoir = embed_family("K(4,4)")[0].reservoir
     assert (0, 4, 1, 7) in reservoir[0]
     assert not is_face(k44().rotation, (0, 7, 1, 4))
     reversed_face = tuple((0, 7, 1, 4) if f == (0, 4, 1, 7) else f
@@ -379,7 +379,7 @@ def test_check_reservoir_refuses_a_cycle_that_is_not_a_face():
 
 
 def test_check_reservoir_flags_partial_cover():
-    reservoir = embed_K2r2r(2).reservoir
+    reservoir = embed_family("K(4,4)")[0].reservoir
     half = (reservoir[0][:1],)
     with pytest.raises(ConstructionError):
         check_reservoir(K44_ROT, half)
@@ -403,8 +403,8 @@ def test_handle_deltas_random(pairing, rnd):
 
 WORK_BASES = {
     "K(4,4)": Embedding(make_complete_bipartite(4, 4), K44_ROT),
-    "K(6,6)": embed_K2r2r(3).embedding,
-    "Q(2,2)": embed_cube(2, 1).embedding,
+    "K(6,6)": embed_family("K(6,6)")[0].embedding,
+    "Q(2,2)": embed_family("Q(2,2)")[0].embedding,
 }
 
 
@@ -554,7 +554,7 @@ def test_criterion_6_fails_when_a_handle_is_left_in_place(monkeypatch):
 def handle_proposals(r: int):
     """The K(2r,2r) base block and every (f1, f2, pairing) that add
     accepts on it."""
-    e = embed_K2r2r(r).embedding
+    e = embed_family(f"K({2 * r},{2 * r})")[0].embedding
     faces = quads(e)
     accepted = []
     for f1 in faces:
