@@ -64,12 +64,13 @@ did; four orbits become two.  When j = i + 1 it is the one cycle
 (p_{i-1}) -> (p_i) -> (p_{i+1}) -> (p_{i-1}) on three darts, and three
 orbits become one; the same holds with i and j exchanged.  The swap
 only permutes the neighbours at those positions, so C's ids are read
-before it is made, and when they are distinct it is rejected unmade.  Any other swap is made: the new successors of C
-are written and the orbits through C numbered from the next free id,
-and the count of new ids less the count of distinct old ids on C is the
-change in faces.  A swap that loses faces restores the successors, and
-the old orbits through C are numbered afresh the same way.  Ids are
-only compared, so none is reused.
+before it is made, and when they are distinct it is rejected unmade.
+
+Any other swap is made: the new successors of C are written and the
+orbits through C numbered from the next free id; the count of new ids
+less that of distinct old ids on C is the change in faces.  A swap that
+loses faces restores the successors and numbers the old orbits through
+C afresh.  Ids are only compared, so none is reused.
 
 Both searchers are deterministic for a fixed seed.  Each restart of
 the stochastic search draws from its own generator, seeded from the

@@ -95,7 +95,8 @@ def test_scheme_reservoir_is_the_traced_classifier_up_to_r16(r):
     emb = Embedding(make_complete_bipartite(2 * r, 2 * r),
                     _scheme_rotation(r))
     assert _scheme_reservoir(r) == traced_reservoir(emb)
-    assert embed_family(f"K({2 * r},{2 * r})")[0].reservoir == _scheme_reservoir(r)
+    res = embed_family(f"K({2 * r},{2 * r})")[0]
+    assert res.reservoir == _scheme_reservoir(r)
 
 
 def reference_partition(e: Embedding) -> tuple:
